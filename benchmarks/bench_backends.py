@@ -103,7 +103,7 @@ def run_backend_grid(requests: int = FULL_M, repeats: int | None = None) -> dict
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.backends import numba_available, set_thread_budget
     from repro.core.costs import CostModel
-    from repro.core.engine import get_engine, run_policy_slab
+    from repro.core.engine import get_engine, run_policy_slab, run_slab
     from repro.workloads import ibm_like_trace
 
     if repeats is None:
@@ -126,7 +126,9 @@ def run_backend_grid(requests: int = FULL_M, repeats: int | None = None) -> dict
         best, runs = float("inf"), None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            runs = eng.run_slab(trace, model, algorithm1_factory, cells)
+            runs = run_slab(
+                trace, model, cells, algorithm1_factory, engine=eng
+            )
             best = min(best, time.perf_counter() - t0)
         return best, runs
 
@@ -201,7 +203,7 @@ def test_backend_grid(benchmark, paper_trace):
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.backends import set_thread_budget
     from repro.core.costs import CostModel
-    from repro.core.engine import get_engine
+    from repro.core.engine import get_engine, run_slab
 
     report = run_backend_grid(requests=100_000, repeats=2)
     lines = [
@@ -223,7 +225,9 @@ def test_backend_grid(benchmark, paper_trace):
     prev = set_thread_budget(os.cpu_count() or 1)
     try:
         benchmark(
-            lambda: eng.run_slab(paper_trace, model, algorithm1_factory, cells)
+            lambda: run_slab(
+                paper_trace, model, cells, algorithm1_factory, engine=eng
+            )
         )
     finally:
         set_thread_budget(prev)

@@ -70,7 +70,7 @@ def run_batch_grid(trace=None, repeats: int = 3) -> dict:
     """
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
-    from repro.core.engine import BatchCostEngine, FastCostEngine
+    from repro.core.engine import BatchCostEngine, FastCostEngine, run_slab
 
     if trace is None:
         trace = _smoke_trace()
@@ -93,7 +93,9 @@ def run_batch_grid(trace=None, repeats: int = 3) -> dict:
             best_fast = min(best_fast, time.perf_counter() - t0)
 
             t0 = time.perf_counter()
-            batch_runs = batch.run_slab(trace, model, algorithm1_factory, cells)
+            batch_runs = run_slab(
+                trace, model, cells, algorithm1_factory, engine=batch
+            )
             best_batch = min(best_batch, time.perf_counter() - t0)
 
             for cell, f, b in zip(cells, fast_runs, batch_runs):
@@ -128,7 +130,7 @@ def test_batch_speedup(benchmark, paper_trace):
     from conftest import emit
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
-    from repro.core.engine import BatchCostEngine
+    from repro.core.engine import BatchCostEngine, run_slab
 
     report = run_batch_grid()
     lines = [
@@ -150,7 +152,9 @@ def test_batch_speedup(benchmark, paper_trace):
     batch = BatchCostEngine()
     cells = _grid_cells()
     benchmark(
-        lambda: batch.run_slab(paper_trace, model, algorithm1_factory, cells)
+        lambda: run_slab(
+            paper_trace, model, cells, algorithm1_factory, engine=batch
+        )
     )
 
 

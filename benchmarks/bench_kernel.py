@@ -83,7 +83,12 @@ def run_kernel_grid(requests: int = FULL_M, repeats: int | None = None) -> dict:
     from repro.algorithms.wang import WangReplication
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
-    from repro.core.engine import BatchCostEngine, FastCostEngine, KernelCostEngine
+    from repro.core.engine import (
+        BatchCostEngine,
+        FastCostEngine,
+        KernelCostEngine,
+        run_slab,
+    )
     from repro.workloads import ibm_like_trace
 
     if repeats is None:
@@ -99,11 +104,15 @@ def run_kernel_grid(requests: int = FULL_M, repeats: int | None = None) -> dict:
     batch_runs = kernel_runs = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        kernel_runs = kernel.run_slab(trace, model, algorithm1_factory, cells)
+        kernel_runs = run_slab(
+            trace, model, cells, algorithm1_factory, engine=kernel
+        )
         best_kernel = min(best_kernel, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        batch_runs = batch.run_slab(trace, model, algorithm1_factory, cells)
+        batch_runs = run_slab(
+            trace, model, cells, algorithm1_factory, engine=batch
+        )
         best_batch = min(best_batch, time.perf_counter() - t0)
 
     # bit-identity across the whole grid, plus scalar spot checks
@@ -163,7 +172,7 @@ def test_kernel_speedup(benchmark, paper_trace):
     from conftest import emit
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
-    from repro.core.engine import KernelCostEngine
+    from repro.core.engine import KernelCostEngine, run_slab
 
     report = run_kernel_grid(requests=100_000, repeats=2)
     emit(
@@ -187,7 +196,9 @@ def test_kernel_speedup(benchmark, paper_trace):
     kernel = KernelCostEngine()
     cells = _grid_cells()
     benchmark(
-        lambda: kernel.run_slab(paper_trace, model, algorithm1_factory, cells)
+        lambda: run_slab(
+            paper_trace, model, cells, algorithm1_factory, engine=kernel
+        )
     )
 
 

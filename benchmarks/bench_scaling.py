@@ -1,29 +1,40 @@
 """Engine-tier scaling sweep: trace size x engine, per-cell wall clock.
 
-Sweeps the engine registry (reference, fast, batch, kernel) over
-growing IBM-like traces on a compact Algorithm-1 grid and records the
-per-cell cost of each tier — the measurements behind the ``auto``
-selection crossovers (:data:`repro.core.engine.KERNEL_MIN_M` /
-:data:`KERNEL_SLAB_MIN_M`).  Per-cell costs are asserted bit-identical
-across every tier at every size; the reference simulator runs only at
-the smallest size (it exists to anchor correctness, not throughput).
+Runs the cost-only tiers (plus the reference simulator at the smallest
+sizes) through the slab dispatcher every layer above uses,
+:func:`repro.core.engine.run_slab` with a forced ``engine=``, and
+records three views of the ``auto`` selection crossovers:
+
+* ``rows`` — a compact 12-cell Algorithm-1 slab over growing IBM-like
+  traces, on both sides of :data:`repro.core.engine.KERNEL_SLAB_MIN_M`;
+* ``single_cell_rows`` — one cell on the fast and kernel tiers at the
+  same sizes, on both sides of :data:`repro.core.engine.KERNEL_MIN_M`;
+* ``wide_slab`` — the shape of one ``(trace, lambda)`` slab of
+  ``bench_fleet.py``'s template fleet (64 requests on 8 servers, about
+  800 cells), the short-and-wide corner the batch tier is kept for.
+
+Every timing is the min (``total_s``, ``per_cell_ms``) and median
+(``median_s``) of :data:`REPEATS` runs, and the report records the core
+count.  Per-cell costs are asserted bit-identical across every tier in
+every view; the reference simulator runs only up to
+:data:`REFERENCE_MAX_M` (it anchors correctness, not throughput).
 
 Standalone use (the CI smoke step runs this via ``repro bench``)::
 
     python benchmarks/bench_scaling.py [--out benchmarks/BENCH_scaling.json]
-                                       [--sizes 2000,20000,200000]
+                                       [--sizes 128,512,2000,20000,200000]
                                        [--gate 2.0] [--strict]
 
-writes ``BENCH_scaling.json`` with one row per ``(size, engine)`` plus
-a speedup summary at the largest size.  The gate requires the kernel
-tier to beat the batch tier per cell at the largest size by the given
-factor (default :data:`MIN_SPEEDUP`); it only fails the process under
-``--strict`` — CI runs ``--gate 1.0 --strict``.
+The gate requires the kernel tier to beat the batch tier per cell on
+the 12-cell slab at the largest size by the given factor (default
+:data:`MIN_SPEEDUP`); it only fails the process under ``--strict`` — CI
+runs ``--gate 1.0 --strict``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -35,21 +46,32 @@ except ImportError:  # pragma: no cover - `repro bench` without test deps
 SCALE_LAMBDA = 10.0
 SMOKE_N = 10
 SMOKE_SEED = 0
-DEFAULT_SIZES = (2_000, 20_000, 200_000)
+#: KERNEL_MIN_M (256) falls between the first two sizes and
+#: KERNEL_SLAB_MIN_M (1024) between the second and third
+DEFAULT_SIZES = (128, 512, 2_000, 20_000, 200_000)
+REPEATS = 3
 
 #: the compact grid: enough cells to amortise slab passes, small enough
 #: that per-cell tiers stay affordable at every size
 SCALE_ALPHAS = (0.2, 0.5, 0.8, 1.0)
 SCALE_ACCURACIES = (0.0, 0.6, 1.0)
 
+#: one (trace, lambda) slab of bench_fleet.py's template fleet: 64
+#: requests on 8 servers; 67 seeds of the 12-cell grid give 804 cells,
+#: about the ~830 objects per slab of its 20k-object quick fleet
+WIDE_M = 64
+WIDE_N = 8
+WIDE_SEEDS = 67
+WIDE_LAMBDA = 50.0
+
 #: reference-tier ceiling: the event simulator only runs at sizes
 #: at or below this (one cell of it costs more than a whole slab above)
 REFERENCE_MAX_M = 2_000
 
-#: kernel-over-batch per-cell gate at the largest swept size; locally
-#: measured ~18x at 200k requests on this 12-cell grid (narrow slabs
-#: amortise the batch engine's shared trace pass poorly — on the full
-#: 121-cell fig25 grid the same comparison is ~5x, see BENCH_kernel.json)
+#: kernel-over-batch per-cell gate at the largest swept size; recorded
+#: in BENCH_scaling.json (narrow 12-cell slabs amortise the batch
+#: engine's shared trace pass poorly — on the full 121-cell fig25 grid
+#: the same comparison is ~5x, see BENCH_kernel.json)
 MIN_SPEEDUP = 2.0
 
 #: report key diffed against the committed BENCH_*.json history
@@ -57,77 +79,80 @@ MIN_SPEEDUP = 2.0
 GATE_METRIC = "kernel_vs_batch_at_largest"
 
 #: quick profile appended by `repro bench --quick` (the CI smoke step)
-QUICK_ARGS = ["--sizes", "2000,20000,50000"]
+QUICK_ARGS = ["--sizes", "128,512,2000,20000,50000"]
 
 
-def _cells():
+def _cells(seeds=(SMOKE_SEED,)):
     return [
-        (alpha, acc, SMOKE_SEED)
+        (alpha, acc, seed)
+        for seed in seeds
         for alpha in SCALE_ALPHAS
         for acc in SCALE_ACCURACIES
     ]
 
 
-def _time_per_cell(engine_name, trace, model, cells):
-    """One timed pass of the whole cell set on one engine tier.
-
-    Slab-capable tiers (batch, kernel) run their ``run_slab`` path; the
-    per-cell tiers replay cell by cell — exactly how each tier is used
-    by the layers above.
-    """
+def _time_tiers(trace, model, cells, engines, repeats):
+    """One row per engine tier: ``run_slab`` over ``cells`` timed
+    ``repeats`` times, costs asserted bit-identical across tiers."""
     from repro.analysis.sweep import algorithm1_factory
-    from repro.core.engine import get_engine
+    from repro.core.engine import run_slab
 
-    engine = get_engine(engine_name)
-    t0 = time.perf_counter()
-    if hasattr(engine, "run_slab"):
-        runs = engine.run_slab(trace, model, algorithm1_factory, cells)
-    else:
-        runs = [
-            engine.run(
-                trace, model,
-                algorithm1_factory(trace, model.lam, alpha, acc, seed),
-            )
-            for alpha, acc, seed in cells
-        ]
-    elapsed = time.perf_counter() - t0
-    return elapsed, runs
+    rows, costs = [], None
+    for name in engines:
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            runs = run_slab(trace, model, cells, algorithm1_factory, engine=name)
+            samples.append(time.perf_counter() - t0)
+        got = [(r.storage_cost, r.transfer_cost) for r in runs]
+        if costs is None:
+            costs = got
+        else:
+            assert got == costs, f"cost mismatch: {name} at m={len(trace)}"
+        rows.append(
+            {
+                "m": len(trace),
+                "engine": name,
+                "cells": len(cells),
+                "total_s": min(samples),
+                "median_s": statistics.median(samples),
+                "per_cell_ms": min(samples) / len(cells) * 1e3,
+            }
+        )
+    return rows
 
 
-def run_scaling_sweep(sizes=DEFAULT_SIZES) -> dict:
+def _per_cell(rows, engine):
+    return next(r["per_cell_ms"] for r in rows if r["engine"] == engine)
+
+
+def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     """Sweep trace size x engine tier; returns the report dict."""
+    from repro.core.backends import numba_available
     from repro.core.costs import CostModel
-    from repro.workloads import ibm_like_trace
+    from repro.workloads import ibm_like_trace, uniform_random_trace
 
     cells = _cells()
-    rows = []
+    rows, single = [], []
     for m in sizes:
         trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
         model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
         engines = ["fast", "batch", "kernel"]
         if m <= REFERENCE_MAX_M:
             engines.insert(0, "reference")
-        costs = None
-        for name in engines:
-            elapsed, runs = _time_per_cell(name, trace, model, cells)
-            got = [(r.storage_cost, r.transfer_cost) for r in runs]
-            if costs is None:
-                costs = got
-            else:
-                assert got == costs, f"cost mismatch: {name} at m={m}"
-            rows.append(
-                {
-                    "m": m,
-                    "engine": name,
-                    "cells": len(cells),
-                    "total_s": elapsed,
-                    "per_cell_ms": elapsed / len(cells) * 1e3,
-                }
-            )
-    largest = max(sizes)
-    at_top = {
-        r["engine"]: r["per_cell_ms"] for r in rows if r["m"] == largest
-    }
+        rows += _time_tiers(trace, model, cells, engines, repeats)
+        single += _time_tiers(trace, model, cells[:1], ["fast", "kernel"], repeats)
+    wide_trace = uniform_random_trace(
+        WIDE_N, WIDE_M, horizon=float(WIDE_M), seed=SMOKE_SEED
+    )
+    wide = _time_tiers(
+        wide_trace,
+        CostModel(lam=WIDE_LAMBDA, n=WIDE_N),
+        _cells(range(WIDE_SEEDS)),
+        ["fast", "batch", "kernel"],
+        repeats,
+    )
+    top = [r for r in rows if r["m"] == max(sizes)]
     return {
         "grid": {
             "lam": SCALE_LAMBDA,
@@ -136,19 +161,37 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES) -> dict:
         },
         "trace": {"workload": "ibm_like", "n": SMOKE_N, "seed": SMOKE_SEED},
         "sizes": list(sizes),
+        "cpu_count": os.cpu_count() or 1,
+        "repeats": repeats,
+        "numba": numba_available(),
         "rows": rows,
-        "kernel_vs_batch_at_largest": at_top["batch"] / at_top["kernel"],
-        "kernel_vs_fast_at_largest": at_top["fast"] / at_top["kernel"],
+        "single_cell_rows": single,
+        "wide_slab": {
+            "trace": {"workload": "uniform_random", "n": WIDE_N, "m": WIDE_M,
+                      "seed": SMOKE_SEED},
+            "lam": WIDE_LAMBDA,
+            "rows": wide,
+        },
+        "kernel_vs_batch_at_largest": _per_cell(top, "batch") / _per_cell(top, "kernel"),
+        "kernel_vs_fast_at_largest": _per_cell(top, "fast") / _per_cell(top, "kernel"),
+        "batch_vs_kernel_wide": _per_cell(wide, "kernel") / _per_cell(wide, "batch"),
     }
 
 
 def format_rows(report: dict) -> str:
-    lines = ["       m     engine  cells  total      per-cell"]
-    for r in report["rows"]:
-        lines.append(
-            f"{r['m']:>8d} {r['engine']:>10s} {r['cells']:>6d} "
-            f"{r['total_s']:>7.2f}s {r['per_cell_ms']:>10.2f}ms"
-        )
+    lines = ["view          m     engine  cells     best   median    per-cell"]
+    views = (
+        ("slab", report["rows"]),
+        ("single", report["single_cell_rows"]),
+        ("wide", report["wide_slab"]["rows"]),
+    )
+    for view, rows in views:
+        for r in rows:
+            lines.append(
+                f"{view:<6} {r['m']:>8d} {r['engine']:>10s} {r['cells']:>6d} "
+                f"{r['total_s']:>7.3f}s {r['median_s']:>7.3f}s "
+                f"{r['per_cell_ms']:>9.3f}ms"
+            )
     return "\n".join(lines)
 
 
@@ -157,20 +200,19 @@ def test_engine_tier_scaling(benchmark):
     from conftest import emit
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
-    from repro.core.engine import KernelCostEngine
+    from repro.core.engine import run_slab
     from repro.workloads import ibm_like_trace
 
-    report = run_scaling_sweep(sizes=(2_000, 20_000))
+    report = run_scaling_sweep(sizes=(2_000, 20_000), repeats=1)
     emit("Engine tier scaling (size x tier, per-cell)", format_rows(report))
     assert report["kernel_vs_batch_at_largest"] >= 1.0
     assert report["kernel_vs_fast_at_largest"] >= 1.0
 
     trace = ibm_like_trace(n=SMOKE_N, m=20_000, seed=SMOKE_SEED)
     model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
-    kernel = KernelCostEngine()
     cells = _cells()
     benchmark(
-        lambda: kernel.run_slab(trace, model, algorithm1_factory, cells)
+        lambda: run_slab(trace, model, cells, algorithm1_factory, engine="kernel")
     )
 
 
@@ -232,7 +274,9 @@ def main(argv=None) -> int:
     speedup = report["kernel_vs_batch_at_largest"]
     print(
         f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x "
-        f"(vs fast: {report['kernel_vs_fast_at_largest']:.2f}x) -> {out}"
+        f"(vs fast: {report['kernel_vs_fast_at_largest']:.2f}x); wide "
+        f"m={WIDE_M} slab: batch {report['batch_vs_kernel_wide']:.2f}x "
+        f"over kernel -> {out}"
     )
     return gate_exit(
         speedup, gate, strict, label="kernel-over-batch speedup"

@@ -109,6 +109,26 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)")
 
 
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Engine-tier and kernel-backend flags shared by sweep /
+    experiments run / fleet run."""
+    parser.add_argument(
+        "--engine", choices=ENGINE_NAMES, default="auto",
+        help="simulation engine: 'kernel' = loop-free segment-scan "
+        "replay (fastest at scale), 'batch' = one vectorized pass per "
+        "(trace, lambda) slab, 'fast' = cost-only slot-state replay per "
+        "cell, 'reference' = full-telemetry event loop, 'auto' (default) "
+        "= kernel above its measured crossover, batch/fast below it, "
+        "reference for policies no cost-only tier supports")
+    parser.add_argument(
+        "--backend", choices=BACKEND_NAMES, default=None,
+        help="kernel execution backend: 'threads' fans slab cells across "
+        "a thread pool, 'numba' compiles the hot loops when numba is "
+        "importable (numpy fallback otherwise), 'auto' (the default when "
+        "the flag and REPRO_KERNEL_BACKEND are unset) picks by measured "
+        "crossovers; all backends are bit-identical")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     p = argparse.ArgumentParser(
@@ -136,17 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="6x6 grid instead of the paper's 11x11")
     s.add_argument("--heatmap", action="store_true",
                    help="also render an ASCII heat map per lambda")
-    s.add_argument("--engine", choices=ENGINE_NAMES,
-                   default="auto",
-                   help="simulation engine: 'kernel' = loop-free "
-                   "segment-scan replay (fastest at scale), 'batch' = "
-                   "one vectorized pass per (trace, lambda) slab, "
-                   "'fast' = cost-only slot-state replay per cell, "
-                   "'reference' = full-telemetry event loop, 'auto' "
-                   "(default) = kernel above its measured crossover, "
-                   "batch/fast below it")
-    s.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="""kernel execution backend: 'threads' fans slab cells across a thread pool, 'numba' compiles the hot loops when numba is importable (numpy fallback otherwise), 'auto' (the default when the flag and REPRO_KERNEL_BACKEND are unset) picks by measured crossovers; all backends are bit-identical""")
+    _add_engine_flags(s)
     _add_obs_flags(s)
 
     a = sub.add_parser("adaptive", help="Figures 29-32 grid")
@@ -189,13 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="subsample every grid axis to at most 3 values")
     er.add_argument("--quiet", action="store_true",
                     help="suppress incremental progress output")
-    er.add_argument("--engine", choices=ENGINE_NAMES,
-                    default="auto",
-                    help="simulation engine for grid cells (default: auto "
-                    "= loop-free kernel replays or batched slab passes "
-                    "where eligible)")
-    er.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                    help="""kernel execution backend: 'threads' fans slab cells across a thread pool, 'numba' compiles the hot loops when numba is importable (numpy fallback otherwise), 'auto' (the default when the flag and REPRO_KERNEL_BACKEND are unset) picks by measured crossovers; all backends are bit-identical""")
+    _add_engine_flags(er)
     _add_obs_flags(er)
 
     f = sub.add_parser("fleet", help="multi-object fleets: run")
@@ -228,11 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="predictor accuracy; 1.0 = oracle (default 1.0)")
     fr.add_argument("--seed", type=int, default=0,
                     help="base seed for templates and noisy predictors")
-    fr.add_argument("--engine", choices=ENGINE_NAMES, default="auto",
-                    help="simulation engine (default auto = cost-only "
-                    "kernel/batch slabs where eligible)")
-    fr.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                    help="""kernel execution backend: 'threads' fans slab cells across a thread pool, 'numba' compiles the hot loops when numba is importable (numpy fallback otherwise), 'auto' (the default when the flag and REPRO_KERNEL_BACKEND are unset) picks by measured crossovers; all backends are bit-identical""")
+    _add_engine_flags(fr)
     fr.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: CPU count; 1 = serial)")
     fr.add_argument("--top-k", type=int, default=16,

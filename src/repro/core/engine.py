@@ -64,12 +64,16 @@ Everything else falls back to the reference engine:
   records must use the reference engine — the fast path never produces
   telemetry, by construction.
 
-``select_engine(trace, model, policy, "auto")`` encodes that rule: it
-returns the fast engine iff :meth:`FastCostEngine.supports` holds, else
-the reference engine.  ``sweep_grid`` and ``ExperimentRunner`` default
-to ``"auto"`` because grid cells consume only costs;
-``MultiObjectSystem.run`` defaults to ``"reference"`` because its
-:class:`FleetReport` exposes full per-object results.
+The fast, batch and kernel tiers share that rule and everything around
+their replays — the model check, the policy-kind dispatch, prediction
+streaming, the errors, :class:`CostResult` assembly — through one base
+class, :class:`_CostOnlyEngine`; each tier supplies only its Algorithm-1
+and Wang replay.  ``select_engine(trace, model, policy, "auto")`` returns
+a cost-only tier iff ``supports()`` holds, else the reference engine.
+``sweep_grid`` and ``ExperimentRunner`` default to ``"auto"`` because
+grid cells consume only costs; ``MultiObjectSystem.run`` defaults to
+``"reference"`` because its :class:`FleetReport` exposes full
+per-object results.
 
 The batch tier: one trace pass per slab
 ---------------------------------------
@@ -89,18 +93,20 @@ duration product — is the same IEEE double op the scalar replay
 performs, in the same order, so per-cell batch costs are bit-identical
 to :class:`FastCostEngine` (and hence to the reference simulator).
 
-Wang and the conventional baseline are prediction-free within a slab
-(Wang ignores predictions entirely; conventional pins the duration to
-``lambda``), so their slabs reduce to one scalar fast replay broadcast
-across the cells.
+Wang's baseline ignores predictions and alpha entirely, so a slab's
+equal-model Wang cells reduce to one scalar fast replay broadcast
+across them; the conventional baseline rides the batch pass with a
+constant "beyond" prediction column (it pins the duration to
+``lambda``).
 
-``select_engine(..., slab_size=k)`` encodes the selection rule:
-``"auto"`` returns the batch engine when the caller holds a slab of
-``k > 1`` eligible cells, the fast engine for single eligible runs, and
-the reference engine otherwise.  :func:`run_slab` is the module-level
-dispatcher the sweep and experiment layers use: it batches whole slabs
-when eligible and falls back to bit-identical per-cell execution when
-not.
+Slabs have one dispatcher, :func:`run_policy_slab`, over pre-built
+``(model, policy)`` cells sharing a trace; :func:`run_slab` is its
+grid-facing adapter (it builds each ``(alpha, accuracy, seed)`` cell's
+policy once and delegates).  Under ``"auto"`` a slab's eligible cells
+run as one batch pass per equal-model group below
+:data:`KERNEL_SLAB_MIN_M` requests and on the kernel tier (next section)
+at or above it; :func:`select_engine` picks the tier for a single run.
+Cells no slab tier takes fall back to bit-identical per-cell execution.
 
 The kernel tier: loop-free segment-scan replay
 ----------------------------------------------
@@ -198,11 +204,12 @@ slabs (see :func:`run_policy_slab`).
 Selection: the kernel's fixed overhead (a handful of array allocations
 and one shared per-server sort) loses to the fast engine's lean scalar
 loop on short traces and to the batch engine's shared trace pass on
-short slabs, so ``"auto"`` prefers it only above measured crossover
-trace lengths (:data:`KERNEL_MIN_M` single-cell,
-:data:`KERNEL_SLAB_MIN_M` slab-wide; see ``benchmarks/bench_scaling.py``
-for the measurements).  In slab mode the per-cell masks broadcast over
-an ``(n_cells,)`` axis of independent columns sharing the per-trace
+short slabs, so ``"auto"`` prefers it only above crossover trace
+lengths (:data:`KERNEL_MIN_M` single-cell, measured;
+:data:`KERNEL_SLAB_MIN_M` slab-wide, which the recorded rows do not yet
+confirm because the slab crossover also moves with slab width; see
+``benchmarks/bench_scaling.py`` for the measurements).  In slab mode
+the per-cell masks broadcast over an ``(n_cells,)`` axis of independent columns sharing the per-trace
 ``succ``/``prev`` chains and one ``searchsorted`` per *distinct*
 keep-duration — 12 for the paper's 121-cell fig25 grid — which is
 where the tier's ≥5x per-cell advantage over the batch engine at
@@ -347,16 +354,52 @@ class ReferenceEngine(Engine):
         )
 
 
-class FastCostEngine(Engine):
-    """Cost-only replay of Algorithm 1 / conventional / Wang policies.
+def _stream_predictor(policy: ReplicationPolicy):
+    """The predictor whose stream drives an Algorithm-1-family policy.
 
-    See the module DESIGN docstring for eligibility rules and the
-    bit-identical-cost argument.
+    The conventional baseline pins ``alpha = 1``, so both prediction
+    branches pick duration ``lambda`` and its own predictor is never
+    consulted: a constant "beyond" stream stands in for it.
+    """
+    from ..algorithms.conventional import ConventionalReplication
+    from ..predictions.oracle import FixedPredictor
+
+    if type(policy) is ConventionalReplication:
+        return FixedPredictor(False)
+    return policy.predictor
+
+
+def _cost_result(
+    trace: Trace,
+    model: CostModel,
+    policy: ReplicationPolicy,
+    ledger: tuple[float, float, int],
+    tier: str,
+) -> CostResult:
+    storage, transfer, n_tx = ledger
+    return CostResult(
+        trace=trace,
+        model=model,
+        policy_name=policy.name,
+        storage_cost=storage,
+        transfer_cost=transfer,
+        n_transfers=n_tx,
+        engine=tier,
+    )
+
+
+class _CostOnlyEngine(Engine):
+    """One eligibility rule and one :meth:`run` for the cost-only tiers.
+
+    The fast, batch and kernel tiers replay the same policies to the
+    same bit-identical ledgers, so everything around the replay — the
+    model check, the policy-kind dispatch, prediction streaming, the
+    errors, :class:`CostResult` assembly — lives here and each tier
+    supplies only :meth:`_algorithm1` and :meth:`_wang`.  See the module
+    DESIGN docstring for the eligibility rules and the bit-identical-cost
+    argument.
     """
 
-    name = "fast"
-
-    # ------------------------------------------------------------------
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
@@ -368,14 +411,12 @@ class FastCostEngine(Engine):
         kind = type(policy)
         if kind is WangReplication:
             return _wang_rates_ok(model)
-        if kind is ConventionalReplication:
-            return model.uniform_storage
-        if kind is LearningAugmentedReplication:
-            if not model.uniform_storage:
-                return False
+        if kind in (ConventionalReplication, LearningAugmentedReplication):
             # cheap type/provenance check; the stream itself is built
             # once, in run()
-            return PredictionStream.supports_predictor(policy.predictor, trace)
+            return model.uniform_storage and PredictionStream.supports_predictor(
+                _stream_predictor(policy), trace
+            )
         return False
 
     def run(
@@ -389,52 +430,78 @@ class FastCostEngine(Engine):
         from ..algorithms.conventional import ConventionalReplication
         from ..algorithms.learning_augmented import LearningAugmentedReplication
         from ..algorithms.wang import WangReplication
+        from ..predictions.stream import PredictionStream
 
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
         kind = type(policy)
         if kind is WangReplication:
-            storage, transfer, n_tx = _fast_wang(
-                trace, model, drain, drain_event_cap
-            )
+            if not _wang_rates_ok(model):
+                raise PolicyError(
+                    "WangReplication requires servers indexed by ascending "
+                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
+                )
+            ledger = self._wang(trace, model, drain, drain_event_cap)
         elif kind in (ConventionalReplication, LearningAugmentedReplication):
             if not model.uniform_storage:
                 raise PolicyError(
                     "Algorithm 1 assumes uniform storage rates (paper Section 2)"
                 )
-            stream = self._stream_for(policy, trace, model)
+            stream = PredictionStream.for_predictor(
+                _stream_predictor(policy), trace, model.lam
+            )
             if stream is None:
                 raise EngineError(
-                    f"FastCostEngine cannot stream predictor "
+                    f"{type(self).__name__} cannot stream predictor "
                     f"{policy.predictor.name!r}; use the reference engine"
                 )
-            storage, transfer, n_tx = _fast_algorithm1(
+            ledger = self._algorithm1(
                 trace, model, policy.alpha, stream.within, drain, drain_event_cap
             )
         else:
             raise EngineError(
-                f"FastCostEngine does not support {kind.__name__}; "
+                f"{type(self).__name__} does not support {kind.__name__}; "
                 "use the reference engine"
             )
-        return CostResult(
-            trace=trace,
-            model=model,
-            policy_name=policy.name,
-            storage_cost=storage,
-            transfer_cost=transfer,
-            n_transfers=n_tx,
+        return _cost_result(trace, model, policy, ledger, self.name)
+
+    @abc.abstractmethod
+    def _algorithm1(
+        self,
+        trace: Trace,
+        model: CostModel,
+        alpha: float,
+        within: np.ndarray,
+        drain: bool,
+        drain_event_cap: int | None,
+    ) -> tuple[float, float, int]:
+        """``(storage, transfer, n_transfers)`` of Algorithm 1 under the
+        prediction stream ``within`` (uniform storage rates)."""
+
+    @abc.abstractmethod
+    def _wang(
+        self,
+        trace: Trace,
+        model: CostModel,
+        drain: bool,
+        drain_event_cap: int | None,
+    ) -> tuple[float, float, int]:
+        """``(storage, transfer, n_transfers)`` of the Wang et al.
+        baseline (servers indexed by ascending storage rate)."""
+
+
+class FastCostEngine(_CostOnlyEngine):
+    """Cost-only scalar slot-state replay, one cell at a time."""
+
+    name = "fast"
+
+    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
+        return _fast_algorithm1(
+            trace, model, alpha, within, drain, drain_event_cap
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stream_for(policy, trace: Trace, model: CostModel):
-        from ..algorithms.conventional import ConventionalReplication
-        from ..predictions.stream import PredictionStream
-
-        if type(policy) is ConventionalReplication:
-            # alpha = 1: both prediction branches choose duration lambda
-            return PredictionStream.fixed(trace, False)
-        return PredictionStream.for_predictor(policy.predictor, trace, model.lam)
+    def _wang(self, trace, model, drain, drain_event_cap):
+        return _fast_wang(trace, model, drain, drain_event_cap)
 
 
 def _wang_rates_ok(model: CostModel) -> bool:
@@ -598,13 +665,9 @@ def _fast_wang(
     drain: bool,
     drain_event_cap: int | None,
 ) -> tuple[float, float, int]:
-    """Replay the Wang et al. baseline with scalar slot state."""
+    """Replay the Wang et al. baseline with scalar slot state (servers
+    indexed by ascending storage rate: supports()/run() vet it)."""
     rates = model.storage_rates
-    if not _wang_rates_ok(model):
-        raise PolicyError(
-            "WangReplication requires servers indexed by ascending "
-            "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
-        )
     lam = model.lam
     periods = [lam / r for r in rates]
     seg, acc, charge, schedule, pop_due, token = _slot_machinery(
@@ -709,11 +772,7 @@ def _batch_algorithm1(
     lam = model.lam
     n = trace.n
     t_m = trace.span
-    if not model.uniform_storage:
-        raise PolicyError(
-            "Algorithm 1 assumes uniform storage rates (paper Section 2)"
-        )
-    rate = model.storage_rates[0]
+    rate = model.storage_rates[0]    # uniform: supports()/run() vet it
     alphas = np.asarray(alphas, dtype=float)
     n_cells = alphas.size
     pred = np.asarray(pred, dtype=bool)
@@ -952,205 +1011,29 @@ SlabCell = tuple[float, float, int]
 SlabFactory = Callable[[Trace, float, float, float, int], ReplicationPolicy]
 
 
-class BatchCostEngine(Engine):
+class BatchCostEngine(_CostOnlyEngine):
     """Cost-only slab replay: every cell of ``(alpha x accuracy x seed)``
     sharing one ``(trace, lambda)`` in a single vectorized trace pass.
 
     See the module DESIGN docstring for the bit-identity argument.  The
     scalar :meth:`run` interface executes a one-column slab, so the
     engine is a drop-in anywhere a name from :data:`ENGINE_NAMES` is
-    accepted; the throughput win comes from :meth:`run_slab`.
+    accepted; the throughput win comes from whole slabs, which reach it
+    through :func:`run_policy_slab`.
     """
 
     name = "batch"
 
-    def supports(
-        self, trace: Trace, model: CostModel, policy: ReplicationPolicy
-    ) -> bool:
-        # cell-wise eligibility is exactly the fast path's
-        return _ENGINES["fast"].supports(trace, model, policy)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: Trace,
-        model: CostModel,
-        policy: ReplicationPolicy,
-        drain: bool = True,
-        drain_event_cap: int | None = None,
-    ) -> CostResult:
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-
-        if model.n != trace.n:
-            raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-        kind = type(policy)
-        if kind is WangReplication:
-            storage, transfer, n_transfers = _fast_wang(
-                trace, model, drain, drain_event_cap
-            )
-        elif kind in (ConventionalReplication, LearningAugmentedReplication):
-            if not model.uniform_storage:
-                raise PolicyError(
-                    "Algorithm 1 assumes uniform storage rates (paper Section 2)"
-                )
-            stream = FastCostEngine._stream_for(policy, trace, model)
-            if stream is None:
-                raise EngineError(
-                    f"BatchCostEngine cannot stream predictor "
-                    f"{policy.predictor.name!r}; use the reference engine"
-                )
-            s_arr, t_arr, x_arr = _batch_algorithm1(
-                trace,
-                model,
-                np.array([policy.alpha]),
-                stream.within[:, None],
-                drain,
-                drain_event_cap,
-            )
-            storage = float(s_arr[0])
-            transfer = float(t_arr[0])
-            n_transfers = int(x_arr[0])
-        else:
-            raise EngineError(
-                f"BatchCostEngine does not support {kind.__name__}; "
-                "use the reference engine"
-            )
-        return CostResult(
-            trace=trace,
-            model=model,
-            policy_name=policy.name,
-            storage_cost=storage,
-            transfer_cost=transfer,
-            n_transfers=n_transfers,
-            engine="batch",
-        )
-
-    # ------------------------------------------------------------------
-    def supports_slab(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-    ) -> bool:
-        """Whether :meth:`run_slab` can evaluate this whole slab in one
-        vectorized pass (every cell's policy is the same fast-path
-        eligible family with a streamable predictor)."""
-        return self._slab_plan(trace, model, factory, cells) is not None
-
-    def run_slab(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-    ) -> list[CostResult]:
-        """Evaluate every cell of a slab in one trace pass.
-
-        Returns one :class:`CostResult` per cell, in cell order, each
-        bit-identical to the fast engine's scalar replay of that cell.
-        """
-        plan = self._slab_plan(trace, model, factory, cells)
-        if plan is None:
-            raise EngineError(
-                "BatchCostEngine cannot evaluate this slab in one pass; "
-                "the module-level run_slab() dispatcher falls back to "
-                "per-cell execution"
-            )
-        return self._run_plan(trace, model, plan)
-
-    def _run_plan(self, trace: Trace, model: CostModel, plan) -> list[CostResult]:
-        """Execute a slab plan produced by :meth:`_slab_plan` (split out
-        so the module-level dispatcher classifies each slab only once)."""
-        from ..algorithms.wang import WangReplication
-
-        policies, preds = plan
-        if type(policies[0]) is WangReplication:
-            # prediction-free and alpha-free: one scalar replay serves
-            # every cell of the slab
-            storage, transfer, n_transfers = _fast_wang(trace, model, True, None)
-            return [
-                CostResult(
-                    trace=trace,
-                    model=model,
-                    policy_name=p.name,
-                    storage_cost=storage,
-                    transfer_cost=transfer,
-                    n_transfers=n_transfers,
-                    engine="batch",
-                )
-                for p in policies
-            ]
-        from ..predictions.stream import PredictionStream
-
-        matrix = PredictionStream.batch_for_predictors(preds, trace, model.lam)
-        assert matrix is not None  # vetted by _slab_plan
-        alphas = np.array([p.alpha for p in policies])
+    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
         storage, transfer, n_tx = _batch_algorithm1(
-            trace, model, alphas, matrix, True, None
+            trace, model, np.array([alpha]), within[:, None], drain,
+            drain_event_cap,
         )
-        return [
-            CostResult(
-                trace=trace,
-                model=model,
-                policy_name=p.name,
-                storage_cost=float(storage[c]),
-                transfer_cost=float(transfer[c]),
-                n_transfers=int(n_tx[c]),
-                engine="batch",
-            )
-            for c, p in enumerate(policies)
-        ]
+        return float(storage[0]), float(transfer[0]), int(n_tx[0])
 
-    # ------------------------------------------------------------------
-    def _slab_plan(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-        policies: list[ReplicationPolicy] | None = None,
-    ):
-        """Classify a slab: ``(policies, predictors)`` when one vectorized
-        pass can evaluate it, else None.
-
-        ``predictors`` is the per-cell streamable predictor list (a
-        constant "beyond" predictor stands in for the conventional
-        baseline, whose own predictor is never consulted); for a Wang
-        slab it is empty.  Pre-built ``policies`` (one per cell, never
-        yet queried) may be passed to avoid re-invoking the factory.
-        """
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.oracle import FixedPredictor
-        from ..predictions.stream import PredictionStream
-
-        if not cells or model.n != trace.n:
-            return None
-        if policies is None:
-            policies = [
-                factory(trace, model.lam, alpha, accuracy, seed)
-                for alpha, accuracy, seed in cells
-            ]
-        kinds = {type(p) for p in policies}
-        if kinds == {WangReplication}:
-            return (policies, []) if _wang_rates_ok(model) else None
-        if not kinds <= {ConventionalReplication, LearningAugmentedReplication}:
-            return None
-        if not model.uniform_storage:
-            return None
-        preds = [
-            FixedPredictor(False)
-            if type(p) is ConventionalReplication
-            else p.predictor
-            for p in policies
-        ]
-        if not all(PredictionStream.supports_predictor(p, trace) for p in preds):
-            return None
-        return policies, preds
+    def _wang(self, trace, model, drain, drain_event_cap):
+        # prediction-free: the batch tier's Wang replay is the scalar one
+        return _fast_wang(trace, model, drain, drain_event_cap)
 
 
 # ----------------------------------------------------------------------
@@ -1839,18 +1722,16 @@ def _kernel_wang(
     return rep.result(drain, drain_event_cap, prims)
 
 
-class KernelCostEngine(Engine):
+class KernelCostEngine(_CostOnlyEngine):
     """Cost-only segment-scan replay: pure array passes, no per-request
     Python loop.
 
-    Eligibility is exactly the fast path's: Algorithm 1 rides the
-    segment scan of PR 5 and Wang's baseline rides the candidate-count
-    formulation plus the sequential episode machine (see the module
-    DESIGN docstring for both bit-identity arguments).  Costs are
-    bit-identical to :class:`FastCostEngine` for every supported
-    ``(policy, trace)``.  The scalar :meth:`run` interface evaluates one
-    cell; :meth:`run_slab` shares the per-trace chains and per-duration
-    reach arrays across a whole slab.
+    Algorithm 1 rides the segment scan and Wang's baseline rides the
+    candidate-count formulation plus the sequential episode machine (see
+    the module DESIGN docstring for both bit-identity arguments).  The
+    scalar :meth:`run` interface evaluates one cell;
+    :func:`run_policy_slab` shares the per-trace chains and
+    per-duration reach arrays across a whole slab.
 
     ``backend`` picks the execution backend for the kernel passes
     (``core/backends.py``): ``None`` defers to the
@@ -1873,199 +1754,25 @@ class KernelCostEngine(Engine):
     def _span_tags(self, n_cells: int, m: int) -> dict:
         return {"backend": self.backend_for(n_cells, m).name}
 
-    def supports(
-        self, trace: Trace, model: CostModel, policy: ReplicationPolicy
-    ) -> bool:
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.stream import PredictionStream
-
-        kind = type(policy)
-        if kind is WangReplication:
-            return _wang_rates_ok(model)
-        if kind is ConventionalReplication:
-            return model.uniform_storage
-        if kind is LearningAugmentedReplication:
-            if not model.uniform_storage:
-                return False
-            return PredictionStream.supports_predictor(policy.predictor, trace)
-        return False
-
-    def run(
-        self,
-        trace: Trace,
-        model: CostModel,
-        policy: ReplicationPolicy,
-        drain: bool = True,
-        drain_event_cap: int | None = None,
-    ) -> CostResult:
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-
-        if model.n != trace.n:
-            raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-        kind = type(policy)
-        if kind is WangReplication:
-            if not _wang_rates_ok(model):
-                raise PolicyError(
-                    "WangReplication requires servers indexed by ascending "
-                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
-                )
-            chains = _SegmentChains(trace)
-            storage, transfer, n_tx = _kernel_wang(
-                chains,
-                model,
-                drain,
-                drain_event_cap,
-                self.backend_for(1, chains.m).prims(),
-            )
-            return CostResult(
-                trace=trace,
-                model=model,
-                policy_name=policy.name,
-                storage_cost=storage,
-                transfer_cost=transfer,
-                n_transfers=n_tx,
-                engine="kernel",
-            )
-        if kind not in (ConventionalReplication, LearningAugmentedReplication):
-            raise EngineError(
-                f"KernelCostEngine does not support {kind.__name__}; "
-                "use the fast or reference engine"
-            )
-        if not model.uniform_storage:
-            raise PolicyError(
-                "Algorithm 1 assumes uniform storage rates (paper Section 2)"
-            )
-        stream = FastCostEngine._stream_for(policy, trace, model)
-        if stream is None:
-            raise EngineError(
-                f"KernelCostEngine cannot stream predictor "
-                f"{policy.predictor.name!r}; use the reference engine"
-            )
+    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
         chains = _SegmentChains(trace)
-        storage, transfer, n_tx = _kernel_algorithm1(
+        return _kernel_algorithm1(
             chains,
             model.storage_rates[0],
             model.lam,
-            policy.alpha,
-            stream.within,
+            alpha,
+            within,
             drain,
             drain_event_cap,
             self.backend_for(1, chains.m).prims(),
         )
-        return CostResult(
-            trace=trace,
-            model=model,
-            policy_name=policy.name,
-            storage_cost=storage,
-            transfer_cost=transfer,
-            n_transfers=n_tx,
-            engine="kernel",
-        )
 
-    # ------------------------------------------------------------------
-    def supports_slab(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-    ) -> bool:
-        """Whether :meth:`run_slab` can evaluate this whole slab with
-        shared segment chains (every cell kernel-eligible)."""
-        return self._slab_plan(trace, model, factory, cells) is not None
-
-    def run_slab(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-    ) -> list[CostResult]:
-        """Evaluate every cell of a slab over shared per-trace chains.
-
-        Returns one :class:`CostResult` per cell, in cell order, each
-        bit-identical to the fast engine's scalar replay of that cell.
-        """
-        plan = self._slab_plan(trace, model, factory, cells)
-        if plan is None:
-            raise EngineError(
-                "KernelCostEngine cannot evaluate this slab; the "
-                "module-level run_slab() dispatcher falls back to "
-                "per-cell execution"
-            )
-        return self._run_plan(trace, model, plan)
-
-    def _slab_plan(
-        self,
-        trace: Trace,
-        model: CostModel,
-        factory: SlabFactory,
-        cells: Sequence[SlabCell],
-        policies: list[ReplicationPolicy] | None = None,
-    ):
-        """A batch-tier slab plan: kernel eligibility is now exactly the
-        batch tier's (Wang slabs carry no predictors and replay through
-        the cascade kernel instead of the prediction matrix)."""
-        return _ENGINES["batch"]._slab_plan(
-            trace, model, factory, cells, policies=policies
-        )
-
-    def _run_plan(self, trace: Trace, model: CostModel, plan) -> list[CostResult]:
-        from ..predictions.stream import PredictionStream
-
-        policies, preds = plan
+    def _wang(self, trace, model, drain, drain_event_cap):
         chains = _SegmentChains(trace)
-        backend = self.backend_for(len(policies), chains.m)
-        prims = backend.prims()
-        if not preds:
-            # a Wang slab: prediction- and alpha-free, so one cascade
-            # replay (memoised on the chains) serves every cell
-            storage, transfer, n_tx = _kernel_wang(
-                chains, model, True, None, prims
-            )
-            return [
-                CostResult(
-                    trace=trace,
-                    model=model,
-                    policy_name=p.name,
-                    storage_cost=storage,
-                    transfer_cost=transfer,
-                    n_transfers=n_tx,
-                    engine="kernel",
-                )
-                for p in policies
-            ]
-        matrix = PredictionStream.batch_for_predictors(
-            preds, trace, model.lam, cell_major=True
+        return _kernel_wang(
+            chains, model, drain, drain_event_cap,
+            self.backend_for(1, chains.m).prims(),
         )
-        assert matrix is not None  # vetted by _slab_plan
-        rate = model.storage_rates[0]
-        lam = model.lam
-
-        def _one(c: int) -> tuple[float, float, int]:
-            return _kernel_algorithm1(
-                chains, rate, lam, policies[c].alpha, matrix[c], True, None, prims
-            )
-
-        # run_cells preserves cell-index order, so assembly below is
-        # positionally identical to the serial loop
-        tuples = backend.run_cells(len(policies), _one)
-        return [
-            CostResult(
-                trace=trace,
-                model=model,
-                policy_name=p.name,
-                storage_cost=storage,
-                transfer_cost=transfer,
-                n_transfers=n_tx,
-                engine="kernel",
-            )
-            for p, (storage, transfer, n_tx) in zip(policies, tuples)
-        ]
 
 
 def run_slab(
@@ -2078,72 +1785,21 @@ def run_slab(
 ) -> list:
     """Evaluate a slab of grid cells sharing one ``(trace, lambda)``.
 
-    ``cells`` is a sequence of ``(alpha, accuracy, seed)`` tuples and
-    ``factory`` follows the sweep-layer policy-factory signature.  With
-    ``engine`` ``"auto"``, ``"kernel"``, or ``"batch"`` the whole slab
-    runs vectorized whenever every cell is eligible — ``"auto"``
-    prefers the loop-free kernel above :data:`KERNEL_SLAB_MIN_M`
-    requests (Wang slabs included, via the cascade kernel) and the
-    batch engine's single shared trace pass below it; otherwise — a concrete engine
-    was requested, or the slab mixes policy families — each cell runs
-    through :func:`select_engine` individually.  ``backend`` picks the
-    kernel tier's execution backend (``core/backends.py``; validated
-    even when a non-kernel tier ends up running).  Per-cell costs are
-    bit-identical across every path and every backend.
+    The grid-facing adapter of :func:`run_policy_slab`: ``cells`` is a
+    sequence of ``(alpha, accuracy, seed)`` tuples and ``factory``
+    follows the sweep-layer policy-factory signature.  Each cell's
+    policy is built exactly once; tier selection, backends, telemetry
+    and the per-cell fallback are :func:`run_policy_slab`'s.
     """
-    cells = list(cells)
-    if backend is not None:
-        get_backend(backend)    # strict: unknown names fail loudly
-    if not cells:
-        return []
-    batch = _ENGINES["batch"]
-    wants_slab = engine in ("auto", "batch", "kernel") or isinstance(
-        engine, (BatchCostEngine, KernelCostEngine)
+    return run_policy_slab(
+        trace,
+        [
+            (model, factory(trace, model.lam, alpha, accuracy, seed))
+            for alpha, accuracy, seed in cells
+        ],
+        engine,
+        backend,
     )
-    wants_kernel = engine == "kernel" or isinstance(engine, KernelCostEngine)
-    # build each cell's policy exactly once: the plan classification and
-    # the per-cell fallback below share them (predictors are lazy, so an
-    # unqueried policy is indistinguishable from a fresh one)
-    policies = [
-        factory(trace, model.lam, alpha, accuracy, seed)
-        for alpha, accuracy, seed in cells
-    ]
-    if wants_slab and len(cells) > 1:
-        plan = batch._slab_plan(trace, model, factory, cells, policies=policies)
-        if plan is not None:
-            if wants_kernel or (
-                engine == "auto" and len(trace) >= KERNEL_SLAB_MIN_M
-            ):
-                return _run_plan_observed("kernel", trace, model, plan, backend)
-            return _run_plan_observed("batch", trace, model, plan)
-    # per-cell fallback: "auto" keeps auto-selecting; a concrete engine
-    # (including explicit "batch") stays strict and raises on policies it
-    # cannot execute, exactly as the scalar paths do
-    out = []
-    for policy in policies:
-        eng = select_engine(trace, model, policy, engine, backend=backend)
-        out.append(eng.run_observed(trace, model, policy))
-    return out
-
-
-def _run_plan_observed(
-    tier: str,
-    trace: Trace,
-    model: CostModel,
-    plan,
-    backend: "str | KernelBackend | None" = None,
-) -> list:
-    """Execute a slab plan under an ``engine.slab`` span tagged by tier
-    (and, for the kernel tier, by the active execution backend)."""
-    eng = get_engine(tier, backend=backend)
-    if not _obs.enabled:
-        return eng._run_plan(trace, model, plan)
-    n_cells = len(plan[0])
-    tags = eng._span_tags(n_cells, len(trace))
-    with _obs.span("engine.slab", tier=tier, cells=n_cells, m=len(trace), **tags):
-        out = eng._run_plan(trace, model, plan)
-    _obs.counter("repro_engine_cells_total", tier=tier).inc(n_cells)
-    return out
 
 
 def run_policy_slab(
@@ -2154,187 +1810,177 @@ def run_policy_slab(
 ) -> list:
     """Evaluate pre-built ``(model, policy)`` cells sharing one trace.
 
-    The fleet-facing sibling of :func:`run_slab`: a cross-object slab
-    carries one *policy instance per object* and heterogeneous cost
-    models — distinct per-object lambdas are allowed (every model must
-    agree with ``trace.n``).  Slab-capable engines share the per-trace
-    work across eligible cells:
+    The one slab dispatcher: grid slabs arrive through :func:`run_slab`,
+    fleet slabs directly.  Cells may carry heterogeneous cost models —
+    distinct per-object lambdas are allowed (every model must agree with
+    ``trace.n``).  With ``engine`` ``"auto"``, ``"kernel"`` or
+    ``"batch"`` (or an instance of those tiers) the eligible cells share
+    the per-trace work:
 
-    * the **kernel** tier builds one :class:`_SegmentChains` for the
-      whole slab — per-duration shift columns and per-``(lam, rates)``
-      Wang cascade replays are memoised on the chains, so cells with
-      different lambdas still share the segment scan and mixed
-      Algorithm-1 + Wang fleets run as one single-tier slab — plus one
-      cell-major prediction matrix with per-lambda truth and per-seed
-      draw memos (:meth:`PredictionStream.batch_for_cells`);
-    * the **batch** tier groups cells by *equal* cost model and runs
-      each group as one vectorized trace pass (Wang groups share one
-      scalar replay, exactly as :func:`run_slab` does).
+    * the **kernel** tier — forced, or chosen by ``"auto"`` from
+      :data:`KERNEL_SLAB_MIN_M` requests up — builds one
+      :class:`_SegmentChains` for the whole slab: per-duration shift
+      columns and per-``(lam, rates)`` Wang cascade replays are memoised
+      on the chains, so cells with different lambdas still share the
+      segment scan and mixed Algorithm-1 + Wang slabs run as one
+      single-tier slab, plus one cell-major prediction matrix with
+      per-lambda truth and per-seed draw memos
+      (:meth:`PredictionStream.batch_for_cells`);
+    * the **batch** tier — forced, or ``"auto"`` below the crossover —
+      groups cells by *equal* cost model and replay family and runs
+      each group of two or more as one vectorized trace pass (a Wang
+      group shares one scalar replay).
 
-    Cells no slab tier can take fall back through :func:`select_engine`
+    Cells no slab tier takes fall back through :func:`select_engine`
     one at a time, so a concrete engine name stays strict (it raises on
     policies it cannot execute) while ``"auto"`` always completes.
     ``backend`` picks the kernel tier's execution backend
-    (``core/backends.py``).  Per-cell costs are bit-identical to
-    ``select_engine(trace, model, policy, engine).run_observed(trace,
-    model, policy)`` on every path and every backend.
+    (``core/backends.py``); a caller-supplied kernel instance keeps its
+    own backend unless ``backend`` overrides it.  Per-cell costs are
+    bit-identical to ``select_engine(trace, model, policy,
+    engine).run_observed(trace, model, policy)`` on every path and every
+    backend.
     """
-    from ..algorithms.conventional import ConventionalReplication
     from ..algorithms.wang import WangReplication
-    from ..predictions.oracle import FixedPredictor
-    from ..predictions.stream import PredictionStream
 
     cells = list(cells)
     if backend is not None:
         get_backend(backend)    # strict: unknown names fail loudly
-    if not cells:
-        return []
     for model, _ in cells:
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
     results: list = [None] * len(cells)
-    wants_slab = engine in ("auto", "batch", "kernel") or isinstance(
-        engine, (BatchCostEngine, KernelCostEngine)
-    )
     wants_kernel = engine == "kernel" or isinstance(engine, KernelCostEngine)
-    if wants_slab and len(cells) > 1:
-        kernel = _ENGINES["kernel"]
+    wants_batch = engine == "batch" or isinstance(engine, BatchCostEngine)
+    if (wants_kernel or wants_batch or engine == "auto") and len(cells) > 1:
         # slab-eligible cells, split by replay shape: Algorithm-1 cells
-        # share one cell-major prediction matrix, Wang cells share one
-        # cascade replay per distinct (lam, rates) (memoised on the
-        # chains) — both ride the same backend dispatch
+        # share one prediction matrix, Wang cells one replay per model
         alg1: list[int] = []
         wangs: list[int] = []
         for i, (model, policy) in enumerate(cells):
-            if kernel.supports(trace, model, policy):
+            if _ENGINES["kernel"].supports(trace, model, policy):
                 if type(policy) is WangReplication:
                     wangs.append(i)
                 else:
                     alg1.append(i)
-        use_kernel = wants_kernel or (
-            engine == "auto" and len(trace) >= KERNEL_SLAB_MIN_M
-        )
-        n_units = len(alg1) + len(wangs)
-        if use_kernel and n_units > 1:
-            rows = None
-            if alg1:
-                rows = PredictionStream.batch_for_cells(
-                    [
-                        (
-                            FixedPredictor(False)
-                            if type(cells[i][1]) is ConventionalReplication
-                            else cells[i][1].predictor,
-                            cells[i][0].lam,
-                        )
-                        for i in alg1
-                    ],
-                    trace,
-                )
-                assert rows is not None  # supports() vetted streamability
-            # a caller-supplied engine instance keeps its own backend
-            # unless an explicit backend= overrides it
-            if isinstance(engine, KernelCostEngine) and backend is None:
-                kernel_eng = engine
-            else:
-                kernel_eng = get_engine("kernel", backend=backend)
-            be = kernel_eng.backend_for(n_units, len(trace))
-            prims = be.prims()
-
-            def _kernel_slab() -> None:
-                chains = _SegmentChains(trace)
-                na = len(alg1)
-
-                def _one(k: int) -> tuple[float, float, int]:
-                    if k < na:
-                        model, policy = cells[alg1[k]]
-                        return _kernel_algorithm1(
-                            chains,
-                            model.storage_rates[0],
-                            model.lam,
-                            policy.alpha,
-                            rows[k],
-                            True,
-                            None,
-                            prims,
-                        )
-                    model, _ = cells[wangs[k - na]]
-                    return _kernel_wang(chains, model, True, None, prims)
-
-                tuples = be.run_cells(n_units, _one)
-                for k, i in enumerate(alg1 + wangs):
-                    model, policy = cells[i]
-                    storage, transfer, n_tx = tuples[k]
-                    results[i] = CostResult(
-                        trace=trace,
-                        model=model,
-                        policy_name=policy.name,
-                        storage_cost=storage,
-                        transfer_cost=transfer,
-                        n_transfers=n_tx,
-                        engine="kernel",
-                    )
-
-            if _obs.enabled:
-                with _obs.span(
-                    "engine.slab",
-                    tier="kernel",
-                    cells=n_units,
-                    m=len(trace),
-                    backend=be.name,
-                ):
-                    _kernel_slab()
-                _obs.counter("repro_engine_cells_total", tier="kernel").inc(
-                    n_units
-                )
-            else:
-                _kernel_slab()
-        elif not wants_kernel:
-            # batch tier: one vectorized pass per equal-model group
-            by_model: dict[CostModel, list[int]] = {}
-            for i in alg1:
-                by_model.setdefault(cells[i][0], []).append(i)
-            for model, idxs in by_model.items():
-                if len(idxs) < 2:
-                    continue
-                policies = [cells[i][1] for i in idxs]
-                preds = [
-                    FixedPredictor(False)
-                    if type(p) is ConventionalReplication
-                    else p.predictor
-                    for p in policies
-                ]
-                runs = _run_plan_observed(
-                    "batch", trace, model, (policies, preds)
-                )
-                for i, r in zip(idxs, runs):
-                    results[i] = r
-        if not wants_kernel:
-            # below the kernel crossover Wang cells ride the batch
-            # tier's shared scalar replay (prediction- and alpha-free,
-            # so one replay per model serves the group)
-            by_model = {}
-            for i, (model, policy) in enumerate(cells):
-                if (
-                    results[i] is None
-                    and type(policy) is WangReplication
-                    and _wang_rates_ok(model)
-                ):
-                    by_model.setdefault(model, []).append(i)
-            for model, idxs in by_model.items():
-                if len(idxs) < 2:
-                    continue
-                runs = _run_plan_observed(
-                    "batch", trace, model, ([cells[i][1] for i in idxs], [])
-                )
-                for i, r in zip(idxs, runs):
-                    results[i] = r
+        if wants_kernel or (
+            not wants_batch and len(trace) >= KERNEL_SLAB_MIN_M
+        ):
+            if len(alg1) + len(wangs) > 1:
+                if isinstance(engine, KernelCostEngine) and backend is None:
+                    kernel = engine
+                else:
+                    kernel = get_engine("kernel", backend=backend)
+                _kernel_slab(trace, cells, alg1, wangs, kernel, results)
+        else:
+            _batch_slabs(trace, cells, alg1 + wangs, results)
     # per-cell fallback: "auto" keeps auto-selecting; a concrete engine
-    # stays strict, exactly as run_slab's fallback does
+    # stays strict and raises on policies it cannot execute, exactly as
+    # the scalar paths do
     for i, (model, policy) in enumerate(cells):
         if results[i] is None:
             eng = select_engine(trace, model, policy, engine, backend=backend)
             results[i] = eng.run_observed(trace, model, policy)
     return results
+
+
+def _slab_observed(tier: str, n_cells: int, m: int, run, **tags):
+    """``run()`` under an ``engine.slab`` span tagged by tier, counting
+    the slab's cells (the disabled path is one flag check)."""
+    if not _obs.enabled:
+        return run()
+    with _obs.span("engine.slab", tier=tier, cells=n_cells, m=m, **tags):
+        out = run()
+    _obs.counter("repro_engine_cells_total", tier=tier).inc(n_cells)
+    return out
+
+
+def _kernel_slab(
+    trace: Trace,
+    cells: list,
+    alg1: list[int],
+    wangs: list[int],
+    kernel: KernelCostEngine,
+    results: list,
+) -> None:
+    """Replay the ``alg1`` and ``wangs`` cells over one shared segment
+    scan on ``kernel``'s execution backend, filling ``results``."""
+    from ..predictions.stream import PredictionStream
+
+    units = alg1 + wangs
+    be = kernel.backend_for(len(units), len(trace))
+    prims = be.prims()
+
+    def run() -> list:
+        # the prediction matrix is slab work too: the span covers it,
+        # as the batch tier's does
+        rows = PredictionStream.batch_for_cells(
+            [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in alg1],
+            trace,
+        )
+        assert rows is not None  # supports() vetted streamability
+        chains = _SegmentChains(trace)
+
+        def one(k: int) -> tuple[float, float, int]:
+            model, policy = cells[units[k]]
+            if k < len(alg1):
+                return _kernel_algorithm1(
+                    chains,
+                    model.storage_rates[0],
+                    model.lam,
+                    policy.alpha,
+                    rows[k],
+                    True,
+                    None,
+                    prims,
+                )
+            return _kernel_wang(chains, model, True, None, prims)
+
+        # run_cells preserves cell-index order
+        return be.run_cells(len(units), one)
+
+    ledgers = _slab_observed(
+        "kernel", len(units), len(trace), run, backend=be.name
+    )
+    for i, ledger in zip(units, ledgers):
+        results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
+
+
+def _batch_slabs(
+    trace: Trace, cells: list, eligible: list[int], results: list
+) -> None:
+    """Replay every equal-model group of two or more ``eligible`` cells
+    in one batch-tier trace pass, filling ``results``."""
+    from ..algorithms.wang import WangReplication
+    from ..predictions.stream import PredictionStream
+
+    groups: dict[tuple[CostModel, bool], list[int]] = {}
+    for i in eligible:
+        model, policy = cells[i]
+        key = (model, type(policy) is WangReplication)
+        groups.setdefault(key, []).append(i)
+    for (model, is_wang), idxs in groups.items():
+        if len(idxs) < 2:
+            continue
+        policies = [cells[i][1] for i in idxs]
+
+        def run() -> list:
+            if is_wang:
+                # prediction- and alpha-free: one scalar replay serves
+                # every cell of the group
+                return [_fast_wang(trace, model, True, None)] * len(policies)
+            matrix = PredictionStream.batch_for_predictors(
+                [_stream_predictor(p) for p in policies], trace, model.lam
+            )
+            storage, transfer, n_tx = _batch_algorithm1(
+                trace, model, np.array([p.alpha for p in policies]), matrix,
+                True, None,
+            )
+            return list(zip(storage.tolist(), transfer.tolist(), n_tx.tolist()))
+
+        ledgers = _slab_observed("batch", len(idxs), len(trace), run)
+        for i, p, ledger in zip(idxs, policies, ledgers):
+            results[i] = _cost_result(trace, model, p, ledger, "batch")
 
 
 # ----------------------------------------------------------------------
@@ -2350,12 +1996,15 @@ _ENGINES: dict[str, Engine] = {
 #: valid names for CLI flags and engine= parameters
 ENGINE_NAMES: tuple[str, ...] = ("auto", "batch", "fast", "kernel", "reference")
 
-#: measured auto-selection crossovers (benchmarks/bench_scaling.py, on
-#: the ibm_like workload at lambda=10): the kernel's fixed array-pass
-#: overhead loses to the fast engine's scalar loop on single cells only
-#: below a few hundred requests, and to the batch engine's shared
-#: per-slab trace pass below ~1k requests (0.6x at m=500, 1.5x by
-#: m=1000, widening to >5x at a million requests)
+#: auto-selection crossovers (benchmarks/bench_scaling.py ->
+#: BENCH_scaling.json).  KERNEL_MIN_M is measured: on one cell the
+#: kernel's fixed array-pass overhead loses to the fast engine's scalar
+#: loop at m=128 and wins from m=512 (``single_cell_rows``).
+#: KERNEL_SLAB_MIN_M is an older single-width estimate that those rows
+#: do not confirm: the slab crossover moves with slab width — narrow
+#: 12-cell slabs favour the kernel from m=128 (``rows``), the 804-cell
+#: m=64 ``wide_slab`` favours batch 4.3x — so 1024 awaits a 2-D
+#: (cells x m) re-derivation (ROADMAP item 3)
 KERNEL_MIN_M = 256
 KERNEL_SLAB_MIN_M = 1_024
 
@@ -2403,49 +2052,35 @@ def select_engine(
     model: CostModel,
     policy: ReplicationPolicy,
     engine: str | Engine = "auto",
-    slab_size: int = 1,
     backend: "str | KernelBackend | None" = None,
 ) -> Engine:
-    """Pick the engine for one run (or one slab of runs).
+    """Pick the engine for one run.
 
-    ``"auto"`` selects among the cost-only tiers for fast-path eligible
-    policies — the segment-scan kernel for kernel-eligible runs above
-    the measured crossover trace lengths (:data:`KERNEL_MIN_M` for
-    single cells, :data:`KERNEL_SLAB_MIN_M` when the caller holds a slab
-    of ``slab_size > 1`` cells sharing this ``(trace, lambda)``), the
-    batch engine for shorter slabs, and the fast engine for shorter
-    single runs — and the reference engine otherwise (see the module
-    docstring).  A concrete name or :class:`Engine` instance is returned
-    as-is — callers that need telemetry must pass ``"reference"``
-    explicitly.  ``backend`` configures the kernel tier's execution
-    backend whenever the kernel is the outcome (``core/backends.py``);
-    the other tiers ignore it.
+    ``"auto"`` selects among the cost-only tiers for eligible policies —
+    the segment-scan kernel from the measured crossover trace length
+    :data:`KERNEL_MIN_M` up, the fast engine below it — and the
+    reference engine otherwise (see the module docstring).  Slabs of
+    cells sharing one trace go through :func:`run_policy_slab`, which
+    owns the slab crossover.  A concrete name or :class:`Engine`
+    instance is returned as-is — callers that need telemetry must pass
+    ``"reference"`` explicitly.  ``backend`` configures the kernel
+    tier's execution backend whenever the kernel is the outcome
+    (``core/backends.py``); the other tiers ignore it.
     """
     if backend is not None:
         get_backend(backend)    # strict even when the kernel loses
-    if engine == "auto":
-        fast = _ENGINES["fast"]
-        if fast.supports(trace, model, policy):
-            kernel = _ENGINES["kernel"]
-            floor = KERNEL_SLAB_MIN_M if slab_size > 1 else KERNEL_MIN_M
-            if len(trace) < floor:
-                chosen = _ENGINES["batch"] if slab_size > 1 else fast
-                reason = "below_kernel_crossover"
-            elif kernel.supports(trace, model, policy):
-                chosen, reason = kernel, "kernel_eligible"
-                if backend is not None:
-                    chosen = _kernel_variant(backend)
-            else:
-                # fast-path eligible but not kernel-eligible (no such
-                # policy remains among the registered ones; kept for
-                # engines registered out of tree)
-                chosen = _ENGINES["batch"] if slab_size > 1 else fast
-                reason = "kernel_ineligible"
-        else:
-            chosen, reason = _ENGINES["reference"], "fast_ineligible"
-        if _obs.enabled:
-            _obs.counter(
-                "repro_engine_select_total", engine=chosen.name, reason=reason
-            ).inc()
-        return chosen
-    return get_engine(engine, backend=backend)
+    if engine != "auto":
+        return get_engine(engine, backend=backend)
+    kernel = _ENGINES["kernel"]
+    if not kernel.supports(trace, model, policy):
+        chosen, reason = _ENGINES["reference"], "fast_ineligible"
+    elif len(trace) < KERNEL_MIN_M:
+        chosen, reason = _ENGINES["fast"], "below_kernel_crossover"
+    else:
+        chosen = kernel if backend is None else _kernel_variant(backend)
+        reason = "kernel_eligible"
+    if _obs.enabled:
+        _obs.counter(
+            "repro_engine_select_total", engine=chosen.name, reason=reason
+        ).inc()
+    return chosen

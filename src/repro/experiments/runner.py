@@ -252,10 +252,12 @@ def _slab_chunk_task(
     """Evaluate one slab chunk: cells sharing a ``(trace, lambda)``.
 
     ``item`` is ``(trace_key, lam, cells)`` with each cell an
-    ``(index, alpha, accuracy, seed)`` tuple.  The whole chunk runs in
-    one vectorized batch pass when the engine and policies allow it and
-    falls back to bit-identical per-cell execution otherwise, so one IPC
-    round covers the entire slab either way.
+    ``(index, alpha, accuracy, seed)`` tuple.  The whole chunk goes
+    through :func:`~repro.core.engine.run_slab` — the grid adapter of the
+    one slab dispatcher, :func:`~repro.core.engine.run_policy_slab` — as
+    a kernel or batch slab where the engine and policies allow it and as
+    bit-identical per-cell runs otherwise, so one IPC round covers the
+    entire slab either way.
     """
     trace_key, lam, cells = item
     if _obs.enabled:
@@ -292,7 +294,8 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
     inherited object or digest-addressed mmap), builds every object's
     policy from the fork-inherited factory table, and evaluates the
     whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
-    (kernel/batch slab where eligible, per-cell fallback otherwise).
+    (kernel/batch slab where eligible, per-cell fallback otherwise) —
+    the same dispatcher grid chunks reach through ``run_slab``.
 
     Returned rows are ``(spec_index, row)`` where ``row`` is the bare
     online cost in streaming mode, or a compact
@@ -635,8 +638,8 @@ class ExperimentRunner:
         resolves to ``"reference"`` here: fleet reports expose full
         per-object simulation results (serves, logs), so only an
         explicit cost-only choice — ``ExperimentRunner(engine="fast")``,
-        or ``engine="auto"``/``"fast"``/``"batch"`` passed directly —
-        trades that telemetry away.
+        or ``engine="auto"``/``"fast"``/``"batch"``/``"kernel"`` passed
+        directly — trades that telemetry away.
 
         ``materialize=False`` streams outcomes through the report's
         :class:`~repro.system.multi_object.FleetStats` accumulator

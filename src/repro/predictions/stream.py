@@ -27,26 +27,24 @@ back to the reference engine.
 
 Batched streams
 ---------------
-The batch engine evaluates a whole slab of grid cells in one trace
-pass, so it consumes a *prediction matrix* rather than one stream:
-:meth:`PredictionStream.batch` builds the ``(m + 1, n_cells)`` matrix
-for the noisy-oracle family (one ``(accuracy, seed)`` pair per column)
-and :meth:`PredictionStream.batch_for_predictors` does the same for an
-arbitrary list of streamable predictors.  Both compute the ground truth
-once and draw each seed's PCG64 stream once, shared across every column
-using it — so column ``c`` is bit-identical to the scalar stream the
-fast engine would build for that cell.
-:meth:`PredictionStream.batch_for_cells` extends the same sharing to
-cells with *heterogeneous* lambdas (per-object transfer costs in
-cross-object fleet slabs): the ground truth is memoised per distinct
-lambda, the per-seed draws stay shared fleet-wide.
+The slab tiers consume a *prediction matrix* — one stream per cell —
+and :meth:`PredictionStream.batch_for_cells` is its one builder.  It
+takes ``(predictor, lam)`` cells, computes the ground truth once per
+distinct lambda (the cells of a cross-object fleet slab may carry
+per-object transfer costs) and draws each seed's PCG64 stream once,
+shared across every cell using it, so row ``c`` is bit-identical to the
+scalar stream the fast engine would build for that cell.  The kernel
+tier reads its cell-major rows directly;
+:meth:`PredictionStream.batch_for_predictors` is the one-lambda view of
+the same builder, returning the ``(m + 1, n_cells)`` column layout the
+batch tier's trace pass walks (or the rows, with ``cell_major=True``).
 
 Thread safety
 -------------
 The kernel tier's ``threads`` backend (``core/backends.py``) consumes
 these streams from concurrent cell workers, which is safe by
 construction: the per-lambda truth and per-seed draw memos in the batch
-builders are *function-local* dicts — each call builds its own — and
+builder are *function-local* dicts — each call builds its own — and
 every returned stream/matrix is fully written before the caller fans
 cells out, after which the workers only read their own column.  Scalar
 :class:`PredictionStream` instances additionally freeze their ``within``
@@ -154,99 +152,16 @@ class PredictionStream:
         )
 
     # ------------------------------------------------------------------
-    # batched constructors (one column per grid cell)
+    # batched constructors (one prediction stream per slab cell)
     # ------------------------------------------------------------------
-    @classmethod
-    def batch(
-        cls,
-        trace: Trace,
-        lam: float,
-        accuracies,
-        seeds,
-    ) -> np.ndarray:
-        """Noisy-oracle prediction matrix for a slab of grid cells.
-
-        Returns a ``(len(trace) + 1, n_cells)`` boolean matrix whose
-        column ``c`` equals ``noisy_oracle(trace, lam, accuracies[c],
-        seeds[c]).within`` bit for bit (the oracle stream for
-        ``accuracy == 1``, matching ``algorithm1_factory``'s predictor
-        choice).  Delegates to :meth:`batch_for_predictors`, which
-        computes the ground truth once and shares each distinct seed's
-        batched RNG draw across every accuracy using it, so an
-        ``n_cells``-wide slab costs one truth pass plus one
-        ``random(m + 1)`` call per unique seed.
-        """
-        accuracies = list(accuracies)
-        seeds = list(seeds)
-        if len(accuracies) != len(seeds):
-            raise ValueError(
-                f"accuracies and seeds must align, got "
-                f"{len(accuracies)} vs {len(seeds)}"
-            )
-        predictors = [
-            OraclePredictor(trace)
-            if acc == 1.0
-            else NoisyOraclePredictor(trace, acc, seed=seed)
-            for acc, seed in zip(accuracies, seeds)
-        ]
-        matrix = cls.batch_for_predictors(predictors, trace, lam)
-        assert matrix is not None  # fresh trace-backed predictors stream
-        return matrix
-
-    @classmethod
-    def batch_for_predictors(
-        cls, predictors, trace: Trace, lam: float, cell_major: bool = False
-    ) -> np.ndarray | None:
-        """One prediction column per predictor, or None if any is not
-        streamable on ``trace``.
-
-        Columns are bit-identical to the per-predictor scalar streams
-        (:meth:`for_predictor`), but the ground truth and per-seed RNG
-        draws are computed once for the whole slab.
-
-        ``cell_major=True`` returns the transposed ``(n_cells, m + 1)``
-        layout instead — each cell's stream a contiguous row — which is
-        what the kernel engine's per-cell replays consume; values are
-        identical, only the memory layout differs.
-        """
-        if not all(cls.supports_predictor(p, trace) for p in predictors):
-            return None
-        m1 = len(trace) + 1
-        if cell_major:
-            out = np.empty((len(predictors), m1), dtype=bool)
-            rows = out
-        else:
-            out = np.empty((m1, len(predictors)), dtype=bool)
-            rows = out.T                       # row c views column c
-        truth: np.ndarray | None = None
-        draws: dict[int, np.ndarray] = {}
-        for c, p in enumerate(predictors):
-            kind = type(p)
-            if kind is FixedPredictor:
-                rows[c] = bool(p.within)
-                continue
-            if truth is None:
-                truth = truth_within_array(trace, lam)
-            if kind is OraclePredictor:
-                rows[c] = truth
-            elif kind is AdversarialPredictor:
-                rows[c] = ~truth
-            else:  # NoisyOraclePredictor (supports_predictor vetted types)
-                if p.seed not in draws:
-                    draws[p.seed] = np.random.default_rng(p.seed).random(m1)
-                correct = draws[p.seed] < p.accuracy
-                rows[c] = np.where(correct, truth, ~truth)
-        return out
-
     @classmethod
     def batch_for_cells(cls, cells, trace: Trace) -> np.ndarray | None:
         """One contiguous prediction row per ``(predictor, lam)`` cell,
         or None if any predictor is not streamable on ``trace``.
 
-        The fleet-facing sibling of :meth:`batch_for_predictors`: cells
-        sharing a trace may carry *distinct* lambdas (per-object transfer
-        costs), so the ground truth is memoised per lambda and each
-        seed's PCG64 draw is still computed exactly once.  Row ``c`` is
+        Cells sharing a trace may carry *distinct* lambdas (per-object
+        transfer costs), so the ground truth is memoised per lambda and
+        each seed's PCG64 draw is computed exactly once.  Row ``c`` is
         bit-identical to ``for_predictor(cells[c][0], trace,
         cells[c][1]).within`` — the scalar stream the fast engine would
         build for that cell.  The layout is cell-major (``(n_cells,
@@ -277,6 +192,23 @@ class PredictionStream:
                 correct = draws[p.seed] < p.accuracy
                 out[c] = np.where(correct, truth, ~truth)
         return out
+
+    @classmethod
+    def batch_for_predictors(
+        cls, predictors, trace: Trace, lam: float, cell_major: bool = False
+    ) -> np.ndarray | None:
+        """One prediction column per predictor at a single ``lam``, or
+        None if any is not streamable on ``trace``.
+
+        :meth:`batch_for_cells` with every cell at ``lam``.  The default
+        ``(m + 1, n_cells)`` layout is what the batch tier's trace pass
+        walks, one request row at a time; ``cell_major=True`` returns
+        the builder's ``(n_cells, m + 1)`` rows unchanged.
+        """
+        rows = cls.batch_for_cells([(p, lam) for p in predictors], trace)
+        if rows is None or cell_major:
+            return rows
+        return np.ascontiguousarray(rows.T)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -25,11 +25,14 @@ independence is what makes every fleet execution mode *bit-identical*
 to the serial per-object loop, not merely statistically equivalent:
 
 1. **Per-object costs.**  Each object is one ``(trace, model, policy)``
-   cell.  Cross-object slabs (:func:`repro.core.engine.run_policy_slab`)
-   share the per-trace work — segment chains on the kernel tier, the
-   vectorized trace pass on the batch tier — but each cell's arithmetic
-   is the engine-tier replay already proven bit-identical to the scalar
-   fast engine and the reference simulator.  Grouping objects by
+   cell.  Cross-object slabs go through the same dispatcher as grid
+   slabs (:func:`repro.core.engine.run_policy_slab`, which
+   :func:`~repro.core.engine.run_slab` adapts for grid cells) and share
+   the per-trace work — segment chains on the kernel tier, one
+   vectorized trace pass per equal-model group on the batch tier — but
+   each cell's arithmetic is the engine-tier replay already proven
+   bit-identical to the scalar fast engine and the reference simulator.
+   Grouping objects by
    ``(trace digest, lambda)`` only changes *which* engine evaluates a
    cell, never the floats it produces.
 2. **Offline optima.**  ``optimal_cost(trace, model)`` is a

@@ -25,6 +25,24 @@ def medium_trace() -> Trace:
     return uniform_random_trace(n=4, m=60, horizon=500.0, seed=11)
 
 
+def slab_passes(fn):
+    """Run ``fn()`` with telemetry on; returns its result and the
+    ``(tier, cells)`` of every ``engine.slab`` span it recorded — what
+    tells one slab pass from per-cell runs."""
+    from repro.obs import metrics
+
+    with metrics.enabled_scope():
+        metrics.reset()
+        out = fn()
+        snap = metrics.drain()
+    spans = [
+        (s["tags"]["tier"], s["tags"]["cells"])
+        for s in snap["spans"]
+        if s["name"] == "engine.slab"
+    ]
+    return out, spans
+
+
 def random_instance(rng: np.random.Generator, max_n: int = 5, max_m: int = 50):
     """Sample a random (trace, model) pair for randomized tests."""
     n = int(rng.integers(1, max_n + 1))

@@ -217,7 +217,10 @@ def test_all_registered_scenarios_backends_bit_identical():
         trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
         model = CostModel(lam=lam, n=trace.n)
         cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
-        if kernel.supports_slab(trace, model, scenario.policy_factory, cells):
+        if all(
+            kernel.supports(trace, model, scenario.policy_factory(trace, lam, *c))
+            for c in cells
+        ):
             assert_backends_match(trace, model, scenario.policy_factory, cells)
             covered += 1
     assert covered >= 11  # same floor as the kernel equivalence suite
@@ -615,6 +618,8 @@ def test_mixed_fleet_bit_identity_across_backends(system):
 
 
 def test_engine_spans_tagged_with_backend():
+    """The slab span names the backend that ran the slab: an explicit
+    ``backend=`` name, or a caller-supplied kernel instance's own."""
     from repro.obs import metrics as _obs
 
     trace = uniform_random_trace(
@@ -622,16 +627,18 @@ def test_engine_spans_tagged_with_backend():
     )
     model = CostModel(lam=20.0, n=4)
     cells = [(a, 1.0, 0) for a in (0.2, 0.5, 0.8)]
-    with _obs.enabled_scope():
-        run_slab(
-            trace, model, cells, algorithm1_factory,
-            engine="kernel", backend="numpy",
-        )
-        snap = _obs.drain()
-    slab_spans = [s for s in snap["spans"] if s["name"] == "engine.slab"]
-    assert slab_spans and all(
-        s["tags"]["backend"] == "numpy" for s in slab_spans
-    )
+    for kw, expected in (
+        (dict(engine="kernel", backend="numpy"), "numpy"),
+        (dict(engine=KernelCostEngine(backend="threads")), "threads"),
+        (dict(engine=KernelCostEngine(backend="numba")), "numba"),
+    ):
+        with _obs.enabled_scope():
+            run_slab(trace, model, cells, algorithm1_factory, **kw)
+            snap = _obs.drain()
+        slab_spans = [s for s in snap["spans"] if s["name"] == "engine.slab"]
+        assert slab_spans and all(
+            s["tags"]["backend"] == expected for s in slab_spans
+        ), kw
 
 
 def test_obs_summary_groups_by_backend():

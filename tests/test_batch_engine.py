@@ -49,6 +49,8 @@ from repro.predictions import (
 )
 from repro.workloads import diurnal_trace, uniform_random_trace
 
+from conftest import slab_passes
+
 BATCH = BatchCostEngine()
 FAST = FastCostEngine()
 REF = ReferenceEngine()
@@ -56,7 +58,12 @@ REF = ReferenceEngine()
 
 def assert_slab_matches_scalar(trace, model, factory, cells, check_reference=False):
     """One batched slab pass == per-cell fast (and reference) replays."""
-    runs = BATCH.run_slab(trace, model, factory, cells)
+    runs, spans = slab_passes(
+        lambda: run_slab(trace, model, cells, factory, engine=BATCH)
+    )
+    if len(cells) > 1:
+        # the whole slab ran as one batch pass, not cell by cell
+        assert spans == [("batch", len(cells))]
     assert len(runs) == len(cells)
     for cell, run in zip(cells, runs):
         assert isinstance(run, CostResult)
@@ -127,6 +134,10 @@ def _conventional_factory(trace, lam, alpha, accuracy, seed):
 
 def _wang_factory(trace, lam, alpha, accuracy, seed):
     return WangReplication()
+
+
+def _learned_factory(trace, lam, alpha, accuracy, seed):
+    return LearningAugmentedReplication(SlidingWindowPredictor(5), alpha)
 
 
 @settings(max_examples=30, deadline=None)
@@ -216,13 +227,24 @@ def test_non_unit_uniform_rate_slab():
 
 
 class TestBatchedStreams:
+    """The one matrix builder (``batch_for_cells``) and its one-lambda
+    view (``batch_for_predictors``)."""
+
     def test_batch_matrix_columns_equal_scalar_streams(self):
         trace = uniform_random_trace(n=4, m=150, horizon=900.0, seed=7)
         lam = 35.0
         accuracies = [0.0, 0.3, 0.3, 0.8, 1.0]
         seeds = [0, 1, 1, 2, 5]
-        matrix = PredictionStream.batch(trace, lam, accuracies, seeds)
+        preds = [
+            OraclePredictor(trace)
+            if acc == 1.0
+            else NoisyOraclePredictor(trace, acc, seed=seed)
+            for acc, seed in zip(accuracies, seeds)
+        ]
+        matrix = PredictionStream.batch_for_predictors(preds, trace, lam)
         assert matrix.shape == (len(trace) + 1, 5)
+        rows = PredictionStream.batch_for_cells([(p, lam) for p in preds], trace)
+        assert np.array_equal(rows, matrix.T)
         for c, (acc, seed) in enumerate(zip(accuracies, seeds)):
             if acc >= 1.0:
                 scalar = PredictionStream.oracle(trace, lam)
@@ -231,11 +253,20 @@ class TestBatchedStreams:
             assert np.array_equal(matrix[:, c], scalar.within), (acc, seed)
 
     def test_batch_shares_draws_across_same_seed(self):
-        # two columns with the same seed must flip the same queries when
-        # their accuracies coincide — a direct probe of draw sharing
+        # two cells with the same seed must flip the same queries when
+        # their accuracies coincide — a direct probe of draw sharing,
+        # at one lambda and across lambdas
         trace = uniform_random_trace(n=3, m=80, horizon=400.0, seed=1)
-        m = PredictionStream.batch(trace, 20.0, [0.5, 0.5], [3, 3])
+        preds = [NoisyOraclePredictor(trace, 0.5, seed=3) for _ in range(2)]
+        m = PredictionStream.batch_for_predictors(preds, trace, 20.0)
         assert np.array_equal(m[:, 0], m[:, 1])
+        lams = (20.0, 40.0)
+        rows = PredictionStream.batch_for_cells(list(zip(preds, lams)), trace)
+        flips = [
+            rows[c] != PredictionStream.oracle(trace, lam).within
+            for c, lam in enumerate(lams)
+        ]
+        assert np.array_equal(flips[0], flips[1])
 
     def test_batch_for_predictors_mixed_kinds(self):
         trace = uniform_random_trace(n=3, m=60, horizon=300.0, seed=2)
@@ -249,21 +280,29 @@ class TestBatchedStreams:
         ]
         matrix = PredictionStream.batch_for_predictors(preds, trace, lam)
         assert matrix is not None
-        for c, p in enumerate(preds):
+        cells = [(p, lam * (1 + c % 2)) for c, p in enumerate(preds)]
+        rows = PredictionStream.batch_for_cells(cells, trace)
+        for c, (p, cell_lam) in enumerate(cells):
             scalar = PredictionStream.for_predictor(p, trace, lam)
             assert np.array_equal(matrix[:, c], scalar.within), type(p)
+            scalar = PredictionStream.for_predictor(p, trace, cell_lam)
+            assert np.array_equal(rows[c], scalar.within), type(p)
 
     def test_batch_for_predictors_rejects_unstreamable(self):
         trace = uniform_random_trace(n=3, m=30, horizon=150.0, seed=3)
         preds = [OraclePredictor(trace), SlidingWindowPredictor(window=5)]
         assert PredictionStream.batch_for_predictors(preds, trace, 10.0) is None
+        cells = [(p, 10.0) for p in preds]
+        assert PredictionStream.batch_for_cells(cells, trace) is None
 
     def test_batch_validates_inputs(self):
+        # the builders take predictor objects, whose constructors own
+        # the accuracy check; the scalar noisy stream checks its own
         trace = uniform_random_trace(n=3, m=10, horizon=50.0, seed=0)
-        with pytest.raises(ValueError, match="align"):
-            PredictionStream.batch(trace, 10.0, [0.5], [0, 1])
         with pytest.raises(ValueError, match="accuracy"):
-            PredictionStream.batch(trace, 10.0, [-0.1], [0])
+            NoisyOraclePredictor(trace, -0.1, seed=0)
+        with pytest.raises(ValueError, match="accuracy"):
+            PredictionStream.noisy_oracle(trace, 10.0, -0.1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -284,14 +323,12 @@ class TestSelection:
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
         assert select_engine(self.trace, self.model, pol, "auto") \
             is get_engine("fast")
-        assert select_engine(
-            self.trace, self.model, pol, "auto", slab_size=8
-        ) is get_engine("batch")
+        cells = [(0.5, 1.0, s) for s in range(8)]
+        runs = run_slab(self.trace, self.model, cells, algorithm1_factory)
+        assert [r.engine for r in runs] == ["batch"] * 8
         # ineligible policies fall back to reference even for slabs
-        pol2 = LearningAugmentedReplication(SlidingWindowPredictor(5), 0.5)
-        assert select_engine(
-            self.trace, self.model, pol2, "auto", slab_size=8
-        ) is get_engine("reference")
+        runs = run_slab(self.trace, self.model, cells, _learned_factory)
+        assert all(hasattr(r, "serves") for r in runs)
 
     def test_explicit_batch_on_unsupported_policy_raises(self):
         from repro import AdaptiveReplication
@@ -307,19 +344,29 @@ class TestSelection:
                 return WangReplication()
             return ConventionalReplication()
 
+        # no single batch pass covers two replay families: each cell
+        # runs alone, still on the batch tier and bit-identical to fast
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
-        assert not BATCH.supports_slab(
-            self.trace, self.model, mixed_factory, cells
+        runs, spans = slab_passes(
+            lambda: run_slab(
+                self.trace, self.model, cells, mixed_factory, engine=BATCH
+            )
         )
+        assert spans == []
+        for cell, run in zip(cells, runs):
+            fast = FAST.run(
+                self.trace, self.model,
+                mixed_factory(self.trace, self.model.lam, *cell),
+            )
+            assert run.engine == "batch"
+            assert run.total_cost == fast.total_cost
 
-        def learned_factory(trace, lam, alpha, accuracy, seed):
-            return LearningAugmentedReplication(SlidingWindowPredictor(5), alpha)
-
-        assert not BATCH.supports_slab(
-            self.trace, self.model, learned_factory, cells
-        )
+        policy = _learned_factory(self.trace, self.model.lam, *cells[0])
+        assert not BATCH.supports(self.trace, self.model, policy)
         with pytest.raises(EngineError):
-            BATCH.run_slab(self.trace, self.model, learned_factory, cells)
+            run_slab(
+                self.trace, self.model, cells, _learned_factory, engine=BATCH
+            )
 
     def test_run_slab_falls_back_per_cell(self):
         # an unbatchable (history-based) factory still evaluates under
@@ -444,7 +491,10 @@ def test_all_registered_scenarios_batch_equivalent_where_supported():
         trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
         model = CostModel(lam=lam, n=trace.n)
         cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
-        if BATCH.supports_slab(trace, model, scenario.policy_factory, cells):
+        if all(
+            BATCH.supports(trace, model, scenario.policy_factory(trace, lam, *c))
+            for c in cells
+        ):
             assert_slab_matches_scalar(
                 trace, model, scenario.policy_factory, cells
             )
@@ -469,12 +519,8 @@ class TestWorkloadScenarios:
         trace = scenario.build_trace(lam=lam, alpha=0.2, accuracy=0.5, seed=0)
         model = CostModel(lam=lam, n=trace.n)
         cells = [(0.2, 0.5, 0), (1.0, 1.0, 0), (0.1, 0.0, 1)]
-        assert BATCH.supports_slab(
-            trace, model, scenario.policy_factory, cells
-        )
-        assert_slab_matches_scalar(
-            trace, model, scenario.policy_factory, cells
-        )
+        # the helper asserts the one 3-cell batch pass
+        assert_slab_matches_scalar(trace, model, scenario.policy_factory, cells)
 
     def test_diurnal_trace_properties(self):
         tr = diurnal_trace(

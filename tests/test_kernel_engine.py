@@ -60,6 +60,8 @@ from repro.predictions import (
 )
 from repro.workloads import ibm_like_trace, uniform_random_trace
 
+from conftest import slab_passes
+
 KERNEL = KernelCostEngine()
 FAST = FastCostEngine()
 BATCH = BatchCostEngine()
@@ -70,9 +72,17 @@ def assert_kernel_matches_scalar(
     trace, model, factory, cells, check_reference=False
 ):
     """Kernel slab replays == per-cell fast (and batch / reference)."""
-    runs = KERNEL.run_slab(trace, model, factory, cells)
+    runs, spans = slab_passes(
+        lambda: run_slab(trace, model, cells, factory, engine=KERNEL)
+    )
     assert len(runs) == len(cells)
-    batch_runs = BATCH.run_slab(trace, model, factory, cells)
+    batch_runs, batch_spans = slab_passes(
+        lambda: run_slab(trace, model, cells, factory, engine=BATCH)
+    )
+    if len(cells) > 1:
+        # each tier ran the whole slab as one pass, not cell by cell
+        assert spans == [("kernel", len(cells))]
+        assert batch_spans == [("batch", len(cells))]
     for cell, run, brun in zip(cells, runs, batch_runs):
         assert isinstance(run, CostResult)
         assert run.engine == "kernel"
@@ -141,10 +151,12 @@ def slabs(draw, max_cells=6):
 
 
 @settings(max_examples=50, deadline=None)
-@given(instances(), slabs())
-def test_algorithm1_slab_bit_identity(inst, cells):
-    """Kernel == fast == batch == reference per cell for Algorithm 1."""
+@given(instances(), slabs(), st.sampled_from([1.0, 2.5, 0.3, 7.0]))
+def test_algorithm1_slab_bit_identity(inst, cells, rate):
+    """Kernel == fast == batch == reference per cell for Algorithm 1, at
+    unit and non-unit uniform storage rates (the ``* rate`` charges)."""
     trace, model = inst
+    model = CostModel(lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n)
     assert_kernel_matches_scalar(
         trace, model, algorithm1_factory, cells, check_reference=True
     )
@@ -345,14 +357,10 @@ class TestSupports:
         assert not KERNEL.supports(self.trace, model, pol)
 
     def test_wang_slab_accepted_by_both_slab_tiers(self):
-        def wang_factory(trace, lam, alpha, accuracy, seed):
-            return WangReplication()
-
+        # the helper asserts one 2-cell pass on each slab tier
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
-        assert KERNEL.supports_slab(self.trace, self.model, wang_factory, cells)
-        assert BATCH.supports_slab(self.trace, self.model, wang_factory, cells)
         assert_kernel_matches_scalar(
-            self.trace, self.model, wang_factory, cells, check_reference=True
+            self.trace, self.model, _wang_factory, cells, check_reference=True
         )
 
 
@@ -371,33 +379,30 @@ class TestSelection:
         self.small = uniform_random_trace(n=4, m=60, horizon=400.0, seed=2)
         self.model = CostModel(lam=20.0, n=4)
 
+    def _slab_tiers(self, trace, factory):
+        """Tiers an 8-cell ``"auto"`` slab ran on."""
+        cells = [(0.5, 1.0, s) for s in range(8)]
+        return {r.engine for r in run_slab(trace, self.model, cells, factory)}
+
     def test_auto_prefers_kernel_above_crossovers(self):
         pol = LearningAugmentedReplication(OraclePredictor(self.big), 0.5)
         assert select_engine(self.big, self.model, pol) is get_engine("kernel")
-        assert select_engine(
-            self.big, self.model, pol, "auto", slab_size=8
-        ) is get_engine("kernel")
+        assert self._slab_tiers(self.big, algorithm1_factory) == {"kernel"}
 
     def test_auto_keeps_fast_and_batch_below_crossovers(self):
         pol = LearningAugmentedReplication(OraclePredictor(self.small), 0.5)
         assert len(self.small) < KERNEL_MIN_M
         assert select_engine(self.small, self.model, pol) is get_engine("fast")
-        assert select_engine(
-            self.small, self.model, pol, "auto", slab_size=8
-        ) is get_engine("batch")
+        assert self._slab_tiers(self.small, algorithm1_factory) == {"batch"}
 
     def test_wang_rides_kernel_through_select_engine(self):
         """select_engine never falls back for Wang: kernel above the
         crossovers, fast/batch only below them (like every policy)."""
         pol = WangReplication()
         assert select_engine(self.big, self.model, pol) is get_engine("kernel")
-        assert select_engine(
-            self.big, self.model, pol, "auto", slab_size=8
-        ) is get_engine("kernel")
+        assert self._slab_tiers(self.big, _wang_factory) == {"kernel"}
         assert select_engine(self.small, self.model, pol) is get_engine("fast")
-        assert select_engine(
-            self.small, self.model, pol, "auto", slab_size=8
-        ) is get_engine("batch")
+        assert self._slab_tiers(self.small, _wang_factory) == {"batch"}
 
     def test_history_policy_falls_back_to_reference(self):
         pol = LearningAugmentedReplication(SlidingWindowPredictor(5), 0.5)
@@ -454,8 +459,8 @@ class TestSelection:
 
 def test_all_registered_scenarios_kernel_equivalent_where_supported():
     """Every registered scenario's smoke subset: kernel == fast == batch
-    per cell wherever the slab is kernel-eligible — and batch-eligible
-    now implies kernel-eligible (no policy is gated off the kernel)."""
+    per cell wherever the cells are eligible (one ``supports()`` serves
+    every cost-only tier, so no policy is gated off the kernel)."""
     from repro.experiments import list_scenarios
 
     kernel_covered = 0
@@ -467,11 +472,10 @@ def test_all_registered_scenarios_kernel_equivalent_where_supported():
         trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
         model = CostModel(lam=lam, n=trace.n)
         cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
-        if BATCH.supports_slab(trace, model, scenario.policy_factory, cells):
-            assert KERNEL.supports_slab(
-                trace, model, scenario.policy_factory, cells
-            )
-        if KERNEL.supports_slab(trace, model, scenario.policy_factory, cells):
+        if all(
+            KERNEL.supports(trace, model, scenario.policy_factory(trace, lam, *c))
+            for c in cells
+        ):
             assert_kernel_matches_scalar(
                 trace, model, scenario.policy_factory, cells
             )
