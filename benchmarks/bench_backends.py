@@ -1,24 +1,23 @@
-"""Kernel backend benchmark: numpy vs thread-parallel vs compiled loops.
+"""Kernel execution benchmark: serial vs thread-parallel slabs.
 
 Runs the paper's *fig25 grid* (Algorithm 1 with noisy-oracle
 predictions over the full ``alpha x accuracy`` axes at ``lambda = 10``)
-through the kernel engine once per registered execution backend
-(``core/backends.py``), plus a heterogeneous-lambda *mixed-policy*
-fleet slab (Conventional + Wang cells, all on the kernel tier) through
-:func:`run_policy_slab`:
+through the default kernel engine, plus a heterogeneous-lambda
+*mixed-policy* fleet slab (Conventional + Wang cells, all on the kernel
+tier) through :func:`run_policy_slab`, once per thread budget
+(:func:`set_thread_budget`), which is what decides the execution path
+(``core/backends.py``):
 
-* ``numpy`` — the serial vectorized baseline (speedup 1.0 by
+* ``numpy`` — budget 1: the cells run serially (speedup 1.0 by
   definition);
-* ``threads`` — cells fanned over a thread pool, swept across thread
-  budgets (2 .. cpu_count) via :func:`set_thread_budget`; the sweep is
-  empty on a single-core box (oversubscribed threads would record a
-  bogus crossover), and each swept budget records whether it actually
-  beat the serial baseline on this core count;
-* ``numba`` — compiled hot loops, timed only when numba is importable
-  (best-of-repeats excludes the first-call JIT compile).
+* ``threads[t]`` — budget ``t``: cells fanned over ``t`` threads, swept
+  across 2 .. cpu_count; the sweep is empty on a single-core box
+  (oversubscribed threads would record a bogus crossover), and each
+  swept budget records whether it actually beat the serial baseline on
+  this core count.
 
-Per-cell cost equality against the numpy baseline is asserted bit for
-bit for every backend and both slab shapes — the backends' whole value
+Per-cell cost equality against the serial run is asserted bit for bit
+for every budget and both slab shapes — the threaded path's whole value
 proposition is speed at *zero* numeric drift, so the benchmark fails
 rather than record a fast-but-wrong number.
 
@@ -28,20 +27,21 @@ Standalone use (the CI smoke step runs this via ``repro bench``)::
                                         [--requests 1000000]
                                         [--gate 2.0] [--strict]
 
-writes ``BENCH_backends.json``: per-backend wall clock and speedups
-over numpy plus the measurement environment (``cpu_count``,
-``thread_budget``, ``numba``) — a recorded speedup is meaningless
-without the core count it was measured on.  The gated metric is the
-best any backend achieves over numpy; numpy itself anchors it at 1.0,
-so the default CI gate (``--gate 1.0 --strict``) asserts "no backend
-regresses the suite" on single-core runners while multi-core boxes
-must show threads actually winning before the recorded full-size run
-clears :data:`MIN_SPEEDUP`.
+writes ``BENCH_backends.json``: per-budget median wall clock over
+``repeats`` runs and speedups over serial plus the measurement
+environment (``cpu_count``, ``thread_counts``) — a recorded speedup is
+meaningless without the core count it was measured on.  The gated
+metric is the best any budget achieves over serial; serial itself
+anchors it at 1.0, so the default CI gate (``--gate 1.0 --strict``)
+asserts "threading never regresses the suite" on single-core runners
+while multi-core boxes must show threads actually winning before the
+recorded full-size run clears :data:`MIN_SPEEDUP`.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -53,9 +53,9 @@ SMOKE_SEED = 0
 #: fleet slab shape: objects with heterogeneous per-object lambdas
 FLEET_CELLS = 64
 
-#: gate at the recorded full size on a multi-core box (the ISSUE's bar:
-#: threads >= 2x over numpy on 8 cores); single-core boxes record
-#: best_speedup ~= 1.0 and the CI quick profile gates at 1.0
+#: gate at the recorded full size on a multi-core box (threads >= 2x
+#: over serial on 8 cores); single-core boxes record best_speedup ~= 1.0
+#: and the CI quick profile gates at 1.0
 MIN_SPEEDUP = 2.0
 
 #: report key diffed against the committed BENCH_*.json history
@@ -94,25 +94,22 @@ def _assert_identical(cells, base, other, label):
         assert a.n_transfers == b.n_transfers, (label, cell)
 
 
-def run_backend_grid(requests: int = FULL_M, repeats: int | None = None) -> dict:
-    """Time the fig25 kernel slab and a fleet slab per backend; best of
-    ``repeats`` (default: 1 at full size, 2 below — the second numba
-    repeat is the one free of JIT compilation)."""
+def run_backend_grid(requests: int = FULL_M, repeats: int = 3) -> dict:
+    """Time the fig25 kernel slab and a fleet slab per thread budget;
+    median of ``repeats`` runs."""
     from repro.algorithms.conventional import ConventionalReplication
     from repro.algorithms.wang import WangReplication
     from repro.analysis.sweep import algorithm1_factory
-    from repro.core.backends import numba_available, set_thread_budget
+    from repro.core.backends import get_backend, set_thread_budget
     from repro.core.costs import CostModel
-    from repro.core.engine import get_engine, run_policy_slab, run_slab
+    from repro.core.engine import run_policy_slab, run_slab
     from repro.workloads import ibm_like_trace
 
-    if repeats is None:
-        repeats = 1 if requests >= 500_000 else 2
     trace = ibm_like_trace(n=SMOKE_N, m=requests, seed=SMOKE_SEED)
     cells = _grid_cells()
     model = CostModel(lam=FIG25_LAMBDA, n=trace.n)
     # mixed-policy fleet: every fourth object runs the Wang baseline,
-    # which is kernel-eligible now and shares the single-tier slab
+    # which is kernel-eligible and shares the single-tier slab
     fleet = [
         (
             CostModel(lam=5.0 + i, n=trace.n),
@@ -121,67 +118,56 @@ def run_backend_grid(requests: int = FULL_M, repeats: int | None = None) -> dict
         for i in range(FLEET_CELLS)
     ]
 
-    def time_grid(backend: str) -> tuple[float, list]:
-        eng = get_engine("kernel", backend=backend)
-        best, runs = float("inf"), None
+    def median_of(run) -> tuple[float, list]:
+        times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            runs = run_slab(
-                trace, model, cells, algorithm1_factory, engine=eng
-            )
-            best = min(best, time.perf_counter() - t0)
-        return best, runs
+            runs = run()
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times), runs
 
-    def time_fleet(backend: str) -> tuple[float, list]:
-        best, runs = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            runs = run_policy_slab(trace, fleet, "kernel", backend=backend)
-            best = min(best, time.perf_counter() - t0)
-        return best, runs
-
-    backends_report: dict[str, dict] = {}
-    numpy_s, base_grid = time_grid("numpy")
-    numpy_fleet_s, base_fleet = time_fleet("numpy")
-    backends_report["numpy"] = {
-        "grid_s": numpy_s,
-        "fleet_s": numpy_fleet_s,
-        "speedup": 1.0,
-    }
-
-    for t in _thread_counts():
+    def time_budget(t: int, expected: str):
+        """``(grid, fleet)`` median timings and runs at thread budget ``t``."""
         prev = set_thread_budget(t)
         try:
-            grid_s, grid_runs = time_grid("threads")
-            fleet_s, fleet_runs = time_fleet("threads")
+            # the timed leg must be the path it is reported as
+            for n_cells in (len(cells), len(fleet)):
+                assert get_backend().resolve(n_cells, requests).name == expected
+            return (
+                median_of(
+                    lambda: run_slab(
+                        trace, model, cells, algorithm1_factory, engine="kernel"
+                    )
+                ),
+                median_of(lambda: run_policy_slab(trace, fleet, "kernel")),
+            )
         finally:
             set_thread_budget(prev)
-        _assert_identical(cells, base_grid, grid_runs, f"threads[{t}]")
+
+    (serial_s, base_grid), (serial_fleet_s, base_fleet) = time_budget(1, "numpy")
+    report: dict[str, dict] = {
+        "numpy": {
+            "grid_s": serial_s,
+            "fleet_s": serial_fleet_s,
+            "speedup": 1.0,
+        }
+    }
+    for t in _thread_counts():
+        label = f"threads[{t}]"
+        (grid_s, grid_runs), (fleet_s, fleet_runs) = time_budget(t, "threads")
+        _assert_identical(cells, base_grid, grid_runs, label)
         _assert_identical(range(FLEET_CELLS), base_fleet, fleet_runs,
-                          f"threads[{t}]-fleet")
-        backends_report[f"threads[{t}]"] = {
+                          f"{label}-fleet")
+        report[label] = {
             "grid_s": grid_s,
             "fleet_s": fleet_s,
-            "speedup": numpy_s / grid_s,
+            "speedup": serial_s / grid_s,
             # per-core-count crossover record: does this thread budget
             # actually beat the serial baseline on this box?
             "thread_count": t,
-            "wins": numpy_s / grid_s > 1.0,
+            "wins": serial_s / grid_s > 1.0,
         }
 
-    if numba_available():
-        grid_s, grid_runs = time_grid("numba")
-        fleet_s, fleet_runs = time_fleet("numba")
-        _assert_identical(cells, base_grid, grid_runs, "numba")
-        _assert_identical(range(FLEET_CELLS), base_fleet, fleet_runs,
-                          "numba-fleet")
-        backends_report["numba"] = {
-            "grid_s": grid_s,
-            "fleet_s": fleet_s,
-            "speedup": numpy_s / grid_s,
-        }
-
-    best = max(b["speedup"] for b in backends_report.values())
     return {
         "grid": "fig25",
         "lam": FIG25_LAMBDA,
@@ -189,21 +175,22 @@ def run_backend_grid(requests: int = FULL_M, repeats: int | None = None) -> dict
                   "seed": SMOKE_SEED},
         "cells": len(cells),
         "fleet_cells": FLEET_CELLS,
+        "repeats": repeats,
         "cpu_count": os.cpu_count() or 1,
         "thread_counts": _thread_counts(),
-        "numba": numba_available(),
-        "backends": backends_report,
-        "best_speedup": best,
+        "backends": report,
+        "best_speedup": max(b["speedup"] for b in report.values()),
     }
 
 
 def test_backend_grid(benchmark, paper_trace):
-    """Backends: identical costs on the fig25 slab, threads timed."""
+    """Serial vs threaded: identical costs on the fig25 slab, the
+    threaded path timed."""
     from conftest import emit
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.backends import set_thread_budget
     from repro.core.costs import CostModel
-    from repro.core.engine import get_engine, run_slab
+    from repro.core.engine import run_slab
 
     report = run_backend_grid(requests=100_000, repeats=2)
     lines = [
@@ -212,21 +199,20 @@ def test_backend_grid(benchmark, paper_trace):
         for name, b in report["backends"].items()
     ]
     emit(
-        "Kernel execution backends (fig25 slab + fleet slab, bit-identical)",
-        f"m={report['trace']['m']} cores={report['cpu_count']} "
-        f"numba={report['numba']}\n" + "\n".join(lines),
+        "Kernel execution paths (fig25 slab + fleet slab, bit-identical)",
+        f"m={report['trace']['m']} cores={report['cpu_count']}\n"
+        + "\n".join(lines),
     )
     assert report["best_speedup"] >= 1.0
 
-    # timed unit: the threads backend on the paper-scale fig25 slab
+    # timed unit: the fig25 slab at the paper's trace size, all cores
     model = CostModel(lam=FIG25_LAMBDA, n=paper_trace.n)
-    eng = get_engine("kernel", backend="threads")
     cells = _grid_cells()
     prev = set_thread_budget(os.cpu_count() or 1)
     try:
         benchmark(
             lambda: run_slab(
-                paper_trace, model, cells, algorithm1_factory, engine=eng
+                paper_trace, model, cells, algorithm1_factory, engine="kernel"
             )
         )
     finally:
@@ -248,7 +234,7 @@ def main(argv=None) -> int:
     write_report(report, out)
     print(
         f"fig25 grid ({report['cells']} cells, m={requests}, "
-        f"{report['cpu_count']} cores, numba={report['numba']}):"
+        f"{report['cpu_count']} cores):"
     )
     for name, b in report["backends"].items():
         print(

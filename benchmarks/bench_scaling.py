@@ -128,7 +128,6 @@ def _per_cell(rows, engine):
 
 def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     """Sweep trace size x engine tier; returns the report dict."""
-    from repro.core.backends import numba_available
     from repro.core.costs import CostModel
     from repro.workloads import ibm_like_trace, uniform_random_trace
 
@@ -163,7 +162,6 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
         "sizes": list(sizes),
         "cpu_count": os.cpu_count() or 1,
         "repeats": repeats,
-        "numba": numba_available(),
         "rows": rows,
         "single_cell_rows": single,
         "wide_slab": {

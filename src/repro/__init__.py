@@ -46,7 +46,6 @@ from .analysis import (
     sweep_grid,
 )
 from .core import (
-    BACKEND_NAMES,
     BatchCostEngine,
     CostLedger,
     CostModel,
@@ -140,7 +139,6 @@ __all__ = [
     "get_engine",
     "run_slab",
     "select_engine",
-    "BACKEND_NAMES",
     "get_backend",
     "PredictionStream",
     # algorithms

@@ -141,7 +141,6 @@ def sweep_grid(
     optimal_cache: dict[float, float] | None = None,
     runner=None,
     engine: str | Engine | None = None,
-    backend: str | None = None,
 ) -> SweepResult:
     """Run the full (lambda, alpha, accuracy) grid on one trace.
 
@@ -162,10 +161,7 @@ def sweep_grid(
     fast or reference engine otherwise — or, with a ``runner``,
     whatever engine the runner was configured with.  Per-cell results
     are bit-identical across engines; pass ``"reference"`` to force the
-    full-telemetry simulator.  ``backend`` picks the kernel tier's
-    execution backend (``core/backends.py``: ``"numpy"``/``"threads"``/
-    ``"numba"``, default env-then-auto) — a pure throughput knob, also
-    bit-identical.
+    full-telemetry simulator.
     """
     if runner is not None:
         return runner.run_grid(
@@ -177,7 +173,6 @@ def sweep_grid(
             seed=seed,
             optimal_cache=optimal_cache,
             engine=engine,
-            backend=backend,
         )
     if engine is None:
         engine = "auto"
@@ -193,14 +188,10 @@ def sweep_grid(
         opt = opt_cache[lam]
         if _obs.enabled:
             with _obs.span("sweep.slab", lam=lam, cells=len(cells)):
-                runs = run_slab(
-                    trace, model, cells, factory, engine=engine, backend=backend
-                )
+                runs = run_slab(trace, model, cells, factory, engine=engine)
             _obs.counter("repro_sweep_cells_total").inc(len(cells))
         else:
-            runs = run_slab(
-                trace, model, cells, factory, engine=engine, backend=backend
-            )
+            runs = run_slab(trace, model, cells, factory, engine=engine)
         for (alpha, acc, _), run in zip(cells, runs):
             result.add(
                 SweepPoint(

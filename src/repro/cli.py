@@ -81,7 +81,6 @@ from .analysis.sweep import (
 )
 from .analysis.theory import consistency_bound, robustness_bound
 from .core import CostModel, simulate
-from .core.backends import BACKEND_NAMES
 from .core.engine import ENGINE_NAMES
 from .offline import optimal_cost
 from .predictions import FixedPredictor, NoisyOraclePredictor, OraclePredictor
@@ -110,8 +109,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Engine-tier and kernel-backend flags shared by sweep /
-    experiments run / fleet run."""
+    """The engine-tier flag shared by sweep / experiments run / fleet
+    run."""
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="auto",
         help="simulation engine: 'kernel' = loop-free segment-scan "
@@ -120,13 +119,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "cell, 'reference' = full-telemetry event loop, 'auto' (default) "
         "= kernel above its measured crossover, batch/fast below it, "
         "reference for policies no cost-only tier supports")
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="kernel execution backend: 'threads' fans slab cells across "
-        "a thread pool, 'numba' compiles the hot loops when numba is "
-        "importable (numpy fallback otherwise), 'auto' (the default when "
-        "the flag and REPRO_KERNEL_BACKEND are unset) picks by measured "
-        "crossovers; all backends are bit-identical")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +301,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep_grid(
         trace, lams, alphas, accs, seed=args.seed,
         engine=getattr(args, "engine", "auto"),
-        backend=getattr(args, "backend", None),
     )
     for lam in lams:
         print(format_table(result, lam))
@@ -435,7 +426,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         cache=cache,
         progress=NullProgress() if args.quiet else ConsoleProgress(),
         engine=getattr(args, "engine", "auto"),
-        backend=getattr(args, "backend", None),
     )
     store = ArtifactStore(args.out) if args.out else None
     for name in args.names:
@@ -549,7 +539,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         engine=args.engine,
         materialize=not args.stream,
         top_k=args.top_k,
-        backend=getattr(args, "backend", None),
     )
     elapsed = time.perf_counter() - t0
     print(report.summary_table(top_k=args.top_k))

@@ -1,7 +1,6 @@
 """Core substrate: traces, cost model, event log, and the simulator."""
 
 from .backends import (
-    BACKEND_NAMES,
     get_backend,
     numba_available,
     set_thread_budget,
@@ -35,7 +34,6 @@ from .trace import Request, Trace, TraceError, merge_traces
 from .validate import ValidationReport, validate_result
 
 __all__ = [
-    "BACKEND_NAMES",
     "get_backend",
     "numba_available",
     "set_thread_budget",

@@ -1,4 +1,5 @@
-"""Execution backends for the kernel cost engine.
+"""Kernel execution: the order-sensitive reductions every kernel cell
+runs, and how a slab's cells are spread over threads.
 
 DESIGN
 ======
@@ -10,17 +11,17 @@ sequence of array passes.  A slab of grid cells is embarrassingly parallel
 cell, because the charge-order reductions are sequential by construction:
 
 ``np.add.accumulate`` computes ``out[i] = out[i-1] + v[i]`` left to right,
-one IEEE-754 rounding per step.  The kernel only consumes ``out[-1]``, so
-any backend that performs the *same left-to-right chain of additions*
-(e.g. a compiled ``s += v[i]`` loop) produces the bit-identical float.
+one IEEE-754 rounding per step.  :func:`seq_sum` only consumes ``out[-1]``,
+so it performs the scalar replay's ``storage += charge`` chain bit for bit.
 A *parallelized* within-cell accumulate would not: pairwise or tree
 reductions (``np.add.reduce``, SIMD partial sums, parallel prefix scans)
 re-associate the additions, and float addition is not associative, so the
-final bit pattern changes.  That is why the backends below parallelize
-across cells only — each cell's serial pass is untouched, which is what
-keeps every backend bit-identical to the numpy reference:
+final bit pattern changes.  That is why the kernel parallelizes across
+cells only — each cell's serial pass is untouched, so a slab run on either
+execution path below is bit-identical to the other:
 
-- ``numpy``   — the existing vectorized passes, serial across cells.
+- ``numpy``   — the vectorized passes, one cell after another in the
+  calling thread.
 - ``threads`` — the same numpy passes, cells fanned out over a
   ``ThreadPoolExecutor``.  The heavy numpy ops release the GIL, so this
   scales with cores without fork/IPC.  ``ThreadPoolExecutor.map``
@@ -29,16 +30,9 @@ keeps every backend bit-identical to the numpy reference:
   precompute (``_SegmentChains``) is read-only after construction; its
   scratch workspace is thread-local and its shift memo is lock-guarded
   (see ``core/engine.py``).
-- ``numba``   — optional ``@njit(nogil=True, cache=True)`` fused loops
-  for the two sequential reductions, the two-stream expiry merge, and
-  the Wang cascade episode machine.  The compiled loops replay the
-  exact same IEEE op order (left-to-right adds; two-pointer merge with
-  the same tie semantics), so they are bit-identical.  When numba is
-  not importable the backend silently falls back to the numpy
-  primitives — same results, no hard dependency.
 
-Besides the reductions, the primitives carry one *sequential episode
-machine*: ``wang_cascade``, the scalar core of the kernel tier's Wang
+Besides the reductions, this module holds one *sequential episode
+machine*: :func:`wang_cascade`, the scalar core of the kernel tier's Wang
 baseline (``core/engine.py`` :class:`_WangReplay`).  The vectorized
 candidate pass resolves every copy whose expiry finds other copies
 alive; ``wang_cascade`` replays only the rare die-out episodes (grace
@@ -46,23 +40,18 @@ extensions, second-expiry shipments to server 0, locally-served flips)
 plus the drain's heap order, walking candidates in the scalar heap's
 ``(when, server)`` pop order.  At most one injected extension is alive
 at a time, so the machine is O(episodes), not O(m) — it is a loop by
-necessity (each episode's outcome gates the next), which is exactly why
-it lives here where the numba backend can compile it.
+necessity (each episode's outcome gates the next).
 
-Crossovers (measured, see ``benchmarks/bench_backends.py``)
------------------------------------------------------------
+Choosing the path
+-----------------
 
-Like ``KERNEL_MIN_M``/``KERNEL_SLAB_MIN_M`` in ``core/engine.py``, the
-``auto`` backend picks a concrete backend from measured crossovers:
-
-- ``THREADS_MIN_CELLS_PER_THREAD``: below ~8 cells per worker thread the
-  executor dispatch + per-thread workspace allocation eats the win, so
-  ``auto`` only fans out when the slab is wide enough to give every
-  thread a meaningful chunk.
-- ``NUMBA_MIN_M``: the compiled merge/accumulate only beats the numpy
-  fast paths once per-cell arrays dominate call overhead (and the first
-  call pays JIT compilation, amortized by ``cache=True``); below ~8k
-  requests numpy wins.
+The two paths differ only in speed, so no caller picks one:
+:meth:`AutoBackend.resolve` decides from the thread budget and the slab
+width.  It fans out once the budget allows two or more threads and every
+thread gets at least :data:`THREADS_MIN_CELLS_PER_THREAD` cells — below
+that, executor dispatch and per-thread workspace allocation eat the win —
+and runs serially otherwise.  ``benchmarks/bench_backends.py`` times the
+two paths against each other (``benchmarks/BENCH_backends.json``).
 
 Process-pool interaction
 ------------------------
@@ -71,40 +60,36 @@ Process-pool interaction
 ``workers × threads ≤ cores`` the runner installs a shared *thread
 budget* (``set_thread_budget``) before forking; forked workers inherit
 the cap, so a 8-core box running 4 process workers gives each worker at
-most 2 kernel threads instead of 4 × 8 oversubscription.
+most 2 kernel threads instead of 4 × 8 oversubscription.  That budget is
+the only control over the kernel's execution path.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
+    "AutoBackend",
     "KernelBackend",
-    "KernelPrimitives",
-    "NUMBA_MIN_M",
-    "NUMPY_PRIMS",
     "THREADS_MIN_CELLS_PER_THREAD",
     "get_backend",
+    "merge_interleave",
     "numba_available",
-    "numba_prims",
+    "repeat_add",
+    "seq_sum",
     "set_thread_budget",
     "thread_budget",
+    "wang_cascade",
 ]
 
-# Environment override for the default backend (mirrors how the CLI's
-# --backend flag resolves): any name in BACKEND_NAMES.
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-# Measured crossovers (benchmarks/bench_backends.py, fig25 grid).  The
-# thread backend wins once each worker thread gets >= ~8 cells of work;
-# the compiled numba loops win once the per-cell arrays pass ~8k events.
+# ``auto`` fans out only when every worker thread gets at least this many
+# cells; below that, pool dispatch and per-thread workspaces eat the win
+# (an early fig25 estimate, not yet re-derived over cells x m).
 THREADS_MIN_CELLS_PER_THREAD = 8
-NUMBA_MIN_M = 8_192
 
 
 # ---------------------------------------------------------------------------
@@ -135,40 +120,12 @@ def set_thread_budget(n: int | None) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives — the order-sensitive reductions a backend may swap out.
+# Reductions — the order-sensitive passes behind every kernel cell.
 # ---------------------------------------------------------------------------
 
 
-class KernelPrimitives:
-    """The sequential reductions + expiry merge used by the kernel tier.
-
-    ``seq_sum``/``repeat_add`` must perform a strict left-to-right chain
-    of IEEE additions; ``merge_interleave`` must interleave two
-    expiry-sorted streams with within-first-on-tie *detection* (returning
-    ``None`` on any cross-stream tie so the caller can take the stable
-    lexsort fallback); ``wang_cascade`` resolves the Wang baseline's
-    die-out episodes and drain with the event-machine loop
-    (:func:`_wang_cascade_loop` — the same integer/float op sequence
-    whether interpreted or compiled).  Any implementation honoring those
-    contracts is bit-identical to numpy's.
-    """
-
-    __slots__ = (
-        "name", "compiled", "seq_sum", "repeat_add", "merge_interleave",
-        "wang_cascade",
-    )
-
-    def __init__(self, name, compiled, seq_sum, repeat_add, merge_interleave,
-                 wang_cascade=None):
-        self.name = name
-        self.compiled = compiled
-        self.seq_sum = seq_sum
-        self.repeat_add = repeat_add
-        self.merge_interleave = merge_interleave
-        self.wang_cascade = wang_cascade or _wang_cascade_loop
-
-
-def _np_seq_sum(vals: np.ndarray) -> float:
+def seq_sum(vals: np.ndarray) -> float:
+    """Strict left-to-right IEEE sum of ``vals`` (overwritten in place)."""
     # accumulate is defined as out[i] = out[i-1] + vals[i]; only the last
     # element is consumed, so this IS the left-to-right scalar sum.
     if not vals.size:
@@ -177,16 +134,17 @@ def _np_seq_sum(vals: np.ndarray) -> float:
     return float(vals[-1])
 
 
-def _np_repeat_add(value: float, count: int) -> float:
+def repeat_add(value: float, count: int) -> float:
+    """``count`` repeated ``+= value`` steps, as one left-to-right chain."""
     if not count:
         return 0.0
     return float(np.add.accumulate(np.full(count, value))[-1])
 
 
-def _np_merge_interleave(dw, ew, db, eb):
-    # Positional interleave of two expiry-sorted streams via two
-    # searchsorted passes; bails (None) on any cross-stream tie, where
-    # the caller's lexsort fallback defines the order.
+def merge_interleave(dw, ew, db, eb):
+    """Interleave two expiry-sorted streams; ``None`` on any cross-stream
+    tie, where the caller's lexsort fallback defines the order."""
+    # Positional interleave via two searchsorted passes.
     lo = np.searchsorted(eb, ew, side="left")
     if not np.array_equal(lo, np.searchsorted(eb, ew, side="right")):
         return None
@@ -203,7 +161,7 @@ def _np_merge_interleave(dw, ew, db, eb):
     return out, exp
 
 
-def _wang_cascade_loop(
+def wang_cascade(
     t_all,        # float64[m+1]  dummy-prefixed request times (strictly increasing)
     periods,      # float64[n]    per-server renewal periods lam / mu_s
     cand_e,       # float64[nc]   mid-trace expiry fires, (E, server)-sorted
@@ -232,8 +190,7 @@ def _wang_cascade_loop(
     copy's own events in global ``(when, server)`` order, emitting the
     corrections the vectorized pass cannot know: suppressed drops,
     miss->renewal flips, cascade transfer/drop charges, and the final
-    alive set.  Plain python and ``@njit`` execute the identical
-    int/float op sequence, so both are bit-identical.
+    alive set.
     """
     inf = np.inf
     nc = cand_e.shape[0]
@@ -487,161 +444,21 @@ def _wang_cascade_loop(
     )
 
 
-NUMPY_PRIMS = KernelPrimitives(
-    "numpy", False, _np_seq_sum, _np_repeat_add, _np_merge_interleave,
-    _wang_cascade_loop,
-)
-
-
-# Pure-python loop bodies for the compiled primitives.  Written as plain
-# module functions so (a) numba can njit them with cache=True and (b) the
-# fallback-only test environment can still check their op order against
-# numpy on small inputs without numba installed.
-
-
-def _seq_sum_loop(vals):
-    s = 0.0
-    for i in range(vals.shape[0]):
-        s += vals[i]
-    return s
-
-
-def _repeat_add_loop(value, count):
-    s = 0.0
-    for _ in range(count):
-        s += value
-    return s
-
-
-def _merge_loop(dw, ew, db, eb):
-    # Two-pointer interleave; ties between stream fronts are reported via
-    # the third return (both streams are expiry-sorted, so every
-    # cross-stream tie eventually surfaces at the fronts).
-    nw = dw.shape[0]
-    nb = db.shape[0]
-    out = np.empty(nw + nb, dtype=np.int64)
-    exp = np.empty(nw + nb, dtype=np.float64)
-    i = 0
-    j = 0
-    k = 0
-    while i < nw and j < nb:
-        a = ew[i]
-        b = eb[j]
-        if a == b:
-            return out, exp, True
-        if a < b:
-            out[k] = dw[i]
-            exp[k] = a
-            i += 1
-        else:
-            out[k] = db[j]
-            exp[k] = b
-            j += 1
-        k += 1
-    while i < nw:
-        out[k] = dw[i]
-        exp[k] = ew[i]
-        i += 1
-        k += 1
-    while j < nb:
-        out[k] = db[j]
-        exp[k] = eb[j]
-        j += 1
-        k += 1
-    return out, exp, False
-
-
-_NUMBA_CHECKED = False
-_NUMBA_OK = False
-_NUMBA_PRIMS: KernelPrimitives | None = None
-
-
+# An environment fact for benchmark run records; no kernel path uses numba.
 def numba_available() -> bool:
-    """True when numba imports cleanly (memoized; never a hard dependency)."""
-    global _NUMBA_CHECKED, _NUMBA_OK
-    if not _NUMBA_CHECKED:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-        _NUMBA_CHECKED = True
-    return _NUMBA_OK
-
-
-def numba_prims() -> KernelPrimitives:
-    """Compiled primitives, or ``NUMPY_PRIMS`` when numba is unavailable."""
-    global _NUMBA_PRIMS
-    if _NUMBA_PRIMS is None:
-        _NUMBA_PRIMS = _build_numba_prims()
-    return _NUMBA_PRIMS
-
-
-def _build_numba_prims() -> KernelPrimitives:
-    if not numba_available():
-        return NUMPY_PRIMS
-    try:
-        from numba import njit
-
-        jit = njit(cache=True, nogil=True)
-        nb_seq = jit(_seq_sum_loop)
-        nb_rep = jit(_repeat_add_loop)
-        nb_merge = jit(_merge_loop)
-        nb_wang = jit(_wang_cascade_loop)
-
-        def seq_sum(vals):
-            return float(nb_seq(vals))
-
-        def repeat_add(value, count):
-            return float(nb_rep(value, count))
-
-        def merge_interleave(dw, ew, db, eb):
-            out, exp, tie = nb_merge(dw, ew, db, eb)
-            return None if tie else (out, exp)
-
-        # njit compiles lazily at first call; a typing failure there must
-        # degrade to the interpreted loop (bit-identical by contract)
-        # rather than poison every Wang replay on this box
-        state = {"fn": None}
-
-        def wang_cascade(*args):
-            fn = state["fn"]
-            if fn is None:
-                try:
-                    out = nb_wang(*args)
-                    state["fn"] = nb_wang
-                    return out
-                except Exception:
-                    state["fn"] = _wang_cascade_loop
-                    return _wang_cascade_loop(*args)
-            return fn(*args)
-
-        return KernelPrimitives(
-            "numba", True, seq_sum, repeat_add, merge_interleave, wang_cascade
-        )
-    except Exception:
-        # Broken numba install (missing llvmlite, unsupported platform):
-        # degrade to numpy rather than poisoning every kernel call.
-        return NUMPY_PRIMS
+    """True when numba is installed."""
+    return importlib.util.find_spec("numba") is not None
 
 
 # ---------------------------------------------------------------------------
-# Backends — execution strategy (how cells fan out) + primitives.
+# Execution paths — how a slab's cells are spread over threads.
 # ---------------------------------------------------------------------------
 
 
 class KernelBackend:
-    """A named execution strategy for a slab of kernel cells."""
+    """The serial path: a slab's cells run one after another."""
 
-    name = "base"
-
-    def resolve(self, n_cells: int, m: int) -> "KernelBackend":
-        """Concrete backend for a slab of ``n_cells`` cells over ``m`` events."""
-        return self
-
-    def prims(self) -> KernelPrimitives:
-        return NUMPY_PRIMS
+    name = "numpy"
 
     def run_cells(self, n_cells: int, run_one):
         """Evaluate ``run_one(c)`` for each cell, in cell-index order."""
@@ -651,83 +468,50 @@ class KernelBackend:
         return f"<KernelBackend {self.name}>"
 
 
-class NumpyBackend(KernelBackend):
-    name = "numpy"
-
-
 class ThreadsBackend(KernelBackend):
     """Numpy passes, cells fanned out over a thread pool.
 
     ``ThreadPoolExecutor.map`` preserves input order, so results come back
     in cell-index order — output is positionally bit-identical to serial.
-    Falls back to the serial loop when the budget or the slab is too small
-    for fan-out to pay.
+    :meth:`AutoBackend.resolve` picks this path only when the budget and
+    the slab give at least two threads :data:`THREADS_MIN_CELLS_PER_THREAD`
+    cells each.
     """
 
     name = "threads"
 
     def run_cells(self, n_cells: int, run_one):
-        workers = min(
-            thread_budget(), max(1, n_cells // THREADS_MIN_CELLS_PER_THREAD)
-        )
-        if workers <= 1 or n_cells <= 1:
-            return [run_one(c) for c in range(n_cells)]
+        workers = min(thread_budget(), n_cells // THREADS_MIN_CELLS_PER_THREAD)
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-kernel"
         ) as pool:
             return list(pool.map(run_one, range(n_cells)))
 
 
-class NumbaBackend(KernelBackend):
-    """Compiled per-cell loops; silent bit-identical numpy fallback."""
-
-    name = "numba"
-
-    def prims(self) -> KernelPrimitives:
-        return numba_prims()
+_SERIAL = KernelBackend()
+_THREADS = ThreadsBackend()
 
 
-class AutoBackend(KernelBackend):
-    """Crossover-driven choice among the concrete backends."""
-
-    name = "auto"
+class AutoBackend:
+    """The one place the kernel's execution path is chosen."""
 
     def resolve(self, n_cells: int, m: int) -> KernelBackend:
+        """The path for a slab of ``n_cells`` cells over ``m`` events.
+
+        Only the thread budget and ``n_cells`` decide.  ``m`` is unused;
+        it is kept for the benchmark's
+        ``get_backend().resolve(*wl.slab_shape())`` call in
+        ``perfbench/run.py``.
+        """
         if thread_budget() > 1 and n_cells >= 2 * THREADS_MIN_CELLS_PER_THREAD:
-            return _BACKENDS["threads"]
-        if numba_available() and m >= NUMBA_MIN_M:
-            return _BACKENDS["numba"]
-        return _BACKENDS["numpy"]
-
-    def prims(self) -> KernelPrimitives:  # pragma: no cover - resolve() first
-        return NUMPY_PRIMS
+            return _THREADS
+        return _SERIAL
 
 
-_BACKENDS: dict[str, KernelBackend] = {
-    "auto": AutoBackend(),
-    "numpy": NumpyBackend(),
-    "threads": ThreadsBackend(),
-    "numba": NumbaBackend(),
-}
-
-BACKEND_NAMES = tuple(_BACKENDS)
+_AUTO = AutoBackend()
 
 
-def get_backend(name: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Look up a backend by name (strict), env override, or passthrough.
-
-    ``None`` consults ``REPRO_KERNEL_BACKEND`` and falls back to ``auto``.
-    Unknown names raise ``ValueError`` — including unknown values of the
-    environment variable, so typos fail loudly instead of silently running
-    the default.
-    """
-    if isinstance(name, KernelBackend):
-        return name
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "auto"
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
-        ) from None
+def get_backend() -> AutoBackend:
+    """The kernel's execution-path chooser; ``.resolve(n_cells, m)``
+    returns the ``numpy`` or ``threads`` path for a slab."""
+    return _AUTO

@@ -187,7 +187,7 @@ was reset by the serve that created it); only the rare *die-out
 triggers* — candidates that expire last — enter the sequential cascade.
 There, at most **one** injected extension (the grace reschedule of the
 only surviving copy) is alive at a time, so a compact episode machine
-(:func:`repro.core.backends.KernelPrimitives.wang_cascade`) replays
+(:func:`repro.core.backends.wang_cascade`) replays
 just those episodes: grace extensions, second-expiry shipments to
 server 0 (``transfer += lam`` with the dict-append segment on server
 0), and *flips* — injected copies served locally, which convert a
@@ -196,10 +196,10 @@ Everything downstream (charge values, the pop/serve counting
 interleave, drain and finalize order, ``seq_sum`` / ``repeat_add``
 reductions) reuses the machinery above, so kernel Wang is bit-identical
 to ``_fast_wang``'s heap replay — the tests pin this across every
-registered scenario, tie-prone hypothesis instances, and all execution
-backends.  ``supports()`` therefore carries **no policy exclusions**:
-heterogeneous Algorithm-1 + Wang fleets run as single-tier kernel
-slabs (see :func:`run_policy_slab`).
+registered scenario, tie-prone hypothesis instances, and both the
+serial and the threaded execution path.  ``supports()`` therefore
+carries **no policy exclusions**: heterogeneous Algorithm-1 + Wang
+fleets run as single-tier kernel slabs (see :func:`run_policy_slab`).
 
 Selection: the kernel's fixed overhead (a handful of array allocations
 and one shared per-server sort) loses to the fast engine's lean scalar
@@ -228,7 +228,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..obs import metrics as _obs
-from .backends import NUMPY_PRIMS, KernelBackend, KernelPrimitives, get_backend
+from .backends import (
+    KernelBackend,
+    get_backend,
+    merge_interleave,
+    repeat_add,
+    seq_sum,
+    wang_cascade,
+)
 from .costs import CostModel
 from .policy import PolicyError, ReplicationPolicy
 from .simulator import SimulationResult, simulate
@@ -284,6 +291,9 @@ class Engine(abc.ABC):
 
     name: str = "engine"
 
+    #: extra tags for this engine's ``engine.cell`` spans
+    cell_tags: dict = {}
+
     @abc.abstractmethod
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
@@ -319,16 +329,12 @@ class Engine(abc.ABC):
         """
         if not _obs.enabled:
             return self.run(trace, model, policy, drain, drain_event_cap)
-        tags = self._span_tags(1, len(trace))
-        with _obs.span("engine.cell", tier=self.name, m=len(trace), **tags):
+        with _obs.span(
+            "engine.cell", tier=self.name, m=len(trace), **self.cell_tags
+        ):
             out = self.run(trace, model, policy, drain, drain_event_cap)
         _obs.counter("repro_engine_cells_total", tier=self.name).inc()
         return out
-
-    def _span_tags(self, n_cells: int, m: int) -> dict:
-        """Extra tags for this engine's telemetry spans (kernel adds the
-        active execution backend)."""
-        return {}
 
 
 class ReferenceEngine(Engine):
@@ -1228,7 +1234,6 @@ def _merge_by_expiry(
     dur_within: float,
     dur_beyond: float,
     ws: "_KernelWorkspace",
-    prims: KernelPrimitives = NUMPY_PRIMS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(indices, expiries)`` of ``mask`` in ``(E, server)`` order —
     the expiry heap's pop order.
@@ -1237,12 +1242,11 @@ def _merge_by_expiry(
     strictly increasing request times, so the masked subset of either
     branch is already sorted: the ``(E, server)`` order is a two-stream
     merge, computed on the subsets (the full expiry column is never
-    materialised).  The backend's ``merge_interleave`` primitive does
-    the interleave (numpy: two ``searchsorted`` passes; numba: a
-    compiled two-pointer loop); the server tie-break can only matter
-    *across* streams, so any primitive reports cross-stream expiry ties
-    by returning ``None`` and the rare tied instances fall back to a
-    lexsort here.
+    materialised).  :func:`~repro.core.backends.merge_interleave` does
+    the interleave with two ``searchsorted`` passes; the server
+    tie-break can only matter *across* streams, so it reports
+    cross-stream expiry ties by returning ``None`` and the rare tied
+    instances fall back to a lexsort here.
     """
     t_all, j_all = chains.t_all, chains.j_all
     tmp = np.logical_and(mask, pred, out=ws.b_m1)
@@ -1256,7 +1260,7 @@ def _merge_by_expiry(
         return dw, ew
     if not dw.size:
         return db, eb
-    merged = prims.merge_interleave(dw, ew, db, eb)
+    merged = merge_interleave(dw, ew, db, eb)
     if merged is not None:
         return merged
     mi = np.flatnonzero(mask)
@@ -1346,17 +1350,13 @@ def _kernel_algorithm1(
     pred: np.ndarray,
     drain: bool,
     drain_event_cap: int | None,
-    prims: KernelPrimitives = NUMPY_PRIMS,
 ) -> tuple[float, float, int]:
     """Replay Algorithm 1 with pure array passes (no per-request loop).
 
     Returns ``(storage, transfer, n_transfers)`` bit-identical to
     ``_fast_algorithm1(trace, model, alpha, pred, drain,
     drain_event_cap)`` on the trace behind ``chains``.  See the module
-    DESIGN docstring for the derivation.  ``prims`` supplies the
-    order-sensitive reductions and the expiry merge — every registered
-    implementation replays the exact IEEE op order, so the result does
-    not depend on the backend (``core/backends.py``).
+    DESIGN docstring for the derivation.
     """
     m, m1 = chains.m, chains.m1
     t_all, j_all = chains.t_all, chains.j_all
@@ -1418,7 +1418,7 @@ def _kernel_algorithm1(
     np.copyto(dropped, sw.drop, where=pred)
     if spec_choice.size:
         dropped[spec_choice] = False
-    do, e_do = _merge_by_expiry(chains, dropped, pred, lam, dur_beyond, ws, prims)
+    do, e_do = _merge_by_expiry(chains, dropped, pred, lam, dur_beyond, ws)
     pop_ev = np.where(pred[do], sw.reach[do], sb.reach[do])
     pop_ev += 1                              # monotone: reach follows E
 
@@ -1497,11 +1497,10 @@ def _kernel_algorithm1(
     tail *= rate
     vals[m1 - tail_q.size :] = tail
     # sequential accumulation == the scalar's ordered `storage += charge`
-    # (prims.seq_sum is a strict left-to-right chain on every backend)
-    storage = prims.seq_sum(vals)
+    storage = seq_sum(vals)
 
     # repeated `transfer += lam`, as one sequential left-to-right chain
-    transfer = prims.repeat_add(lam, n_tx)
+    transfer = repeat_add(lam, n_tx)
     return storage, transfer, n_tx
 
 
@@ -1519,9 +1518,9 @@ class _WangReplay:
     ever add coverage, a candidate with a positive baseline count drops
     unconditionally.  Only candidates whose baseline count is zero (die
     outs) go through the sequential episode machine
-    (``prims.wang_cascade``), which tracks the single injected extension
-    a cascade can keep alive at a time.  See the module DESIGN docstring
-    for the bit-identity argument.
+    (:func:`~repro.core.backends.wang_cascade`), which tracks the single
+    injected extension a cascade can keep alive at a time.  See the
+    module DESIGN docstring for the bit-identity argument.
     """
 
     __slots__ = (
@@ -1581,23 +1580,18 @@ class _WangReplay:
         self._results: dict[tuple, tuple[float, float, int]] = {}
         self._lock = threading.Lock()
 
-    def result(
-        self, drain: bool, cap: int | None, prims: KernelPrimitives
-    ) -> tuple[float, float, int]:
+    def result(self, drain: bool, cap: int | None) -> tuple[float, float, int]:
         """Memoised replay: Wang is prediction- and alpha-free, so every
-        same-model cell of a slab shares one replay (results are
-        backend-invariant by the primitives contract)."""
+        same-model cell of a slab shares one replay."""
         key = (bool(drain), cap)
         hit = self._results.get(key)
         if hit is None:
-            new = self._replay(drain, cap, prims)
+            new = self._replay(drain, cap)
             with self._lock:
                 hit = self._results.setdefault(key, new)
         return hit
 
-    def _replay(
-        self, drain: bool, cap: int | None, prims: KernelPrimitives
-    ) -> tuple[float, float, int]:
+    def _replay(self, drain: bool, cap: int | None) -> tuple[float, float, int]:
         chains = self.chains
         m, m1, t_m = chains.m, chains.m1, chains.t_m
         t_all, j_all = chains.t_all, chains.j_all
@@ -1611,7 +1605,7 @@ class _WangReplay:
             n_tx_casc,
             dr_when, dr_srv, dr_start,
             fin_srv, fin_start, fin_kind, fin_ev,
-        ) = prims.wang_cascade(
+        ) = wang_cascade(
             t_all, self.periods,
             self.cand_e, self.cand_srv, self.cand_ev, self.cand_start,
             self.trig_pos, srv_off, srv_req, self.r_cum,
@@ -1698,12 +1692,12 @@ class _WangReplay:
             vals[total - n_fin :] = (t_m - np.minimum(fin_start, t_m)) * rates[
                 fin_srv
             ]
-        storage = prims.seq_sum(vals)
+        storage = seq_sum(vals)
         # transfers: one lam per true miss plus one per cascade ship —
         # identical addends, so one left-to-right chain matches any
         # chronological interleave bit for bit
         n_tx = (m - n_srv) + int(n_tx_casc)
-        transfer = prims.repeat_add(self.lam, n_tx)
+        transfer = repeat_add(self.lam, n_tx)
         return storage, transfer, n_tx
 
 
@@ -1712,14 +1706,13 @@ def _kernel_wang(
     model: CostModel,
     drain: bool,
     drain_event_cap: int | None,
-    prims: KernelPrimitives = NUMPY_PRIMS,
 ) -> tuple[float, float, int]:
     """Replay the Wang et al. baseline with array passes plus the
     sequential episode machine; bit-identical to ``_fast_wang(trace,
     model, drain, drain_event_cap)`` on the trace behind ``chains``."""
     rates = tuple(float(r) for r in model.storage_rates)
     rep = chains.wang(float(model.lam), rates)
-    return rep.result(drain, drain_event_cap, prims)
+    return rep.result(drain, drain_event_cap)
 
 
 class KernelCostEngine(_CostOnlyEngine):
@@ -1731,28 +1724,14 @@ class KernelCostEngine(_CostOnlyEngine):
     the module DESIGN docstring for both bit-identity arguments).  The
     scalar :meth:`run` interface evaluates one cell;
     :func:`run_policy_slab` shares the per-trace chains and
-    per-duration reach arrays across a whole slab.
-
-    ``backend`` picks the execution backend for the kernel passes
-    (``core/backends.py``): ``None`` defers to the
-    ``REPRO_KERNEL_BACKEND`` env override and then ``"auto"``, which
-    fans wide slabs out across threads and (when importable) compiles
-    the sequential reductions with numba.  Every backend is
-    bit-identical — the per-cell IEEE op order never changes — so the
-    choice is purely a throughput knob.
+    per-duration reach arrays across a whole slab, whose cells run
+    serially or across threads as ``core/backends.py`` decides from the
+    thread budget (bit-identical either way).
     """
 
     name = "kernel"
-
-    def __init__(self, backend: "str | KernelBackend | None" = None):
-        self.backend = backend
-
-    def backend_for(self, n_cells: int, m: int) -> KernelBackend:
-        """The concrete backend this engine would use for a slab."""
-        return get_backend(self.backend).resolve(n_cells, m)
-
-    def _span_tags(self, n_cells: int, m: int) -> dict:
-        return {"backend": self.backend_for(n_cells, m).name}
+    # a single cell always runs on the serial path
+    cell_tags = {"backend": KernelBackend.name}
 
     def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
         chains = _SegmentChains(trace)
@@ -1764,15 +1743,10 @@ class KernelCostEngine(_CostOnlyEngine):
             within,
             drain,
             drain_event_cap,
-            self.backend_for(1, chains.m).prims(),
         )
 
     def _wang(self, trace, model, drain, drain_event_cap):
-        chains = _SegmentChains(trace)
-        return _kernel_wang(
-            chains, model, drain, drain_event_cap,
-            self.backend_for(1, chains.m).prims(),
-        )
+        return _kernel_wang(_SegmentChains(trace), model, drain, drain_event_cap)
 
 
 def run_slab(
@@ -1781,15 +1755,14 @@ def run_slab(
     cells: Sequence[SlabCell],
     factory: SlabFactory,
     engine: str | Engine = "auto",
-    backend: "str | KernelBackend | None" = None,
 ) -> list:
     """Evaluate a slab of grid cells sharing one ``(trace, lambda)``.
 
     The grid-facing adapter of :func:`run_policy_slab`: ``cells`` is a
     sequence of ``(alpha, accuracy, seed)`` tuples and ``factory``
     follows the sweep-layer policy-factory signature.  Each cell's
-    policy is built exactly once; tier selection, backends, telemetry
-    and the per-cell fallback are :func:`run_policy_slab`'s.
+    policy is built exactly once; tier selection, telemetry and the
+    per-cell fallback are :func:`run_policy_slab`'s.
     """
     return run_policy_slab(
         trace,
@@ -1798,7 +1771,6 @@ def run_slab(
             for alpha, accuracy, seed in cells
         ],
         engine,
-        backend,
     )
 
 
@@ -1806,7 +1778,6 @@ def run_policy_slab(
     trace: Trace,
     cells: Sequence[tuple[CostModel, ReplicationPolicy]],
     engine: str | Engine = "auto",
-    backend: "str | KernelBackend | None" = None,
 ) -> list:
     """Evaluate pre-built ``(model, policy)`` cells sharing one trace.
 
@@ -1834,18 +1805,12 @@ def run_policy_slab(
     Cells no slab tier takes fall back through :func:`select_engine`
     one at a time, so a concrete engine name stays strict (it raises on
     policies it cannot execute) while ``"auto"`` always completes.
-    ``backend`` picks the kernel tier's execution backend
-    (``core/backends.py``); a caller-supplied kernel instance keeps its
-    own backend unless ``backend`` overrides it.  Per-cell costs are
-    bit-identical to ``select_engine(trace, model, policy,
-    engine).run_observed(trace, model, policy)`` on every path and every
-    backend.
+    Per-cell costs are bit-identical to ``select_engine(trace, model,
+    policy, engine).run_observed(trace, model, policy)`` on every path.
     """
     from ..algorithms.wang import WangReplication
 
     cells = list(cells)
-    if backend is not None:
-        get_backend(backend)    # strict: unknown names fail loudly
     for model, _ in cells:
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
@@ -1867,11 +1832,7 @@ def run_policy_slab(
             not wants_batch and len(trace) >= KERNEL_SLAB_MIN_M
         ):
             if len(alg1) + len(wangs) > 1:
-                if isinstance(engine, KernelCostEngine) and backend is None:
-                    kernel = engine
-                else:
-                    kernel = get_engine("kernel", backend=backend)
-                _kernel_slab(trace, cells, alg1, wangs, kernel, results)
+                _kernel_slab(trace, cells, alg1, wangs, results)
         else:
             _batch_slabs(trace, cells, alg1 + wangs, results)
     # per-cell fallback: "auto" keeps auto-selecting; a concrete engine
@@ -1879,7 +1840,7 @@ def run_policy_slab(
     # the scalar paths do
     for i, (model, policy) in enumerate(cells):
         if results[i] is None:
-            eng = select_engine(trace, model, policy, engine, backend=backend)
+            eng = select_engine(trace, model, policy, engine)
             results[i] = eng.run_observed(trace, model, policy)
     return results
 
@@ -1900,16 +1861,15 @@ def _kernel_slab(
     cells: list,
     alg1: list[int],
     wangs: list[int],
-    kernel: KernelCostEngine,
     results: list,
 ) -> None:
     """Replay the ``alg1`` and ``wangs`` cells over one shared segment
-    scan on ``kernel``'s execution backend, filling ``results``."""
+    scan, on the execution path ``auto`` picks for the slab, filling
+    ``results``."""
     from ..predictions.stream import PredictionStream
 
     units = alg1 + wangs
-    be = kernel.backend_for(len(units), len(trace))
-    prims = be.prims()
+    be = get_backend().resolve(len(units), len(trace))
 
     def run() -> list:
         # the prediction matrix is slab work too: the span covers it,
@@ -1932,9 +1892,8 @@ def _kernel_slab(
                     rows[k],
                     True,
                     None,
-                    prims,
                 )
-            return _kernel_wang(chains, model, True, None, prims)
+            return _kernel_wang(chains, model, True, None)
 
         # run_cells preserves cell-index order
         return be.run_cells(len(units), one)
@@ -2008,32 +1967,9 @@ ENGINE_NAMES: tuple[str, ...] = ("auto", "batch", "fast", "kernel", "reference")
 KERNEL_MIN_M = 256
 KERNEL_SLAB_MIN_M = 1_024
 
-#: backend-configured kernel engine singletons, one per backend name
-#: (``get_engine("kernel")`` without a backend keeps returning the
-#: registry instance, preserving identity for selection tests and memos)
-_KERNEL_VARIANTS: dict[str, KernelCostEngine] = {}
 
-
-def _kernel_variant(backend: "str | KernelBackend") -> KernelCostEngine:
-    name = get_backend(backend).name     # strict: validates the name
-    eng = _KERNEL_VARIANTS.get(name)
-    if eng is None:
-        eng = _KERNEL_VARIANTS.setdefault(name, KernelCostEngine(backend=name))
-    return eng
-
-
-def get_engine(
-    name: str | Engine, backend: "str | KernelBackend | None" = None
-) -> Engine:
-    """Resolve an engine instance from a name (``"fast"``/``"reference"``).
-
-    ``backend`` configures the kernel tier's execution backend
-    (``core/backends.py``); it is validated strictly but only takes
-    effect when the resolved engine is the kernel — the other tiers
-    have a single execution strategy.
-    """
-    if backend is not None:
-        get_backend(backend)    # strict even when the engine ignores it
+def get_engine(name: str | Engine) -> Engine:
+    """Resolve an engine instance from a name (``"fast"``/``"reference"``)."""
     if isinstance(name, Engine):
         return name
     try:
@@ -2042,8 +1978,6 @@ def get_engine(
         raise ValueError(
             f"unknown engine {name!r}; choose from {sorted(_ENGINES)} or 'auto'"
         ) from None
-    if backend is not None and name == "kernel":
-        return _kernel_variant(backend)
     return eng
 
 
@@ -2052,7 +1986,6 @@ def select_engine(
     model: CostModel,
     policy: ReplicationPolicy,
     engine: str | Engine = "auto",
-    backend: "str | KernelBackend | None" = None,
 ) -> Engine:
     """Pick the engine for one run.
 
@@ -2063,22 +1996,17 @@ def select_engine(
     cells sharing one trace go through :func:`run_policy_slab`, which
     owns the slab crossover.  A concrete name or :class:`Engine`
     instance is returned as-is — callers that need telemetry must pass
-    ``"reference"`` explicitly.  ``backend`` configures the kernel
-    tier's execution backend whenever the kernel is the outcome
-    (``core/backends.py``); the other tiers ignore it.
+    ``"reference"`` explicitly.
     """
-    if backend is not None:
-        get_backend(backend)    # strict even when the kernel loses
     if engine != "auto":
-        return get_engine(engine, backend=backend)
+        return get_engine(engine)
     kernel = _ENGINES["kernel"]
     if not kernel.supports(trace, model, policy):
         chosen, reason = _ENGINES["reference"], "fast_ineligible"
     elif len(trace) < KERNEL_MIN_M:
         chosen, reason = _ENGINES["fast"], "below_kernel_crossover"
     else:
-        chosen = kernel if backend is None else _kernel_variant(backend)
-        reason = "kernel_eligible"
+        chosen, reason = kernel, "kernel_eligible"
     if _obs.enabled:
         _obs.counter(
             "repro_engine_select_total", engine=chosen.name, reason=reason

@@ -270,7 +270,6 @@ def _slab_chunk_task(
         scenario: Scenario = ctx["scenario"]
         trace = _resolve_trace(trace_key)
         engine = ctx.get("engine", "auto")
-        backend = ctx.get("backend")
         model = CostModel(lam=lam, n=trace.n)
         runs = run_slab(
             trace,
@@ -278,7 +277,6 @@ def _slab_chunk_task(
             [(alpha, accuracy, seed) for _, alpha, accuracy, seed in cells],
             scenario.policy_factory,
             engine=engine,
-            backend=backend,
         )
         return [(cell[0], run.total_cost) for cell, run in zip(cells, runs)]
 
@@ -312,7 +310,6 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
         ctx = _ctx()
         n: int = ctx["n"]
         engine = ctx.get("engine", "reference")
-        backend = ctx.get("backend")
         factories = ctx["factories"]
         ship_results: bool = ctx["fleet_ship_results"]
         rows: list[tuple[int, Any]] = []
@@ -321,22 +318,12 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
             model = CostModel(lam=lam, n=n)
             cells = [(model, factories[f](trace, model)) for f in fidxs]
             if _obs.enabled:
-                # tag with the backend the kernel tier would resolve for
-                # this sub-slab's shape, so `repro obs summary` groups
-                # fleet chunks per backend exactly like engine spans
-                be = backends.get_backend(backend).resolve(
-                    len(cells), len(trace)
-                )
                 with _obs.span(
-                    "fleet.chunk",
-                    objects=len(idxs),
-                    m=len(trace),
-                    lam=lam,
-                    backend=be.name,
+                    "fleet.chunk", objects=len(idxs), m=len(trace), lam=lam
                 ):
-                    runs = run_policy_slab(trace, cells, engine, backend=backend)
+                    runs = run_policy_slab(trace, cells, engine)
             else:
-                runs = run_policy_slab(trace, cells, engine, backend=backend)
+                runs = run_policy_slab(trace, cells, engine)
             for i, result in zip(idxs, runs):
                 if not ship_results:
                     rows.append((i, result.total_cost))
@@ -394,8 +381,8 @@ class _Executor:
 
     When forking, also installs a kernel thread budget of
     ``cores // workers`` *before* the pool is created, so forked workers
-    inherit the cap and the ``threads`` backend never oversubscribes the
-    box beyond ``workers x threads <= cores`` (the serial path keeps the
+    inherit the cap and the kernel's threaded path never oversubscribes
+    the box beyond ``workers x threads <= cores`` (the serial path keeps the
     full budget).  The previous budget is restored on exit.
     """
 
@@ -506,15 +493,11 @@ class ExperimentRunner:
         the fast or reference engine otherwise; ``"kernel"``/
         ``"batch"``/``"fast"``/``"reference"`` force one engine.
         Results are bit-identical across engines, so the result cache is
-        shared between them.
-    backend:
-        Kernel execution backend (``core/backends.py``): ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and then ``"auto"``;
-        ``"numpy"``/``"threads"``/``"numba"`` force one.  Backends are
-        bit-identical too, so the cache is shared across them as well.
-        When this runner forks worker processes it caps the thread
-        backend's fan-out at ``cores // workers`` for the duration of
-        the run (workers x threads <= cores).
+        shared between them.  When this runner forks worker processes it
+        caps the kernel's thread fan-out at ``cores // workers`` for the
+        duration of the run (workers x threads <= cores); that budget is
+        what decides whether a kernel slab runs serially or threaded
+        (``core/backends.py``), bit-identically either way.
     spill_dir:
         Directory for content-addressed ``<digest>.npz`` trace spool
         files (the columnar worker hand-off).  ``None`` (default) uses a
@@ -540,7 +523,6 @@ class ExperimentRunner:
         engine: str | Engine = "auto",
         spill_dir: str | os.PathLike[str] | None = None,
         spill_threshold: int | None = DEFAULT_SPILL_THRESHOLD,
-        backend: str | None = None,
     ):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -549,7 +531,6 @@ class ExperimentRunner:
         self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
         self.engine = engine
-        self.backend = backend
         self.spill_dir = spill_dir
         self.spill_threshold = spill_threshold
 
@@ -570,7 +551,6 @@ class ExperimentRunner:
         seed: int = 0,
         optimal_cache: dict[float, float] | None = None,
         engine: str | Engine | None = None,
-        backend: str | None = None,
     ) -> SweepResult:
         """Drop-in parallel equivalent of the serial ``sweep_grid`` loop.
 
@@ -598,7 +578,6 @@ class ExperimentRunner:
             optimal_cache=optimal_cache,
             sim_cache=self.cache if salt is not None else NullCache(),
             engine=engine,
-            backend=backend,
         )
         return result.sweep_result(seed)
 
@@ -609,7 +588,6 @@ class ExperimentRunner:
         engine: str | Engine | None = None,
         materialize: bool = True,
         top_k: int = 16,
-        backend: str | None = None,
     ):
         """Parallel equivalent of ``MultiObjectSystem.run``.
 
@@ -651,8 +629,6 @@ class ExperimentRunner:
 
         if engine is None:
             engine = "reference" if self.engine == "auto" else self.engine
-        if backend is None:
-            backend = self.backend
         specs = list(system.specs)
         report = FleetReport(materialize=materialize, top_k=top_k)
         if not specs:
@@ -697,7 +673,6 @@ class ExperimentRunner:
             "trace_files": trace_files,
             "n": n,
             "engine": engine,
-            "backend": backend,
             "factories": factories,
             "fleet_ship_results": bool(materialize),
         }
@@ -964,7 +939,6 @@ class ExperimentRunner:
         optimal_cache: dict[float, float] | None = None,
         sim_cache: ResultCache | NullCache | None = None,
         engine: str | Engine | None = None,
-        backend: str | None = None,
     ) -> ExperimentResult:
         busy0 = (
             _obs.counter("repro_worker_busy_seconds_total").value
@@ -975,7 +949,7 @@ class ExperimentRunner:
         # enabled) and is the stopwatch behind ExperimentResult.elapsed
         with _obs.timed_span("runner.scenario", scenario=scenario.name) as sp:
             out = self._run_scenario_inner(
-                scenario, optimal_cache, sim_cache, engine, backend
+                scenario, optimal_cache, sim_cache, engine
             )
         out.elapsed = sp.elapsed
         _log.info(
@@ -1002,14 +976,11 @@ class ExperimentRunner:
         optimal_cache: dict[float, float] | None,
         sim_cache: ResultCache | NullCache | None,
         engine: str | Engine | None,
-        backend: str | None = None,
     ) -> ExperimentResult:
         if sim_cache is None:
             sim_cache = self.cache
         if engine is None:
             engine = self.engine
-        if backend is None:
-            backend = self.backend
         jobs = _enumerate_jobs(scenario)
         out = ExperimentResult(
             scenario=scenario.name,
@@ -1034,7 +1005,6 @@ class ExperimentRunner:
             "traces": inherit,
             "trace_files": trace_files,
             "engine": engine,
-            "backend": backend,
         }
         opts: dict[tuple[tuple, float], float] = {}
         online: dict[int, tuple[float, bool]] = {}

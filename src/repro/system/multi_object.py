@@ -460,7 +460,6 @@ class MultiObjectSystem:
         grouped: bool = False,
         materialize: bool = True,
         top_k: int = 16,
-        backend: str | None = None,
     ) -> FleetReport:
         """Simulate every object; optionally skip the offline optima.
 
@@ -476,8 +475,7 @@ class MultiObjectSystem:
         fast-path eligible — outcomes then carry a
         :class:`~repro.core.engine.CostResult` with identical costs but
         no telemetry (``"auto"`` picks the loop-free kernel for long
-        eligible traces).  ``backend`` picks the kernel tier's execution
-        backend (``core/backends.py``), bit-identical across choices.
+        eligible traces).
 
         ``grouped=True`` evaluates objects sharing a ``(trace, lambda)``
         as one cross-object engine slab in-process
@@ -497,7 +495,6 @@ class MultiObjectSystem:
                 engine=engine,
                 materialize=materialize,
                 top_k=top_k,
-                backend=backend,
             )
         report = FleetReport(materialize=materialize, top_k=top_k)
         opt_memo: dict[tuple[int, float], float] = {}
@@ -526,7 +523,7 @@ class MultiObjectSystem:
                     (model, self.specs[i].policy_factory(trace, model))
                     for i in idxs
                 ]
-                runs = run_policy_slab(trace, cells, engine, backend=backend)
+                runs = run_policy_slab(trace, cells, engine)
                 opt = opt_for(trace, lam)
                 for i, r in zip(idxs, runs):
                     rows[i] = (r, opt)
@@ -542,9 +539,9 @@ class MultiObjectSystem:
         for spec in self.specs:
             model = CostModel(lam=spec.lam, n=self.n)
             policy = spec.policy_factory(spec.trace, model)
-            result = select_engine(
-                spec.trace, model, policy, engine, backend=backend
-            ).run_observed(spec.trace, model, policy)
+            result = select_engine(spec.trace, model, policy, engine).run_observed(
+                spec.trace, model, policy
+            )
             report.add(
                 spec.object_id,
                 result.total_cost,

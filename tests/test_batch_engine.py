@@ -31,7 +31,6 @@ from repro import (
     ObjectSpec,
     PredictionStream,
     ReferenceEngine,
-    Trace,
     WangReplication,
     get_engine,
     run_slab,
@@ -49,7 +48,7 @@ from repro.predictions import (
 )
 from repro.workloads import diurnal_trace, uniform_random_trace
 
-from conftest import slab_passes
+from conftest import instances, slab_passes, slabs
 
 BATCH = BatchCostEngine()
 FAST = FastCostEngine()
@@ -84,38 +83,6 @@ def assert_slab_matches_scalar(trace, model, factory, cells, check_reference=Fal
 # ----------------------------------------------------------------------
 # property-based equivalence: random traces x slabs x all three policies
 # ----------------------------------------------------------------------
-
-
-@st.composite
-def traces(draw, max_n=5, max_m=30):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, max_m))
-    gaps = draw(
-        st.lists(
-            st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
-            min_size=m,
-            max_size=m,
-        )
-    )
-    servers = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    times = np.cumsum(gaps)
-    return Trace(n, list(zip(times.tolist(), servers)))
-
-
-@st.composite
-def instances(draw):
-    trace = draw(traces())
-    lam = draw(st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False))
-    return trace, CostModel(lam=lam, n=trace.n)
-
-
-@st.composite
-def slabs(draw, max_cells=6):
-    k = draw(st.integers(1, max_cells))
-    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    accs = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    seeds = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
-    return list(zip(alphas, accs, seeds))
 
 
 @settings(max_examples=50, deadline=None)

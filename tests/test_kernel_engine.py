@@ -60,7 +60,7 @@ from repro.predictions import (
 )
 from repro.workloads import ibm_like_trace, uniform_random_trace
 
-from conftest import slab_passes
+from conftest import instances, slab_passes, slabs, tie_prone_traces
 
 KERNEL = KernelCostEngine()
 FAST = FastCostEngine()
@@ -104,50 +104,6 @@ def assert_kernel_matches_scalar(
 # ----------------------------------------------------------------------
 # property-based equivalence: random traces x slabs x eligible policies
 # ----------------------------------------------------------------------
-
-
-@st.composite
-def traces(draw, max_n=5, max_m=30):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, max_m))
-    gaps = draw(
-        st.lists(
-            st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
-            min_size=m,
-            max_size=m,
-        )
-    )
-    servers = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    times = np.cumsum(gaps)
-    return Trace(n, list(zip(times.tolist(), servers)))
-
-
-@st.composite
-def tie_prone_traces(draw, max_n=4, max_m=24):
-    """Integer gaps force expiry-time ties across prediction branches,
-    exercising the kernel's merge tie-break fallback."""
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, max_m))
-    gaps = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
-    servers = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    times = np.cumsum(np.asarray(gaps, dtype=float))
-    return Trace(n, list(zip(times.tolist(), servers)))
-
-
-@st.composite
-def instances(draw):
-    trace = draw(traces())
-    lam = draw(st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False))
-    return trace, CostModel(lam=lam, n=trace.n)
-
-
-@st.composite
-def slabs(draw, max_cells=6):
-    k = draw(st.integers(1, max_cells))
-    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    accs = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    seeds = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
-    return list(zip(alphas, accs, seeds))
 
 
 @settings(max_examples=50, deadline=None)
@@ -290,22 +246,6 @@ def test_wang_drain_configurations_bit_identity(inst, drain, cap):
     assert k.transfer_cost == f.transfer_cost
     assert k.n_transfers == f.n_transfers
     assert k.engine == "kernel"
-
-
-@settings(max_examples=25, deadline=None)
-@given(wang_instances())
-def test_wang_bit_identity_across_backends(inst):
-    """Every execution backend replays the cascade bit-identically
-    (numba exercises its fallback wrapper when unavailable)."""
-    trace, model = inst
-    f = FAST.run(trace, model, WangReplication())
-    for backend in ("numpy", "threads", "numba"):
-        k = KernelCostEngine(backend=backend).run(
-            trace, model, WangReplication()
-        )
-        assert k.storage_cost == f.storage_cost, backend
-        assert k.transfer_cost == f.transfer_cost, backend
-        assert k.n_transfers == f.n_transfers, backend
 
 
 # ----------------------------------------------------------------------
