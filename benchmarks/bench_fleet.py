@@ -9,16 +9,17 @@ instead of one engine call each (Wang cells ride the same kernel slab
 via the cascade factorisation; equal-model Wang cells deduplicate
 through its memoised replay).  Three paths are timed:
 
-* **serial** — ``MultiObjectSystem.run`` object-at-a-time on the fast
-  engine (measured on a subsample, reported as objects/sec);
+* **serial** — ``MultiObjectSystem.run`` object-at-a-time, each object
+  on the engine ``auto`` picks for a single cell (measured on a
+  subsample, reported as objects/sec);
 * **grouped** — in-process cross-object slabs
   (``run(grouped=True, materialize=False)``);
 * **sharded** — ``ExperimentRunner.run_fleet`` across worker processes
   with work-sized chunks, streaming aggregates, and no per-object IPC.
 
 Bit-identity of the grouped, sharded, and streaming paths against the
-serial reference loop is always asserted on a small fleet of the same
-mixed-policy shape before any timing.  The vectorized ``split_trace_by_object`` is
+serial reference-simulator loop is always asserted on a small fleet of
+the same mixed-policy shape before any timing.  The vectorized ``split_trace_by_object`` is
 benchmarked against the per-row reference loop on the same log.
 
 Standalone use (the CI smoke step runs this via ``repro bench``)::
@@ -140,7 +141,7 @@ def check_bit_identity(workers: int = 2) -> None:
 
     system = _build_fleet(IDENTITY_OBJECTS, _templates(4),
                           factories=_mixed_factories())
-    serial = system.run(engine="fast")
+    serial = system.run(engine="reference")
     grouped = system.run(engine="auto", grouped=True)
     for a, b in zip(serial.outcomes, grouped.outcomes):
         assert a.online == b.online, (a.object_id, a.online, b.online)
@@ -236,7 +237,7 @@ def run_fleet_bench(
     serial_system = _build_fleet(sample, templates,
                                  factories=_mixed_factories())
     t0 = time.perf_counter()
-    serial_report = serial_system.run(engine="fast", materialize=False)
+    serial_report = serial_system.run(engine="auto", materialize=False)
     serial_s = time.perf_counter() - t0
     serial_rate = sample / serial_s
 

@@ -3,12 +3,10 @@
 Runs the cost-only tiers (plus the reference simulator at the smallest
 sizes) through the slab dispatcher every layer above uses,
 :func:`repro.core.engine.run_slab` with a forced ``engine=``, and
-records three views of the ``auto`` selection crossovers:
+records two views of the ``auto`` slab crossover:
 
 * ``rows`` — a compact 12-cell Algorithm-1 slab over growing IBM-like
   traces, on both sides of :data:`repro.core.engine.KERNEL_SLAB_MIN_M`;
-* ``single_cell_rows`` — one cell on the fast and kernel tiers at the
-  same sizes, on both sides of :data:`repro.core.engine.KERNEL_MIN_M`;
 * ``wide_slab`` — the shape of one ``(trace, lambda)`` slab of
   ``bench_fleet.py``'s template fleet (64 requests on 8 servers, about
   800 cells), the short-and-wide corner the batch tier is kept for.
@@ -46,8 +44,7 @@ except ImportError:  # pragma: no cover - `repro bench` without test deps
 SCALE_LAMBDA = 10.0
 SMOKE_N = 10
 SMOKE_SEED = 0
-#: KERNEL_MIN_M (256) falls between the first two sizes and
-#: KERNEL_SLAB_MIN_M (1024) between the second and third
+#: KERNEL_SLAB_MIN_M (1024) falls between the second and third sizes
 DEFAULT_SIZES = (128, 512, 2_000, 20_000, 200_000)
 REPEATS = 3
 
@@ -132,15 +129,14 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     from repro.workloads import ibm_like_trace, uniform_random_trace
 
     cells = _cells()
-    rows, single = [], []
+    rows = []
     for m in sizes:
         trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
         model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
-        engines = ["fast", "batch", "kernel"]
+        engines = ["batch", "kernel"]
         if m <= REFERENCE_MAX_M:
             engines.insert(0, "reference")
         rows += _time_tiers(trace, model, cells, engines, repeats)
-        single += _time_tiers(trace, model, cells[:1], ["fast", "kernel"], repeats)
     wide_trace = uniform_random_trace(
         WIDE_N, WIDE_M, horizon=float(WIDE_M), seed=SMOKE_SEED
     )
@@ -148,7 +144,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
         wide_trace,
         CostModel(lam=WIDE_LAMBDA, n=WIDE_N),
         _cells(range(WIDE_SEEDS)),
-        ["fast", "batch", "kernel"],
+        ["batch", "kernel"],
         repeats,
     )
     top = [r for r in rows if r["m"] == max(sizes)]
@@ -163,7 +159,6 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
         "cpu_count": os.cpu_count() or 1,
         "repeats": repeats,
         "rows": rows,
-        "single_cell_rows": single,
         "wide_slab": {
             "trace": {"workload": "uniform_random", "n": WIDE_N, "m": WIDE_M,
                       "seed": SMOKE_SEED},
@@ -171,7 +166,6 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "rows": wide,
         },
         "kernel_vs_batch_at_largest": _per_cell(top, "batch") / _per_cell(top, "kernel"),
-        "kernel_vs_fast_at_largest": _per_cell(top, "fast") / _per_cell(top, "kernel"),
         "batch_vs_kernel_wide": _per_cell(wide, "kernel") / _per_cell(wide, "batch"),
     }
 
@@ -180,7 +174,6 @@ def format_rows(report: dict) -> str:
     lines = ["view          m     engine  cells     best   median    per-cell"]
     views = (
         ("slab", report["rows"]),
-        ("single", report["single_cell_rows"]),
         ("wide", report["wide_slab"]["rows"]),
     )
     for view, rows in views:
@@ -204,7 +197,6 @@ def test_engine_tier_scaling(benchmark):
     report = run_scaling_sweep(sizes=(2_000, 20_000), repeats=1)
     emit("Engine tier scaling (size x tier, per-cell)", format_rows(report))
     assert report["kernel_vs_batch_at_largest"] >= 1.0
-    assert report["kernel_vs_fast_at_largest"] >= 1.0
 
     trace = ibm_like_trace(n=SMOKE_N, m=20_000, seed=SMOKE_SEED)
     model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
@@ -271,8 +263,7 @@ def main(argv=None) -> int:
     print(format_rows(report))
     speedup = report["kernel_vs_batch_at_largest"]
     print(
-        f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x "
-        f"(vs fast: {report['kernel_vs_fast_at_largest']:.2f}x); wide "
+        f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x; wide "
         f"m={WIDE_M} slab: batch {report['batch_vs_kernel_wide']:.2f}x "
         f"over kernel -> {out}"
     )

@@ -12,7 +12,7 @@ Run:  python examples/multi_object_fleet.py [--engine auto|reference]
 
 The learned ensembles observe requests one at a time, so they are never
 streamable and ``auto`` falls back to the reference engine per object.
-(The strict ``fast``/``batch`` engines would refuse them outright;
+(The strict ``batch``/``kernel`` engines would refuse them outright;
 they become useful when you swap in oracle/noisy/fixed predictors and
 want cost-only fleets.)
 """
@@ -51,7 +51,7 @@ def main() -> None:
         "--engine", choices=("auto", "reference"), default="reference",
         help="simulation engine for per-object runs (default: reference, "
         "which keeps full telemetry in the report; the ensembles here "
-        "are not streamable, so the strict fast/batch engines would "
+        "are not streamable, so the strict batch/kernel engines would "
         "refuse them)",
     )
     args = parser.parse_args()

@@ -54,7 +54,6 @@ from .core import (
     EngineError,
     EventKind,
     EventLog,
-    FastCostEngine,
     InteractiveSimulation,
     KernelCostEngine,
     PolicyError,
@@ -133,7 +132,6 @@ __all__ = [
     "EngineError",
     "CostResult",
     "BatchCostEngine",
-    "FastCostEngine",
     "KernelCostEngine",
     "ReferenceEngine",
     "get_engine",

@@ -155,10 +155,10 @@ def sweep_grid(
     ``engine`` selects the simulation engine; the default (``None``)
     means ``"auto"`` — each ``(trace, lambda)``'s whole slab of
     ``(alpha, accuracy)`` cells runs through loop-free segment-scan
-    kernel replays (above the measured crossover trace length) or one
-    vectorized batch pass when the factory's policies are fast-path
-    eligible (grid cells consume only ``total_cost``), per-cell on the
-    fast or reference engine otherwise — or, with a ``runner``,
+    kernel replays (above the measured slab crossover trace length) or
+    one vectorized batch pass when a cost-only tier supports the
+    factory's policies (grid cells consume only ``total_cost``),
+    per-cell on the reference engine otherwise — or, with a ``runner``,
     whatever engine the runner was configured with.  Per-cell results
     are bit-identical across engines; pass ``"reference"`` to force the
     full-telemetry simulator.

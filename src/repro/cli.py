@@ -114,11 +114,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="auto",
         help="simulation engine: 'kernel' = loop-free segment-scan "
-        "replay (fastest at scale), 'batch' = one vectorized pass per "
-        "(trace, lambda) slab, 'fast' = cost-only slot-state replay per "
-        "cell, 'reference' = full-telemetry event loop, 'auto' (default) "
-        "= kernel above its measured crossover, batch/fast below it, "
-        "reference for policies no cost-only tier supports")
+        "replay, 'batch' = one vectorized pass per (trace, lambda) "
+        "slab, 'reference' = full-telemetry event loop, 'auto' "
+        "(default) = kernel for single cells and long slabs, batch for "
+        "short slabs, reference for policies no cost-only tier supports")
 
 
 def build_parser() -> argparse.ArgumentParser:

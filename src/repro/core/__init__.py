@@ -13,7 +13,6 @@ from .engine import (
     CostResult,
     Engine,
     EngineError,
-    FastCostEngine,
     KernelCostEngine,
     ReferenceEngine,
     get_engine,
@@ -45,7 +44,6 @@ __all__ = [
     "ENGINE_NAMES",
     "CostResult",
     "BatchCostEngine",
-    "FastCostEngine",
     "KernelCostEngine",
     "ReferenceEngine",
     "get_engine",

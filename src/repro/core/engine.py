@@ -1,10 +1,10 @@
-"""Tiered simulation engines: full-telemetry reference vs cost-only fast path.
+"""Tiered simulation engines: full-telemetry reference vs cost-only tiers.
 
 DESIGN
 ======
 
-Why two engines
----------------
+Why two kinds of engine
+-----------------------
 The event-driven simulator (:func:`repro.core.simulator.simulate`) is the
 semantic ground truth of this repository: it allocates an :class:`Event`
 per state change, a :class:`ServeRecord` per request, and a
@@ -19,16 +19,16 @@ This module splits the two concerns behind one interface:
 * :class:`ReferenceEngine` — delegates to :func:`simulate` unchanged.
   Full telemetry, every policy, the only engine whose results carry
   event logs, serve records, copy records, and classifications.
-* :class:`FastCostEngine` — replays the *same decision process* with
-  slot-based scalar state: a dict of live copy segment starts, an expiry
-  heap of plain tuples, and a precomputed
-  :class:`~repro.predictions.stream.PredictionStream`.  No event log, no
-  per-request dataclasses, no policy callbacks.  It returns a
-  :class:`CostResult` carrying only the cost ledger totals.
+* the cost-only tiers, :class:`BatchCostEngine` and
+  :class:`KernelCostEngine` — replay the *same decision process* from a
+  precomputed :class:`~repro.predictions.stream.PredictionStream`, with
+  no event log, no per-request dataclasses and no policy callbacks.
+  They return a :class:`CostResult` carrying only the cost ledger
+  totals.
 
 Exact equivalence, not approximate
 ----------------------------------
-The fast engine is written to mirror the reference engine's
+The cost-only tiers are written to reproduce the reference engine's
 *floating-point operation order*, not merely its semantics: storage is
 charged at the same moments (renewal, drop, finalize) with the same
 ``(min(end, t_m) - min(start, t_m)) * rate`` expression, transfers are
@@ -37,11 +37,11 @@ in the same ``(time, server, token)`` heap order, and finalization walks
 live copies in the same dict-insertion order as ``SimContext._holding``.
 Noisy-oracle predictions are drawn as one batched ``random(m + 1)``
 call, bit-identical to the incremental per-query draws.  Consequently
-fast-engine costs are not just "within 1e-9" of the reference — they are
-bit-identical on every instance, and the test suite pins both.
+cost-only costs are not just "within 1e-9" of :func:`simulate` — they
+are bit-identical on every instance, and the test suite pins it.
 
-Which policies are fast-path eligible
--------------------------------------
+Which policies the cost-only tiers take
+---------------------------------------
 A policy qualifies only if its decisions are a pure function of
 ``(trace, model, streamable predictions)``:
 
@@ -57,18 +57,19 @@ Everything else falls back to the reference engine:
 
 * :class:`AdaptiveReplication` monitors its own realized cost ratio and
   switches durations adaptively — its state depends on per-request
-  telemetry the fast path does not materialise;
+  telemetry the cost-only tiers do not materialise;
 * history-based predictors (sliding window, Markov, EWMA, ensembles)
   learn from ``observe`` callbacks in arrival order;
 * anything needing classifications, serve records, event logs, or copy
-  records must use the reference engine — the fast path never produces
-  telemetry, by construction.
+  records must use the reference engine — the cost-only tiers never
+  produce telemetry, by construction.
 
-The fast, batch and kernel tiers share that rule and everything around
+The batch and kernel tiers share that rule and everything around
 their replays — the model check, the policy-kind dispatch, prediction
 streaming, the errors, :class:`CostResult` assembly — through one base
 class, :class:`_CostOnlyEngine`; each tier supplies only its Algorithm-1
-and Wang replay.  ``select_engine(trace, model, policy, "auto")`` returns
+replay (Wang's prediction-free baseline replays on the kernel's cascade
+for both).  ``select_engine(trace, model, policy, "auto")`` returns
 a cost-only tier iff ``supports()`` holds, else the reference engine.
 ``sweep_grid`` and ``ExperimentRunner`` default to ``"auto"`` because
 grid cells consume only costs; ``MultiObjectSystem.run`` defaults to
@@ -78,9 +79,8 @@ per-object results.
 The batch tier: one trace pass per slab
 ---------------------------------------
 The paper's grids evaluate hundreds of cells ``(alpha, accuracy, seed)``
-that share one ``(trace, lambda)``; the fast engine still replays the
-trace once *per cell*.  :class:`BatchCostEngine` replays it once *per
-slab*: per-server slot state becomes ``(n_servers, n_cells)`` NumPy
+that share one ``(trace, lambda)``; a per-cell replay walks the trace
+once *per cell*.  :class:`BatchCostEngine` replays it once *per slab*: per-server slot state becomes ``(n_servers, n_cells)`` NumPy
 arrays, the expiry heap becomes per-server due-time columns (each server
 holds at most one live heap entry, so a ``(n_servers, n_cells)`` due
 matrix plus an argmin over servers reproduces the ``(time, server,
@@ -89,15 +89,15 @@ per-cell insertion counter so finalization walks live copies in the
 identical sequence.  Every per-cell floating-point operation — the
 ``(min(end, t_m) - min(start, t_m)) * rate`` storage charges, the
 repeated ``+= lambda`` transfer additions, the single ``alpha * lambda``
-duration product — is the same IEEE double op the scalar replay
+duration product — is the same IEEE double op the reference ledger
 performs, in the same order, so per-cell batch costs are bit-identical
-to :class:`FastCostEngine` (and hence to the reference simulator).
+to :func:`simulate`.
 
 Wang's baseline ignores predictions and alpha entirely, so a slab's
-equal-model Wang cells reduce to one scalar fast replay broadcast
-across them; the conventional baseline rides the batch pass with a
-constant "beyond" prediction column (it pins the duration to
-``lambda``).
+equal-model Wang cells reduce to one kernel-tier replay
+(:func:`_kernel_wang`) shared across them; the conventional baseline
+rides the batch pass with a constant "beyond" prediction column (it
+pins the duration to ``lambda``).
 
 Slabs have one dispatcher, :func:`run_policy_slab`, over pre-built
 ``(model, policy)`` cells sharing a trace; :func:`run_slab` is its
@@ -110,10 +110,9 @@ Cells no slab tier takes fall back to bit-identical per-cell execution.
 
 The kernel tier: loop-free segment-scan replay
 ----------------------------------------------
-Every tier above still walks the trace with a per-request Python loop —
-the fast engine with scalar slot state, the batch engine with one
-vectorized step per request.  On million-request columnar traces that
-loop *is* the cost of a grid cell.  :class:`KernelCostEngine` removes it
+The batch tier still walks the trace with a per-request Python loop,
+one vectorized step per request.  On million-request columnar traces
+that loop *is* the cost of a grid cell.  :class:`KernelCostEngine` removes it
 entirely: a cell is evaluated by a fixed number of whole-array passes,
 with no per-request Python work at all.
 
@@ -151,7 +150,7 @@ or drain/finalize), so the storage ledger is a permutation of per-
 segment charges.
 
 Bit-identity of the reduced ledgers needs one more ingredient: the
-scalar accumulator adds its charges in a specific order, and IEEE
+reference ledger adds its charges in a specific order, and IEEE
 addition is not associative.  The kernel reconstructs that exact order
 as a sort key — ``(request event, pop-phase-before-serve-phase, expiry,
 server)`` — without ever sorting the full key tuple: expiry-drop
@@ -164,12 +163,12 @@ construction, and the two sequences interleave by counting sums
 charge values are then reduced with ``np.add.accumulate`` — NumPy's
 *sequential* accumulation, unlike ``np.add.reduce``'s pairwise tree —
 so the final sum performs the same doubles additions in the same order
-as ``acc["storage"] += charge``.  Transfers reuse the batch tier's
+as the ledger's ``storage += charge``.  Transfers reuse the batch tier's
 partial-sum argument: ``accumulate(full(n_tx, lam))[-1]`` is the
-scalar's repeated ``transfer += lam`` bit for bit.  Kernel costs are
-therefore bit-identical to :class:`FastCostEngine` (and the reference
-simulator) for every ``supports()``-eligible policy, and the test
-suite pins this across every registered scenario.
+ledger's repeated ``transfer += lam`` bit for bit.  Kernel costs are
+therefore bit-identical to the reference simulator for every
+``supports()``-eligible policy, and the test suite pins this across
+every registered scenario.
 
 Wang's baseline rides the same tier through a *cascade factorisation*
 (:class:`_WangReplay`).  Its drop cascade (``renewed_once`` flags,
@@ -195,21 +194,21 @@ predicted miss back into a renewal with an overridden segment start.
 Everything downstream (charge values, the pop/serve counting
 interleave, drain and finalize order, ``seq_sum`` / ``repeat_add``
 reductions) reuses the machinery above, so kernel Wang is bit-identical
-to ``_fast_wang``'s heap replay — the tests pin this across every
-registered scenario, tie-prone hypothesis instances, and both the
+to the reference simulator's heap replay — the tests pin this across
+every registered scenario, tie-prone hypothesis instances, and both the
 serial and the threaded execution path.  ``supports()`` therefore
 carries **no policy exclusions**: heterogeneous Algorithm-1 + Wang
 fleets run as single-tier kernel slabs (see :func:`run_policy_slab`).
 
-Selection: the kernel's fixed overhead (a handful of array allocations
-and one shared per-server sort) loses to the fast engine's lean scalar
-loop on short traces and to the batch engine's shared trace pass on
-short slabs, so ``"auto"`` prefers it only above crossover trace
-lengths (:data:`KERNEL_MIN_M` single-cell, measured;
-:data:`KERNEL_SLAB_MIN_M` slab-wide, which the recorded rows do not yet
-confirm because the slab crossover also moves with slab width; see
-``benchmarks/bench_scaling.py`` for the measurements).  In slab mode
-the per-cell masks broadcast over an ``(n_cells,)`` axis of independent columns sharing the per-trace
+Selection: ``"auto"`` runs every single eligible cell on the kernel, at
+any trace length.  On slabs the kernel's fixed overhead (a handful of
+array allocations and one shared per-server sort) loses to the batch
+engine's shared trace pass on short traces, so ``"auto"`` prefers it
+only from :data:`KERNEL_SLAB_MIN_M` requests up (a crossover the
+recorded rows do not yet confirm, because it also moves with slab
+width; see ``benchmarks/bench_scaling.py`` for the measurements).  In
+slab mode the per-cell masks broadcast over an ``(n_cells,)`` axis of
+independent columns sharing the per-trace
 ``succ``/``prev`` chains and one ``searchsorted`` per *distinct*
 keep-duration — 12 for the paper's 121-cell fig25 grid — which is
 where the tier's ≥5x per-cell advantage over the batch engine at
@@ -219,8 +218,6 @@ million-request scale comes from (``benchmarks/bench_kernel.py``).
 from __future__ import annotations
 
 import abc
-import heapq
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -245,12 +242,10 @@ __all__ = [
     "Engine",
     "EngineError",
     "ReferenceEngine",
-    "FastCostEngine",
     "BatchCostEngine",
     "KernelCostEngine",
     "CostResult",
     "ENGINE_NAMES",
-    "KERNEL_MIN_M",
     "KERNEL_SLAB_MIN_M",
     "get_engine",
     "select_engine",
@@ -265,7 +260,8 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostResult:
-    """Cost-only outcome of a fast-engine run.
+    """Cost-only outcome of a batch- or kernel-tier run, bit-identical
+    in its costs to :func:`~repro.core.simulator.simulate`.
 
     Duck-compatible with :class:`~repro.core.simulator.SimulationResult`
     for every cost consumer (``total_cost`` / ``storage_cost`` /
@@ -279,7 +275,7 @@ class CostResult:
     storage_cost: float
     transfer_cost: float
     n_transfers: int
-    engine: str = "fast"
+    engine: str
 
     @property
     def total_cost(self) -> float:
@@ -397,13 +393,14 @@ def _cost_result(
 class _CostOnlyEngine(Engine):
     """One eligibility rule and one :meth:`run` for the cost-only tiers.
 
-    The fast, batch and kernel tiers replay the same policies to the
-    same bit-identical ledgers, so everything around the replay — the
+    The batch and kernel tiers replay the same policies to the same
+    bit-identical ledgers, so everything around the replay — the
     model check, the policy-kind dispatch, prediction streaming, the
-    errors, :class:`CostResult` assembly — lives here and each tier
-    supplies only :meth:`_algorithm1` and :meth:`_wang`.  See the module
-    DESIGN docstring for the eligibility rules and the bit-identical-cost
-    argument.
+    errors, :class:`CostResult` assembly, and the Wang replay (the
+    kernel's cascade; Wang ignores predictions, so no tier has its own)
+    — lives here and each tier supplies only :meth:`_algorithm1`.  See
+    the module DESIGN docstring for the eligibility rules and the
+    bit-identical-cost argument.
     """
 
     def supports(
@@ -484,7 +481,6 @@ class _CostOnlyEngine(Engine):
         """``(storage, transfer, n_transfers)`` of Algorithm 1 under the
         prediction stream ``within`` (uniform storage rates)."""
 
-    @abc.abstractmethod
     def _wang(
         self,
         trace: Trace,
@@ -494,20 +490,7 @@ class _CostOnlyEngine(Engine):
     ) -> tuple[float, float, int]:
         """``(storage, transfer, n_transfers)`` of the Wang et al.
         baseline (servers indexed by ascending storage rate)."""
-
-
-class FastCostEngine(_CostOnlyEngine):
-    """Cost-only scalar slot-state replay, one cell at a time."""
-
-    name = "fast"
-
-    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
-        return _fast_algorithm1(
-            trace, model, alpha, within, drain, drain_event_cap
-        )
-
-    def _wang(self, trace, model, drain, drain_event_cap):
-        return _fast_wang(trace, model, drain, drain_event_cap)
+        return _kernel_wang(_SegmentChains(trace), model, drain, drain_event_cap)
 
 
 def _wang_rates_ok(model: CostModel) -> bool:
@@ -516,243 +499,12 @@ def _wang_rates_ok(model: CostModel) -> bool:
 
 
 # ----------------------------------------------------------------------
-# slot-state replay kernels
-#
-# Both kernels mirror SimContext's ledger arithmetic exactly: the same
-# charges in the same order with the same scalar expressions.  The
-# machinery they share — expiry heap/token protocol, t_m-clipped storage
-# charging, drain loop, finalize walk — lives in _slot_machinery and
-# _drain_expiries so the two policy families can never drift apart; the
-# seg dict mirrors SimContext._holding's insertion order (create
-# appends, renew replaces in place, drop removes) so finalization walks
-# live copies in the identical sequence.
-# ----------------------------------------------------------------------
-
-
-def _slot_machinery(t_m: float, rates):
-    """Shared scalar state: live segments, storage accumulator, expiry heap.
-
-    Returns ``(seg, acc, charge, schedule, pop_due, token)`` closures
-    mirroring ``SimContext``'s ``_charge_storage`` clipping,
-    ``schedule_expiry`` token replacement, and ``_pop_due_expiry`` lazy
-    stale-entry deletion bit for bit.
-    """
-    seg: dict[int, float] = {}       # server -> live segment start
-    acc = {"storage": 0.0}
-    heap: list[tuple[float, int, int]] = []
-    token: dict[int, int] = {}
-    counter = itertools.count()
-
-    def charge(server: int, start: float, end: float) -> None:
-        s = start if start < t_m else t_m
-        e = end if end < t_m else t_m
-        if e > s:
-            acc["storage"] += (e - s) * rates[server]
-
-    def schedule(server: int, when: float) -> None:
-        tok = next(counter)
-        token[server] = tok
-        heapq.heappush(heap, (when, server, tok))
-
-    def pop_due(until: float, inclusive: bool):
-        while heap:
-            when, server, tok = heap[0]
-            if token.get(server) != tok:
-                heapq.heappop(heap)  # stale entry
-                continue
-            if when < until or (inclusive and when <= until):
-                heapq.heappop(heap)
-                token.pop(server, None)
-                return when, server
-            return None
-        return None
-
-    return seg, acc, charge, schedule, pop_due, token
-
-
-def _drain_expiries(pop_due, expire, seg, n: int, drain_event_cap: int | None):
-    """Deliver post-final-request expirations, mirroring simulate()'s
-    drain loop (event cap, fired counting, inf guard)."""
-    inf = float("inf")
-    cap = drain_event_cap if drain_event_cap is not None else 4 * n + 16
-    fired = 0
-    while fired < cap:
-        due = pop_due(inf, True)
-        if due is None:
-            break
-        w, s = due
-        if w == inf:
-            continue
-        if s in seg:
-            expire(s, w)
-        fired += 1
-
-
-def _fast_algorithm1(
-    trace: Trace,
-    model: CostModel,
-    alpha: float,
-    within,
-    drain: bool,
-    drain_event_cap: int | None,
-) -> tuple[float, float, int]:
-    """Replay Algorithm 1 (lines 1-25) with scalar slot state."""
-    lam = model.lam
-    d_within = lam
-    d_beyond = alpha * lam
-    seg, acc, charge, schedule, pop_due, token = _slot_machinery(
-        trace.span, model.storage_rates
-    )
-    special = -1                    # server holding the special copy, if any
-    transfer = 0.0
-    n_transfers = 0
-
-    def expire(server: int, when: float) -> None:
-        nonlocal special
-        if len(seg) == 1:
-            special = server  # lines 20-25: keep the last copy as special
-        else:
-            charge(server, seg.pop(server), when)
-
-    # plain python lists: element access in the hot loop stays scalar
-    pred = within.tolist()
-    times = trace.times.tolist()
-    servers = trace.servers.tolist()
-
-    # dummy request r_0: initial copy at server 0, duration from pred[0]
-    seg[0] = 0.0
-    schedule(0, d_within if pred[0] else d_beyond)
-
-    for i in range(len(times)):
-        t = times[i]
-        j = servers[i]
-        while True:
-            due = pop_due(t, False)
-            if due is None:
-                break
-            w, s = due
-            if s in seg:
-                expire(s, w)
-        if j in seg:
-            opened_now = False
-        else:
-            source = min(seg)
-            transfer += lam
-            n_transfers += 1
-            src_special = special == source
-            seg[j] = t                      # create at the destination
-            if src_special:
-                # lines 15-19: drop the special source after the transfer
-                charge(source, seg.pop(source), t)
-                token.pop(source, None)
-                special = -1
-            opened_now = True
-        duration = d_within if pred[i + 1] else d_beyond
-        if not opened_now:
-            # local serve: renew the copy period (charge the closed one)
-            charge(j, seg[j], t)
-            seg[j] = t
-            if special == j:
-                special = -1
-        schedule(j, t + duration)
-
-    if drain:
-        _drain_expiries(pop_due, expire, seg, trace.n, drain_event_cap)
-
-    t_m = trace.span
-    for s, start in seg.items():
-        charge(s, start, t_m)
-    return acc["storage"], transfer, n_transfers
-
-
-def _fast_wang(
-    trace: Trace,
-    model: CostModel,
-    drain: bool,
-    drain_event_cap: int | None,
-) -> tuple[float, float, int]:
-    """Replay the Wang et al. baseline with scalar slot state (servers
-    indexed by ascending storage rate: supports()/run() vet it)."""
-    rates = model.storage_rates
-    lam = model.lam
-    periods = [lam / r for r in rates]
-    seg, acc, charge, schedule, pop_due, token = _slot_machinery(
-        trace.span, rates
-    )
-    renewed_once: dict[int, bool] = {}
-    transfer = 0.0
-    n_transfers = 0
-
-    def drop(server: int, when: float) -> None:
-        charge(server, seg.pop(server), when)
-        token.pop(server, None)
-
-    def expire(server: int, when: float) -> None:
-        nonlocal transfer, n_transfers
-        only_copy = len(seg) == 1
-        if server == 0:
-            if only_copy:
-                schedule(0, when + periods[0])
-            else:
-                drop(0, when)
-            return
-        if not only_copy:
-            drop(server, when)
-            return
-        if not renewed_once.get(server, False):
-            renewed_once[server] = True
-            schedule(server, when + periods[server])
-        else:
-            # second consecutive expiry: ship the object to server 0
-            transfer += lam
-            n_transfers += 1
-            seg[0] = when
-            drop(server, when)
-            renewed_once[server] = False
-            schedule(0, when + periods[0])
-
-    seg[0] = 0.0
-    renewed_once[0] = False
-    schedule(0, periods[0])
-
-    times = trace.times.tolist()
-    servers = trace.servers.tolist()
-    for i in range(len(times)):
-        t = times[i]
-        j = servers[i]
-        while True:
-            due = pop_due(t, False)
-            if due is None:
-                break
-            w, s = due
-            if s in seg:
-                expire(s, w)
-        if j in seg:
-            charge(j, seg[j], t)  # renew_copy closes the previous period
-            seg[j] = t
-        else:
-            transfer += lam
-            n_transfers += 1
-            seg[j] = t
-        renewed_once[j] = False
-        schedule(j, t + periods[j])
-
-    if drain:
-        _drain_expiries(pop_due, expire, seg, trace.n, drain_event_cap)
-
-    t_m = trace.span
-    for s, start in seg.items():
-        charge(s, start, t_m)
-    return acc["storage"], transfer, n_transfers
-
-
-# ----------------------------------------------------------------------
 # batched slab kernel
 #
 # One trace pass evaluates every cell of a slab.  The cell axis is the
 # second array dimension throughout; every statement below performs, per
-# cell, exactly the scalar operation _fast_algorithm1 performs at the
-# same moment (see the module DESIGN docstring for the bit-identity
+# cell, exactly the scalar operation the reference simulator performs at
+# the same moment (see the module DESIGN docstring for the bit-identity
 # argument).
 # ----------------------------------------------------------------------
 
@@ -772,8 +524,8 @@ def _batch_algorithm1(
     ``alphas`` has shape ``(n_cells,)`` and ``pred`` shape
     ``(m + 1, n_cells)`` (one prediction column per cell).  Returns
     ``(storage, transfer, n_transfers)`` arrays whose entry ``c`` is
-    bit-identical to ``_fast_algorithm1(trace, model, alphas[c],
-    pred[:, c], ...)``.
+    bit-identical to the ledger of :func:`simulate` running Algorithm 1
+    with ``alphas[c]`` under the prediction stream ``pred[:, c]``.
     """
     lam = model.lam
     n = trace.n
@@ -790,7 +542,7 @@ def _batch_algorithm1(
     d_beyond = alphas * lam          # the scalar path's single multiply
     inf = np.inf
 
-    # NOTE on charges: the scalar path guards every storage charge with
+    # NOTE on charges: the reference guards every storage charge with
     # `if e > s`.  Segment starts never exceed their expiry/renewal/
     # finalize times, so after clipping to t_m the difference `e - s` is
     # always >= 0 — and adding `0.0 * rate == +0.0` to a non-negative
@@ -978,8 +730,8 @@ def _batch_algorithm1(
         due[j, :] = sched[i]
 
     if drain:
-        # mirror _drain_expiries: every remaining entry is delivered in
-        # heap order up to the per-cell event cap (Algorithm 1 never
+        # mirror simulate()'s drain loop: every remaining entry is
+        # delivered in heap order up to the per-cell event cap (Algorithm 1 never
         # reschedules during expiry, so at most n entries fire per cell,
         # far below the default 4n + 16)
         cap = drain_event_cap if drain_event_cap is not None else 4 * n + 16
@@ -1037,10 +789,6 @@ class BatchCostEngine(_CostOnlyEngine):
         )
         return float(storage[0]), float(transfer[0]), int(n_tx[0])
 
-    def _wang(self, trace, model, drain, drain_event_cap):
-        # prediction-free: the batch tier's Wang replay is the scalar one
-        return _fast_wang(trace, model, drain, drain_event_cap)
-
 
 # ----------------------------------------------------------------------
 # segment-scan kernel
@@ -1048,7 +796,7 @@ class BatchCostEngine(_CostOnlyEngine):
 # No per-request Python loop: per-request keep-durations come straight
 # from the prediction columns, slot segments are recovered as per-server
 # break masks, and the ledgers are reduced with sequential
-# np.add.accumulate in the scalar engine's exact charge order (see the
+# np.add.accumulate in the reference ledger's exact charge order (see the
 # module DESIGN docstring for the derivation and bit-identity argument).
 # ----------------------------------------------------------------------
 
@@ -1353,10 +1101,10 @@ def _kernel_algorithm1(
 ) -> tuple[float, float, int]:
     """Replay Algorithm 1 with pure array passes (no per-request loop).
 
-    Returns ``(storage, transfer, n_transfers)`` bit-identical to
-    ``_fast_algorithm1(trace, model, alpha, pred, drain,
-    drain_event_cap)`` on the trace behind ``chains``.  See the module
-    DESIGN docstring for the derivation.
+    Returns ``(storage, transfer, n_transfers)`` bit-identical to the
+    ledger of :func:`simulate` running Algorithm 1 with ``alpha`` under
+    the prediction stream ``pred`` on the trace behind ``chains``.  See
+    the module DESIGN docstring for the derivation.
     """
     m, m1 = chains.m, chains.m1
     t_all, j_all = chains.t_all, chains.j_all
@@ -1708,8 +1456,8 @@ def _kernel_wang(
     drain_event_cap: int | None,
 ) -> tuple[float, float, int]:
     """Replay the Wang et al. baseline with array passes plus the
-    sequential episode machine; bit-identical to ``_fast_wang(trace,
-    model, drain, drain_event_cap)`` on the trace behind ``chains``."""
+    sequential episode machine; bit-identical to the ledger of
+    :func:`simulate` on the trace behind ``chains``."""
     rates = tuple(float(r) for r in model.storage_rates)
     rep = chains.wang(float(model.lam), rates)
     return rep.result(drain, drain_event_cap)
@@ -1744,9 +1492,6 @@ class KernelCostEngine(_CostOnlyEngine):
             drain,
             drain_event_cap,
         )
-
-    def _wang(self, trace, model, drain, drain_event_cap):
-        return _kernel_wang(_SegmentChains(trace), model, drain, drain_event_cap)
 
 
 def run_slab(
@@ -1800,7 +1545,7 @@ def run_policy_slab(
     * the **batch** tier — forced, or ``"auto"`` below the crossover —
       groups cells by *equal* cost model and replay family and runs
       each group of two or more as one vectorized trace pass (a Wang
-      group shares one scalar replay).
+      group shares one kernel-tier replay).
 
     Cells no slab tier takes fall back through :func:`select_engine`
     one at a time, so a concrete engine name stays strict (it raises on
@@ -1925,9 +1670,10 @@ def _batch_slabs(
 
         def run() -> list:
             if is_wang:
-                # prediction- and alpha-free: one scalar replay serves
-                # every cell of the group
-                return [_fast_wang(trace, model, True, None)] * len(policies)
+                # prediction- and alpha-free: one replay serves every
+                # cell of the group
+                ledger = _kernel_wang(_SegmentChains(trace), model, True, None)
+                return [ledger] * len(policies)
             matrix = PredictionStream.batch_for_predictors(
                 [_stream_predictor(p) for p in policies], trace, model.lam
             )
@@ -1947,29 +1693,24 @@ def _batch_slabs(
 # ----------------------------------------------------------------------
 _ENGINES: dict[str, Engine] = {
     "reference": ReferenceEngine(),
-    "fast": FastCostEngine(),
     "batch": BatchCostEngine(),
     "kernel": KernelCostEngine(),
 }
 
 #: valid names for CLI flags and engine= parameters
-ENGINE_NAMES: tuple[str, ...] = ("auto", "batch", "fast", "kernel", "reference")
+ENGINE_NAMES: tuple[str, ...] = ("auto", "batch", "kernel", "reference")
 
-#: auto-selection crossovers (benchmarks/bench_scaling.py ->
-#: BENCH_scaling.json).  KERNEL_MIN_M is measured: on one cell the
-#: kernel's fixed array-pass overhead loses to the fast engine's scalar
-#: loop at m=128 and wins from m=512 (``single_cell_rows``).
-#: KERNEL_SLAB_MIN_M is an older single-width estimate that those rows
+#: auto's slab crossover (benchmarks/bench_scaling.py ->
+#: BENCH_scaling.json), an older single-width estimate that those rows
 #: do not confirm: the slab crossover moves with slab width — narrow
 #: 12-cell slabs favour the kernel from m=128 (``rows``), the 804-cell
-#: m=64 ``wide_slab`` favours batch 4.3x — so 1024 awaits a 2-D
-#: (cells x m) re-derivation (ROADMAP item 3)
-KERNEL_MIN_M = 256
+#: m=64 ``wide_slab`` favours batch — so 1024 awaits a 2-D (cells x m)
+#: re-derivation (ROADMAP item 3)
 KERNEL_SLAB_MIN_M = 1_024
 
 
 def get_engine(name: str | Engine) -> Engine:
-    """Resolve an engine instance from a name (``"fast"``/``"reference"``)."""
+    """Resolve an engine instance from a name (``"kernel"``/``"reference"``)."""
     if isinstance(name, Engine):
         return name
     try:
@@ -1989,10 +1730,9 @@ def select_engine(
 ) -> Engine:
     """Pick the engine for one run.
 
-    ``"auto"`` selects among the cost-only tiers for eligible policies —
-    the segment-scan kernel from the measured crossover trace length
-    :data:`KERNEL_MIN_M` up, the fast engine below it — and the
-    reference engine otherwise (see the module docstring).  Slabs of
+    ``"auto"`` selects the segment-scan kernel for every policy a
+    cost-only tier supports, at any trace length, and the reference
+    engine otherwise (see the module docstring).  Slabs of
     cells sharing one trace go through :func:`run_policy_slab`, which
     owns the slab crossover.  A concrete name or :class:`Engine`
     instance is returned as-is — callers that need telemetry must pass
@@ -2002,9 +1742,7 @@ def select_engine(
         return get_engine(engine)
     kernel = _ENGINES["kernel"]
     if not kernel.supports(trace, model, policy):
-        chosen, reason = _ENGINES["reference"], "fast_ineligible"
-    elif len(trace) < KERNEL_MIN_M:
-        chosen, reason = _ENGINES["fast"], "below_kernel_crossover"
+        chosen, reason = _ENGINES["reference"], "kernel_ineligible"
     else:
         chosen, reason = kernel, "kernel_eligible"
     if _obs.enabled:

@@ -20,7 +20,7 @@ with vectorized operations at construction.  :class:`Request` dataclass
 objects are materialised **lazily** — only when a caller indexes,
 iterates, or touches :attr:`Trace.requests` — so array-native producers
 (the workload generators, the binary trace loader) and array-native
-consumers (the fast/batch engines, prediction streams, the offline DP)
+consumers (the batch/kernel engines, prediction streams, the offline DP)
 never pay O(m) Python object churn.  :meth:`Trace.from_arrays` is the
 zero-copy fast path: a contiguous float64/int64 input array is adopted
 as-is (as a read-only view) rather than copied, which is what makes
@@ -419,8 +419,8 @@ class Trace:
 
 
 def _validate_columns(n: int, times: np.ndarray, servers: np.ndarray) -> None:
-    """Vectorized invariant checks (strictly increasing > 0, servers in
-    range), with first-violation error messages."""
+    """Vectorized invariant checks (finite, strictly increasing > 0,
+    servers in range), with first-violation error messages."""
     if times.shape != servers.shape:
         raise TraceError(
             f"times and servers must align, got {times.shape} vs {servers.shape}"
@@ -431,11 +431,18 @@ def _validate_columns(n: int, times: np.ndarray, servers: np.ndarray) -> None:
     prevs = np.empty_like(times)
     prevs[0] = 0.0
     prevs[1:] = times[:-1]
+    # NaN compares False both ways, so the order check alone misses it
+    bad_f = ~np.isfinite(times)
     bad_t = times <= prevs
     bad_s = (servers < 0) | (servers >= n)
-    any_t = bad_t.any()
-    if any_t or bad_s.any():
-        k = int(np.argmax(bad_t | bad_s))
+    bad = bad_f | bad_t | bad_s
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_f[k]:
+            raise TraceError(
+                f"request times must be finite (violation at index {k + 1}: "
+                f"{times[k]})"
+            )
         if bad_t[k]:
             raise TraceError(
                 "request times must be strictly increasing and > 0 "

@@ -82,12 +82,19 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Return the stored value for ``payload``, or None on a miss."""
+        """Return the stored value for ``payload``, or None on a miss.
+
+        An unreadable entry — truncated JSON, or a file whose content is
+        not a ``{"value": {...}}`` object — is a miss too, so the caller
+        recomputes it and :meth:`put` overwrites it.
+        """
         path = self._path(self._key(payload))
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                value = json.load(fh)["value"]
+        except (OSError, ValueError, TypeError, KeyError):
+            value = None
+        if not isinstance(value, dict):
             self.misses += 1
             if _obs.enabled:
                 _obs.counter("repro_cache_requests_total", outcome="miss").inc()
@@ -95,7 +102,7 @@ class ResultCache:
         self.hits += 1
         if _obs.enabled:
             _obs.counter("repro_cache_requests_total", outcome="hit").inc()
-        return entry.get("value")
+        return value
 
     def put(self, payload: Mapping[str, Any], value: Mapping[str, Any]) -> str:
         """Store ``value`` under ``payload``'s key; returns the key."""

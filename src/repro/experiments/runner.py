@@ -489,9 +489,9 @@ class ExperimentRunner:
         Simulation engine for grid cells: ``"auto"`` (default) evaluates
         each dispatched slab of cells sharing a ``(trace, lambda)``
         with loop-free kernel replays (long traces) or one vectorized
-        batch pass when every cell is fast-path eligible, per-cell on
-        the fast or reference engine otherwise; ``"kernel"``/
-        ``"batch"``/``"fast"``/``"reference"`` force one engine.
+        batch pass when a cost-only tier supports every cell, per-cell
+        on the kernel or reference engine otherwise; ``"kernel"``/
+        ``"batch"``/``"reference"`` force one engine.
         Results are bit-identical across engines, so the result cache is
         shared between them.  When this runner forks worker processes it
         caps the kernel's thread fan-out at ``cores // workers`` for the
@@ -615,9 +615,9 @@ class ExperimentRunner:
         configured with, except that the runner default ``"auto"``
         resolves to ``"reference"`` here: fleet reports expose full
         per-object simulation results (serves, logs), so only an
-        explicit cost-only choice — ``ExperimentRunner(engine="fast")``,
-        or ``engine="auto"``/``"fast"``/``"batch"``/``"kernel"`` passed
-        directly — trades that telemetry away.
+        explicit cost-only choice — ``ExperimentRunner(engine="kernel")``,
+        or ``engine="auto"``/``"batch"``/``"kernel"`` passed directly —
+        trades that telemetry away.
 
         ``materialize=False`` streams outcomes through the report's
         :class:`~repro.system.multi_object.FleetStats` accumulator
@@ -1023,11 +1023,13 @@ class ExperimentRunner:
                     opts[(tk, lam)] = optimal_cache[lam]
                     out.opt_cached += 1
                     continue
-                hit = self.cache.get(
-                    self._opt_payload(scenario, digests[tk], lam)
+                hit = _cached_cost(
+                    self.cache,
+                    self._opt_payload(scenario, digests[tk], lam),
+                    "optimal_cost",
                 )
                 if hit is not None:
-                    opts[(tk, lam)] = float(hit["optimal_cost"])
+                    opts[(tk, lam)] = hit
                     out.opt_cached += 1
                 else:
                     opt_misses.append((tk, lam))
@@ -1035,11 +1037,13 @@ class ExperimentRunner:
             # ----- simulations: consult the cache, then dispatch misses
             sim_misses: list[Job] = []
             for job in jobs:
-                hit = sim_cache.get(
-                    self._sim_payload(scenario, digests[job.trace_key], job)
+                hit = _cached_cost(
+                    sim_cache,
+                    self._sim_payload(scenario, digests[job.trace_key], job),
+                    "online_cost",
                 )
                 if hit is not None:
-                    online[job.index] = (float(hit["online_cost"]), True)
+                    online[job.index] = (hit, True)
                     out.cached += 1
                 else:
                     sim_misses.append(job)
@@ -1172,3 +1176,14 @@ def _enumerate_jobs(scenario: Scenario) -> list[Job]:
 
 def _chunked(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _cached_cost(cache, payload: dict, field: str) -> float | None:
+    """``field`` of ``payload``'s cache entry as a float, or None on a
+    miss — including an entry without a numeric ``field``, so the cell
+    re-runs and ``put`` overwrites the entry."""
+    hit = cache.get(payload)
+    try:
+        return float(hit[field])
+    except (TypeError, KeyError, ValueError):
+        return None

@@ -1,4 +1,4 @@
-"""Precomputed prediction streams for the fast simulation engines.
+"""Precomputed prediction streams for the cost-only simulation engines.
 
 The incremental predictors in :mod:`repro.predictions.oracle` answer one
 query at a time (a bisect over per-server arrival times, plus a lazy RNG
@@ -10,7 +10,7 @@ be materialised up front as a boolean array and indexed by
 
 :class:`PredictionStream` does that materialisation with vectorized
 numpy operations.  Two equivalence guarantees make it a drop-in for the
-fast engine:
+incremental predictors in the cost-only engines:
 
 * the ground truth ``next_local_arrival <= t + lam`` is evaluated with
   the same scalar IEEE operations as the incremental ``bisect`` path;
@@ -33,7 +33,8 @@ takes ``(predictor, lam)`` cells, computes the ground truth once per
 distinct lambda (the cells of a cross-object fleet slab may carry
 per-object transfer costs) and draws each seed's PCG64 stream once,
 shared across every cell using it, so row ``c`` is bit-identical to the
-scalar stream the fast engine would build for that cell.  The kernel
+scalar stream :meth:`PredictionStream.for_predictor` builds for that
+cell.  The kernel
 tier reads its cell-major rows directly;
 :meth:`PredictionStream.batch_for_predictors` is the one-lambda view of
 the same builder, returning the ``(m + 1, n_cells)`` column layout the
@@ -163,8 +164,8 @@ class PredictionStream:
         transfer costs), so the ground truth is memoised per lambda and
         each seed's PCG64 draw is computed exactly once.  Row ``c`` is
         bit-identical to ``for_predictor(cells[c][0], trace,
-        cells[c][1]).within`` — the scalar stream the fast engine would
-        build for that cell.  The layout is cell-major (``(n_cells,
+        cells[c][1]).within``, the scalar stream for that cell.  The
+        layout is cell-major (``(n_cells,
         m + 1)``), what the kernel engine's per-cell replays consume.
         """
         cells = list(cells)

@@ -31,7 +31,7 @@ to the serial per-object loop, not merely statistically equivalent:
    the per-trace work — segment chains on the kernel tier, one
    vectorized trace pass per equal-model group on the batch tier — but
    each cell's arithmetic is the engine-tier replay already proven
-   bit-identical to the scalar fast engine and the reference simulator.
+   bit-identical to the reference simulator.
    Grouping objects by
    ``(trace digest, lambda)`` only changes *which* engine evaluates a
    cell, never the floats it produces.
@@ -106,7 +106,8 @@ class ObjectOutcome:
     """Result of one object's simulation plus its offline optimum.
 
     ``result`` is a full :class:`SimulationResult` under the reference
-    engine, or a cost-only :class:`CostResult` under the fast engines.
+    engine, or a cost-only :class:`CostResult` under the batch and kernel
+    tiers.
     ``n_requests`` is recorded at fold time so report tables never need
     to reach through ``result.trace`` (cost-only results assembled from
     compact worker rows still carry the parent's trace, but streaming
@@ -470,12 +471,13 @@ class MultiObjectSystem:
 
         ``engine`` selects the simulation engine per object.  The default
         ``"reference"`` keeps full per-object telemetry in the report
-        (serves, event logs, copy records); ``"auto"``/``"fast"``/
-        ``"batch"``/``"kernel"`` runs cost-only where the policy is
-        fast-path eligible — outcomes then carry a
+        (serves, event logs, copy records); ``"auto"``/``"batch"``/
+        ``"kernel"`` runs cost-only where a cost-only tier supports the
+        policy — outcomes then carry a
         :class:`~repro.core.engine.CostResult` with identical costs but
-        no telemetry (``"auto"`` picks the loop-free kernel for long
-        eligible traces).
+        no telemetry (``"auto"`` runs each eligible object on the
+        loop-free kernel; ``grouped=True`` slabs take the tier
+        :func:`~repro.core.engine.run_policy_slab` picks).
 
         ``grouped=True`` evaluates objects sharing a ``(trace, lambda)``
         as one cross-object engine slab in-process
@@ -596,11 +598,17 @@ def split_trace_by_object(
     prevs[0] = 0.0
     prevs[1:] = times[:-1]
     prevs[boundary] = 0.0
-    bad = (times <= prevs) | (servers < 0) | (servers >= n)
+    finite = np.isfinite(times)
+    bad = ~finite | (times <= prevs) | (servers < 0) | (servers >= n)
     if bad.any():
         k = int(np.argmax(bad))
         key = obj_sorted[k].item()
         i = k - int(starts[np.searchsorted(starts, k, side="right") - 1])
+        if not finite[k]:
+            raise TraceError(
+                f"object {key}: request times must be finite "
+                f"(violation at index {i + 1}: {times[k]})"
+            )
         if times[k] <= prevs[k]:
             raise TraceError(
                 f"object {key}: request times must be strictly increasing "

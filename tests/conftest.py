@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro import CostModel, Trace
+from repro import (
+    CostModel,
+    CostResult,
+    KernelCostEngine,
+    ReferenceEngine,
+    Trace,
+    WangReplication,
+    run_slab,
+)
 from repro.workloads import uniform_random_trace
 
 
@@ -42,6 +52,83 @@ def slab_passes(fn, tags=("tier", "cells")):
         if s["name"] == "engine.slab"
     ]
     return out, spans
+
+
+def _wang_factory(trace, lam, alpha, accuracy, seed):
+    return WangReplication()
+
+
+@functools.lru_cache(maxsize=None)
+def registered_scenario_legs():
+    """The two-cell slab legs of the registered-scenario oracle, with
+    their reference results; built once per test session.
+
+    Returns ``(legs, covered)``. Each leg is ``(scenario name, trace,
+    model, factory, cells, refs)``: a Wang leg on every scenario's trace,
+    and the scenario's own two-cell leg wherever its cells are eligible
+    for the cost-only tiers (``covered`` counts those scenarios)."""
+    from repro.experiments import list_scenarios, trace_digest
+
+    ref_engine = ReferenceEngine()
+    kernel = KernelCostEngine()
+    legs, covered, wang_refs = [], 0, {}
+    for scenario in list_scenarios():
+        lam = scenario.lambdas[0]
+        alpha = scenario.alphas[0]
+        acc = scenario.accuracies[-1]
+        seed = scenario.seeds[0]
+        trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
+        model = CostModel(lam=lam, n=trace.n)
+        cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
+
+        # Wang cells are prediction- and alpha-free: one reference run
+        # per (trace, lambda) anchors every Wang slab on it
+        key = (trace_digest(trace), lam)
+        if key not in wang_refs:
+            wang_refs[key] = ref_engine.run(trace, model, WangReplication())
+        legs.append((
+            scenario.name, trace, model, _wang_factory, cells[:1] * 2,
+            [wang_refs[key]] * 2,
+        ))
+        policies = [scenario.policy_factory(trace, lam, *c) for c in cells]
+        # one supports() serves every cost-only tier
+        if all(kernel.supports(trace, model, p) for p in policies):
+            refs = [
+                ref_engine.run(trace, model, scenario.policy_factory(trace, lam, *c))
+                for c in cells
+            ]
+            legs.append((
+                scenario.name, trace, model, scenario.policy_factory, cells, refs,
+            ))
+            covered += 1
+    return legs, covered
+
+
+def assert_registered_scenarios_match_reference(engine):
+    """The registered-scenario oracle: every leg of
+    :func:`registered_scenario_legs` runs on ``engine`` (a cost-only tier,
+    or ``"auto"``) as one two-cell slab pass and matches the reference
+    cell by cell; at least 11 scenarios must be eligible."""
+    legs, covered = registered_scenario_legs()
+    for name, trace, model, factory, cells, refs in legs:
+        runs, spans = slab_passes(
+            lambda: run_slab(trace, model, cells, factory, engine=engine)
+        )
+        # the tier ran the slab as one pass, not cell by cell
+        assert len(spans) == 1 and spans[0][1] == len(cells), name
+        tier = spans[0][0]
+        if engine != "auto":
+            assert tier == engine.name, name
+        for run, ref in zip(runs, refs):
+            assert isinstance(run, CostResult), name
+            assert run.engine == tier, name
+            # bit-identity, not mere closeness
+            assert run.storage_cost == ref.storage_cost, name
+            assert run.transfer_cost == ref.transfer_cost, name
+            assert run.n_transfers == ref.ledger.n_transfers, name
+    # the paper grids, smoke, tight examples, adversary, and the
+    # synthetic workload grids must all ride the cost-only tiers
+    assert covered >= 11
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 5, max_m: int = 50):
@@ -89,8 +176,8 @@ def tie_prone_traces(draw, max_n=4, max_m=24):
 
 
 @st.composite
-def instances(draw):
-    trace = draw(traces())
+def instances(draw, max_m=30):
+    trace = draw(traces(max_m=max_m))
     lam = draw(st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False))
     return trace, CostModel(lam=lam, n=trace.n)
 

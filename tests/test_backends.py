@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 from repro import (
     ConventionalReplication,
     CostModel,
-    FastCostEngine,
     LearningAugmentedReplication,
     MultiObjectSystem,
     ObjectSpec,
+    ReferenceEngine,
     WangReplication,
     get_backend,
     get_engine,
@@ -211,7 +211,7 @@ def test_mixed_fleet_bit_identity_across_backends(slab):
     """Mixed Algorithm-1 + Wang fleet slabs with heterogeneous lambdas:
     the threaded path replays every object's ledger bit for bit, and the
     serial slab, the grouped fleet and the sharded fleet all give the
-    scalar fast engine's per-object costs."""
+    reference simulator's per-object costs."""
     trace, objects = slab
     models = [CostModel(lam=lam, n=trace.n) for lam, *_ in objects]
 
@@ -221,11 +221,13 @@ def test_mixed_fleet_bit_identity_across_backends(slab):
     serial = assert_threads_match_serial(
         lambda: run_policy_slab(trace, list(zip(models, policies())), "kernel")
     )
-    fast = [
-        FastCostEngine().run(trace, model, policy)
+    refs = [
+        ReferenceEngine().run(trace, model, policy)
         for model, policy in zip(models, policies())
     ]
-    assert _ledgers(serial) == _ledgers(fast)
+    assert _ledgers(serial) == [
+        (r.storage_cost, r.transfer_cost, r.ledger.n_transfers) for r in refs
+    ]
 
     system = MultiObjectSystem(trace.n, [
         ObjectSpec(f"o{k:02d}", trace, obj[0],
@@ -236,7 +238,7 @@ def test_mixed_fleet_bit_identity_across_backends(slab):
     sharded = ExperimentRunner(workers=1).run_fleet(
         system, engine="kernel", compute_optimal=False
     )
-    base = [r.total_cost for r in fast]
+    base = [r.total_cost for r in refs]
     for report in (grouped, sharded):
         assert [o.result.total_cost for o in report.outcomes] == base
 
@@ -546,7 +548,7 @@ def test_obs_summary_groups_by_backend():
 
 def test_fleet_spans_tag_backend_only_on_kernel_tier():
     """In a fleet only kernel-tier spans name an execution path:
-    fast-tier cells carry no backend tag, and neither do the
+    batch-tier slabs carry no backend tag, and neither do the
     fleet.chunk spans, whichever tier ran inside them."""
     from repro.obs.exporters import summarize
 
@@ -554,10 +556,9 @@ def test_fleet_spans_tag_backend_only_on_kernel_tier():
         return ConventionalReplication()
 
     long = uniform_random_trace(n=3, m=KERNEL_SLAB_MIN_M + 10, horizon=2e5, seed=7)
+    short = uniform_random_trace(3, 40, 100.0, seed=0)
     specs = [
-        ObjectSpec(f"s{i}", uniform_random_trace(3, 40, 100.0, seed=i), 5.0,
-                   conventional)
-        for i in range(3)
+        ObjectSpec(f"s{i}", short, 5.0, conventional) for i in range(3)
     ] + [ObjectSpec(f"l{i}", long, 10.0, conventional) for i in range(3)]
     with _obs.enabled_scope():
         _obs.reset()
@@ -568,7 +569,7 @@ def test_fleet_spans_tag_backend_only_on_kernel_tier():
     engine_spans = [
         s for s in snap["spans"] if s["name"] in ("engine.slab", "engine.cell")
     ]
-    assert {s["tags"]["tier"] for s in engine_spans} == {"fast", "kernel"}
+    assert {s["tags"]["tier"] for s in engine_spans} == {"batch", "kernel"}
     for s in engine_spans:
         assert ("backend" in s["tags"]) == (s["tags"]["tier"] == "kernel"), s
     chunks = [s for s in snap["spans"] if s["name"] == "fleet.chunk"]

@@ -1,9 +1,8 @@
 """Equivalence and wiring tests for the batched slab engine.
 
 The contract under test (core/engine.py DESIGN): the slab-vectorized
-:class:`BatchCostEngine` must reproduce the scalar
-:class:`FastCostEngine` — and therefore the reference event-driven
-simulator — *bit for bit*, per cell, for every fast-path eligible policy
+:class:`BatchCostEngine` must reproduce the reference event-driven
+simulator *bit for bit*, per cell, for every eligible policy
 (Algorithm 1 with streamable predictors, the conventional baseline, and
 Wang et al.) on arbitrary instances and arbitrary slabs of
 ``(alpha, accuracy, seed)`` cells; batched prediction matrices must
@@ -25,7 +24,6 @@ from repro import (
     CostModel,
     CostResult,
     EngineError,
-    FastCostEngine,
     LearningAugmentedReplication,
     MultiObjectSystem,
     ObjectSpec,
@@ -48,15 +46,19 @@ from repro.predictions import (
 )
 from repro.workloads import diurnal_trace, uniform_random_trace
 
-from conftest import instances, slab_passes, slabs
+from conftest import (
+    assert_registered_scenarios_match_reference,
+    instances,
+    slab_passes,
+    slabs,
+)
 
 BATCH = BatchCostEngine()
-FAST = FastCostEngine()
 REF = ReferenceEngine()
 
 
-def assert_slab_matches_scalar(trace, model, factory, cells, check_reference=False):
-    """One batched slab pass == per-cell fast (and reference) replays."""
+def assert_slab_matches_reference(trace, model, factory, cells):
+    """One batched slab pass == per-cell reference runs."""
     runs, spans = slab_passes(
         lambda: run_slab(trace, model, cells, factory, engine=BATCH)
     )
@@ -67,16 +69,11 @@ def assert_slab_matches_scalar(trace, model, factory, cells, check_reference=Fal
     for cell, run in zip(cells, runs):
         assert isinstance(run, CostResult)
         assert run.engine == "batch"
-        policy = factory(trace, model.lam, *cell)
-        fast = FAST.run(trace, model, policy)
+        ref = REF.run(trace, model, factory(trace, model.lam, *cell))
         # bit-identity, not mere closeness
-        assert run.storage_cost == fast.storage_cost, cell
-        assert run.transfer_cost == fast.transfer_cost, cell
-        assert run.n_transfers == fast.n_transfers, cell
-        if check_reference:
-            ref = REF.run(trace, model, factory(trace, model.lam, *cell))
-            assert run.storage_cost == ref.storage_cost, cell
-            assert run.transfer_cost == ref.transfer_cost, cell
+        assert run.storage_cost == ref.storage_cost, cell
+        assert run.transfer_cost == ref.transfer_cost, cell
+        assert run.n_transfers == ref.ledger.n_transfers, cell
     return runs
 
 
@@ -88,11 +85,9 @@ def assert_slab_matches_scalar(trace, model, factory, cells, check_reference=Fal
 @settings(max_examples=50, deadline=None)
 @given(instances(), slabs())
 def test_algorithm1_slab_bit_identity(inst, cells):
-    """Batch == fast == reference per cell for Algorithm 1 slabs."""
+    """Batch == reference per cell for Algorithm 1 slabs."""
     trace, model = inst
-    assert_slab_matches_scalar(
-        trace, model, algorithm1_factory, cells, check_reference=True
-    )
+    assert_slab_matches_reference(trace, model, algorithm1_factory, cells)
 
 
 def _conventional_factory(trace, lam, alpha, accuracy, seed):
@@ -112,12 +107,8 @@ def _learned_factory(trace, lam, alpha, accuracy, seed):
 def test_conventional_and_wang_slab_bit_identity(inst, k):
     trace, model = inst
     cells = [(0.5, 1.0, s) for s in range(k)]
-    assert_slab_matches_scalar(
-        trace, model, _conventional_factory, cells, check_reference=True
-    )
-    assert_slab_matches_scalar(
-        trace, model, _wang_factory, cells, check_reference=True
-    )
+    assert_slab_matches_reference(trace, model, _conventional_factory, cells)
+    assert_slab_matches_reference(trace, model, _wang_factory, cells)
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,8 +123,8 @@ def test_fixed_and_adversarial_predictor_slabs(inst, alpha, within):
         return LearningAugmentedReplication(AdversarialPredictor(tr), a)
 
     cells = [(alpha, 0.0, 0), (1.0, 0.0, 1)]
-    assert_slab_matches_scalar(trace, model, fixed_factory, cells)
-    assert_slab_matches_scalar(trace, model, adversarial_factory, cells)
+    assert_slab_matches_reference(trace, model, fixed_factory, cells)
+    assert_slab_matches_reference(trace, model, adversarial_factory, cells)
 
 
 @settings(max_examples=20, deadline=None)
@@ -141,10 +132,10 @@ def test_fixed_and_adversarial_predictor_slabs(inst, alpha, within):
 def test_zero_alpha_full_trust_slab(inst, seed):
     trace, model = inst
     cells = [(0.0, 0.7, seed), (0.0, 1.0, seed), (0.3, 0.7, seed + 1)]
-    assert_slab_matches_scalar(trace, model, algorithm1_factory, cells)
+    assert_slab_matches_reference(trace, model, algorithm1_factory, cells)
 
 
-def test_single_policy_run_matches_fast():
+def test_single_policy_run_matches_reference():
     """The scalar Engine interface (one-column slab) is bit-identical."""
     trace = uniform_random_trace(n=4, m=80, horizon=500.0, seed=5)
     model = CostModel(lam=25.0, n=4)
@@ -156,36 +147,34 @@ def test_single_policy_run_matches_fast():
         WangReplication,
     ):
         b = BATCH.run(trace, model, make())
-        f = FAST.run(trace, model, make())
-        assert b.storage_cost == f.storage_cost
-        assert b.transfer_cost == f.transfer_cost
-        assert b.n_transfers == f.n_transfers
+        r = REF.run(trace, model, make())
+        assert b.storage_cost == r.storage_cost
+        assert b.transfer_cost == r.transfer_cost
+        assert b.n_transfers == r.ledger.n_transfers
         assert b.engine == "batch"
 
 
-def test_drain_event_cap_matches_fast():
+def test_drain_event_cap_matches_reference():
     trace = uniform_random_trace(n=5, m=40, horizon=200.0, seed=9)
     model = CostModel(lam=15.0, n=5)
     pol = LearningAugmentedReplication(OraclePredictor(trace), 0.5)
     for cap in (0, 1, 2, None):
         b = BATCH.run(trace, model, pol, drain_event_cap=cap)
-        f = FAST.run(
+        r = REF.run(
             trace,
             model,
             LearningAugmentedReplication(OraclePredictor(trace), 0.5),
             drain_event_cap=cap,
         )
-        assert b.storage_cost == f.storage_cost, cap
-        assert b.transfer_cost == f.transfer_cost, cap
+        assert b.storage_cost == r.storage_cost, cap
+        assert b.transfer_cost == r.transfer_cost, cap
 
 
 def test_non_unit_uniform_rate_slab():
     trace = uniform_random_trace(n=4, m=100, horizon=600.0, seed=11)
     model = CostModel(lam=40.0, n=4, storage_rates=(2.5,) * 4)
     cells = [(a, acc, 0) for a in (0.2, 1.0) for acc in (0.0, 1.0)]
-    assert_slab_matches_scalar(
-        trace, model, algorithm1_factory, cells, check_reference=True
-    )
+    assert_slab_matches_reference(trace, model, algorithm1_factory, cells)
 
 
 # ----------------------------------------------------------------------
@@ -283,13 +272,13 @@ class TestSelection:
         self.model = CostModel(lam=20.0, n=4)
 
     def test_engine_names_and_registry(self):
-        assert ENGINE_NAMES == ("auto", "batch", "fast", "kernel", "reference")
+        assert ENGINE_NAMES == ("auto", "batch", "kernel", "reference")
         assert isinstance(get_engine("batch"), BatchCostEngine)
 
     def test_auto_prefers_batch_for_slabs(self):
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
         assert select_engine(self.trace, self.model, pol, "auto") \
-            is get_engine("fast")
+            is get_engine("kernel")
         cells = [(0.5, 1.0, s) for s in range(8)]
         runs = run_slab(self.trace, self.model, cells, algorithm1_factory)
         assert [r.engine for r in runs] == ["batch"] * 8
@@ -312,7 +301,8 @@ class TestSelection:
             return ConventionalReplication()
 
         # no single batch pass covers two replay families: each cell
-        # runs alone, still on the batch tier and bit-identical to fast
+        # runs alone, still on the batch tier and bit-identical to the
+        # reference
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
         runs, spans = slab_passes(
             lambda: run_slab(
@@ -321,12 +311,12 @@ class TestSelection:
         )
         assert spans == []
         for cell, run in zip(cells, runs):
-            fast = FAST.run(
+            ref = REF.run(
                 self.trace, self.model,
                 mixed_factory(self.trace, self.model.lam, *cell),
             )
             assert run.engine == "batch"
-            assert run.total_cost == fast.total_cost
+            assert run.total_cost == ref.total_cost
 
         policy = _learned_factory(self.trace, self.model.lam, *cells[0])
         assert not BATCH.supports(self.trace, self.model, policy)
@@ -363,15 +353,15 @@ class TestSelection:
 
 
 class TestConsumers:
-    def test_sweep_grid_batch_equals_fast_and_reference(self):
+    def test_sweep_grid_batch_equals_reference(self):
         trace = uniform_random_trace(n=4, m=60, horizon=500.0, seed=0)
         grids = {
             name: sweep_grid(
                 trace, (10.0, 100.0), (0.2, 1.0), (0.0, 1.0), engine=name
             )
-            for name in ("auto", "batch", "fast", "reference")
+            for name in ("auto", "batch", "reference")
         }
-        base = grids["fast"]
+        base = grids["reference"]
         for name, grid in grids.items():
             assert len(grid.points) == len(base.points)
             for p, q in zip(grid.points, base.points):
@@ -380,20 +370,20 @@ class TestConsumers:
 
     def test_runner_batch_scenario_and_shared_cache(self, tmp_path):
         scenario = get_scenario("smoke")
-        fast = ExperimentRunner(workers=1, engine="fast").run(scenario)
+        ref = ExperimentRunner(workers=1, engine="reference").run(scenario)
         batch = ExperimentRunner(workers=2, engine="batch").run(scenario)
-        for a, b in zip(fast.results, batch.results):
+        for a, b in zip(ref.results, batch.results):
             assert a.online_cost == b.online_cost
             assert a.optimal_cost == b.optimal_cost
         # the cache is keyed per cell and shared across engines: a batch
-        # run warms it for a fast re-run, which then executes nothing
+        # run warms it for a kernel re-run, which then executes nothing
         cache = ResultCache(tmp_path / "cache")
         first = ExperimentRunner(workers=2, cache=cache, engine="batch").run(
             scenario
         )
         assert first.executed == len(first)
         again = ExperimentRunner(
-            workers=2, cache=ResultCache(tmp_path / "cache"), engine="fast"
+            workers=2, cache=ResultCache(tmp_path / "cache"), engine="kernel"
         ).run(scenario)
         assert again.executed == 0 and again.cached == len(again)
 
@@ -438,37 +428,17 @@ class TestConsumers:
         assert args.engine == "batch"
 
 
-# ----------------------------------------------------------------------
-# new built-in scenarios (satellite)
-# ----------------------------------------------------------------------
-
-
 def test_all_registered_scenarios_batch_equivalent_where_supported():
-    """Every registered scenario's smoke subset: batch == fast per cell
-    wherever the slab is batch-eligible (the paper grids, smoke, tight
-    examples, adversary, and the synthetic workload grids all are)."""
-    from repro.experiments import list_scenarios
+    """Every registered scenario's two-cell slab, and a Wang slab on its
+    trace, run as one batch pass and match the reference per cell
+    wherever eligible (the paper grids, smoke, tight examples,
+    adversary, and the synthetic workload grids all are)."""
+    assert_registered_scenarios_match_reference(BATCH)
 
-    batch_covered = 0
-    for scenario in list_scenarios():
-        lam = scenario.lambdas[0]
-        alpha = scenario.alphas[0]
-        acc = scenario.accuracies[-1]
-        seed = scenario.seeds[0]
-        trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
-        model = CostModel(lam=lam, n=trace.n)
-        cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
-        if all(
-            BATCH.supports(trace, model, scenario.policy_factory(trace, lam, *c))
-            for c in cells
-        ):
-            assert_slab_matches_scalar(
-                trace, model, scenario.policy_factory, cells
-            )
-            batch_covered += 1
-    # the paper grids, smoke, tight examples, adversary, and the three
-    # synthetic workload grids must all ride the batch path
-    assert batch_covered >= 11
+
+# ----------------------------------------------------------------------
+# synthetic workload scenarios
+# ----------------------------------------------------------------------
 
 
 class TestWorkloadScenarios:
@@ -487,7 +457,7 @@ class TestWorkloadScenarios:
         model = CostModel(lam=lam, n=trace.n)
         cells = [(0.2, 0.5, 0), (1.0, 1.0, 0), (0.1, 0.0, 1)]
         # the helper asserts the one 3-cell batch pass
-        assert_slab_matches_scalar(trace, model, scenario.policy_factory, cells)
+        assert_slab_matches_reference(trace, model, scenario.policy_factory, cells)
 
     def test_diurnal_trace_properties(self):
         tr = diurnal_trace(

@@ -1,12 +1,12 @@
 """Equivalence and selection tests for the tiered simulation engines.
 
-The contract under test (core/engine.py DESIGN): the cost-only
-:class:`FastCostEngine` must reproduce the reference event-driven
-simulator's total / storage / transfer costs *bit for bit* for every
-fast-path-eligible policy — Algorithm 1 with streamable predictors,
-the conventional baseline, and Wang et al. — on arbitrary instances,
-and must refuse (or be skipped by ``auto`` selection for) everything
-else.
+The contract under test (core/engine.py DESIGN): each cost-only tier —
+:class:`BatchCostEngine` and :class:`KernelCostEngine` — must reproduce
+the reference event-driven simulator's total / storage / transfer costs
+*bit for bit* for every eligible policy — Algorithm 1 with streamable
+predictors, the conventional baseline, and Wang et al. — on arbitrary
+instances and on every registered scenario, and must refuse (or be
+skipped by ``auto`` selection for) everything else.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro import (
     AdaptiveReplication,
+    BatchCostEngine,
     ConventionalReplication,
     CostModel,
     CostResult,
     EngineError,
-    FastCostEngine,
+    KernelCostEngine,
     LearningAugmentedReplication,
     MultiObjectSystem,
     ObjectSpec,
@@ -34,7 +35,7 @@ from repro import (
     select_engine,
 )
 from repro.analysis.sweep import SweepPoint, SweepResult, sweep_grid
-from repro.experiments import get_scenario, list_scenarios
+from repro.experiments import get_scenario
 from repro.predictions import (
     AdversarialPredictor,
     FixedPredictor,
@@ -44,23 +45,30 @@ from repro.predictions import (
 )
 from repro.workloads import uniform_random_trace
 
-FAST = FastCostEngine()
+from conftest import assert_registered_scenarios_match_reference, instances
+
+BATCH = BatchCostEngine()
+KERNEL = KernelCostEngine()
 REF = ReferenceEngine()
 
 
+def assert_same_ledger(run, ref, label=None):
+    """Bit-identity of a cost-only result with a reference result."""
+    assert isinstance(run, CostResult), label
+    assert run.storage_cost == ref.storage_cost, label
+    assert run.transfer_cost == ref.transfer_cost, label
+    assert run.n_transfers == ref.ledger.n_transfers, label
+
+
 def assert_costs_match(trace, model, make_policy):
-    """Both engines on fresh policies: identical cost ledgers."""
+    """Every cost-only tier and the reference on fresh policies:
+    identical cost ledgers; returns the kernel's and the reference's
+    results."""
     ref = REF.run(trace, model, make_policy())
-    fast = FAST.run(trace, model, make_policy())
-    assert isinstance(fast, CostResult)
-    assert fast.storage_cost == pytest.approx(ref.storage_cost, abs=1e-9)
-    assert fast.transfer_cost == pytest.approx(ref.transfer_cost, abs=1e-9)
-    assert fast.total_cost == pytest.approx(ref.total_cost, abs=1e-9)
-    assert fast.n_transfers == ref.ledger.n_transfers
-    # the mirroring argument promises bit-identity, not mere closeness
-    assert fast.storage_cost == ref.storage_cost
-    assert fast.transfer_cost == ref.transfer_cost
-    return fast, ref
+    runs = [eng.run(trace, model, make_policy()) for eng in (BATCH, KERNEL)]
+    for run in runs:
+        assert_same_ledger(run, ref, run.engine)
+    return runs[-1], ref
 
 
 # ----------------------------------------------------------------------
@@ -68,31 +76,8 @@ def assert_costs_match(trace, model, make_policy):
 # ----------------------------------------------------------------------
 
 
-@st.composite
-def traces(draw, max_n=5, max_m=40):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, max_m))
-    gaps = draw(
-        st.lists(
-            st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
-            min_size=m,
-            max_size=m,
-        )
-    )
-    servers = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    times = np.cumsum(gaps)
-    return Trace(n, list(zip(times.tolist(), servers)))
-
-
-@st.composite
-def instances(draw):
-    trace = draw(traces())
-    lam = draw(st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False))
-    return trace, CostModel(lam=lam, n=trace.n)
-
-
 @settings(max_examples=60, deadline=None)
-@given(instances(), st.floats(0.05, 1.0), st.integers(0, 5))
+@given(instances(max_m=40), st.floats(0.05, 1.0), st.integers(0, 5))
 def test_algorithm1_noisy_oracle_equivalence(inst, alpha, seed):
     trace, model = inst
     assert_costs_match(
@@ -105,7 +90,7 @@ def test_algorithm1_noisy_oracle_equivalence(inst, alpha, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(instances(), st.floats(0.05, 1.0))
+@given(instances(max_m=40), st.floats(0.05, 1.0))
 def test_algorithm1_oracle_equivalence(inst, alpha):
     trace, model = inst
     assert_costs_match(
@@ -116,7 +101,7 @@ def test_algorithm1_oracle_equivalence(inst, alpha):
 
 
 @settings(max_examples=40, deadline=None)
-@given(instances(), st.floats(0.05, 1.0), st.booleans())
+@given(instances(max_m=40), st.floats(0.05, 1.0), st.booleans())
 def test_algorithm1_fixed_and_adversarial_equivalence(inst, alpha, within):
     trace, model = inst
     assert_costs_match(
@@ -132,7 +117,7 @@ def test_algorithm1_fixed_and_adversarial_equivalence(inst, alpha, within):
 
 
 @settings(max_examples=40, deadline=None)
-@given(instances())
+@given(instances(max_m=40))
 def test_conventional_and_wang_equivalence(inst):
     trace, model = inst
     assert_costs_match(trace, model, ConventionalReplication)
@@ -140,7 +125,7 @@ def test_conventional_and_wang_equivalence(inst):
 
 
 @settings(max_examples=25, deadline=None)
-@given(instances(), st.integers(0, 3))
+@given(instances(max_m=40), st.integers(0, 3))
 def test_zero_alpha_full_trust_equivalence(inst, seed):
     trace, model = inst
     assert_costs_match(
@@ -165,8 +150,8 @@ def test_wang_drain_transfer_counted():
     # back to the cheapest server (a post-t_m transfer the ledger counts)
     trace = Trace(2, [(1.0, 1)])
     model = CostModel(lam=5.0, n=2)
-    fast, ref = assert_costs_match(trace, model, WangReplication)
-    assert fast.n_transfers >= 2  # serve transfer + drain-phase shipment
+    kernel, _ = assert_costs_match(trace, model, WangReplication)
+    assert kernel.n_transfers >= 2  # serve transfer + drain-phase shipment
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +213,19 @@ class TestSelection:
         self.trace = uniform_random_trace(n=4, m=40, horizon=300.0, seed=0)
         self.model = CostModel(lam=20.0, n=4)
 
-    def test_auto_picks_fast_for_eligible(self):
-        pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
-        assert select_engine(self.trace, self.model, pol, "auto") is get_engine("fast")
-        assert select_engine(self.trace, self.model, WangReplication(), "auto") \
-            is get_engine("fast")
+    def test_auto_picks_kernel_for_eligible(self):
+        # a single cell runs on the kernel at any trace length, however
+        # short (the 40-request trace here, an empty one)
+        empty = Trace(4, [])
+        for trace in (self.trace, empty):
+            pol = LearningAugmentedReplication(OraclePredictor(trace), 0.5)
+            for p in (pol, WangReplication()):
+                assert select_engine(trace, self.model, p, "auto") \
+                    is get_engine("kernel")
 
     def test_auto_falls_back_for_adaptive(self):
         pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
-        assert not FAST.supports(self.trace, self.model, pol)
+        assert not KERNEL.supports(self.trace, self.model, pol)
         assert select_engine(self.trace, self.model, pol, "auto") \
             is get_engine("reference")
 
@@ -248,12 +237,12 @@ class TestSelection:
     def test_auto_falls_back_for_non_uniform_storage(self):
         model = CostModel(lam=20.0, n=4, storage_rates=(1.0, 1.0, 2.0, 2.0))
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
-        assert not FAST.supports(self.trace, model, pol)
+        assert not KERNEL.supports(self.trace, model, pol)
 
-    def test_explicit_fast_on_unsupported_policy_raises(self):
+    def test_explicit_kernel_on_unsupported_policy_raises(self):
         pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
         with pytest.raises(EngineError):
-            FAST.run(self.trace, self.model, pol)
+            KERNEL.run(self.trace, self.model, pol)
 
     def test_unknown_engine_name_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -261,7 +250,7 @@ class TestSelection:
 
     def test_engine_instances_pass_through(self):
         pol = WangReplication()
-        assert select_engine(self.trace, self.model, pol, FAST) is FAST
+        assert select_engine(self.trace, self.model, pol, KERNEL) is KERNEL
         assert get_engine(REF) is REF
 
 
@@ -277,7 +266,7 @@ class TestConsumers:
             name: sweep_grid(
                 trace, (10.0, 100.0), (0.2, 1.0), (0.0, 1.0), engine=name
             )
-            for name in ("auto", "fast", "reference")
+            for name in ("auto", "kernel", "reference")
         }
         for lam in (10.0, 100.0):
             for alpha in (0.2, 1.0):
@@ -303,43 +292,24 @@ class TestConsumers:
         ]
         system = MultiObjectSystem(3, specs)
         ref_report = system.run()
-        fast_report = system.run(engine="auto")
-        assert fast_report.online_total == ref_report.online_total
-        assert fast_report.optimal_total == ref_report.optimal_total
-        # reference keeps telemetry; fast outcomes are cost-only
+        auto_report = system.run(engine="auto")
+        assert auto_report.online_total == ref_report.online_total
+        assert auto_report.optimal_total == ref_report.optimal_total
+        # reference keeps telemetry; auto outcomes are cost-only
         assert hasattr(ref_report.outcomes[0].result, "serves")
-        assert isinstance(fast_report.outcomes[0].result, CostResult)
-        assert "obj-a" in fast_report.summary_table()
+        assert isinstance(auto_report.outcomes[0].result, CostResult)
+        assert "obj-a" in auto_report.summary_table()
 
     def test_all_registered_scenarios_equivalent_where_supported(self):
-        fast_covered = 0
-        for scenario in list_scenarios():
-            coarse = scenario.with_grid(
-                lambdas=scenario.lambdas[:1],
-                alphas=scenario.alphas[:1],
-                accuracies=scenario.accuracies[-1:],
-                seeds=scenario.seeds[:1],
-            )
-            lam = coarse.lambdas[0]
-            alpha = coarse.alphas[0]
-            acc = coarse.accuracies[0]
-            seed = coarse.seeds[0]
-            trace = coarse.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
-            model = CostModel(lam=lam, n=trace.n)
-
-            def make():
-                return coarse.policy_factory(trace, lam, alpha, acc, seed)
-
-            if FAST.supports(trace, model, make()):
-                assert_costs_match(trace, model, make)
-                fast_covered += 1
-        # the paper grids, smoke, tight examples, and adversary must all
-        # ride the fast path
-        assert fast_covered >= 8
+        """Every registered scenario through the default ``auto`` slab
+        routing: one pass on the tier it picks, matching the reference
+        cell by cell, the Wang baseline on every scenario's trace (the
+        batch and kernel tiers are forced in their own test modules)."""
+        assert_registered_scenarios_match_reference("auto")
 
 
 # ----------------------------------------------------------------------
-# regression: fast-engine costs pinned on the fig25 smoke grid
+# regression: kernel costs pinned on the fig25 smoke grid
 # ----------------------------------------------------------------------
 
 FIG25_SMOKE_OPT = 670055.3877836763
@@ -366,7 +336,7 @@ def test_fig25_smoke_grid_regression():
     assert optimal_cost(trace, model) == pytest.approx(FIG25_SMOKE_OPT, abs=1e-6)
     for (alpha, acc), (storage, transfer) in FIG25_SMOKE_COSTS.items():
         policy = scenario.policy_factory(trace, 10.0, alpha, acc, 0)
-        run = FAST.run(trace, model, policy)
+        run = KERNEL.run(trace, model, policy)
         assert run.storage_cost == pytest.approx(storage, abs=1e-6), (alpha, acc)
         assert run.transfer_cost == pytest.approx(transfer, abs=1e-9), (alpha, acc)
 

@@ -277,6 +277,31 @@ class TestCache:
         runner.run_grid(*args)
         assert cache.hits > hits_before
 
+    @pytest.mark.parametrize(
+        "content", ["[]", '{"key": {}, "value": {}}'], ids=["list", "no-cost"]
+    )
+    def test_malformed_entries_are_misses(self, scenario, tmp_path, content):
+        """An entry of the wrong shape re-runs its cell (simulation and
+        optimum alike) instead of crashing the run, and is overwritten."""
+        cold = ExperimentRunner(workers=1).run(scenario)
+        cache_dir = tmp_path / "cache"
+        ExperimentRunner(workers=1, cache=ResultCache(cache_dir)).run(scenario)
+        entries = list(cache_dir.glob("*/*.json"))
+        assert entries
+        for path in entries:
+            path.write_text(content)
+        warm = ExperimentRunner(workers=1, cache=ResultCache(cache_dir)).run(
+            scenario
+        )
+        assert warm.executed == scenario.n_jobs and warm.cached == 0
+        assert [(r.online_cost, r.optimal_cost) for r in warm.results] == [
+            (r.online_cost, r.optimal_cost) for r in cold.results
+        ]
+        again = ExperimentRunner(workers=1, cache=ResultCache(cache_dir)).run(
+            scenario
+        )
+        assert again.cached == scenario.n_jobs and again.opt_executed == 0
+
     def test_no_cache_executes_everything(self, scenario):
         runner = ExperimentRunner(workers=1, cache=NullCache())
         r1 = runner.run(scenario)

@@ -118,7 +118,7 @@ class TestFleetBitIdentity:
     @settings(max_examples=20, deadline=None)
     @given(fleet_systems())
     def test_grouped_sharded_streaming_match_serial(self, system):
-        serial = system.run(engine="fast")
+        serial = system.run(engine="reference")
         grouped = system.run(engine="auto", grouped=True)
         _assert_outcomes_equal(serial, grouped)
         runner = ExperimentRunner(workers=1)
@@ -144,7 +144,7 @@ class TestFleetBitIdentity:
             for i in range(6)
         ]
         system = MultiObjectSystem(3, specs)
-        serial = system.run(engine="fast")
+        serial = system.run(engine="reference")
         kernel = system.run(engine="kernel", grouped=True)
         _assert_outcomes_equal(serial, kernel)
 
@@ -159,7 +159,7 @@ class TestFleetBitIdentity:
             ObjectSpec("d", tr, 25.0, conventional),
         ]
         system = MultiObjectSystem(3, specs)
-        serial = system.run(engine="fast")
+        serial = system.run(engine="reference")
         kernel = system.run(engine="kernel", grouped=True)
         _assert_outcomes_equal(serial, kernel)
         auto = system.run(engine="auto", grouped=True)
@@ -167,7 +167,7 @@ class TestFleetBitIdentity:
 
     def test_worker_pool_matches_serial(self):
         system = _mixed_system(30)
-        serial = system.run(engine="fast")
+        serial = system.run(engine="reference")
         runner = ExperimentRunner(workers=2)
         sharded = runner.run_fleet(system, engine="auto")
         _assert_outcomes_equal(serial, sharded)
@@ -178,9 +178,9 @@ class TestFleetBitIdentity:
     def test_skip_optimal(self):
         system = _mixed_system(8)
         runner = ExperimentRunner(workers=1)
-        report = runner.run_fleet(system, compute_optimal=False, engine="fast")
+        report = runner.run_fleet(system, compute_optimal=False, engine="kernel")
         assert report.optimal_total == 0.0
-        serial = system.run(compute_optimal=False, engine="fast")
+        serial = system.run(compute_optimal=False, engine="reference")
         assert report.online_total == serial.online_total
 
 
@@ -303,7 +303,7 @@ class TestStreamingReport:
 
     def test_materialized_table_caps_at_top_k(self):
         system = _mixed_system(12)
-        report = system.run(engine="fast")
+        report = system.run(engine="kernel")
         table = report.summary_table(top_k=3)
         assert "(top 3 of 12 objects by ratio)" in table
         full = report.summary_table()
@@ -313,7 +313,7 @@ class TestStreamingReport:
     def test_outcomes_carry_n_requests(self):
         system = _mixed_system(6)
         runner = ExperimentRunner(workers=1)
-        report = runner.run_fleet(system, engine="fast")
+        report = runner.run_fleet(system, engine="kernel")
         for outcome, spec in zip(report.outcomes, system.specs):
             assert outcome.requests == len(spec.trace)
 
@@ -377,6 +377,16 @@ class TestSplitVectorized:
             (
                 [(1.0, 0, "a"), (2.0, 9, "a"), (0.5, 1, "b")],
                 "object a: request 2 at server 9 but n=2",
+            ),
+            (
+                [(1.0, 0, "a"), (float("nan"), 1, "a"), (0.5, 0, "b")],
+                "object a: request times must be finite "
+                "(violation at index 2: nan)",
+            ),
+            (
+                [(0.5, 0, "a"), (1.0, 1, "b"), (float("inf"), 0, "b")],
+                "object b: request times must be finite "
+                "(violation at index 2: inf)",
             ),
         ],
     )

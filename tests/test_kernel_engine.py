@@ -1,14 +1,14 @@
 """Equivalence and wiring tests for the segment-scan kernel engine.
 
 The contract under test (core/engine.py DESIGN): the loop-free
-:class:`KernelCostEngine` must reproduce the scalar
-:class:`FastCostEngine` — and therefore the batch engine and the
-reference event-driven simulator — *bit for bit*, per cell, for every
-kernel-eligible policy (Algorithm 1 with streamable predictors, the
-conventional baseline, and Wang's baseline via the cascade kernel) on
-arbitrary instances, drain configurations, and slabs; ``supports()``
-has no policy exclusions left, so ``select_engine`` routes every
-registered policy onto the kernel above the crossovers; and the layers
+:class:`KernelCostEngine` must reproduce the reference event-driven
+simulator — and therefore the batch engine — *bit for bit*, per cell,
+for every kernel-eligible policy (Algorithm 1 with streamable
+predictors, the conventional baseline, and Wang's baseline via the
+cascade kernel) on arbitrary instances, drain configurations, and
+slabs; ``supports()`` has no policy exclusions left, so
+``select_engine`` routes every registered policy's single cells onto
+the kernel and ``run_slab`` its slabs above the crossover; and the layers
 above (``run_slab``, ``sweep_grid``, ``ExperimentRunner``, the CLI,
 the ``repro bench`` discovery) must route onto the kernel where it
 wins.
@@ -30,7 +30,6 @@ from repro import (
     CostModel,
     CostResult,
     EngineError,
-    FastCostEngine,
     KernelCostEngine,
     LearningAugmentedReplication,
     ReferenceEngine,
@@ -41,11 +40,7 @@ from repro import (
     select_engine,
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
-from repro.core.engine import (
-    ENGINE_NAMES,
-    KERNEL_MIN_M,
-    KERNEL_SLAB_MIN_M,
-)
+from repro.core.engine import ENGINE_NAMES, KERNEL_SLAB_MIN_M
 from repro.offline.brute_force import (
     _brute_force_reference,
     brute_force_optimal_cost,
@@ -60,18 +55,21 @@ from repro.predictions import (
 )
 from repro.workloads import ibm_like_trace, uniform_random_trace
 
-from conftest import instances, slab_passes, slabs, tie_prone_traces
+from conftest import (
+    assert_registered_scenarios_match_reference,
+    instances,
+    slab_passes,
+    slabs,
+    tie_prone_traces,
+)
 
 KERNEL = KernelCostEngine()
-FAST = FastCostEngine()
 BATCH = BatchCostEngine()
 REF = ReferenceEngine()
 
 
-def assert_kernel_matches_scalar(
-    trace, model, factory, cells, check_reference=False
-):
-    """Kernel slab replays == per-cell fast (and batch / reference)."""
+def assert_kernel_matches_reference(trace, model, factory, cells):
+    """Kernel slab replays == the batch slab == per-cell reference runs."""
     runs, spans = slab_passes(
         lambda: run_slab(trace, model, cells, factory, engine=KERNEL)
     )
@@ -86,18 +84,13 @@ def assert_kernel_matches_scalar(
     for cell, run, brun in zip(cells, runs, batch_runs):
         assert isinstance(run, CostResult)
         assert run.engine == "kernel"
-        policy = factory(trace, model.lam, *cell)
-        fast = FAST.run(trace, model, policy)
+        ref = REF.run(trace, model, factory(trace, model.lam, *cell))
         # bit-identity, not mere closeness
-        assert run.storage_cost == fast.storage_cost, cell
-        assert run.transfer_cost == fast.transfer_cost, cell
-        assert run.n_transfers == fast.n_transfers, cell
+        assert run.storage_cost == ref.storage_cost, cell
+        assert run.transfer_cost == ref.transfer_cost, cell
+        assert run.n_transfers == ref.ledger.n_transfers, cell
         assert run.storage_cost == brun.storage_cost, cell
         assert run.transfer_cost == brun.transfer_cost, cell
-        if check_reference:
-            ref = REF.run(trace, model, factory(trace, model.lam, *cell))
-            assert run.storage_cost == ref.storage_cost, cell
-            assert run.transfer_cost == ref.transfer_cost, cell
     return runs
 
 
@@ -109,13 +102,11 @@ def assert_kernel_matches_scalar(
 @settings(max_examples=50, deadline=None)
 @given(instances(), slabs(), st.sampled_from([1.0, 2.5, 0.3, 7.0]))
 def test_algorithm1_slab_bit_identity(inst, cells, rate):
-    """Kernel == fast == batch == reference per cell for Algorithm 1, at
-    unit and non-unit uniform storage rates (the ``* rate`` charges)."""
+    """Kernel == batch == reference per cell for Algorithm 1, at unit
+    and non-unit uniform storage rates (the ``* rate`` charges)."""
     trace, model = inst
     model = CostModel(lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n)
-    assert_kernel_matches_scalar(
-        trace, model, algorithm1_factory, cells, check_reference=True
-    )
+    assert_kernel_matches_reference(trace, model, algorithm1_factory, cells)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +115,7 @@ def test_tie_prone_slab_bit_identity(trace, lam_int, seed):
     """Integer timing: expiry ties across branches stay bit-identical."""
     model = CostModel(lam=float(lam_int), n=trace.n)
     cells = [(0.0, 0.3, seed), (0.5, 0.7, seed), (1.0, 1.0, seed)]
-    assert_kernel_matches_scalar(trace, model, algorithm1_factory, cells)
+    assert_kernel_matches_reference(trace, model, algorithm1_factory, cells)
 
 
 def _conventional_factory(trace, lam, alpha, accuracy, seed):
@@ -136,9 +127,7 @@ def _conventional_factory(trace, lam, alpha, accuracy, seed):
 def test_conventional_slab_bit_identity(inst, k):
     trace, model = inst
     cells = [(0.5, 1.0, s) for s in range(k)]
-    assert_kernel_matches_scalar(
-        trace, model, _conventional_factory, cells, check_reference=True
-    )
+    assert_kernel_matches_reference(trace, model, _conventional_factory, cells)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,8 +142,8 @@ def test_fixed_and_adversarial_predictor_slabs(inst, alpha, within):
         return LearningAugmentedReplication(AdversarialPredictor(tr), a)
 
     cells = [(alpha, 0.0, 0), (1.0, 0.0, 1)]
-    assert_kernel_matches_scalar(trace, model, fixed_factory, cells)
-    assert_kernel_matches_scalar(trace, model, adversarial_factory, cells)
+    assert_kernel_matches_reference(trace, model, fixed_factory, cells)
+    assert_kernel_matches_reference(trace, model, adversarial_factory, cells)
 
 
 @settings(max_examples=20, deadline=None)
@@ -162,14 +151,14 @@ def test_fixed_and_adversarial_predictor_slabs(inst, alpha, within):
 def test_zero_alpha_full_trust_slab(inst, seed):
     trace, model = inst
     cells = [(0.0, 0.7, seed), (0.0, 1.0, seed), (0.3, 0.7, seed + 1)]
-    assert_kernel_matches_scalar(trace, model, algorithm1_factory, cells)
+    assert_kernel_matches_reference(trace, model, algorithm1_factory, cells)
 
 
 @settings(max_examples=30, deadline=None)
 @given(instances(), st.floats(0.0, 1.0), st.booleans(),
        st.one_of(st.none(), st.integers(0, 8)))
 def test_drain_configurations_bit_identity(inst, alpha, drain, cap):
-    """drain=False and binding event caps replay the scalar semantics
+    """drain=False and binding event caps replay the reference semantics
     (cap-stranded copies finalize in dict-insertion order)."""
     trace, model = inst
     pol = LearningAugmentedReplication(
@@ -179,10 +168,10 @@ def test_drain_configurations_bit_identity(inst, alpha, drain, cap):
     pol2 = LearningAugmentedReplication(
         NoisyOraclePredictor(trace, 0.5, seed=1), alpha, allow_zero_alpha=True
     )
-    f = FAST.run(trace, model, pol2, drain=drain, drain_event_cap=cap)
-    assert k.storage_cost == f.storage_cost
-    assert k.transfer_cost == f.transfer_cost
-    assert k.n_transfers == f.n_transfers
+    r = REF.run(trace, model, pol2, drain=drain, drain_event_cap=cap)
+    assert k.storage_cost == r.storage_cost
+    assert k.transfer_cost == r.transfer_cost
+    assert k.n_transfers == r.ledger.n_transfers
     assert k.engine == "kernel"
 
 
@@ -220,31 +209,29 @@ def wang_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(wang_instances(), st.integers(2, 4))
 def test_wang_slab_bit_identity(inst, k):
-    """Kernel == fast == batch == reference per cell for Wang, on the
-    instances most likely to hit the episode machine."""
+    """Kernel == batch == reference per cell for Wang, on the instances
+    most likely to hit the episode machine."""
     trace, model = inst
     cells = [(0.5, 1.0, s) for s in range(k)]
-    assert_kernel_matches_scalar(
-        trace, model, _wang_factory, cells, check_reference=True
-    )
+    assert_kernel_matches_reference(trace, model, _wang_factory, cells)
 
 
 @settings(max_examples=40, deadline=None)
 @given(wang_instances(), st.booleans(),
        st.one_of(st.none(), st.integers(0, 8)))
 def test_wang_drain_configurations_bit_identity(inst, drain, cap):
-    """drain=False and binding event caps replay the scalar cascade
+    """drain=False and binding event caps replay the reference cascade
     semantics, including cap-stranded copies and mid-drain ships."""
     trace, model = inst
     k = KERNEL.run(
         trace, model, WangReplication(), drain=drain, drain_event_cap=cap
     )
-    f = FAST.run(
+    r = REF.run(
         trace, model, WangReplication(), drain=drain, drain_event_cap=cap
     )
-    assert k.storage_cost == f.storage_cost
-    assert k.transfer_cost == f.transfer_cost
-    assert k.n_transfers == f.n_transfers
+    assert k.storage_cost == r.storage_cost
+    assert k.transfer_cost == r.transfer_cost
+    assert k.n_transfers == r.ledger.n_transfers
     assert k.engine == "kernel"
 
 
@@ -272,11 +259,11 @@ class TestSupports:
     def test_wang_supported_and_bit_identical(self):
         assert KERNEL.supports(self.trace, self.model, WangReplication())
         k = KERNEL.run(self.trace, self.model, WangReplication())
-        f = FAST.run(self.trace, self.model, WangReplication())
+        r = REF.run(self.trace, self.model, WangReplication())
         assert k.engine == "kernel"
-        assert k.storage_cost == f.storage_cost
-        assert k.transfer_cost == f.transfer_cost
-        assert k.n_transfers == f.n_transfers
+        assert k.storage_cost == r.storage_cost
+        assert k.transfer_cost == r.transfer_cost
+        assert k.n_transfers == r.ledger.n_transfers
 
     def test_wang_descending_rates_not_supported(self):
         # Wang's server-ordering assumption still gates bad models
@@ -299,8 +286,8 @@ class TestSupports:
     def test_wang_slab_accepted_by_both_slab_tiers(self):
         # the helper asserts one 2-cell pass on each slab tier
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
-        assert_kernel_matches_scalar(
-            self.trace, self.model, _wang_factory, cells, check_reference=True
+        assert_kernel_matches_reference(
+            self.trace, self.model, _wang_factory, cells
         )
 
 
@@ -311,11 +298,11 @@ class TestSupports:
 
 class TestSelection:
     def setup_method(self):
-        # beyond both measured crossovers
+        # beyond the slab crossover
         self.big = uniform_random_trace(
             n=4, m=KERNEL_SLAB_MIN_M + 200, horizon=1e6, seed=1
         )
-        # below the single-cell crossover
+        # below it
         self.small = uniform_random_trace(n=4, m=60, horizon=400.0, seed=2)
         self.model = CostModel(lam=20.0, n=4)
 
@@ -329,19 +316,21 @@ class TestSelection:
         assert select_engine(self.big, self.model, pol) is get_engine("kernel")
         assert self._slab_tiers(self.big, algorithm1_factory) == {"kernel"}
 
-    def test_auto_keeps_fast_and_batch_below_crossovers(self):
+    def test_auto_keeps_batch_below_slab_crossover(self):
         pol = LearningAugmentedReplication(OraclePredictor(self.small), 0.5)
-        assert len(self.small) < KERNEL_MIN_M
-        assert select_engine(self.small, self.model, pol) is get_engine("fast")
+        assert len(self.small) < KERNEL_SLAB_MIN_M
+        # a single cell rides the kernel at any length; slabs take batch
+        assert select_engine(self.small, self.model, pol) is get_engine("kernel")
         assert self._slab_tiers(self.small, algorithm1_factory) == {"batch"}
 
     def test_wang_rides_kernel_through_select_engine(self):
-        """select_engine never falls back for Wang: kernel above the
-        crossovers, fast/batch only below them (like every policy)."""
+        """select_engine never falls back for Wang: single cells run on
+        the kernel, slabs on batch only below the crossover (like every
+        policy)."""
         pol = WangReplication()
         assert select_engine(self.big, self.model, pol) is get_engine("kernel")
         assert self._slab_tiers(self.big, _wang_factory) == {"kernel"}
-        assert select_engine(self.small, self.model, pol) is get_engine("fast")
+        assert select_engine(self.small, self.model, pol) is get_engine("kernel")
         assert self._slab_tiers(self.small, _wang_factory) == {"batch"}
 
     def test_history_policy_falls_back_to_reference(self):
@@ -376,7 +365,7 @@ class TestSelection:
             return WangReplication()
 
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
-        fast = FAST.run(self.small, self.model, WangReplication())
+        ref = REF.run(self.small, self.model, WangReplication())
         runs = run_slab(
             self.small, self.model, cells, wang_factory, engine="kernel"
         )
@@ -384,8 +373,8 @@ class TestSelection:
         # auto keeps the short Wang slab on the batch tier, same costs
         auto_runs = run_slab(self.small, self.model, cells, wang_factory)
         for r in list(runs) + list(auto_runs):
-            assert r.storage_cost == fast.storage_cost
-            assert r.transfer_cost == fast.transfer_cost
+            assert r.storage_cost == ref.storage_cost
+            assert r.transfer_cost == ref.transfer_cost
         big_runs = run_slab(
             self.big, self.model, cells, wang_factory, engine="auto"
         )
@@ -398,54 +387,36 @@ class TestSelection:
 
 
 def test_all_registered_scenarios_kernel_equivalent_where_supported():
-    """Every registered scenario's smoke subset: kernel == fast == batch
-    per cell wherever the cells are eligible (one ``supports()`` serves
-    every cost-only tier, so no policy is gated off the kernel)."""
-    from repro.experiments import list_scenarios
-
-    kernel_covered = 0
-    for scenario in list_scenarios():
-        lam = scenario.lambdas[0]
-        alpha = scenario.alphas[0]
-        acc = scenario.accuracies[-1]
-        seed = scenario.seeds[0]
-        trace = scenario.build_trace(lam=lam, alpha=alpha, accuracy=acc, seed=seed)
-        model = CostModel(lam=lam, n=trace.n)
-        cells = [(alpha, acc, seed), (scenario.alphas[-1], acc, seed)]
-        if all(
-            KERNEL.supports(trace, model, scenario.policy_factory(trace, lam, *c))
-            for c in cells
-        ):
-            assert_kernel_matches_scalar(
-                trace, model, scenario.policy_factory, cells
-            )
-            kernel_covered += 1
-        # Wang-kernel identity on every registered scenario's trace
-        wf = lambda tr, lm, a, ac, sd: WangReplication()  # noqa: E731
-        assert_kernel_matches_scalar(trace, model, wf, cells[:1] * 2)
-    # the paper grids, smoke, tight examples, adversary, and the
-    # synthetic workload grids must all ride the kernel path
-    assert kernel_covered >= 11
+    """Every registered scenario's two-cell slab, and a Wang slab on its
+    trace, run as one kernel pass and match the reference per cell
+    wherever eligible (one ``supports()`` serves every cost-only tier,
+    so no policy is gated off the kernel)."""
+    assert_registered_scenarios_match_reference(KERNEL)
 
 
-def test_sweep_grid_kernel_engine_matches_fast():
+# ----------------------------------------------------------------------
+# consuming layers: sweep, runner, fleets, CLI
+# ----------------------------------------------------------------------
+
+
+def test_sweep_grid_kernel_engine_matches_reference():
     trace = ibm_like_trace(n=6, m=400, seed=4)
     kw = dict(lambdas=(50.0,), alphas=(0.2, 0.8), accuracies=(0.5, 1.0))
     a = sweep_grid(trace, engine="kernel", **kw)
-    b = sweep_grid(trace, engine="fast", **kw)
+    b = sweep_grid(trace, engine="reference", **kw)
     for pa, pb in zip(a.points, b.points):
         assert pa.online_cost == pb.online_cost
         assert pa.optimal_cost == pb.optimal_cost
 
 
-def test_experiment_runner_kernel_engine_matches_fast():
+def test_experiment_runner_kernel_engine_matches_reference():
     from repro.experiments import ExperimentRunner, get_scenario
 
     scenario = get_scenario("smoke")
     k = ExperimentRunner(workers=1, engine="kernel").run(scenario)
-    f = ExperimentRunner(workers=1, engine="fast").run(scenario)
-    assert [r.online_cost for r in k.results] == [
-        r.online_cost for r in f.results
+    r = ExperimentRunner(workers=1, engine="reference").run(scenario)
+    assert [c.online_cost for c in k.results] == [
+        c.online_cost for c in r.results
     ]
 
 
@@ -459,9 +430,9 @@ def test_multi_object_kernel_engine():
     )
     system = MultiObjectSystem(3, [spec])
     rep_k = system.run(engine="kernel", compute_optimal=False)
-    rep_f = system.run(engine="fast", compute_optimal=False)
+    rep_r = system.run(engine="reference", compute_optimal=False)
     assert rep_k.outcomes[0].result.total_cost == \
-        rep_f.outcomes[0].result.total_cost
+        rep_r.outcomes[0].result.total_cost
     assert rep_k.outcomes[0].result.engine == "kernel"
 
 
@@ -571,8 +542,10 @@ def test_bench_discovery_finds_runnable_suites():
 
     bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
     suites = _discover_bench_suites(bench_dir)
-    for name in ("engines", "batch", "trace", "kernel", "scaling"):
+    for name in ("trace", "kernel", "scaling", "fleet", "backends"):
         assert name in suites
+    for name in ("engines", "batch"):
+        assert name not in suites
     # pytest-only figure benchmarks expose no main() and are not listed
     assert "fig25_28" not in suites
 

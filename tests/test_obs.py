@@ -49,11 +49,11 @@ def _clean_registry():
 
 class TestInstruments:
     def test_counter_inc(self):
-        c = metrics.counter("x_total", tier="fast")
+        c = metrics.counter("x_total", tier="kernel")
         c.inc()
         c.inc(2.5)
         assert c.value == 3.5
-        assert metrics.counter("x_total", tier="fast") is c
+        assert metrics.counter("x_total", tier="kernel") is c
         assert metrics.counter("x_total", tier="batch") is not c
 
     def test_gauge_set(self):
@@ -115,12 +115,12 @@ class TestSpans:
 
     def test_span_enabled_records(self):
         with metrics.enabled_scope():
-            with metrics.span("engine.cell", tier="fast"):
+            with metrics.span("engine.cell", tier="kernel"):
                 pass
         spans = metrics.get_registry().spans
         assert len(spans) == 1
         assert spans[0].name == "engine.cell"
-        assert dict(spans[0].tags) == {"tier": "fast"}
+        assert dict(spans[0].tags) == {"tier": "kernel"}
         assert spans[0].dur_ns >= 0
 
     def test_timed_span_measures_when_disabled(self):
@@ -194,7 +194,7 @@ class TestMerge:
         deltas = []
         for k in (3, 1, 4):
             r = metrics.Registry()
-            r.counter("c", tier="fast").inc(k)
+            r.counter("c", tier="kernel").inc(k)
             r.gauge("g").set(k / 10)
             deltas.append(r.snapshot())
         fwd, rev = metrics.Registry(), metrics.Registry()
@@ -251,7 +251,7 @@ class TestBitIdentity:
     @given(
         instances(),
         st.floats(0.05, 1.0),
-        st.sampled_from(["reference", "fast", "batch", "auto"]),
+        st.sampled_from(["reference", "batch", "kernel", "auto"]),
     )
     def test_engine_tiers_unchanged_by_obs(self, trace, alpha, engine):
         from repro.analysis.sweep import algorithm1_factory
@@ -383,7 +383,7 @@ class TestCrossProcess:
 
 def _sample_snapshot():
     with metrics.enabled_scope():
-        metrics.counter("repro_engine_cells_total", tier="fast").inc(3)
+        metrics.counter("repro_engine_cells_total", tier="kernel").inc(3)
         metrics.gauge("repro_worker_utilization").set(0.5)
         metrics.histogram(
             "repro_span_seconds", bounds=(0.1, 1.0), le="x\"y"
@@ -416,7 +416,7 @@ class TestExporters:
         assert lines
         for line in lines:
             assert line_re.match(line), line
-        assert 'repro_engine_cells_total{tier="fast"} 3' in lines
+        assert 'repro_engine_cells_total{tier="kernel"} 3' in lines
         # histogram series: cumulative buckets, +Inf, _sum, _count
         assert any('le="+Inf"' in ln for ln in lines)
         assert any(ln.startswith("repro_span_seconds_sum") for ln in lines)

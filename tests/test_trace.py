@@ -66,6 +66,27 @@ class TestTraceConstruction:
         with pytest.raises(TraceError):
             Trace(2, [(1.0, 2)])
 
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            ([(1.0, 0), (2.0, 1), (math.nan, 0)], "index 3: nan"),
+            ([(1.0, 0), (math.nan, 1), (3.0, 0)], "index 2: nan"),
+            ([(1.0, 0), (math.inf, 1)], "index 2: inf"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, rows, expected):
+        # NaN passes every ordering comparison, and +inf as the last
+        # time passes the order check; both reach the DP and the engines
+        # unless construction rejects them
+        msg = f"request times must be finite (violation at {expected})"
+        with pytest.raises(TraceError) as err:
+            Trace(2, rows)
+        assert str(err.value) == msg
+        times, servers = zip(*rows)
+        with pytest.raises(TraceError) as err:
+            Trace.from_arrays(times, servers, n=2)
+        assert str(err.value) == msg
+
     def test_empty_trace_ok(self):
         tr = Trace(3, [])
         assert len(tr) == 0

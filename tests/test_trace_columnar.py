@@ -246,7 +246,7 @@ def _engine_costs(trace, lam, alpha, accuracy, seed):
     from repro.analysis.sweep import algorithm1_factory
 
     out = {}
-    for name in ("reference", "fast", "batch"):
+    for name in ("reference", "batch", "kernel"):
         policy = algorithm1_factory(trace, lam, alpha, accuracy, seed)
         run = get_engine(name).run(trace, CostModel(lam=lam, n=trace.n), policy)
         out[name] = (run.storage_cost, run.transfer_cost)
@@ -277,7 +277,7 @@ def test_all_registered_scenarios_array_vs_request_built():
         b = _engine_costs(request_built, lam, alpha, acc, seed)
         assert a == b, scenario.name
         # the three engines agree with each other on the array-built trace
-        assert a["reference"] == a["fast"] == a["batch"], scenario.name
+        assert a["reference"] == a["batch"] == a["kernel"], scenario.name
         checked += 1
     assert checked >= 11
 
@@ -288,7 +288,7 @@ def test_engines_bit_identical_on_array_native_traces(cols, alpha):
     n, times, servers = cols
     tr = Trace.from_arrays(times, servers, n=n)
     costs = _engine_costs(tr, 5.0, alpha, 1.0, 0)
-    assert costs["reference"] == costs["fast"] == costs["batch"]
+    assert costs["reference"] == costs["batch"] == costs["kernel"]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro import Trace, TraceError
 from repro.system import (
     load_access_log_csv,
+    load_trace,
     load_trace_csv,
     load_trace_jsonl,
     save_trace_csv,
@@ -43,6 +44,15 @@ class TestCsvRoundTrip:
         p.write_text("time,server\n1.0,0\n")
         with pytest.raises(TraceError, match="header"):
             load_trace_csv(p)
+
+    def test_nan_time_rejected(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("# n,2\ntime,server\n1.0,0\n2.0,1\nnan,0\n")
+        with pytest.raises(TraceError) as err:
+            load_trace(p)
+        assert str(err.value) == (
+            "request times must be finite (violation at index 3: nan)"
+        )
 
 
 class TestJsonlRoundTrip:
