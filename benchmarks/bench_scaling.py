@@ -9,7 +9,14 @@ records two views of the ``auto`` slab crossover:
   traces, on both sides of :data:`repro.core.engine.KERNEL_SLAB_MIN_M`;
 * ``wide_slab`` — the shape of one ``(trace, lambda)`` slab of
   ``bench_fleet.py``'s template fleet (64 requests on 8 servers, about
-  800 cells), the short-and-wide corner the batch tier is kept for.
+  800 cells), the short-and-wide corner the batch tier is kept for;
+
+and one view of the adapted algorithm (Figures 29-32):
+
+* ``adaptive`` — the 9-cell coarse fig29 grid (alpha and accuracy at
+  0, 0.5 and 1; the scenario's own policy factory and lambda) at
+  :data:`REFERENCE_MAX_M` requests, on the reference simulator and both
+  cost-only tiers.
 
 Every timing is the min (``total_s``, ``per_cell_ms``) and median
 (``median_s``) of :data:`REPEATS` runs, and the report records the core
@@ -88,18 +95,20 @@ def _cells(seeds=(SMOKE_SEED,)):
     ]
 
 
-def _time_tiers(trace, model, cells, engines, repeats):
-    """One row per engine tier: ``run_slab`` over ``cells`` timed
-    ``repeats`` times, costs asserted bit-identical across tiers."""
+def _time_tiers(trace, model, cells, engines, repeats, factory=None):
+    """One row per engine tier: ``run_slab`` over ``cells`` (policies
+    from ``factory``, Algorithm 1's by default) timed ``repeats`` times,
+    costs asserted bit-identical across tiers."""
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.engine import run_slab
 
+    factory = factory or algorithm1_factory
     rows, costs = [], None
     for name in engines:
         samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            runs = run_slab(trace, model, cells, algorithm1_factory, engine=name)
+            runs = run_slab(trace, model, cells, factory, engine=name)
             samples.append(time.perf_counter() - t0)
         got = [(r.storage_cost, r.transfer_cost) for r in runs]
         if costs is None:
@@ -126,6 +135,7 @@ def _per_cell(rows, engine):
 def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     """Sweep trace size x engine tier; returns the report dict."""
     from repro.core.costs import CostModel
+    from repro.experiments import get_scenario
     from repro.workloads import ibm_like_trace, uniform_random_trace
 
     cells = _cells()
@@ -147,6 +157,17 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
         ["batch", "kernel"],
         repeats,
     )
+    fig29 = get_scenario("fig29")
+    coarse = (0.0, 0.5, 1.0)
+    adaptive_trace = ibm_like_trace(n=SMOKE_N, m=REFERENCE_MAX_M, seed=SMOKE_SEED)
+    adaptive = _time_tiers(
+        adaptive_trace,
+        CostModel(lam=fig29.lambdas[0], n=SMOKE_N),
+        [(a, acc, fig29.seeds[0]) for a in coarse for acc in coarse],
+        ["reference", "batch", "kernel"],
+        repeats,
+        fig29.policy_factory,
+    )
     top = [r for r in rows if r["m"] == max(sizes)]
     return {
         "grid": {
@@ -165,8 +186,20 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "lam": WIDE_LAMBDA,
             "rows": wide,
         },
+        "adaptive": {
+            "scenario": "fig29",
+            "alphas": coarse,
+            "accuracies": coarse,
+            "trace": {"workload": "ibm_like", "n": SMOKE_N,
+                      "m": REFERENCE_MAX_M, "seed": SMOKE_SEED},
+            "lam": fig29.lambdas[0],
+            "rows": adaptive,
+        },
         "kernel_vs_batch_at_largest": _per_cell(top, "batch") / _per_cell(top, "kernel"),
         "batch_vs_kernel_wide": _per_cell(wide, "kernel") / _per_cell(wide, "batch"),
+        "kernel_vs_reference_adaptive": (
+            _per_cell(adaptive, "reference") / _per_cell(adaptive, "kernel")
+        ),
     }
 
 
@@ -175,6 +208,7 @@ def format_rows(report: dict) -> str:
     views = (
         ("slab", report["rows"]),
         ("wide", report["wide_slab"]["rows"]),
+        ("adapt", report["adaptive"]["rows"]),
     )
     for view, rows in views:
         for r in rows:
@@ -265,7 +299,8 @@ def main(argv=None) -> int:
     print(
         f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x; wide "
         f"m={WIDE_M} slab: batch {report['batch_vs_kernel_wide']:.2f}x "
-        f"over kernel -> {out}"
+        f"over kernel; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "
+        f"{report['kernel_vs_reference_adaptive']:.1f}x over reference -> {out}"
     )
     return gate_exit(
         speedup, gate, strict, label="kernel-over-batch speedup"

@@ -20,11 +20,20 @@ Whenever ``Online_U / OPT_L > 2 + beta``, the intended duration after the
 current request is forced to ``lambda`` (the conventional 2-competitive
 behaviour); otherwise Algorithm 1 runs unchanged.  This maintains
 robustness ``2 + beta`` while retaining consistency on good predictions.
+
+The fallback changes only the duration picked after a request, and to
+the one a "within" prediction picks, so the policy *is* Algorithm 1
+under the effective prediction column ``within | forced``.
+:func:`forced_column` computes ``forced`` from the trace and the
+prediction column alone, which is how the cost-only engine tiers replay
+this policy (``core/engine.py``).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ..core.costs import CostModel
 from ..core.simulator import SimContext
@@ -149,3 +158,102 @@ class AdaptiveReplication(LearningAugmentedReplication):
         if self._force_conventional:
             return self._model.lam
         return super()._duration_for(predicted_within)
+
+
+def forced_column(
+    t_all: np.ndarray,
+    j_all: np.ndarray,
+    within: np.ndarray,
+    n: int,
+    lam: float,
+    alpha: float,
+    beta: float,
+    warmup: int,
+) -> np.ndarray:
+    """The fallback flags :class:`AdaptiveReplication` raises on a trace.
+
+    ``t_all`` / ``j_all`` are the dummy-prefixed time and server columns
+    of an ``n``-server trace and ``within`` the policy's prediction
+    column (``within[i]`` is consumed after request ``i``).  Returns a
+    bool column of length ``m + 1`` whose entry ``i`` is the trip
+    decision ``_note_request`` takes at request ``i`` (``forced[0]``,
+    the dummy, is False), for the policy with ``alpha``, ``beta`` and
+    ``warmup`` under ``lam``.
+
+    One scalar pass over per-server state, with no simulator.  ``E[s]``
+    is the expiry ``t + d`` set at server ``s``'s latest request
+    (``-inf`` before it).  Algorithm 1 drops a copy only at its expiry
+    while another copy lives, or right after a special copy serves a
+    transfer, so the copies alive at request ``i`` are ``{s : E[s] >=
+    t_i}`` (an expiry at exactly ``t_i`` fires after the request), plus
+    the special copy when every ``E`` has passed: the ``(E[s], s)``
+    maximum, the expiry heap's last pop.  That yields each request's
+    Section 4.1 type, ``l_i`` and ``t'_i``; the monitors then repeat
+    ``_note_request``'s float operations in its order, so every trip
+    decision is the reference policy's, bit for bit.
+    """
+    times = t_all.tolist()
+    servers = j_all.tolist()
+    preds = within.tolist()
+    m = len(times) - 1
+    inf = math.inf
+    beyond = alpha * lam            # the reference's single multiply
+    two_lam = 2.0 * lam
+    bound = 2.0 + beta
+    d = lam if preds[0] else beyond
+    expiry = [-inf] * n
+    # last intended duration; 0.0 stands in for the reference's NaN,
+    # which the Online_U terms read as 0.0
+    last_d = [0.0] * n
+    last_t = [math.nan] * n         # last local time t_p
+    expiry[0], last_d[0], last_t[0] = d, d, 0.0
+    top_e, top_s = d, 0             # the (E[s], s) maximum
+    seen = 1                        # len(servers_seen)
+    opt_lower = 0.0
+    upper_base = 0.0
+    prev_t = 0.0
+    forced = [False] * (m + 1)
+    for i in range(1, m + 1):
+        t = times[i]
+        j = servers[i]
+        t_p = last_t[j]
+        # Online_U: Proposition 2 allocation of the request's type
+        if top_e < t:                # die-out: only the special copy lives
+            if top_s == j:           # Type 4
+                upper_base += t - t_p
+            else:                    # Type 2, t' = the special's expiry
+                upper_base += lam + (t - top_e) + last_d[j]
+        elif expiry[j] >= t:         # Type 3
+            upper_base += t - t_p
+        else:                        # Type 1
+            upper_base += lam + last_d[j]
+        # OPT_L (denominator of eq. 11)
+        if t_p != t_p:               # first request at j
+            seen += 1
+            local_gap = inf
+        else:
+            local_gap = t - t_p
+        opt_lower += lam if local_gap > lam else local_gap
+        global_gap = t - prev_t
+        if global_gap > lam:
+            opt_lower += global_gap - lam
+        prev_t = t
+        # trip test, then the duration _duration_for picks
+        f = False
+        if i > warmup:
+            if opt_lower <= 0.0:
+                ratio = inf
+            else:
+                ratio = (upper_base + two_lam * seen) / opt_lower
+            f = forced[i] = ratio > bound
+        d = lam if f or preds[i] else beyond
+        e = t + d
+        expiry[j], last_d[j], last_t[j] = e, d, t
+        if e > top_e or (e == top_e and j > top_s):
+            top_e, top_s = e, j
+        elif j == top_s:             # the maximum moved down: rescan
+            top_e, top_s = -inf, 0
+            for s in range(n):
+                if expiry[s] >= top_e:
+                    top_e, top_s = expiry[s], s
+    return np.array(forced, dtype=bool)

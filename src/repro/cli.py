@@ -81,7 +81,7 @@ from .analysis.sweep import (
 )
 from .analysis.theory import consistency_bound, robustness_bound
 from .core import CostModel, simulate
-from .core.engine import ENGINE_NAMES
+from .core.engine import ENGINE_NAMES, run_policy_slab
 from .offline import optimal_cost
 from .predictions import FixedPredictor, NoisyOraclePredictor, OraclePredictor
 from .workloads import (
@@ -315,18 +315,27 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
     trace = ibm_like_trace(m=args.requests, seed=args.seed)
     model = CostModel(lam=args.lam, n=trace.n)
     opt = optimal_cost(trace, model)
-    print(f"lambda={args.lam:g} beta={args.beta:g} target<={2 + args.beta:g}")
-    print("alpha  accuracy  ratio")
-    for alpha in (0.1, 0.5, 1.0):
-        for acc in (0.0, 0.5, 1.0):
-            pred = (
+    grid = [
+        (alpha, acc) for alpha in (0.1, 0.5, 1.0) for acc in (0.0, 0.5, 1.0)
+    ]
+    cells = [
+        (
+            model,
+            AdaptiveReplication(
                 OraclePredictor(trace)
                 if acc >= 1.0
-                else NoisyOraclePredictor(trace, acc, seed=args.seed)
-            )
-            policy = AdaptiveReplication(pred, alpha=alpha, beta=args.beta)
-            run = simulate(trace, model, policy)
-            print(f"{alpha:5.1f}  {acc:8.0%}  {run.total_cost / opt:6.3f}")
+                else NoisyOraclePredictor(trace, acc, seed=args.seed),
+                alpha=alpha,
+                beta=args.beta,
+            ),
+        )
+        for alpha, acc in grid
+    ]
+    runs = run_policy_slab(trace, cells, "auto")
+    print(f"lambda={args.lam:g} beta={args.beta:g} target<={2 + args.beta:g}")
+    print("alpha  accuracy  ratio")
+    for (alpha, acc), run in zip(grid, runs):
+        print(f"{alpha:5.1f}  {acc:8.0%}  {run.total_cost / opt:6.3f}")
     return 0
 
 

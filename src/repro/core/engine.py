@@ -52,17 +52,29 @@ A policy qualifies only if its decisions are a pure function of
 * :class:`ConventionalReplication` — always eligible (``alpha = 1``
   makes predictions irrelevant).
 * :class:`WangReplication` — always eligible (prediction-free).
+* :class:`AdaptiveReplication` (Section 8) — eligible under Algorithm
+  1's conditions (uniform storage, a streamable predictor; exact type
+  only).  It differs from Algorithm 1 in one place: while its monitor
+  forces the fallback, ``_duration_for`` returns ``lambda``, the
+  "within" duration.  It never forces at ``r_0``, it queries the
+  predictor at every request either way, and serving and expiry are
+  Algorithm 1's.  So an adaptive cell *is* Algorithm 1 under the
+  effective prediction column ``within | forced``, and its ledger is
+  an Algorithm-1 replay of that column, bit-identical by the argument
+  below.  ``forced`` comes from one sequential machine over the trace
+  and prediction columns
+  (:func:`repro.algorithms.adaptive.forced_column`): per-server expiry
+  state yields each request's Section 4.1 type, ``l_i`` and ``t'_i``,
+  and the monitor repeats ``_note_request``'s float operations in its
+  order, so every trip decision equals the reference policy's.
 
 Everything else falls back to the reference engine:
 
-* :class:`AdaptiveReplication` monitors its own realized cost ratio and
-  switches durations adaptively — its state depends on per-request
-  telemetry the cost-only tiers do not materialise;
 * history-based predictors (sliding window, Markov, EWMA, ensembles)
   learn from ``observe`` callbacks in arrival order;
-* anything needing classifications, serve records, event logs, or copy
-  records must use the reference engine — the cost-only tiers never
-  produce telemetry, by construction.
+* anything needing classifications, serve records, event logs, monitor
+  histories, or copy records must use the reference engine — the
+  cost-only tiers never produce telemetry, by construction.
 
 The batch and kernel tiers share that rule and everything around
 their replays — the model check, the policy-kind dispatch, prediction
@@ -371,6 +383,33 @@ def _stream_predictor(policy: ReplicationPolicy):
     return policy.predictor
 
 
+def _replay_column(
+    trace: Trace,
+    model: CostModel,
+    policy: ReplicationPolicy,
+    within: np.ndarray,
+) -> np.ndarray:
+    """The prediction column whose Algorithm-1 replay is ``policy``'s
+    ledger: ``within`` itself, or ``within | forced`` for the adaptive
+    variant, whose fallback flags ``forced`` come from its monitor
+    machine (see the module DESIGN docstring)."""
+    from ..algorithms.adaptive import AdaptiveReplication, forced_column
+
+    if type(policy) is not AdaptiveReplication:
+        return within
+    forced = forced_column(
+        np.concatenate(([0.0], trace.times)),
+        np.concatenate(([0], trace.servers)),
+        within,
+        trace.n,
+        model.lam,
+        policy.alpha,
+        policy.beta,
+        policy.warmup,
+    )
+    return within | forced
+
+
 def _cost_result(
     trace: Trace,
     model: CostModel,
@@ -406,6 +445,7 @@ class _CostOnlyEngine(Engine):
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
+        from ..algorithms.adaptive import AdaptiveReplication
         from ..algorithms.conventional import ConventionalReplication
         from ..algorithms.learning_augmented import LearningAugmentedReplication
         from ..algorithms.wang import WangReplication
@@ -414,7 +454,11 @@ class _CostOnlyEngine(Engine):
         kind = type(policy)
         if kind is WangReplication:
             return _wang_rates_ok(model)
-        if kind in (ConventionalReplication, LearningAugmentedReplication):
+        if kind in (
+            ConventionalReplication,
+            LearningAugmentedReplication,
+            AdaptiveReplication,
+        ):
             # cheap type/provenance check; the stream itself is built
             # once, in run()
             return model.uniform_storage and PredictionStream.supports_predictor(
@@ -430,6 +474,7 @@ class _CostOnlyEngine(Engine):
         drain: bool = True,
         drain_event_cap: int | None = None,
     ) -> CostResult:
+        from ..algorithms.adaptive import AdaptiveReplication
         from ..algorithms.conventional import ConventionalReplication
         from ..algorithms.learning_augmented import LearningAugmentedReplication
         from ..algorithms.wang import WangReplication
@@ -445,7 +490,11 @@ class _CostOnlyEngine(Engine):
                     "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
                 )
             ledger = self._wang(trace, model, drain, drain_event_cap)
-        elif kind in (ConventionalReplication, LearningAugmentedReplication):
+        elif kind in (
+            ConventionalReplication,
+            LearningAugmentedReplication,
+            AdaptiveReplication,
+        ):
             if not model.uniform_storage:
                 raise PolicyError(
                     "Algorithm 1 assumes uniform storage rates (paper Section 2)"
@@ -459,7 +508,12 @@ class _CostOnlyEngine(Engine):
                     f"{policy.predictor.name!r}; use the reference engine"
                 )
             ledger = self._algorithm1(
-                trace, model, policy.alpha, stream.within, drain, drain_event_cap
+                trace,
+                model,
+                policy.alpha,
+                _replay_column(trace, model, policy, stream.within),
+                drain,
+                drain_event_cap,
             )
         else:
             raise EngineError(
@@ -1634,7 +1688,7 @@ def _kernel_slab(
                     model.storage_rates[0],
                     model.lam,
                     policy.alpha,
-                    rows[k],
+                    _replay_column(trace, model, policy, rows[k]),
                     True,
                     None,
                 )
@@ -1677,6 +1731,9 @@ def _batch_slabs(
             matrix = PredictionStream.batch_for_predictors(
                 [_stream_predictor(p) for p in policies], trace, model.lam
             )
+            # adaptive cells replay their monitor-forced column
+            for c, p in enumerate(policies):
+                matrix[:, c] = _replay_column(trace, model, p, matrix[:, c])
             storage, transfer, n_tx = _batch_algorithm1(
                 trace, model, np.array([p.alpha for p in policies]), matrix,
                 True, None,

@@ -81,20 +81,29 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
-    def get(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Return the stored value for ``payload``, or None on a miss.
+    @staticmethod
+    def _read(path: Path) -> dict[str, Any] | None:
+        """The value stored at ``path``, or None when there is no entry.
 
         An unreadable entry — truncated JSON, or a file whose content is
-        not a ``{"value": {...}}`` object — is a miss too, so the caller
-        recomputes it and :meth:`put` overwrites it.
+        not a ``{"value": {...}}`` object — counts as no entry, so
+        :meth:`get`, :meth:`contains` and ``len()`` agree on it.
         """
-        path = self._path(self._key(payload))
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 value = json.load(fh)["value"]
         except (OSError, ValueError, TypeError, KeyError):
-            value = None
-        if not isinstance(value, dict):
+            return None
+        return value if isinstance(value, dict) else None
+
+    def get(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
+        """Return the stored value for ``payload``, or None on a miss.
+
+        An unreadable entry is a miss too (see :meth:`_read`), so the
+        caller recomputes it and :meth:`put` overwrites it.
+        """
+        value = self._read(self._path(self._key(payload)))
+        if value is None:
             self.misses += 1
             if _obs.enabled:
                 _obs.counter("repro_cache_requests_total", outcome="miss").inc()
@@ -126,13 +135,17 @@ class ResultCache:
         return key
 
     def contains(self, payload: Mapping[str, Any]) -> bool:
-        return self._path(self._key(payload)).exists()
+        """Whether :meth:`get` would hit (the counters do not move)."""
+        return self._read(self._path(self._key(payload))) is not None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """The number of entries :meth:`get` can read."""
         if not self.root.exists():
             return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(
+            1 for p in self.root.glob("*/*.json") if self._read(p) is not None
+        )
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

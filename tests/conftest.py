@@ -108,7 +108,7 @@ def assert_registered_scenarios_match_reference(engine):
     """The registered-scenario oracle: every leg of
     :func:`registered_scenario_legs` runs on ``engine`` (a cost-only tier,
     or ``"auto"``) as one two-cell slab pass and matches the reference
-    cell by cell; at least 11 scenarios must be eligible."""
+    cell by cell; at least 18 scenarios must be eligible."""
     legs, covered = registered_scenario_legs()
     for name, trace, model, factory, cells, refs in legs:
         runs, spans = slab_passes(
@@ -126,9 +126,9 @@ def assert_registered_scenarios_match_reference(engine):
             assert run.storage_cost == ref.storage_cost, name
             assert run.transfer_cost == ref.transfer_cost, name
             assert run.n_transfers == ref.ledger.n_transfers, name
-    # the paper grids, smoke, tight examples, adversary, and the
-    # synthetic workload grids must all ride the cost-only tiers
-    assert covered >= 11
+    # the paper and adaptive grids, smoke, tight examples, adversary,
+    # and the synthetic workload grids must all ride the cost-only tiers
+    assert covered >= 18
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 5, max_m: int = 50):

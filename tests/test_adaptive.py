@@ -6,19 +6,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AdaptiveReplication,
     AdversarialPredictor,
+    BatchCostEngine,
     CostModel,
     FixedPredictor,
+    KernelCostEngine,
     LearningAugmentedReplication,
+    NoisyOraclePredictor,
     OraclePredictor,
+    PredictionStream,
+    Trace,
     optimal_cost,
     simulate,
 )
+from repro.algorithms.adaptive import forced_column
+from repro.core.engine import run_policy_slab
+from repro.experiments import get_scenario
 from repro.offline import opt_lower_bound
 from repro.workloads import robustness_tight_trace, uniform_random_trace
+
+from conftest import instances, slab_passes, tie_prone_traces
 
 
 class TestParameters:
@@ -133,3 +145,146 @@ class TestConsistencyRetained:
         simulate(tr, CostModel(lam=2.0, n=3), pol)
         forced_after_start = [f for (_, _, f) in pol.monitor_history[10:]]
         assert not any(forced_after_start)
+
+
+# ----------------------------------------------------------------------
+# the cost-only tiers: Algorithm 1 under the monitor-forced column
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def adaptive_instances(draw):
+    """Random and tie-prone ``(trace, model)`` pairs; integer lambdas on
+    the tie-prone traces land expiries exactly on request times."""
+    if draw(st.booleans()):
+        return draw(instances(max_m=40))
+    trace = draw(tie_prone_traces())
+    lam = draw(st.sampled_from((1.0, 2.0, 3.0)))
+    return trace, CostModel(lam=lam, n=trace.n)
+
+
+@st.composite
+def adaptive_specs(draw):
+    """``(alpha, beta, warmup, predictor kind, accuracy, seed)``."""
+    return (
+        draw(st.one_of(
+            st.sampled_from((0.5, 1.0)),
+            st.floats(0.0, 1.0, exclude_min=True),
+        )),
+        draw(st.floats(0.0, 3.0)),
+        draw(st.integers(0, 5)),
+        draw(st.sampled_from(("oracle", "noisy", "adversarial", "fixed"))),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, 4)),
+    )
+
+
+def _adaptive(trace, spec):
+    """A fresh policy for ``spec`` (a noisy oracle's draws are stateful)."""
+    alpha, beta, warmup, kind, accuracy, seed = spec
+    if kind == "oracle":
+        pred = OraclePredictor(trace)
+    elif kind == "noisy":
+        pred = NoisyOraclePredictor(trace, accuracy, seed=seed)
+    elif kind == "adversarial":
+        pred = AdversarialPredictor(trace)
+    else:
+        pred = FixedPredictor(accuracy < 0.5)
+    return AdaptiveReplication(pred, alpha, beta=beta, warmup=warmup)
+
+
+def _forced(trace, model, policy):
+    within = PredictionStream.for_predictor(
+        policy.predictor, trace, model.lam
+    ).within
+    return forced_column(
+        np.concatenate(([0.0], trace.times)),
+        np.concatenate(([0], trace.servers)),
+        within,
+        trace.n,
+        model.lam,
+        policy.alpha,
+        policy.beta,
+        policy.warmup,
+    )
+
+
+def _assert_same_ledger(run, ref, label):
+    assert run.storage_cost == ref.storage_cost, label
+    assert run.transfer_cost == ref.transfer_cost, label
+    assert run.n_transfers == ref.ledger.n_transfers, label
+
+
+class TestCostOnlyTiers:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        adaptive_instances(),
+        st.lists(adaptive_specs(), min_size=2, max_size=4),
+        st.booleans(),
+        st.sampled_from((None, 0, 1, 2, 3)),
+    )
+    def test_bit_identical_to_reference(self, inst, specs, drain, cap):
+        trace, model = inst
+        refs = []
+        for spec in specs:
+            pol = _adaptive(trace, spec)
+            refs.append(simulate(trace, model, pol))
+            # the machine's column is the reference policy's trip record
+            forced = _forced(trace, model, _adaptive(trace, spec))
+            assert not forced[0]
+            assert forced[1:].tolist() == [f for _, _, f in pol.monitor_history]
+        ref = simulate(
+            trace, model, _adaptive(trace, specs[0]),
+            drain=drain, drain_event_cap=cap,
+        )
+        for eng in (BatchCostEngine(), KernelCostEngine()):
+            run = eng.run(trace, model, _adaptive(trace, specs[0]), drain, cap)
+            _assert_same_ledger(run, ref, eng.name)
+        # one slab pass per tier, cell by cell equal to the reference
+        for tier in ("batch", "kernel"):
+            cells = [(model, _adaptive(trace, spec)) for spec in specs]
+            runs, spans = slab_passes(
+                lambda: run_policy_slab(trace, cells, tier)
+            )
+            assert spans == [(tier, len(cells))]
+            for run, ref in zip(runs, refs):
+                _assert_same_ledger(run, ref, tier)
+
+    def test_special_copy_ties_break_by_server(self):
+        # both copies expire at t = 2 (server 0 after lambda, server 1
+        # after alpha * lambda); the heap pops server 1 last, so it is
+        # the special copy and request 2 is a Type-4 local serve.  A
+        # Type-2 reading would add lambda to Online_U and trip at 3.5.
+        trace = Trace(2, [(1.0, 1), (3.0, 1)])
+        model = CostModel(lam=2.0, n=2)
+
+        def make():
+            return AdaptiveReplication(
+                AdversarialPredictor(trace), 0.5, beta=1.2, warmup=1
+            )
+
+        pol = make()
+        ref = simulate(trace, model, pol)
+        assert ref.serves[1].local and ref.serves[1].source_special
+        assert [r for _, r, _ in pol.monitor_history] == [5.0, 3.0]
+        assert _forced(trace, model, make()).tolist() == [False] * 3
+
+    def test_paper_scale_fallback_cell(self):
+        # fig29 at alpha = 0 (run as 0.1) and accuracy 0: the monitor
+        # toggles the fallback hundreds of times on the paper trace
+        scenario = get_scenario("fig29")
+        lam, seed = scenario.lambdas[0], scenario.seeds[0]
+        trace = scenario.build_trace(lam=lam, alpha=0.0, accuracy=0.0, seed=seed)
+        model = CostModel(lam=lam, n=trace.n)
+
+        def make():
+            return scenario.policy_factory(trace, lam, 0.0, 0.0, seed)
+
+        pol = make()
+        ref = simulate(trace, model, pol)
+        flags = [f for _, _, f in pol.monitor_history]
+        forced = _forced(trace, model, make())
+        assert forced[1:].tolist() == flags
+        assert np.count_nonzero(forced[1:] != forced[:-1]) > 100
+        for eng in (BatchCostEngine(), KernelCostEngine()):
+            _assert_same_ledger(eng.run(trace, model, make()), ref, eng.name)

@@ -270,7 +270,7 @@ def test_all_registered_scenarios_backends_bit_identical():
                 _kernel_grid(trace, model, cells, scenario.policy_factory)
             )
             covered += 1
-    assert covered >= 11  # same floor as the kernel equivalence suite
+    assert covered >= 18  # same floor as the kernel equivalence suite
 
 
 # ----------------------------------------------------------------------

@@ -289,7 +289,9 @@ class TestSelection:
     def test_explicit_batch_on_unsupported_policy_raises(self):
         from repro import AdaptiveReplication
 
-        pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
+        pol = AdaptiveReplication(
+            SlidingWindowPredictor(window=5), 0.5, beta=0.1
+        )
         assert not BATCH.supports(self.trace, self.model, pol)
         with pytest.raises(EngineError):
             BATCH.run(self.trace, self.model, pol)

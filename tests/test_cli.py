@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro import (
+    AdaptiveReplication,
+    CostModel,
+    NoisyOraclePredictor,
+    OraclePredictor,
+    optimal_cost,
+    simulate,
+)
 from repro.cli import build_parser, main
+from repro.workloads import ibm_like_trace
+
+from conftest import slab_passes
 
 
 class TestParser:
@@ -63,9 +74,33 @@ class TestCommands:
         assert "lambda = 100" in out
 
     def test_adaptive_runs_small(self, capsys):
-        assert main(["adaptive", "--requests", "300", "--beta", "0.5"]) == 0
+        code, spans = slab_passes(
+            lambda: main(["adaptive", "--requests", "300", "--beta", "0.5"])
+        )
+        assert code == 0
+        # the 9 cells run as one slab pass, not cell by cell
+        assert [cells for _, cells in spans] == [9]
         out = capsys.readouterr().out
         assert "ratio" in out
+        # and print the reference simulator's ratios
+        trace = ibm_like_trace(m=300, seed=0)
+        model = CostModel(lam=1000.0, n=trace.n)
+        opt = optimal_cost(trace, model)
+        expected = []
+        for alpha in (0.1, 0.5, 1.0):
+            for acc in (0.0, 0.5, 1.0):
+                pred = (
+                    OraclePredictor(trace)
+                    if acc >= 1.0
+                    else NoisyOraclePredictor(trace, acc, seed=0)
+                )
+                run = simulate(
+                    trace, model, AdaptiveReplication(pred, alpha, beta=0.5)
+                )
+                expected.append(
+                    f"{alpha:5.1f}  {acc:8.0%}  {run.total_cost / opt:6.3f}"
+                )
+        assert out.splitlines()[2:] == expected
 
     def test_sweep_heatmap_flag(self, capsys):
         assert (

@@ -224,7 +224,15 @@ class TestSelection:
                     is get_engine("kernel")
 
     def test_auto_falls_back_for_adaptive(self):
+        # the adaptive variant rides the kernel under Algorithm 1's
+        # conditions, and falls back only with a history-based predictor
         pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
+        assert KERNEL.supports(self.trace, self.model, pol)
+        assert select_engine(self.trace, self.model, pol, "auto") \
+            is get_engine("kernel")
+        pol = AdaptiveReplication(
+            SlidingWindowPredictor(window=5), 0.5, beta=0.1
+        )
         assert not KERNEL.supports(self.trace, self.model, pol)
         assert select_engine(self.trace, self.model, pol, "auto") \
             is get_engine("reference")
@@ -240,7 +248,9 @@ class TestSelection:
         assert not KERNEL.supports(self.trace, model, pol)
 
     def test_explicit_kernel_on_unsupported_policy_raises(self):
-        pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
+        pol = AdaptiveReplication(
+            SlidingWindowPredictor(window=5), 0.5, beta=0.1
+        )
         with pytest.raises(EngineError):
             KERNEL.run(self.trace, self.model, pol)
 

@@ -320,6 +320,24 @@ class TestCache:
         assert cache.clear() == 1
         assert cache.get(payload) is None
 
+    @pytest.mark.parametrize(
+        "content", ["[]", '{"key": {}, "value": {"online_'],
+        ids=["list", "truncated"],
+    )
+    def test_unreadable_entries_are_not_counted(self, tmp_path, content):
+        """``contains`` and ``len()`` agree with ``get`` on an entry it
+        cannot read, and only ``get`` moves the hit/miss counters."""
+        cache = ResultCache(tmp_path)
+        payload = {"kind": "sim", "lam": 10.0}
+        cache.put(payload, {"online_cost": 3.5})
+        (path,) = tmp_path.glob("*/*.json")
+        path.write_text(content)
+        assert not cache.contains(payload)
+        assert len(cache) == 0
+        assert cache.hits == 0 and cache.misses == 0
+        assert cache.get(payload) is None
+        assert cache.hits == 0 and cache.misses == 1
+
     def test_content_key_canonical(self):
         assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
         assert content_key({"a": 1}) != content_key({"a": 2})

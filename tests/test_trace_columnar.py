@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, Request, Trace, TraceError
+from repro import CostModel, Request, Trace, TraceError, run_slab
 from repro.core.engine import get_engine
 from repro.experiments.cache import trace_digest
 from repro.system import (
@@ -28,6 +28,8 @@ from repro.system import (
     save_trace_npz,
 )
 from repro.workloads import uniform_random_trace
+
+from conftest import registered_scenario_legs
 
 
 # ----------------------------------------------------------------------
@@ -254,32 +256,32 @@ def _engine_costs(trace, lam, alpha, accuracy, seed):
 
 
 def test_all_registered_scenarios_array_vs_request_built():
-    """Every registered scenario: all three engines produce bit-identical
-    costs whether the trace was built from arrays (the columnar fast
-    path) or from a Request tuple list (the legacy eager path)."""
-    from repro.experiments import list_scenarios
-
-    checked = 0
-    for scenario in list_scenarios():
-        lam = scenario.lambdas[0]
-        alpha = scenario.alphas[0]
-        acc = scenario.accuracies[-1]
-        seed = scenario.seeds[0]
-        array_built = scenario.build_trace(
-            lam=lam, alpha=alpha, accuracy=acc, seed=seed
-        )
-        request_built = Trace(
-            array_built.n,
-            [Request(r.time, r.server, r.index) for r in array_built],
-        )
-        assert request_built == array_built
-        a = _engine_costs(array_built, lam, alpha, acc, seed)
-        b = _engine_costs(request_built, lam, alpha, acc, seed)
-        assert a == b, scenario.name
-        # the three engines agree with each other on the array-built trace
-        assert a["reference"] == a["batch"] == a["kernel"], scenario.name
-        checked += 1
-    assert checked >= 11
+    """Every registered scenario's trace, rebuilt from a Request tuple
+    list (the legacy eager path), equals the array-built one (the
+    columnar fast path) with the same column dtypes, and every leg of
+    the registered-scenario oracle replays on the request-built trace
+    bit-identically to the oracle's cached reference results, on both
+    cost-only tiers."""
+    legs, covered = registered_scenario_legs()
+    rebuilt = {}
+    for name, array_built, model, factory, cells, refs in legs:
+        key = trace_digest(array_built)
+        if key not in rebuilt:
+            request_built = Trace(
+                array_built.n,
+                [Request(r.time, r.server, r.index) for r in array_built],
+            )
+            assert request_built == array_built, name
+            assert request_built.times.dtype == array_built.times.dtype, name
+            assert request_built.servers.dtype == array_built.servers.dtype, name
+            rebuilt[key] = request_built
+        for engine in ("batch", "kernel"):
+            runs = run_slab(rebuilt[key], model, cells, factory, engine=engine)
+            for run, ref in zip(runs, refs):
+                assert run.storage_cost == ref.storage_cost, name
+                assert run.transfer_cost == ref.transfer_cost, name
+                assert run.n_transfers == ref.ledger.n_transfers, name
+    assert covered >= 18
 
 
 @given(trace_columns(max_n=4, max_m=20), st.floats(0.1, 1.0))
