@@ -11,14 +11,23 @@ records two views of the ``auto`` slab crossover:
   ``bench_fleet.py``'s template fleet (64 requests on 8 servers, about
   800 cells), the short-and-wide corner the batch tier is kept for;
 
-and one view of the adapted algorithm (Figures 29-32):
+one view of the adapted algorithm (Figures 29-32):
 
 * ``adaptive`` — the 9-cell coarse fig29 grid (alpha and accuracy at
   0, 0.5 and 1; the scenario's own policy factory and lambda) at
   :data:`REFERENCE_MAX_M` requests, on the reference simulator and both
-  cost-only tiers.
+  cost-only tiers;
 
-Every timing is the min (``total_s``, ``per_cell_ms``) and median
+and one view of the Wang et al. baseline:
+
+* ``wang`` — single kernel cells on the :data:`WANG_SIZES`-request
+  prefixes (the same sizes under ``--quick``) of the paper-size
+  IBM-like trace on :data:`WANG_N` servers at lambda = 100,
+  Wang against Algorithm 1 over a noisy oracle (alpha 0.5, accuracy
+  0.7), timed :data:`WANG_REPEATS` times each; ``wang_vs_algorithm1``
+  is the per-cell ratio at each size.
+
+Every other timing is the min (``total_s``, ``per_cell_ms``) and median
 (``median_s``) of :data:`REPEATS` runs, and the report records the core
 count.  Per-cell costs are asserted bit-identical across every tier in
 every view; the reference simulator runs only up to
@@ -71,6 +80,16 @@ WIDE_LAMBDA = 50.0
 #: reference-tier ceiling: the event simulator only runs at sizes
 #: at or below this (one cell of it costs more than a whole slab above)
 REFERENCE_MAX_M = 2_000
+
+#: the Wang view: trace prefix sizes (up to the paper's object size),
+#: server count, lambda, Algorithm 1's comparison cell (alpha,
+#: accuracy, seed — the seed also seeds the trace), and repeats —
+#: single cells take milliseconds, so they need more samples
+WANG_SIZES = (1_024, 4_096, 11_688)
+WANG_N = 8
+WANG_LAMBDA = 100.0
+WANG_CELL = (0.5, 0.7, 3)
+WANG_REPEATS = 20
 
 #: kernel-over-batch per-cell gate at the largest swept size; recorded
 #: in BENCH_scaling.json (narrow 12-cell slabs amortise the batch
@@ -132,6 +151,67 @@ def _per_cell(rows, engine):
     return next(r["per_cell_ms"] for r in rows if r["engine"] == engine)
 
 
+def _wang_factory(trace, lam, alpha, accuracy, seed):
+    from repro import WangReplication
+
+    return WangReplication()
+
+
+def _wang_view(repeats=WANG_REPEATS) -> dict:
+    """Single kernel cells, Wang against Algorithm 1 over a noisy
+    oracle, each through ``run_slab`` as the runner runs a lone cell;
+    costs asserted equal to the reference simulator's up to
+    :data:`REFERENCE_MAX_M` requests."""
+    from repro import Trace
+    from repro.analysis.sweep import algorithm1_factory
+    from repro.core.costs import CostModel
+    from repro.core.engine import run_slab
+    from repro.workloads import ibm_like_trace
+
+    full = ibm_like_trace(n=WANG_N, m=max(WANG_SIZES), seed=WANG_CELL[2])
+    model = CostModel(lam=WANG_LAMBDA, n=WANG_N)
+    cell = [WANG_CELL]
+    rows, ratios = [], {}
+    for m in WANG_SIZES:
+        trace = Trace.from_arrays(full.times[:m], full.servers[:m], n=WANG_N)
+        best = {}
+        for policy, factory in (
+            ("wang", _wang_factory), ("algorithm1", algorithm1_factory)
+        ):
+            samples = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                run = run_slab(trace, model, cell, factory, engine="kernel")[0]
+                samples.append(time.perf_counter() - t0)
+            if m <= REFERENCE_MAX_M:
+                ref = run_slab(trace, model, cell, factory, engine="reference")[0]
+                assert (run.storage_cost, run.transfer_cost) == (
+                    ref.storage_cost, ref.transfer_cost
+                ), f"cost mismatch: {policy} kernel vs reference at m={m}"
+            best[policy] = min(samples) * 1e3
+            rows.append(
+                {
+                    "m": m,
+                    "engine": "kernel",
+                    "policy": policy,
+                    "cells": 1,
+                    "total_s": min(samples),
+                    "median_s": statistics.median(samples),
+                    "per_cell_ms": best[policy],
+                }
+            )
+        ratios[str(m)] = best["wang"] / best["algorithm1"]
+    return {
+        "trace": {"workload": "ibm_like prefixes", "n": WANG_N,
+                  "m": max(WANG_SIZES), "seed": WANG_CELL[2]},
+        "lam": WANG_LAMBDA,
+        "algorithm1_cell": {"alpha": WANG_CELL[0], "accuracy": WANG_CELL[1]},
+        "repeats": repeats,
+        "rows": rows,
+        "wang_vs_algorithm1": ratios,
+    }
+
+
 def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     """Sweep trace size x engine tier; returns the report dict."""
     from repro.core.costs import CostModel
@@ -168,6 +248,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
         repeats,
         fig29.policy_factory,
     )
+    wang = _wang_view()
     top = [r for r in rows if r["m"] == max(sizes)]
     return {
         "grid": {
@@ -195,6 +276,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "lam": fig29.lambdas[0],
             "rows": adaptive,
         },
+        "wang": wang,
         "kernel_vs_batch_at_largest": _per_cell(top, "batch") / _per_cell(top, "kernel"),
         "batch_vs_kernel_wide": _per_cell(wide, "kernel") / _per_cell(wide, "batch"),
         "kernel_vs_reference_adaptive": (
@@ -209,11 +291,13 @@ def format_rows(report: dict) -> str:
         ("slab", report["rows"]),
         ("wide", report["wide_slab"]["rows"]),
         ("adapt", report["adaptive"]["rows"]),
+        ("wang", report["wang"]["rows"]),
     )
     for view, rows in views:
         for r in rows:
+            label = r.get("policy", r["engine"])
             lines.append(
-                f"{view:<6} {r['m']:>8d} {r['engine']:>10s} {r['cells']:>6d} "
+                f"{view:<6} {r['m']:>8d} {label:>10s} {r['cells']:>6d} "
                 f"{r['total_s']:>7.3f}s {r['median_s']:>7.3f}s "
                 f"{r['per_cell_ms']:>9.3f}ms"
             )
@@ -296,11 +380,16 @@ def main(argv=None) -> int:
     write_report(report, out)
     print(format_rows(report))
     speedup = report["kernel_vs_batch_at_largest"]
+    wang = ", ".join(
+        f"{m}: {r:.2f}x"
+        for m, r in report["wang"]["wang_vs_algorithm1"].items()
+    )
     print(
         f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x; wide "
         f"m={WIDE_M} slab: batch {report['batch_vs_kernel_wide']:.2f}x "
         f"over kernel; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "
-        f"{report['kernel_vs_reference_adaptive']:.1f}x over reference -> {out}"
+        f"{report['kernel_vs_reference_adaptive']:.1f}x over reference; "
+        f"Wang over Algorithm 1 per kernel cell ({wang}) -> {out}"
     )
     return gate_exit(
         speedup, gate, strict, label="kernel-over-batch speedup"

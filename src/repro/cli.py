@@ -403,6 +403,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         ExperimentRunner,
         NullProgress,
         ResultCache,
+        WorkerCrashError,
         get_scenario,
         list_scenarios,
         summary_table,
@@ -448,7 +449,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 alphas=_coarsen(scenario.alphas),
                 accuracies=_coarsen(scenario.accuracies),
             )
-        result = runner.run(scenario)
+        try:
+            result = runner.run(scenario)
+        except WorkerCrashError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
         print(summary_table(result))
         if store is not None:
             path = store.save(result)

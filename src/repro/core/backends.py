@@ -35,12 +35,14 @@ Besides the reductions, this module holds one *sequential episode
 machine*: :func:`wang_cascade`, the scalar core of the kernel tier's Wang
 baseline (``core/engine.py`` :class:`_WangReplay`).  The vectorized
 candidate pass resolves every copy whose expiry finds other copies
-alive; ``wang_cascade`` replays only the rare die-out episodes (grace
+alive; ``wang_cascade`` replays only the die-out episodes (grace
 extensions, second-expiry shipments to server 0, locally-served flips)
 plus the drain's heap order, walking candidates in the scalar heap's
 ``(when, server)`` pop order.  At most one injected extension is alive
-at a time, so the machine is O(episodes), not O(m) — it is a loop by
-necessity (each episode's outcome gates the next).
+at a time, so the machine's loop runs once per trigger and injected
+event, not once per request — it is a loop by necessity (each episode's
+outcome gates the next).  Its docstring says why it runs on Python lists
+and ``bisect`` rather than numpy scalars.
 
 Choosing the path
 -----------------
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -175,38 +178,47 @@ def wang_cascade(
     tail_when,    # float64[nt2]  end-of-trace pending expiries, sorted
     tail_srv,     # int64[nt2]
     tail_start,   # float64[nt2]
-    m,            # int64         number of real requests
+    m,            # int           number of real requests
     do_drain,     # bool
-    cap,          # int64         drain event cap
+    cap,          # int           drain event cap
 ):
     """Sequential episode machine behind the kernel-tier Wang replay.
 
     Everything array-parallel about Wang lives in ``core/engine.py``;
-    this loop resolves only what is irreducibly sequential — the rare
-    die-out *episodes* (an only-copy expiry renews in place instead of
-    dropping, so coverage extends beyond the baseline segment) and the
-    post-trace drain.  At most one such injected extension exists at a
-    time, so the machine walks the trigger candidates and the injected
-    copy's own events in global ``(when, server)`` order, emitting the
-    corrections the vectorized pass cannot know: suppressed drops,
-    miss->renewal flips, cascade transfer/drop charges, and the final
-    alive set.
-    """
-    inf = np.inf
-    nc = cand_e.shape[0]
-    nt = trig_pos.shape[0]
-    n = periods.shape[0]
+    this loop resolves only what is irreducibly sequential — the die-out
+    *episodes* (an only-copy expiry renews in place instead of dropping,
+    so coverage extends beyond the baseline segment) and the post-trace
+    drain.  At most one such injected extension exists at a time, so the
+    machine walks the trigger candidates and the injected copy's own
+    events in global ``(when, server)`` order, emitting the corrections
+    the vectorized pass cannot know: suppressed drops, miss->renewal
+    flips, cascade transfer/drop charges, and the final alive set.
 
-    trig_suppress = np.zeros(nt, dtype=np.bool_)
-    ep_cap = 2 * nt + 2
-    ep_when = np.empty(ep_cap, dtype=np.float64)
-    ep_srv = np.empty(ep_cap, dtype=np.int64)
-    ep_start = np.empty(ep_cap, dtype=np.float64)
-    ep_ev = np.empty(ep_cap, dtype=np.int64)
-    n_ep = 0
-    flip_req = np.empty(nt + 1, dtype=np.int64)
-    flip_start = np.empty(nt + 1, dtype=np.float64)
-    n_flips = 0
+    Triggers are not rare at lambda = 100: about one per ten requests on
+    the paper-size IBM-like trace, and one per three on the short,
+    bursty objects of an IBM-format fleet access log.  So the loop runs
+    on Python lists and :mod:`bisect`, not numpy scalars: each column it
+    reads is converted once per call (only when there is a trigger; the
+    candidate columns only at the trigger ranks), the three ordered
+    lookups are ``bisect_left``/``bisect_right`` (the per-server CSR
+    slice through ``lo``/``hi`` bounds), and the state lives in lists
+    that become the returned arrays at the end.  Every float add and
+    compare is the same IEEE double operation, in the same order, on a
+    Python float as on a ``np.float64``, so the corrections are
+    bit-identical.
+    """
+    inf = float("inf")
+    nt = len(trig_pos)
+    n = len(periods)
+    per = periods.tolist()
+
+    suppressed: list[int] = []   # trigger ranks that opened an episode
+    ep_when: list[float] = []
+    ep_srv: list[int] = []
+    ep_start: list[float] = []
+    ep_ev: list[int] = []
+    flip_req: list[int] = []
+    flip_start: list[float] = []
     n_tx_casc = 0
 
     inj_alive = False
@@ -214,136 +226,144 @@ def wang_cascade(
     inj_start = 0.0
     inj_pend = 0.0
     inj_flag = False       # Wang's renewed_once grace flag for the holder
-    inj_ev = np.int64(-1)  # >= 0: cascade-created at that event's pop phase
-    inj_nr = m + 1         # holder's next request index (m+1: none)
+    inj_ev = -1            # >= 0: cascade-created at that event's pop phase
 
-    ti = 0
-    do_step = False
-    fire_w = 0.0
-    ib = np.int64(0)
-    while True:
-        if do_step:
-            # Only-copy fire at (fire_w, holder) inside the request gap
-            # ending at event ib: replay Wang's expire() only-copy arm,
-            # chaining every further fire strictly before t_all[ib].
-            tb = t_all[ib]
-            if inj_srv == 0:
-                p0 = periods[0]
-                w2 = fire_w + p0
-                while w2 < tb:
-                    w2 = w2 + p0
-                inj_pend = w2
-            else:
-                transfer = True
-                if not inj_flag:
-                    pd = fire_w + periods[inj_srv]   # free renewal (grace)
-                    if pd >= tb:
-                        inj_pend = pd
-                        inj_flag = True
-                        transfer = False
-                    else:
-                        fire_w = pd   # second consecutive expiry in-gap
-                if transfer:
-                    # ship to server 0: charge + drop the source, create
-                    # at 0, then chain 0's free renewals through the gap
-                    ep_when[n_ep] = fire_w
-                    ep_srv[n_ep] = inj_srv
-                    ep_start[n_ep] = inj_start
-                    ep_ev[n_ep] = ib
-                    n_ep += 1
-                    n_tx_casc += 1
-                    inj_srv = 0
-                    inj_start = fire_w
-                    inj_ev = ib
-                    inj_flag = False
-                    p0 = periods[0]
+    if nt:
+        t = t_all.tolist()
+        ce_all = cand_e.tolist()
+        nc = len(ce_all)
+        tr_e = cand_e[trig_pos].tolist()
+        tr_srv = cand_srv[trig_pos].tolist()
+        tr_ev = cand_ev[trig_pos].tolist()
+        tr_start = cand_start[trig_pos].tolist()
+        off = srv_off.tolist()
+        req = srv_req.tolist()
+        rc = r_cum.tolist()
+
+        inj_nr = m + 1         # holder's next request index (m+1: none)
+        ti = 0
+        do_step = False
+        fire_w = 0.0
+        ib = 0
+        while True:
+            if do_step:
+                # Only-copy fire at (fire_w, holder) inside the request
+                # gap ending at event ib: replay Wang's expire() only-copy
+                # arm, chaining every further fire strictly before t[ib].
+                tb = t[ib]
+                if inj_srv == 0:
+                    p0 = per[0]
                     w2 = fire_w + p0
                     while w2 < tb:
                         w2 = w2 + p0
                     inj_pend = w2
-            inj_alive = True
-            lo = srv_off[inj_srv]
-            hi = srv_off[inj_srv + 1]
-            k = lo + np.searchsorted(srv_req[lo:hi], ib)
-            inj_nr = srv_req[k] if k < hi else m + 1
-            do_step = False
-            continue
-        if not inj_alive:
-            if ti >= nt:
-                break
-            r = trig_pos[ti]
-            # a genuine die-out: the fire renews in place (episode)
-            trig_suppress[ti] = True
-            ti += 1
-            inj_srv = cand_srv[r]
-            inj_start = cand_start[r]
-            inj_flag = False
-            inj_ev = np.int64(-1)
-            fire_w = cand_e[r]
-            ib = cand_ev[r]
-            do_step = True
-            continue
-        # injected copy alive: resolve its next event against the next
-        # trigger candidate in global (when, server) order
-        t_nr = t_all[inj_nr] if inj_nr <= m else inf
-        if ti < nt:
-            rc = trig_pos[ti]
-            ce = cand_e[rc]
-            cs = cand_srv[rc]
-        else:
-            ce = inf
-            cs = 0
-        if t_nr <= inj_pend:
-            # the holder's next request serves before the pending expiry
-            if ce < t_nr:
-                ti += 1      # candidate pops first: injected covers it
+                else:
+                    transfer = True
+                    if not inj_flag:
+                        pd = fire_w + per[inj_srv]   # free renewal (grace)
+                        if pd >= tb:
+                            inj_pend = pd
+                            inj_flag = True
+                            transfer = False
+                        else:
+                            fire_w = pd   # second consecutive expiry in-gap
+                    if transfer:
+                        # ship to server 0: charge + drop the source,
+                        # create at 0, then chain 0's free renewals
+                        # through the gap
+                        ep_when.append(fire_w)
+                        ep_srv.append(inj_srv)
+                        ep_start.append(inj_start)
+                        ep_ev.append(ib)
+                        n_tx_casc += 1
+                        inj_srv = 0
+                        inj_start = fire_w
+                        inj_ev = ib
+                        inj_flag = False
+                        p0 = per[0]
+                        w2 = fire_w + p0
+                        while w2 < tb:
+                            w2 = w2 + p0
+                        inj_pend = w2
+                inj_alive = True
+                hi = off[inj_srv + 1]
+                k = bisect_left(req, ib, off[inj_srv], hi)
+                inj_nr = req[k] if k < hi else m + 1
+                do_step = False
                 continue
-            flip_req[n_flips] = inj_nr      # baseline miss -> renewal
-            flip_start[n_flips] = inj_start
-            n_flips += 1
-            inj_alive = False
-            continue
-        if ce < inj_pend or (ce == inj_pend and cs < inj_srv):
-            ti += 1          # candidate pops first: injected covers it
-            continue
-        # the injected copy's own expiry fires next
-        ip = np.searchsorted(t_all, inj_pend, side="right")
-        if ip > m:
-            # fires after the last request: any remaining trigger
-            # candidates pop mid-trace, hence under injected coverage
-            ti = nt
-            break
-        lo = np.searchsorted(cand_e, inj_pend)
-        while lo < nc and cand_e[lo] == inj_pend and cand_srv[lo] < inj_srv:
-            lo += 1
-        others = ip - r_cum[ip - 1] - lo    # baseline copies alive here
-        if others >= 1:
-            ep_when[n_ep] = inj_pend
-            ep_srv[n_ep] = inj_srv
-            ep_start[n_ep] = inj_start
-            ep_ev[n_ep] = ip
-            n_ep += 1
-            inj_alive = False
-            continue
-        fire_w = inj_pend
-        ib = ip
-        do_step = True
+            if not inj_alive:
+                if ti >= nt:
+                    break
+                # a genuine die-out: the fire renews in place (episode)
+                suppressed.append(ti)
+                inj_srv = tr_srv[ti]
+                inj_start = tr_start[ti]
+                inj_flag = False
+                inj_ev = -1
+                fire_w = tr_e[ti]
+                ib = tr_ev[ti]
+                ti += 1
+                do_step = True
+                continue
+            # injected copy alive: resolve its next event against the
+            # next trigger candidate in global (when, server) order
+            t_nr = t[inj_nr] if inj_nr <= m else inf
+            if ti < nt:
+                ce = tr_e[ti]
+                cs = tr_srv[ti]
+            else:
+                ce = inf
+                cs = 0
+            if t_nr <= inj_pend:
+                # the holder's next request serves before the pending
+                # expiry
+                if ce < t_nr:
+                    ti += 1      # candidate pops first: injected covers it
+                    continue
+                flip_req.append(inj_nr)      # baseline miss -> renewal
+                flip_start.append(inj_start)
+                inj_alive = False
+                continue
+            if ce < inj_pend or (ce == inj_pend and cs < inj_srv):
+                ti += 1          # candidate pops first: injected covers it
+                continue
+            # the injected copy's own expiry fires next
+            ip = bisect_right(t, inj_pend)
+            if ip > m:
+                # fires after the last request: any remaining trigger
+                # candidates pop mid-trace, hence under injected coverage
+                break
+            lo = bisect_left(ce_all, inj_pend)
+            while lo < nc and ce_all[lo] == inj_pend and cand_srv[lo] < inj_srv:
+                lo += 1
+            others = ip - rc[ip - 1] - lo    # baseline copies alive here
+            if others >= 1:
+                ep_when.append(inj_pend)
+                ep_srv.append(inj_srv)
+                ep_start.append(inj_start)
+                ep_ev.append(ip)
+                inj_alive = False
+                continue
+            fire_w = inj_pend
+            ib = ip
+            do_step = True
 
     # ------------------------------------------------------------------
     # drain: the scalar heap shrunk to one pending expiry per server
-    alive = np.zeros(n, dtype=np.bool_)
-    a_start = np.zeros(n, dtype=np.float64)
-    a_pend = np.zeros(n, dtype=np.float64)
-    a_has = np.zeros(n, dtype=np.bool_)
-    a_flag = np.zeros(n, dtype=np.bool_)
-    a_kind = np.zeros(n, dtype=np.int64)
-    a_ev = np.zeros(n, dtype=np.int64)
+    alive = [False] * n
+    a_start = [0.0] * n
+    a_pend = [0.0] * n
+    a_has = [False] * n
+    a_flag = [False] * n
+    a_kind = [0] * n
+    a_ev = [0] * n
     alive_cnt = 0
-    for k in range(tail_srv.shape[0]):
-        s = tail_srv[k]
+    for s, st, w in zip(
+        tail_srv.tolist(), tail_start.tolist(), tail_when.tolist()
+    ):
         alive[s] = True
-        a_start[s] = tail_start[k]
-        a_pend[s] = tail_when[k]
+        a_start[s] = st
+        a_pend[s] = w
         a_has[s] = True
         alive_cnt += 1
     if inj_alive:
@@ -357,11 +377,9 @@ def wang_cascade(
             a_kind[s] = 1
             a_ev[s] = inj_ev
         alive_cnt += 1
-    dr_cap = n + 4
-    dr_when = np.empty(dr_cap, dtype=np.float64)
-    dr_srv = np.empty(dr_cap, dtype=np.int64)
-    dr_start = np.empty(dr_cap, dtype=np.float64)
-    n_dr = 0
+    dr_when: list[float] = []
+    dr_srv: list[int] = []
+    dr_start: list[float] = []
     seq = 0
     if do_drain:
         fired = 0
@@ -380,27 +398,25 @@ def wang_cascade(
             only = alive_cnt == 1
             if best == 0:
                 if only:
-                    a_pend[0] = bw + periods[0]    # free renewal chain
+                    a_pend[0] = bw + per[0]    # free renewal chain
                     a_has[0] = True
                 else:
-                    dr_when[n_dr] = bw
-                    dr_srv[n_dr] = 0
-                    dr_start[n_dr] = a_start[0]
-                    n_dr += 1
+                    dr_when.append(bw)
+                    dr_srv.append(0)
+                    dr_start.append(a_start[0])
                     alive[0] = False
                     alive_cnt -= 1
                 fired += 1
             else:
                 if not only:
-                    dr_when[n_dr] = bw
-                    dr_srv[n_dr] = best
-                    dr_start[n_dr] = a_start[best]
-                    n_dr += 1
+                    dr_when.append(bw)
+                    dr_srv.append(best)
+                    dr_start.append(a_start[best])
                     alive[best] = False
                     alive_cnt -= 1
                 elif not a_flag[best]:
                     a_flag[best] = True                # grace renewal
-                    a_pend[best] = bw + periods[best]
+                    a_pend[best] = bw + per[best]
                     a_has[best] = True
                 else:
                     # second consecutive expiry: ship to server 0
@@ -411,36 +427,35 @@ def wang_cascade(
                     a_ev[0] = seq
                     seq += 1
                     a_flag[0] = False
-                    dr_when[n_dr] = bw
-                    dr_srv[n_dr] = best
-                    dr_start[n_dr] = a_start[best]
-                    n_dr += 1
+                    dr_when.append(bw)
+                    dr_srv.append(best)
+                    dr_start.append(a_start[best])
                     alive[best] = False
                     a_flag[best] = False
-                    a_pend[0] = bw + periods[0]
+                    a_pend[0] = bw + per[0]
                     a_has[0] = True
                 fired += 1
 
-    fin_srv = np.empty(n + 1, dtype=np.int64)
-    fin_start = np.empty(n + 1, dtype=np.float64)
-    fin_kind = np.empty(n + 1, dtype=np.int64)
-    fin_ev = np.empty(n + 1, dtype=np.int64)
-    n_fin = 0
-    for s in range(n):
-        if alive[s]:
-            fin_srv[n_fin] = s
-            fin_start[n_fin] = a_start[s]
-            fin_kind[n_fin] = a_kind[s]
-            fin_ev[n_fin] = a_ev[s]
-            n_fin += 1
+    trig_suppress = np.zeros(nt, dtype=np.bool_)
+    trig_suppress[suppressed] = True
+    fin = [s for s in range(n) if alive[s]]
+
+    def f64(vals):
+        return np.array(vals, dtype=np.float64)
+
+    def i64(vals):
+        return np.array(vals, dtype=np.int64)
 
     return (
         trig_suppress,
-        ep_when[:n_ep], ep_srv[:n_ep], ep_start[:n_ep], ep_ev[:n_ep],
-        flip_req[:n_flips], flip_start[:n_flips],
+        f64(ep_when), i64(ep_srv), f64(ep_start), i64(ep_ev),
+        i64(flip_req), f64(flip_start),
         n_tx_casc,
-        dr_when[:n_dr], dr_srv[:n_dr], dr_start[:n_dr],
-        fin_srv[:n_fin], fin_start[:n_fin], fin_kind[:n_fin], fin_ev[:n_fin],
+        f64(dr_when), i64(dr_srv), f64(dr_start),
+        i64(fin),
+        f64([a_start[s] for s in fin]),
+        i64([a_kind[s] for s in fin]),
+        i64([a_ev[s] for s in fin]),
     )
 
 

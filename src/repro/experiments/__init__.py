@@ -26,7 +26,13 @@ from .registry import (
     scenario_names,
     unregister_scenario,
 )
-from .runner import ExperimentResult, ExperimentRunner, Job, JobResult
+from .runner import (
+    ExperimentResult,
+    ExperimentRunner,
+    Job,
+    JobResult,
+    WorkerCrashError,
+)
 
 __all__ = [
     # registry
@@ -41,6 +47,7 @@ __all__ = [
     "ExperimentResult",
     "Job",
     "JobResult",
+    "WorkerCrashError",
     # cache
     "ResultCache",
     "NullCache",

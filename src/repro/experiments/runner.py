@@ -38,6 +38,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -64,9 +65,19 @@ __all__ = [
     "JobResult",
     "ExperimentResult",
     "ExperimentRunner",
+    "WorkerCrashError",
 ]
 
 _log = get_logger("experiments.runner")
+
+
+class WorkerCrashError(RuntimeError):
+    """A pool worker process died mid-run (killed, out of memory, ...).
+
+    The message names the task kind that was in flight and, for a cached
+    scenario run, that re-running with the same cache resumes from the
+    cells completed before the crash.
+    """
 
 
 @dataclass(frozen=True)
@@ -235,15 +246,17 @@ def _chunk_observed(kind: str, cells: int, thunk: Callable[[], Any]):
     return payload, _obs.drain()
 
 
+def _group_optimum(trace_key: tuple, lam: float) -> float:
+    """The offline optimum of one ``(trace, lambda)`` group."""
+    trace = _resolve_trace(trace_key)
+    return optimal_cost(trace, CostModel(lam=lam, n=trace.n))
+
+
 def _opt_task(item: tuple[tuple, float]):
     trace_key, lam = item
-
-    def compute() -> tuple[tuple, float, float]:
-        trace = _resolve_trace(trace_key)
-        opt = optimal_cost(trace, CostModel(lam=lam, n=trace.n))
-        return trace_key, lam, opt
-
-    return _chunk_observed("opt", 1, compute)
+    return _chunk_observed(
+        "opt", 1, lambda: (trace_key, lam, _group_optimum(trace_key, lam))
+    )
 
 
 def _slab_chunk_task(
@@ -286,17 +299,24 @@ def _slab_chunk_task(
 def _fleet_chunk_task(chunk: Sequence[tuple]):
     """Evaluate one fleet chunk: a tuple of cross-object sub-slabs.
 
-    Each sub-slab is ``(trace_key, lam, spec_indices, factory_indices)``
-    — the objects of one ``(trace digest, lambda)`` group assigned to
-    this chunk.  The worker resolves the shared trace once (fork-
-    inherited object or digest-addressed mmap), builds every object's
-    policy from the fork-inherited factory table, and evaluates the
-    whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
+    Each sub-slab is ``(trace_key, lam, spec_indices, factory_indices,
+    first)`` — the objects of one ``(trace digest, lambda)`` group
+    assigned to this chunk.  The worker resolves the shared trace once
+    (fork-inherited object or digest-addressed mmap), builds every
+    object's policy from the fork-inherited factory table, and evaluates
+    the whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
     (kernel/batch slab where eligible, per-cell fallback otherwise) —
     the same dispatcher grid chunks reach through ``run_slab``.
 
-    Returned rows are ``(spec_index, row)`` where ``row`` is the bare
-    online cost in streaming mode, or a compact
+    ``first`` marks the sub-slab holding its group's first spec index
+    (only when the parent asked for optima): the worker also computes
+    that group's offline optimum, outside the ``fleet.chunk`` span, so
+    the optima ride in their chunk and a fleet pass costs one pool round
+    trip per chunk rather than one per object.
+
+    Returns ``(opts, rows)``.  ``opts`` lists ``(trace_key, lam,
+    optimum)`` per flagged sub-slab.  ``rows`` are ``(spec_index, row)``
+    where ``row`` is the bare online cost in streaming mode, or a compact
     ``("cost", name, engine, storage, transfer, n_tx)`` tuple /
     ``("full", SimulationResult)`` payload when the parent materializes
     outcomes — compact rows keep a million-object run's IPC free of
@@ -304,16 +324,19 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
     :class:`~repro.core.engine.CostResult` against its own trace
     reference, bitwise-identical totals).
     """
-    n_objects = sum(len(idxs) for _, _, idxs, _ in chunk)
+    n_objects = sum(len(sub[2]) for sub in chunk)
 
-    def compute() -> list[tuple[int, Any]]:
+    def compute() -> tuple[list, list]:
         ctx = _ctx()
         n: int = ctx["n"]
         engine = ctx.get("engine", "reference")
         factories = ctx["factories"]
         ship_results: bool = ctx["fleet_ship_results"]
+        opts: list[tuple[tuple, float, float]] = []
         rows: list[tuple[int, Any]] = []
-        for trace_key, lam, idxs, fidxs in chunk:
+        for trace_key, lam, idxs, fidxs, first in chunk:
+            if first:
+                opts.append((trace_key, lam, _group_optimum(trace_key, lam)))
             trace = _resolve_trace(trace_key)
             model = CostModel(lam=lam, n=n)
             cells = [(model, factories[f](trace, model)) for f in fidxs]
@@ -343,7 +366,7 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
                     )
                 else:
                     rows.append((i, ("full", result)))
-        return rows
+        return opts, rows
 
     return _chunk_observed("fleet", n_objects, compute)
 
@@ -384,12 +407,19 @@ class _Executor:
     inherit the cap and the kernel's threaded path never oversubscribes
     the box beyond ``workers x threads <= cores`` (the serial path keeps the
     full budget).  The previous budget is restored on exit.
+
+    A worker that dies mid-run breaks the pool; :meth:`run_tagged` turns
+    that into a :class:`WorkerCrashError` naming the task kinds in
+    flight, followed by ``crash_hint`` (what the caller can do about it).
     """
 
     _NO_BUDGET = object()     # sentinel: budget untouched (serial path)
 
-    def __init__(self, workers: int, context: dict[str, Any]):
+    def __init__(
+        self, workers: int, context: dict[str, Any], crash_hint: str = ""
+    ):
         self._context = context
+        self._crash_hint = crash_hint
         self._mp = _fork_context() if workers > 1 else None
         self.workers = workers if self._mp is not None else 1
         self._prev_budget: Any = self._NO_BUDGET
@@ -417,12 +447,6 @@ class _Executor:
             backends.set_thread_budget(self._prev_budget)
             self._prev_budget = self._NO_BUDGET
         _WORKER_CONTEXT = None
-
-    def run(self, fn, chunks: Sequence[Any]):
-        """Yield ``fn(chunk)`` results as they complete (any order)."""
-        yield from (
-            result for _, result in self.run_tagged([(None, fn, c) for c in chunks])
-        )
 
     def run_tagged(
         self,
@@ -461,12 +485,21 @@ class _Executor:
                 tags[fut] = tag
                 pending.add(fut)
 
-        refill()
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                yield tags.pop(fut), fut.result()
+        try:
             refill()
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    result = fut.result()
+                    yield tags.pop(fut), result
+                refill()
+        except BrokenProcessPool as exc:
+            # every task still tagged was in flight when the pool broke
+            kinds = ", ".join(sorted(set(tags.values())))
+            raise WorkerCrashError(
+                f"a worker process died while running {kinds} tasks"
+                f"{self._crash_hint}"
+            ) from exc
 
 
 class ExperimentRunner:
@@ -604,7 +637,10 @@ class ExperimentRunner:
         * chunks are sized by total trace length and pulled from a
           shared refill queue (``run_tagged(window=...)``), so one giant
           object among thousands of tiny ones does not straggle;
-        * each group's offline optimum is computed once and shared.
+        * each group's offline optimum is computed once, by the chunk
+          holding the group's first object, and rides back with that
+          chunk's rows — one pool round trip per chunk, not one per
+          object.
 
         Outcomes fold through an index-ordered reorder buffer, keeping
         every mode bit-identical to the serial per-object loop (see the
@@ -676,15 +712,10 @@ class ExperimentRunner:
             "factories": factories,
             "fleet_ship_results": bool(materialize),
         }
-        chunks = self._fleet_chunks(group_items, specs, spec_f)
-        opt_tasks = (
-            [("opt", _opt_task, (d, lam)) for d, lam, _ in group_items]
-            if compute_optimal
-            else []
+        chunks = self._fleet_chunks(
+            group_items, specs, spec_f, compute_optimal=compute_optimal
         )
-        tasks = itertools.chain(
-            opt_tasks, (("sim", _fleet_chunk_task, c) for c in chunks)
-        )
+        tasks = (("fleet", _fleet_chunk_task, c) for c in chunks)
         self.progress.start(len(specs), label="fleet", unit="objects")
         opts: dict[tuple[str, float], float] = {}
         pending_rows: dict[int, Any] = {}
@@ -736,21 +767,18 @@ class ExperimentRunner:
         with _obs.timed_span("runner.fleet", objects=len(specs)) as sp:
             try:
                 with _Executor(self.workers, context) as ex:
-                    for tag, (result, delta) in ex.run_tagged(
+                    for _, ((chunk_opts, rows), delta) in ex.run_tagged(
                         tasks, window=window
                     ):
                         _obs.merge_delta(delta)
-                        if tag == "opt":
-                            tk, lam, opt = result
+                        for tk, lam, opt in chunk_opts:
                             opts[(tk, lam)] = opt
-                        else:
-                            if _obs.enabled:
-                                _obs.counter(
-                                    "repro_runner_jobs_total",
-                                    source="executed",
-                                ).inc(len(result))
-                            for i, row in result:
-                                pending_rows[i] = row
+                        if _obs.enabled:
+                            _obs.counter(
+                                "repro_runner_jobs_total", source="executed"
+                            ).inc(len(rows))
+                        for i, row in rows:
+                            pending_rows[i] = row
                         drain()
             finally:
                 spool_cleanup()
@@ -852,6 +880,7 @@ class ExperimentRunner:
         group_items: Sequence[tuple[str, float, Sequence[int]]],
         specs: Sequence[Any],
         spec_f: Sequence[int],
+        compute_optimal: bool,
     ) -> list[tuple]:
         """Pack ``(digest, lambda)`` groups into dispatch chunks by work.
 
@@ -865,6 +894,12 @@ class ExperimentRunner:
         lengths, and the worker/chunk-size configuration — deterministic
         run to run.  An explicit ``chunk_size`` reverts to object-count
         parcels of that size.
+
+        Each sub-slab is ``(digest, lambda, spec_indices,
+        factory_indices, first)``; ``first`` is true on the sub-slab
+        holding its group's first spec index when ``compute_optimal`` is
+        set, and tells :func:`_fleet_chunk_task` to compute that group's
+        offline optimum.
         """
         def cost(i: int) -> int:
             return len(specs[i].trace) + self.FLEET_OBJECT_OVERHEAD
@@ -894,6 +929,7 @@ class ExperimentRunner:
         for digest, lam, idxs in group_items:
             pos = 0
             while pos < len(idxs):
+                first = compute_optimal and pos == 0
                 take: list[int] = []
                 fids: list[int] = []
                 while pos < len(idxs):
@@ -911,7 +947,7 @@ class ExperimentRunner:
                     cur_objs += 1
                     pos += 1
                 if take:
-                    cur.append((digest, lam, tuple(take), tuple(fids)))
+                    cur.append((digest, lam, tuple(take), tuple(fids), first))
                 if pos < len(idxs):
                     close()
         close()
@@ -1077,8 +1113,14 @@ class ExperimentRunner:
         # on the (expensive) DP before simulations start
         tasks = [("opt", _opt_task, pair) for pair in opt_misses]
         tasks += [("sim", _slab_chunk_task, chunk) for chunk in chunks]
+        crash_hint = (
+            f"; the cells completed before it are cached in {sim_cache.root},"
+            " and re-running with the same cache resumes from them"
+            if isinstance(sim_cache, ResultCache)
+            else ""
+        )
         try:
-            with _Executor(self.workers, context) as ex:
+            with _Executor(self.workers, context, crash_hint) as ex:
                 for tag, (result, delta) in ex.run_tagged(tasks):
                     _obs.merge_delta(delta)
                     if tag == "opt":

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,6 +18,7 @@ from repro.experiments import (
     NullCache,
     ResultCache,
     Scenario,
+    WorkerCrashError,
     content_key,
     get_scenario,
     list_scenarios,
@@ -55,6 +59,23 @@ def make_scenario(name="tmp-scenario", **overrides) -> Scenario:
 @pytest.fixture
 def scenario():
     return make_scenario()
+
+
+#: the one job ``crashing_factory`` kills its worker on
+CRASH_CELL = (LAMS[1], ALPHAS[1], ACCS[1])
+
+
+def crashing_factory(trace, lam, alpha, accuracy, seed):
+    """``algorithm1_factory``, except that a pool worker building the
+    :data:`CRASH_CELL` policy dies on the spot (never the test process)."""
+    from repro.analysis.sweep import algorithm1_factory
+
+    if (
+        (lam, alpha, accuracy) == CRASH_CELL
+        and multiprocessing.parent_process() is not None
+    ):
+        os._exit(1)
+    return algorithm1_factory(trace, lam, alpha, accuracy, seed)
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +263,40 @@ class TestCache:
         assert [r.online_cost for r in full.results] == [
             r.online_cost for r in serial.results
         ]
+
+    def test_worker_crash_is_a_clear_error_and_resumes(self, scenario, tmp_path):
+        """A killed pool worker surfaces as WorkerCrashError naming the
+        task kind and the cache; a re-run on the same cache executes
+        exactly the cells not cached before the crash."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        cache_dir = tmp_path / "cache"
+        crashing = replace(scenario, policy_factory=crashing_factory)
+        runner = ExperimentRunner(
+            workers=2, chunk_size=1, cache=ResultCache(cache_dir)
+        )
+        with pytest.raises(WorkerCrashError) as err:
+            runner.run(crashing)
+        msg = str(err.value)
+        assert re.search(
+            r"a worker process died while running (opt, )?sim tasks", msg
+        )
+        assert f"cached in {cache_dir}" in msg
+        assert "re-running with the same cache resumes" in msg
+        entries = [
+            json.loads(p.read_text(encoding="utf-8"))
+            for p in cache_dir.glob("*/*.json")
+        ]
+        n_sim = sum(1 for e in entries if e["key"]["kind"] == "sim")
+        rerun = ExperimentRunner(workers=2, cache=ResultCache(cache_dir)).run(
+            scenario
+        )
+        assert rerun.cached == n_sim
+        assert rerun.executed == scenario.n_jobs - n_sim
+        clean = ExperimentRunner(workers=1).run(scenario)
+        assert [
+            (r.job, r.online_cost, r.optimal_cost) for r in rerun.results
+        ] == [(r.job, r.online_cost, r.optimal_cost) for r in clean.results]
 
     def test_closure_factories_never_share_cache_entries(self, tmp_path):
         """Distinct closures share a __qualname__, so run_grid must not
@@ -487,6 +542,27 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "executed 0, cached 8" in out
+
+    def test_experiments_run_worker_crash_exits_1(self, capsys, tmp_path):
+        from repro.cli import main
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        register_scenario(
+            make_scenario("tmp-crash", policy_factory=crashing_factory)
+        )
+        try:
+            rc = main([
+                "experiments", "run", "tmp-crash", "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache"), "--quiet",
+            ])
+        finally:
+            unregister_scenario("tmp-crash")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "a worker process died while running" in err
+        assert "re-running with the same cache resumes" in err
+        assert "Traceback" not in err
 
     def test_experiments_run_no_cache(self, capsys):
         from repro.cli import main

@@ -210,20 +210,32 @@ class TestFleetChunking:
         specs.insert(7, ObjectSpec("giant", giant, 5.0, la_oracle))
         runner = ExperimentRunner(workers=4)
         group_items, spec_f = self._chunk_inputs(specs)
-        c1 = runner._fleet_chunks(group_items, specs, spec_f)
-        c2 = runner._fleet_chunks(group_items, specs, spec_f)
-        assert c1 == c2  # same inputs -> byte-identical chunking
-        covered = sorted(
-            i for chunk in c1 for _, _, idxs, _ in chunk for i in idxs
+        c1, c2 = (
+            runner._fleet_chunks(
+                group_items, specs, spec_f, compute_optimal=True
+            )
+            for _ in range(2)
         )
+        assert c1 == c2  # same inputs -> byte-identical chunking
+        subs = [sub for chunk in c1 for sub in chunk]
+        covered = sorted(i for _, _, idxs, _, _ in subs for i in idxs)
         assert covered == list(range(len(specs)))
         assert len(c1) > 1  # the skewed fleet actually splits
         # the giant object dominates the per-chunk cost budget, so the
         # chunk carrying it holds nothing else
         for chunk in c1:
-            idxs = [i for _, _, sub, _ in chunk for i in sub]
+            idxs = [i for _, _, sub, _, _ in chunk for i in sub]
             if 7 in idxs:
                 assert idxs == [7]
+        # exactly one sub-slab per group is flagged to compute the
+        # group's optimum: the one holding the group's first spec index
+        flagged = [(d, lam, idxs[0]) for d, lam, idxs, _, f in subs if f]
+        assert flagged == [(d, lam, idxs[0]) for d, lam, idxs in group_items]
+        assert not any(
+            f for chunk in runner._fleet_chunks(
+                group_items, specs, spec_f, compute_optimal=False
+            ) for *_, f in chunk
+        )
 
     def test_chunk_size_override(self):
         specs = [
@@ -234,10 +246,82 @@ class TestFleetChunking:
         ]
         runner = ExperimentRunner(workers=2, chunk_size=3)
         group_items, spec_f = self._chunk_inputs(specs)
-        chunks = runner._fleet_chunks(group_items, specs, spec_f)
-        sizes = [sum(len(idxs) for _, _, idxs, _ in c) for c in chunks]
+        chunks = runner._fleet_chunks(
+            group_items, specs, spec_f, compute_optimal=True
+        )
+        sizes = [sum(len(idxs) for _, _, idxs, _, _ in c) for c in chunks]
         assert all(s <= 3 for s in sizes)
         assert sum(sizes) == len(specs)
+
+    @staticmethod
+    def _split_group_system():
+        # a six-object (trace, lambda) group, which chunk_size=2 splits
+        # across three chunks, plus two single-object groups
+        tr = uniform_random_trace(3, 40, horizon=120.0, seed=5)
+        other = uniform_random_trace(3, 25, horizon=90.0, seed=6)
+        specs = [
+            ObjectSpec(f"g{i}", tr, 10.0, FACTORIES[i % len(FACTORIES)])
+            for i in range(6)
+        ]
+        specs += [
+            ObjectSpec("h0", other, 10.0, la_oracle),
+            ObjectSpec("h1", tr, 25.0, wang),
+        ]
+        return MultiObjectSystem(3, specs)
+
+    def test_fleet_dispatch_is_one_task_per_chunk(self):
+        """Optima ride in their fleet chunk: the pool sees one task per
+        chunk and no standalone optimum tasks."""
+        from repro.obs import metrics
+
+        system = self._split_group_system()
+        specs = list(system.specs)
+        runner = ExperimentRunner(workers=2, chunk_size=2)
+        group_items, spec_f = self._chunk_inputs(specs)
+        chunks = runner._fleet_chunks(
+            group_items, specs, spec_f, compute_optimal=True
+        )
+        with metrics.enabled_scope():
+            metrics.reset()
+            runner.run_fleet(system, engine="auto")
+            snap = metrics.drain()
+        kinds = [
+            s["tags"]["kind"] for s in snap["spans"] if s["name"] == "runner.chunk"
+        ]
+        assert kinds == ["fleet"] * len(chunks)
+
+    def test_group_optima_ride_in_their_chunk(self, monkeypatch):
+        """A group split across chunks gets the reference optima, and its
+        optimum is computed once — by the chunk holding its first object,
+        never by a standalone optimum task."""
+        import repro.experiments.runner as runner_mod
+
+        system = self._split_group_system()
+        serial = system.run(engine="reference")
+        split = ExperimentRunner(workers=2, chunk_size=2).run_fleet(
+            system, engine="auto"
+        )
+        _assert_outcomes_equal(serial, split)
+
+        calls = []
+        real = runner_mod.optimal_cost
+
+        def counting(trace, model):
+            calls.append((trace_digest(trace), model.lam))
+            return real(trace, model)
+
+        def no_opt_task(item):
+            raise AssertionError("a fleet run queued a standalone optimum task")
+
+        monkeypatch.setattr(runner_mod, "optimal_cost", counting)
+        monkeypatch.setattr(runner_mod, "_opt_task", no_opt_task)
+        runner = ExperimentRunner(workers=1, chunk_size=2)
+        _assert_outcomes_equal(serial, runner.run_fleet(system, engine="auto"))
+        groups = [(trace_digest(s.trace), s.lam) for s in system.specs]
+        assert calls == list(dict.fromkeys(groups))
+        calls.clear()
+        runner.run_fleet(system, compute_optimal=False, engine="auto")
+        assert calls == []
 
     def test_end_to_end_deterministic(self):
         system = _mixed_system(20, seed=3)

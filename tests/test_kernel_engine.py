@@ -53,7 +53,11 @@ from repro.predictions import (
     PredictionStream,
     SlidingWindowPredictor,
 )
-from repro.workloads import ibm_like_trace, uniform_random_trace
+from repro.workloads import (
+    ibm_like_arrivals,
+    ibm_like_trace,
+    uniform_random_trace,
+)
 
 from conftest import (
     assert_registered_scenarios_match_reference,
@@ -233,6 +237,38 @@ def test_wang_drain_configurations_bit_identity(inst, drain, cap):
     assert k.transfer_cost == r.transfer_cost
     assert k.n_transfers == r.ledger.n_transfers
     assert k.engine == "kernel"
+
+
+def test_wang_machine_at_fleet_density(monkeypatch):
+    """Bursty short objects (the fleet shape) keep the episode machine
+    busy: every object matches the reference, and the objects together
+    drive each of its branches — suppressed triggers, flips, cascade
+    ships and drain events."""
+    import repro.core.engine as engine_mod
+
+    seen = {"suppressed": 0, "flips": 0, "ships": 0, "drain": 0}
+    real = engine_mod.wang_cascade
+
+    def counting(*args):
+        out = real(*args)
+        seen["suppressed"] += int(out[0].sum())
+        seen["flips"] += out[5].size
+        seen["ships"] += out[7]
+        seen["drain"] += out[8].size
+        return out
+
+    monkeypatch.setattr(engine_mod, "wang_cascade", counting)
+    rng = np.random.default_rng(17)
+    model = CostModel(lam=100.0, n=8)
+    for k, m in enumerate(np.geomspace(2, 400, 32).astype(int)):
+        times = ibm_like_arrivals(m=int(m), span=86400.0, seed=k)
+        trace = Trace.from_arrays(times, rng.integers(0, 8, times.size), n=8)
+        kr = KERNEL.run(trace, model, WangReplication())
+        rr = REF.run(trace, model, WangReplication())
+        assert kr.storage_cost == rr.storage_cost, k
+        assert kr.transfer_cost == rr.transfer_cost, k
+        assert kr.n_transfers == rr.ledger.n_transfers, k
+    assert min(seen.values()) >= 1, seen
 
 
 # ----------------------------------------------------------------------
