@@ -4,10 +4,11 @@ Builds a million-object *mixed-policy* fleet (default) from a handful
 of workload templates — Algorithm 1 (oracle and noisy), the
 conventional baseline, and Wang et al. interleaved across objects, the
 deployment shape that makes cross-object slabs pay: objects sharing a
-``(trace, lambda)`` group evaluate together in one batch/kernel slab
-instead of one engine call each (Wang cells ride the same kernel slab
-via the cascade factorisation; equal-model Wang cells deduplicate
-through its memoised replay).  Three paths are timed:
+``(trace, lambda)`` group evaluate together in one kernel slab — one
+multi-row pass per alpha — instead of one engine call each (Wang cells
+ride the same kernel slab via the cascade factorisation; equal-model
+Wang cells deduplicate through its memoised replay).  Three paths are
+timed:
 
 * **serial** — ``MultiObjectSystem.run`` object-at-a-time, each object
   on the engine ``auto`` picks for a single cell (measured on a

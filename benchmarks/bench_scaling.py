@@ -1,22 +1,30 @@
-"""Engine-tier scaling sweep: trace size x engine, per-cell wall clock.
+"""Engine scaling sweep: trace size x slab shape, per-cell wall clock.
 
-Runs the cost-only tiers (plus the reference simulator at the smallest
-sizes) through the slab dispatcher every layer above uses,
+Runs the kernel (plus the reference simulator at the smallest sizes)
+through the slab dispatcher every layer above uses,
 :func:`repro.core.engine.run_slab` with a forced ``engine=``, and
-records two views of the ``auto`` slab crossover:
+records two views of the kernel's multi-row passes:
 
-* ``rows`` — a compact 12-cell Algorithm-1 slab over growing IBM-like
-  traces, on both sides of :data:`repro.core.engine.KERNEL_SLAB_MIN_M`;
+* ``rows`` — a compact 12-cell Algorithm-1 slab (4 alphas, so 4
+  passes) over growing IBM-like traces;
 * ``wide_slab`` — the shape of one ``(trace, lambda)`` slab of
-  ``bench_fleet.py``'s template fleet (64 requests on 8 servers, about
-  800 cells), the short-and-wide corner the batch tier is kept for;
+  ``bench_fleet.py``'s template fleet (64 requests on 8 servers, 804
+  cells, 4 alphas), as one slab call (``slab``) and as one kernel call
+  per cell (``cells``); ``slab_vs_cells_wide`` is the per-cell ratio;
+
+one view of the row-chunk bound:
+
+* ``row_chunk`` — the 121-cell fig25 grid (11 passes of 11 rows) at
+  :data:`ROW_CHUNK_SIZES` requests, with the kernel's private
+  ``_ROW_CHUNK_ELEMS`` set to each of :data:`ROW_CHUNK_BOUNDS`: the
+  rows-per-pass bound its value is chosen from;
 
 one view of the adapted algorithm (Figures 29-32):
 
 * ``adaptive`` — the 9-cell coarse fig29 grid (alpha and accuracy at
   0, 0.5 and 1; the scenario's own policy factory and lambda) at
-  :data:`REFERENCE_MAX_M` requests, on the reference simulator and both
-  cost-only tiers;
+  :data:`REFERENCE_MAX_M` requests, on the reference simulator and the
+  kernel;
 
 and one view of the Wang et al. baseline:
 
@@ -28,10 +36,11 @@ and one view of the Wang et al. baseline:
   is the per-cell ratio at each size.
 
 Every other timing is the min (``total_s``, ``per_cell_ms``) and median
-(``median_s``) of :data:`REPEATS` runs, and the report records the core
-count.  Per-cell costs are asserted bit-identical across every tier in
-every view; the reference simulator runs only up to
-:data:`REFERENCE_MAX_M` (it anchors correctness, not throughput).
+(``median_s``) of :data:`REPEATS` runs of a serial slab (thread budget
+1), and the report records the core count.  Per-cell costs are asserted
+bit-identical across every engine and call shape in every view; the
+reference simulator runs only up to :data:`REFERENCE_MAX_M` (it anchors
+correctness, not throughput).
 
 Standalone use (the CI smoke step runs this via ``repro bench``)::
 
@@ -39,8 +48,8 @@ Standalone use (the CI smoke step runs this via ``repro bench``)::
                                        [--sizes 128,512,2000,20000,200000]
                                        [--gate 2.0] [--strict]
 
-The gate requires the kernel tier to beat the batch tier per cell on
-the 12-cell slab at the largest size by the given factor (default
+The gate requires one slab call to beat one kernel call per cell, per
+cell, on the wide slab by the given factor (default
 :data:`MIN_SPEEDUP`); it only fails the process under ``--strict`` — CI
 runs ``--gate 1.0 --strict``.
 """
@@ -60,7 +69,6 @@ except ImportError:  # pragma: no cover - `repro bench` without test deps
 SCALE_LAMBDA = 10.0
 SMOKE_N = 10
 SMOKE_SEED = 0
-#: KERNEL_SLAB_MIN_M (1024) falls between the second and third sizes
 DEFAULT_SIZES = (128, 512, 2_000, 20_000, 200_000)
 REPEATS = 3
 
@@ -77,6 +85,11 @@ WIDE_N = 8
 WIDE_SEEDS = 67
 WIDE_LAMBDA = 50.0
 
+#: the row_chunk view: trace sizes, and the pass bounds (prediction
+#: matrix entries) swept at each
+ROW_CHUNK_SIZES = (2_000, 11_688)
+ROW_CHUNK_BOUNDS = (1 << 12, 1 << 14, 1 << 16, 1 << 18)
+
 #: reference-tier ceiling: the event simulator only runs at sizes
 #: at or below this (one cell of it costs more than a whole slab above)
 REFERENCE_MAX_M = 2_000
@@ -91,15 +104,12 @@ WANG_LAMBDA = 100.0
 WANG_CELL = (0.5, 0.7, 3)
 WANG_REPEATS = 20
 
-#: kernel-over-batch per-cell gate at the largest swept size; recorded
-#: in BENCH_scaling.json (narrow 12-cell slabs amortise the batch
-#: engine's shared trace pass poorly — on the full 121-cell fig25 grid
-#: the same comparison is ~5x, see BENCH_kernel.json)
+#: slab-over-per-cell-calls gate on the wide slab, per cell
 MIN_SPEEDUP = 2.0
 
 #: report key diffed against the committed BENCH_*.json history
 #: by the persistent regression gate (`repro bench --regress`)
-GATE_METRIC = "kernel_vs_batch_at_largest"
+GATE_METRIC = "slab_vs_cells_wide"
 
 #: quick profile appended by `repro bench --quick` (the CI smoke step)
 QUICK_ARGS = ["--sizes", "128,512,2000,20000,50000"]
@@ -114,36 +124,111 @@ def _cells(seeds=(SMOKE_SEED,)):
     ]
 
 
+def _timed_row(label, trace, cells, repeats, run):
+    """``run()`` timed ``repeats`` times; returns its report row and
+    the ``(storage, transfer)`` costs of its last run."""
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        runs = run()
+        samples.append(time.perf_counter() - t0)
+    row = {
+        "m": len(trace),
+        "engine": label,
+        "cells": len(cells),
+        "total_s": min(samples),
+        "median_s": statistics.median(samples),
+        "per_cell_ms": min(samples) / len(cells) * 1e3,
+    }
+    return row, [(r.storage_cost, r.transfer_cost) for r in runs]
+
+
 def _time_tiers(trace, model, cells, engines, repeats, factory=None):
-    """One row per engine tier: ``run_slab`` over ``cells`` (policies
-    from ``factory``, Algorithm 1's by default) timed ``repeats`` times,
-    costs asserted bit-identical across tiers."""
+    """One row per engine: ``run_slab`` over ``cells`` (policies from
+    ``factory``, Algorithm 1's by default) timed ``repeats`` times,
+    costs asserted bit-identical across engines."""
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.engine import run_slab
 
     factory = factory or algorithm1_factory
     rows, costs = [], None
     for name in engines:
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            runs = run_slab(trace, model, cells, factory, engine=name)
-            samples.append(time.perf_counter() - t0)
-        got = [(r.storage_cost, r.transfer_cost) for r in runs]
-        if costs is None:
-            costs = got
-        else:
-            assert got == costs, f"cost mismatch: {name} at m={len(trace)}"
-        rows.append(
-            {
-                "m": len(trace),
-                "engine": name,
-                "cells": len(cells),
-                "total_s": min(samples),
-                "median_s": statistics.median(samples),
-                "per_cell_ms": min(samples) / len(cells) * 1e3,
-            }
+        row, got = _timed_row(
+            name, trace, cells, repeats,
+            lambda: run_slab(trace, model, cells, factory, engine=name),
         )
+        assert costs is None or got == costs, (
+            f"cost mismatch: {name} at m={len(trace)}"
+        )
+        costs = got
+        rows.append(row)
+    return rows
+
+
+def _wide_view(repeats) -> list[dict]:
+    """The wide slab as one slab call and as one kernel call per cell
+    (``run_slab`` over a lone cell, as the runner runs one), costs
+    asserted equal."""
+    from repro.analysis.sweep import algorithm1_factory
+    from repro.core.costs import CostModel
+    from repro.core.engine import run_slab
+    from repro.workloads import uniform_random_trace
+
+    trace = uniform_random_trace(
+        WIDE_N, WIDE_M, horizon=float(WIDE_M), seed=SMOKE_SEED
+    )
+    model = CostModel(lam=WIDE_LAMBDA, n=WIDE_N)
+    cells = _cells(range(WIDE_SEEDS))
+    slab, slab_costs = _timed_row(
+        "slab", trace, cells, repeats,
+        lambda: run_slab(trace, model, cells, algorithm1_factory, "kernel"),
+    )
+    per_cell, cell_costs = _timed_row(
+        "cells", trace, cells, repeats,
+        lambda: [
+            run_slab(trace, model, [c], algorithm1_factory, "kernel")[0]
+            for c in cells
+        ],
+    )
+    assert slab_costs == cell_costs, "cost mismatch: wide slab vs cells"
+    return [slab, per_cell]
+
+
+def _row_chunk_view(repeats) -> list[dict]:
+    """The fig25 grid per cell at each row-chunk bound, costs asserted
+    equal across bounds."""
+    import repro.core.engine as engine
+    from repro.analysis.sweep import (
+        PAPER_ACCURACIES,
+        PAPER_ALPHAS,
+        algorithm1_factory,
+    )
+    from repro.core.costs import CostModel
+    from repro.workloads import ibm_like_trace
+
+    cells = [(a, acc, SMOKE_SEED) for a in PAPER_ALPHAS for acc in PAPER_ACCURACIES]
+    bound0 = engine._ROW_CHUNK_ELEMS
+    rows = []
+    try:
+        for m in ROW_CHUNK_SIZES:
+            trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
+            model = CostModel(lam=SCALE_LAMBDA, n=SMOKE_N)
+            costs = None
+            for bound in ROW_CHUNK_BOUNDS:
+                engine._ROW_CHUNK_ELEMS = bound
+                row, got = _timed_row(
+                    "kernel", trace, cells, repeats,
+                    lambda: engine.run_slab(
+                        trace, model, cells, algorithm1_factory, "kernel"
+                    ),
+                )
+                assert costs is None or got == costs, (
+                    f"cost mismatch: row chunk {bound} at m={m}"
+                )
+                costs = got
+                rows.append({**row, "row_chunk_elems": bound})
+    finally:
+        engine._ROW_CHUNK_ELEMS = bound0
     return rows
 
 
@@ -213,43 +298,41 @@ def _wang_view(repeats=WANG_REPEATS) -> dict:
 
 
 def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
-    """Sweep trace size x engine tier; returns the report dict."""
+    """Sweep trace size x slab shape; returns the report dict."""
+    from repro.core.backends import set_thread_budget
     from repro.core.costs import CostModel
     from repro.experiments import get_scenario
-    from repro.workloads import ibm_like_trace, uniform_random_trace
+    from repro.workloads import ibm_like_trace
 
-    cells = _cells()
-    rows = []
-    for m in sizes:
-        trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
-        model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
-        engines = ["batch", "kernel"]
-        if m <= REFERENCE_MAX_M:
-            engines.insert(0, "reference")
-        rows += _time_tiers(trace, model, cells, engines, repeats)
-    wide_trace = uniform_random_trace(
-        WIDE_N, WIDE_M, horizon=float(WIDE_M), seed=SMOKE_SEED
-    )
-    wide = _time_tiers(
-        wide_trace,
-        CostModel(lam=WIDE_LAMBDA, n=WIDE_N),
-        _cells(range(WIDE_SEEDS)),
-        ["batch", "kernel"],
-        repeats,
-    )
-    fig29 = get_scenario("fig29")
-    coarse = (0.0, 0.5, 1.0)
-    adaptive_trace = ibm_like_trace(n=SMOKE_N, m=REFERENCE_MAX_M, seed=SMOKE_SEED)
-    adaptive = _time_tiers(
-        adaptive_trace,
-        CostModel(lam=fig29.lambdas[0], n=SMOKE_N),
-        [(a, acc, fig29.seeds[0]) for a in coarse for acc in coarse],
-        ["reference", "batch", "kernel"],
-        repeats,
-        fig29.policy_factory,
-    )
-    wang = _wang_view()
-    top = [r for r in rows if r["m"] == max(sizes)]
+    prev = set_thread_budget(1)
+    try:
+        cells = _cells()
+        rows = []
+        for m in sizes:
+            trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
+            model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
+            engines = ["kernel"]
+            if m <= REFERENCE_MAX_M:
+                engines.insert(0, "reference")
+            rows += _time_tiers(trace, model, cells, engines, repeats)
+        wide = _wide_view(repeats)
+        row_chunk = _row_chunk_view(repeats)
+        fig29 = get_scenario("fig29")
+        coarse = (0.0, 0.5, 1.0)
+        adaptive_trace = ibm_like_trace(
+            n=SMOKE_N, m=REFERENCE_MAX_M, seed=SMOKE_SEED
+        )
+        adaptive = _time_tiers(
+            adaptive_trace,
+            CostModel(lam=fig29.lambdas[0], n=SMOKE_N),
+            [(a, acc, fig29.seeds[0]) for a in coarse for acc in coarse],
+            ["reference", "kernel"],
+            repeats,
+            fig29.policy_factory,
+        )
+        wang = _wang_view()
+    finally:
+        set_thread_budget(prev)
     return {
         "grid": {
             "lam": SCALE_LAMBDA,
@@ -267,6 +350,12 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "lam": WIDE_LAMBDA,
             "rows": wide,
         },
+        "row_chunk": {
+            "grid": "fig25 (11 alphas x 11 accuracies)",
+            "trace": {"workload": "ibm_like", "n": SMOKE_N, "seed": SMOKE_SEED},
+            "lam": SCALE_LAMBDA,
+            "rows": row_chunk,
+        },
         "adaptive": {
             "scenario": "fig29",
             "alphas": coarse,
@@ -277,8 +366,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "rows": adaptive,
         },
         "wang": wang,
-        "kernel_vs_batch_at_largest": _per_cell(top, "batch") / _per_cell(top, "kernel"),
-        "batch_vs_kernel_wide": _per_cell(wide, "kernel") / _per_cell(wide, "batch"),
+        "slab_vs_cells_wide": _per_cell(wide, "cells") / _per_cell(wide, "slab"),
         "kernel_vs_reference_adaptive": (
             _per_cell(adaptive, "reference") / _per_cell(adaptive, "kernel")
         ),
@@ -290,12 +378,15 @@ def format_rows(report: dict) -> str:
     views = (
         ("slab", report["rows"]),
         ("wide", report["wide_slab"]["rows"]),
+        ("chunk", report["row_chunk"]["rows"]),
         ("adapt", report["adaptive"]["rows"]),
         ("wang", report["wang"]["rows"]),
     )
     for view, rows in views:
         for r in rows:
             label = r.get("policy", r["engine"])
+            if "row_chunk_elems" in r:
+                label = f"2^{r['row_chunk_elems'].bit_length() - 1}"
             lines.append(
                 f"{view:<6} {r['m']:>8d} {label:>10s} {r['cells']:>6d} "
                 f"{r['total_s']:>7.3f}s {r['median_s']:>7.3f}s "
@@ -305,7 +396,8 @@ def format_rows(report: dict) -> str:
 
 
 def test_engine_tier_scaling(benchmark):
-    """Every tier agrees bit for bit; kernel wins per cell at scale."""
+    """Every engine and call shape agrees bit for bit; one slab call
+    beats per-cell kernel calls on the wide slab."""
     from conftest import emit
     from repro.analysis.sweep import algorithm1_factory
     from repro.core.costs import CostModel
@@ -313,8 +405,8 @@ def test_engine_tier_scaling(benchmark):
     from repro.workloads import ibm_like_trace
 
     report = run_scaling_sweep(sizes=(2_000, 20_000), repeats=1)
-    emit("Engine tier scaling (size x tier, per-cell)", format_rows(report))
-    assert report["kernel_vs_batch_at_largest"] >= 1.0
+    emit("Engine scaling (size x slab shape, per-cell)", format_rows(report))
+    assert report["slab_vs_cells_wide"] >= 1.0
 
     trace = ibm_like_trace(n=SMOKE_N, m=20_000, seed=SMOKE_SEED)
     model = CostModel(lam=SCALE_LAMBDA, n=trace.n)
@@ -379,20 +471,19 @@ def main(argv=None) -> int:
     report = run_scaling_sweep(sizes=sizes)
     write_report(report, out)
     print(format_rows(report))
-    speedup = report["kernel_vs_batch_at_largest"]
+    speedup = report["slab_vs_cells_wide"]
     wang = ", ".join(
         f"{m}: {r:.2f}x"
         for m, r in report["wang"]["wang_vs_algorithm1"].items()
     )
     print(
-        f"kernel vs batch per-cell at m={max(sizes)}: {speedup:.2f}x; wide "
-        f"m={WIDE_M} slab: batch {report['batch_vs_kernel_wide']:.2f}x "
-        f"over kernel; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "
+        f"wide m={WIDE_M} slab: one slab call {speedup:.2f}x over per-cell "
+        f"kernel calls; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "
         f"{report['kernel_vs_reference_adaptive']:.1f}x over reference; "
         f"Wang over Algorithm 1 per kernel cell ({wang}) -> {out}"
     )
     return gate_exit(
-        speedup, gate, strict, label="kernel-over-batch speedup"
+        speedup, gate, strict, label="slab-over-per-cell speedup"
     )
 
 

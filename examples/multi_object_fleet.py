@@ -12,9 +12,9 @@ Run:  python examples/multi_object_fleet.py [--engine auto|reference]
 
 The learned ensembles observe requests one at a time, so they are never
 streamable and ``auto`` falls back to the reference engine per object.
-(The strict ``batch``/``kernel`` engines would refuse them outright;
-they become useful when you swap in oracle/noisy/fixed predictors and
-want cost-only fleets.)
+(The strict ``kernel`` engine would refuse them outright; it becomes
+useful when you swap in oracle/noisy/fixed predictors and want
+cost-only fleets.)
 """
 
 import argparse
@@ -51,8 +51,8 @@ def main() -> None:
         "--engine", choices=("auto", "reference"), default="reference",
         help="simulation engine for per-object runs (default: reference, "
         "which keeps full telemetry in the report; the ensembles here "
-        "are not streamable, so the strict batch/kernel engines would "
-        "refuse them)",
+        "are not streamable, so the strict kernel engine would refuse "
+        "them)",
     )
     args = parser.parse_args()
 

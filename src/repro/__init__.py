@@ -46,7 +46,6 @@ from .analysis import (
     sweep_grid,
 )
 from .core import (
-    BatchCostEngine,
     CostLedger,
     CostModel,
     CostResult,
@@ -131,7 +130,6 @@ __all__ = [
     "Engine",
     "EngineError",
     "CostResult",
-    "BatchCostEngine",
     "KernelCostEngine",
     "ReferenceEngine",
     "get_engine",

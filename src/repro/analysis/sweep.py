@@ -154,11 +154,10 @@ def sweep_grid(
 
     ``engine`` selects the simulation engine; the default (``None``)
     means ``"auto"`` — each ``(trace, lambda)``'s whole slab of
-    ``(alpha, accuracy)`` cells runs through loop-free segment-scan
-    kernel replays (above the measured slab crossover trace length) or
-    one vectorized batch pass when a cost-only tier supports the
-    factory's policies (grid cells consume only ``total_cost``),
-    per-cell on the reference engine otherwise — or, with a ``runner``,
+    ``(alpha, accuracy)`` cells runs as one kernel slab, one loop-free
+    multi-row pass per alpha, when the kernel supports the factory's
+    policies (grid cells consume only ``total_cost``), per-cell on the
+    reference engine otherwise — or, with a ``runner``,
     whatever engine the runner was configured with.  Per-cell results
     are bit-identical across engines; pass ``"reference"`` to force the
     full-telemetry simulator.
@@ -179,7 +178,7 @@ def sweep_grid(
     result = SweepResult()
     opt_cache = optimal_cache if optimal_cache is not None else {}
     # one slab per lambda: every (alpha, accuracy) cell shares the trace
-    # and cost model, which is exactly the batch engine's unit of work
+    # and cost model, which is exactly the kernel slab's unit of work
     cells = [(alpha, acc, seed) for alpha in alphas for acc in accuracies]
     for lam in lambdas:
         model = CostModel(lam=lam, n=trace.n)

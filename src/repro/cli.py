@@ -94,6 +94,10 @@ from .workloads import (
 
 __all__ = ["main", "build_parser"]
 
+#: the paper commands, whose bad inputs surface as ValueError (a
+#: TraceError among them) from the library's constructors
+_PAPER_COMMANDS = ("sweep", "adaptive", "tight", "wang", "adversary")
+
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Telemetry export flags shared by sweep / experiments run / bench."""
@@ -114,10 +118,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="auto",
         help="simulation engine: 'kernel' = loop-free segment-scan "
-        "replay, 'batch' = one vectorized pass per (trace, lambda) "
-        "slab, 'reference' = full-telemetry event loop, 'auto' "
-        "(default) = kernel for single cells and long slabs, batch for "
-        "short slabs, reference for policies no cost-only tier supports")
+        "replay (one multi-row pass per (lambda, alpha) of a slab), "
+        "'reference' = full-telemetry event loop, 'auto' (default) = "
+        "kernel where it supports the policy, reference otherwise")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench",
                        help="discover and run the bench_*.py suites")
     b.add_argument("names", nargs="*", metavar="name",
-                   help="suite names (e.g. 'kernel' for bench_kernel.py); "
+                   help="suite names (e.g. 'scaling' for bench_scaling.py); "
                    "default: every runnable suite")
     b.add_argument("--list", action="store_true", dest="list_suites",
                    help="list the discovered suites and exit")
@@ -788,6 +791,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if want_obs:
             _export_obs(args)
         return code
+    except ValueError as exc:
+        if args.command not in _PAPER_COMMANDS:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         resumable = (
             args.command == "experiments"

@@ -9,7 +9,6 @@ from .backends import (
 from .costs import CostLedger, CostModel
 from .engine import (
     ENGINE_NAMES,
-    BatchCostEngine,
     CostResult,
     Engine,
     EngineError,
@@ -43,7 +42,6 @@ __all__ = [
     "EngineError",
     "ENGINE_NAMES",
     "CostResult",
-    "BatchCostEngine",
     "KernelCostEngine",
     "ReferenceEngine",
     "get_engine",

@@ -1,14 +1,15 @@
-"""Kernel execution: the order-sensitive reductions every kernel cell
-runs, and how a slab's cells are spread over threads.
+"""Kernel execution: the order-sensitive reductions every kernel replay
+runs, and how a slab's passes are spread over threads.
 
 DESIGN
 ======
 
 The kernel tier (``KernelCostEngine``) reduced per-cell replay to a fixed
-sequence of array passes.  A slab of grid cells is embarrassingly parallel
-*across* cells — every cell replays the same trace against an independent
-(model, policy, prediction-row) triple — but strictly serial *within* one
-cell, because the charge-order reductions are sequential by construction:
+sequence of array passes, each over one row per cell of a group of cells.
+A slab is embarrassingly parallel *across* its passes — every pass
+replays the same trace for independent prediction rows — but strictly
+serial *within* one row, because the charge-order reductions are
+sequential by construction:
 
 ``np.add.accumulate`` computes ``out[i] = out[i-1] + v[i]`` left to right,
 one IEEE-754 rounding per step.  :func:`seq_sum` only consumes ``out[-1]``,
@@ -16,20 +17,21 @@ so it performs the scalar replay's ``storage += charge`` chain bit for bit.
 A *parallelized* within-cell accumulate would not: pairwise or tree
 reductions (``np.add.reduce``, SIMD partial sums, parallel prefix scans)
 re-associate the additions, and float addition is not associative, so the
-final bit pattern changes.  That is why the kernel parallelizes across
-cells only — each cell's serial pass is untouched, so a slab run on either
-execution path below is bit-identical to the other:
+final bit pattern changes.  A multi-row pass keeps each row's chain: its
+``np.add.accumulate(axis=1)`` runs every row left to right.  That is why
+the kernel parallelizes across passes only — each row's serial chain is
+untouched, so a slab run on either execution path below is bit-identical
+to the other:
 
-- ``numpy``   — the vectorized passes, one cell after another in the
-  calling thread.
-- ``threads`` — the same numpy passes, cells fanned out over a
+- ``numpy``   — the vectorized passes, one after another in the calling
+  thread.
+- ``threads`` — the same numpy passes fanned out over a
   ``ThreadPoolExecutor``.  The heavy numpy ops release the GIL, so this
   scales with cores without fork/IPC.  ``ThreadPoolExecutor.map``
-  preserves input order, so results come back in cell-index order and the
+  preserves input order, so results come back in pass order and the
   output is positionally identical to the serial run.  Shared per-trace
-  precompute (``_SegmentChains``) is read-only after construction; its
-  scratch workspace is thread-local and its shift memo is lock-guarded
-  (see ``core/engine.py``).
+  precompute (``_SegmentChains``) is read-only after construction and
+  its shift memo is lock-guarded (see ``core/engine.py``).
 
 Besides the reductions, this module holds one *sequential episode
 machine*: :func:`wang_cascade`, the scalar core of the kernel tier's Wang
@@ -51,9 +53,11 @@ The two paths differ only in speed, so no caller picks one:
 :meth:`AutoBackend.resolve` decides from the thread budget and the slab
 width.  It fans out once the budget allows two or more threads and every
 thread gets at least :data:`THREADS_MIN_CELLS_PER_THREAD` cells — below
-that, executor dispatch and per-thread workspace allocation eat the win —
-and runs serially otherwise.  ``benchmarks/bench_backends.py`` times the
-two paths against each other (``benchmarks/BENCH_backends.json``).
+that, executor dispatch eats the win — and runs serially otherwise; a
+threaded slab cuts its passes into row chunks of at most ``ceil(cells /
+threads)`` rows, so every thread gets a pass.
+``benchmarks/bench_backends.py`` times the two paths against each other
+(``benchmarks/BENCH_backends.json``).
 
 Process-pool interaction
 ------------------------
@@ -90,8 +94,8 @@ __all__ = [
 ]
 
 # ``auto`` fans out only when every worker thread gets at least this many
-# cells; below that, pool dispatch and per-thread workspaces eat the win
-# (an early fig25 estimate, not yet re-derived over cells x m).
+# cells; below that, pool dispatch eats the win (an early fig25
+# estimate, not yet re-derived over cells x m).
 THREADS_MIN_CELLS_PER_THREAD = 8
 
 
@@ -466,28 +470,32 @@ def numba_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Execution paths — how a slab's cells are spread over threads.
+# Execution paths — how a slab's passes are spread over threads.
 # ---------------------------------------------------------------------------
 
 
 class KernelBackend:
-    """The serial path: a slab's cells run one after another."""
+    """The serial path: a slab's passes run one after another."""
 
     name = "numpy"
 
-    def run_cells(self, n_cells: int, run_one):
-        """Evaluate ``run_one(c)`` for each cell, in cell-index order."""
-        return [run_one(c) for c in range(n_cells)]
+    def threads(self, n_cells: int) -> int:
+        """The threads a slab of ``n_cells`` cells fans out over."""
+        return 1
+
+    def run_units(self, units, run_one, threads: int) -> list:
+        """Evaluate ``run_one(u)`` for each unit, in unit order."""
+        return [run_one(u) for u in units]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelBackend {self.name}>"
 
 
 class ThreadsBackend(KernelBackend):
-    """Numpy passes, cells fanned out over a thread pool.
+    """Numpy passes fanned out over a thread pool.
 
     ``ThreadPoolExecutor.map`` preserves input order, so results come back
-    in cell-index order — output is positionally bit-identical to serial.
+    in unit order — output is positionally bit-identical to serial.
     :meth:`AutoBackend.resolve` picks this path only when the budget and
     the slab give at least two threads :data:`THREADS_MIN_CELLS_PER_THREAD`
     cells each.
@@ -495,12 +503,15 @@ class ThreadsBackend(KernelBackend):
 
     name = "threads"
 
-    def run_cells(self, n_cells: int, run_one):
-        workers = min(thread_budget(), n_cells // THREADS_MIN_CELLS_PER_THREAD)
+    def threads(self, n_cells: int) -> int:
+        return min(thread_budget(), n_cells // THREADS_MIN_CELLS_PER_THREAD)
+
+    def run_units(self, units, run_one, threads: int) -> list:
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-kernel"
+            max_workers=min(threads, len(units)),
+            thread_name_prefix="repro-kernel",
         ) as pool:
-            return list(pool.map(run_one, range(n_cells)))
+            return list(pool.map(run_one, units))
 
 
 _SERIAL = KernelBackend()

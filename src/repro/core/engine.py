@@ -1,4 +1,5 @@
-"""Tiered simulation engines: full-telemetry reference vs cost-only tiers.
+"""Tiered simulation engines: the full-telemetry reference vs the
+cost-only kernel.
 
 DESIGN
 ======
@@ -19,29 +20,28 @@ This module splits the two concerns behind one interface:
 * :class:`ReferenceEngine` — delegates to :func:`simulate` unchanged.
   Full telemetry, every policy, the only engine whose results carry
   event logs, serve records, copy records, and classifications.
-* the cost-only tiers, :class:`BatchCostEngine` and
-  :class:`KernelCostEngine` — replay the *same decision process* from a
-  precomputed :class:`~repro.predictions.stream.PredictionStream`, with
-  no event log, no per-request dataclasses and no policy callbacks.
-  They return a :class:`CostResult` carrying only the cost ledger
-  totals.
+* :class:`KernelCostEngine`, the cost-only tier — replays the *same
+  decision process* from a precomputed
+  :class:`~repro.predictions.stream.PredictionStream`, with no event
+  log, no per-request dataclasses and no policy callbacks.  It returns
+  a :class:`CostResult` carrying only the cost ledger totals.
 
 Exact equivalence, not approximate
 ----------------------------------
-The cost-only tiers are written to reproduce the reference engine's
+The kernel is written to reproduce the reference engine's
 *floating-point operation order*, not merely its semantics: storage is
-charged at the same moments (renewal, drop, finalize) with the same
-``(min(end, t_m) - min(start, t_m)) * rate`` expression, transfers are
-accumulated by the same repeated additions of ``lambda``, expiries pop
+charged with the same ``(end - start) * rate`` expression per copy
+period, in the order the reference ledger adds the charges (expiries pop
 in the same ``(time, server, token)`` heap order, and finalization walks
-live copies in the same dict-insertion order as ``SimContext._holding``.
+live copies in the same dict-insertion order as ``SimContext._holding``),
+and transfers are the same repeated additions of ``lambda``.
 Noisy-oracle predictions are drawn as one batched ``random(m + 1)``
 call, bit-identical to the incremental per-query draws.  Consequently
-cost-only costs are not just "within 1e-9" of :func:`simulate` — they
-are bit-identical on every instance, and the test suite pins it.
+kernel costs are not just "within 1e-9" of :func:`simulate` — they are
+bit-identical on every instance, and the test suite pins it.
 
-Which policies the cost-only tiers take
----------------------------------------
+Which policies the kernel takes
+-------------------------------
 A policy qualifies only if its decisions are a pure function of
 ``(trace, model, streamable predictions)``:
 
@@ -74,59 +74,23 @@ Everything else falls back to the reference engine:
   learn from ``observe`` callbacks in arrival order;
 * anything needing classifications, serve records, event logs, monitor
   histories, or copy records must use the reference engine — the
-  cost-only tiers never produce telemetry, by construction.
+  kernel never produces telemetry, by construction.
 
-The batch and kernel tiers share that rule and everything around
-their replays — the model check, the policy-kind dispatch, prediction
-streaming, the errors, :class:`CostResult` assembly — through one base
-class, :class:`_CostOnlyEngine`; each tier supplies only its Algorithm-1
-replay (Wang's prediction-free baseline replays on the kernel's cascade
-for both).  ``select_engine(trace, model, policy, "auto")`` returns
-a cost-only tier iff ``supports()`` holds, else the reference engine.
-``sweep_grid`` and ``ExperimentRunner`` default to ``"auto"`` because
-grid cells consume only costs; ``MultiObjectSystem.run`` defaults to
-``"reference"`` because its :class:`FleetReport` exposes full
-per-object results.
+``select_engine(trace, model, policy, "auto")`` returns the kernel iff
+``supports()`` holds, else the reference engine.  ``sweep_grid`` and
+``ExperimentRunner`` default to ``"auto"`` because grid cells consume
+only costs; ``MultiObjectSystem.run`` defaults to ``"reference"``
+because its :class:`FleetReport` exposes full per-object results.
+Slabs — cells sharing one trace — have one dispatcher,
+:func:`run_policy_slab`, over pre-built ``(model, policy)`` cells;
+:func:`run_slab` is its grid-facing adapter (it builds each ``(alpha,
+accuracy, seed)`` cell's policy once and delegates).  Cells the kernel
+does not take fall back to bit-identical per-cell execution.
 
-The batch tier: one trace pass per slab
----------------------------------------
-The paper's grids evaluate hundreds of cells ``(alpha, accuracy, seed)``
-that share one ``(trace, lambda)``; a per-cell replay walks the trace
-once *per cell*.  :class:`BatchCostEngine` replays it once *per slab*: per-server slot state becomes ``(n_servers, n_cells)`` NumPy
-arrays, the expiry heap becomes per-server due-time columns (each server
-holds at most one live heap entry, so a ``(n_servers, n_cells)`` due
-matrix plus an argmin over servers reproduces the ``(time, server,
-token)`` pop order exactly), and dict insertion order is tracked with a
-per-cell insertion counter so finalization walks live copies in the
-identical sequence.  Every per-cell floating-point operation — the
-``(min(end, t_m) - min(start, t_m)) * rate`` storage charges, the
-repeated ``+= lambda`` transfer additions, the single ``alpha * lambda``
-duration product — is the same IEEE double op the reference ledger
-performs, in the same order, so per-cell batch costs are bit-identical
-to :func:`simulate`.
-
-Wang's baseline ignores predictions and alpha entirely, so a slab's
-equal-model Wang cells reduce to one kernel-tier replay
-(:func:`_kernel_wang`) shared across them; the conventional baseline
-rides the batch pass with a constant "beyond" prediction column (it
-pins the duration to ``lambda``).
-
-Slabs have one dispatcher, :func:`run_policy_slab`, over pre-built
-``(model, policy)`` cells sharing a trace; :func:`run_slab` is its
-grid-facing adapter (it builds each ``(alpha, accuracy, seed)`` cell's
-policy once and delegates).  Under ``"auto"`` a slab's eligible cells
-run as one batch pass per equal-model group below
-:data:`KERNEL_SLAB_MIN_M` requests and on the kernel tier (next section)
-at or above it; :func:`select_engine` picks the tier for a single run.
-Cells no slab tier takes fall back to bit-identical per-cell execution.
-
-The kernel tier: loop-free segment-scan replay
-----------------------------------------------
-The batch tier still walks the trace with a per-request Python loop,
-one vectorized step per request.  On million-request columnar traces
-that loop *is* the cost of a grid cell.  :class:`KernelCostEngine` removes it
-entirely: a cell is evaluated by a fixed number of whole-array passes,
-with no per-request Python work at all.
+The kernel: loop-free segment-scan replay
+-----------------------------------------
+A cell is evaluated by a fixed number of whole-array passes, with no
+per-request Python work at all.
 
 The reformulation rests on one observation: under Algorithm 1 every
 request is a *service* — both the renewal and the transfer branch
@@ -150,10 +114,12 @@ is the state-free array ``E[q] = t[q] + d[q]``.  From it:
 * a request ``i`` finds the system empty (the paper's special-copy
   regime, lines 15-25) iff no earlier request covers it:
   ``maximum.accumulate(cover)[i-1] < i``.  At such a die-out the special
-  copy is the lexicographic ``(E, server)`` maximum among segments with
-  ``reach == i - 1`` — the scalar heap's pop order — and it is resolved
-  at request ``i`` itself (renewed if local, dropped after the transfer
-  otherwise), so die-outs never couple across requests.
+  copy is the lexicographic ``(E, server)`` maximum among the live
+  segments with ``reach == i - 1`` — exactly the expiring segments that
+  pop before request ``i``, so it is the last of those in the heap's
+  pop order — and it is resolved at request ``i`` itself (renewed if
+  local, dropped after the transfer otherwise), so die-outs never
+  couple across requests.
 
 Renewals are then ``reach[prev] >= i`` or a special renewal; every
 other request is a transfer; and each of the ``m + 1`` segments is
@@ -171,16 +137,48 @@ expiry streams (each a constant shift of the strictly increasing
 times, hence already sorted; rare cross-stream ties fall back to a
 lexsort), serve-phase charges are emitted in request order by
 construction, and the two sequences interleave by counting sums
-(``bincount`` + ``cumsum``) rather than comparison sorts.  The ordered
-charge values are then reduced with ``np.add.accumulate`` — NumPy's
-*sequential* accumulation, unlike ``np.add.reduce``'s pairwise tree —
-so the final sum performs the same doubles additions in the same order
-as the ledger's ``storage += charge``.  Transfers reuse the batch tier's
-partial-sum argument: ``accumulate(full(n_tx, lam))[-1]`` is the
-ledger's repeated ``transfer += lam`` bit for bit.  Kernel costs are
+(``cumsum`` + ``searchsorted``) rather than comparison sorts.  The
+ordered charge values are then reduced with ``np.add.accumulate`` —
+NumPy's *sequential* accumulation, unlike ``np.add.reduce``'s pairwise
+tree — so the final sum performs the same doubles additions in the
+same order as the ledger's ``storage += charge``.  Transfers are read
+from a partial-sum table: the ``n``-th partial sum of
+``accumulate(full(N, lam))`` is the ledger's ``n`` repeated ``transfer
++= lam`` steps bit for bit, for any ``N >= n``.  Kernel costs are
 therefore bit-identical to the reference simulator for every
 ``supports()``-eligible policy, and the test suite pins this across
 every registered scenario.
+
+Slab mode: a row per cell
+-------------------------
+Algorithm-1 cells that share ``(lambda, alpha, rate)`` share both
+cached keep-duration bundles (:class:`_Shift`), so they replay as *one*
+pass over a ``(rows, m + 1)`` prediction matrix, one row per cell, and
+a single cell is the one-row case.  Every pass above runs once over the
+flattened matrix:
+
+* the die-out scan is one flat ``maximum.accumulate`` with the rows
+  kept apart by a per-row offset (so is the rare dict-insertion walk);
+* ``np.nonzero`` yields ``(row, request)`` pairs in row-major order, so
+  each row's die-outs and serves stay in request order;
+* the drops of every row merge once, as the union of all rows' drops:
+  each row's ``(E, server)`` order is a masked subsequence of it, and
+  one ``searchsorted`` on flat ``(row, event)`` keys finds every
+  die-out's special;
+* each row holds exactly ``m + 1`` charges: the pops and serves of all
+  rows interleave by counting sums over the flat event keys and fill
+  the rows' leading slots in that order, and each row's drain and
+  finalize charges take its trailing slots;
+* the ledgers reduce with ``np.add.accumulate(axis=1)``, sequential
+  within each row, and transfers index one shared partial-sum table.
+
+:func:`run_policy_slab` sends every eligible slab of two or more cells
+to the kernel, at any trace length; :func:`_kernel_slab` groups its
+Algorithm-1 cells by ``(lambda, alpha, rate)`` and runs each group as
+one pass, split into row chunks only to bound a pass's memory
+(:data:`_ROW_CHUNK_ELEMS`) and to give every thread of the threaded
+execution path work.  The fig25 grid's 121 cells are 11 groups, one
+per alpha.
 
 Wang's baseline rides the same tier through a *cascade factorisation*
 (:class:`_WangReplay`).  Its drop cascade (``renewed_once`` flags,
@@ -212,30 +210,19 @@ interleave, drain and finalize order, ``seq_sum`` / ``repeat_add``
 reductions) reuses the machinery above, so kernel Wang is bit-identical
 to the reference simulator's heap replay — the tests pin this across
 every registered scenario, tie-prone hypothesis instances, and both the
-serial and the threaded execution path.  ``supports()`` therefore
-carries **no policy exclusions**: heterogeneous Algorithm-1 + Wang
-fleets run as single-tier kernel slabs (see :func:`run_policy_slab`).
-
-Selection: ``"auto"`` runs every single eligible cell on the kernel, at
-any trace length.  On slabs the kernel's fixed overhead (a handful of
-array allocations and one shared per-server sort) loses to the batch
-engine's shared trace pass on short traces, so ``"auto"`` prefers it
-only from :data:`KERNEL_SLAB_MIN_M` requests up (a crossover the
-recorded rows do not yet confirm, because it also moves with slab
-width; see ``benchmarks/bench_scaling.py`` for the measurements).  In
-slab mode the per-cell masks broadcast over an ``(n_cells,)`` axis of
-independent columns sharing the per-trace
-``succ``/``prev`` chains and one ``searchsorted`` per *distinct*
-keep-duration — 12 for the paper's 121-cell fig25 grid — which is
-where the tier's ≥5x per-cell advantage over the batch engine at
-million-request scale comes from (``benchmarks/bench_kernel.py``).
+serial and the threaded execution path.  Wang ignores predictions and
+alpha, so a slab's equal-model Wang cells share one memoised replay,
+and ``supports()`` carries **no policy exclusions**: heterogeneous
+Algorithm-1 + Wang fleets run as single-tier kernel slabs.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -258,11 +245,9 @@ __all__ = [
     "Engine",
     "EngineError",
     "ReferenceEngine",
-    "BatchCostEngine",
     "KernelCostEngine",
     "CostResult",
     "ENGINE_NAMES",
-    "KERNEL_SLAB_MIN_M",
     "get_engine",
     "select_engine",
     "run_slab",
@@ -276,8 +261,8 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostResult:
-    """Cost-only outcome of a batch- or kernel-tier run, bit-identical
-    in its costs to :func:`~repro.core.simulator.simulate`.
+    """Cost-only outcome of a kernel-tier run, bit-identical in its
+    costs to :func:`~repro.core.simulator.simulate`.
 
     Duck-compatible with :class:`~repro.core.simulator.SimulationResult`
     for every cost consumer (``total_cost`` / ``storage_cost`` /
@@ -372,6 +357,34 @@ class ReferenceEngine(Engine):
         )
 
 
+@functools.cache
+def _late() -> SimpleNamespace:
+    """The policy and prediction names the kernel dispatches on, from
+    packages that import this one: imported on first use and cached,
+    because slab dispatch consults them once per cell."""
+    from ..algorithms.adaptive import AdaptiveReplication, forced_column
+    from ..algorithms.conventional import ConventionalReplication
+    from ..algorithms.learning_augmented import LearningAugmentedReplication
+    from ..algorithms.wang import WangReplication
+    from ..predictions.oracle import FixedPredictor
+    from ..predictions.stream import PredictionStream
+
+    return SimpleNamespace(
+        Adaptive=AdaptiveReplication,
+        Conventional=ConventionalReplication,
+        Wang=WangReplication,
+        # the exact types Algorithm 1's replay serves
+        algorithm1=(
+            ConventionalReplication,
+            LearningAugmentedReplication,
+            AdaptiveReplication,
+        ),
+        forced_column=forced_column,
+        FixedPredictor=FixedPredictor,
+        PredictionStream=PredictionStream,
+    )
+
+
 def _stream_predictor(policy: ReplicationPolicy):
     """The predictor whose stream drives an Algorithm-1-family policy.
 
@@ -379,11 +392,9 @@ def _stream_predictor(policy: ReplicationPolicy):
     branches pick duration ``lambda`` and its own predictor is never
     consulted: a constant "beyond" stream stands in for it.
     """
-    from ..algorithms.conventional import ConventionalReplication
-    from ..predictions.oracle import FixedPredictor
-
-    if type(policy) is ConventionalReplication:
-        return FixedPredictor(False)
+    late = _late()
+    if type(policy) is late.Conventional:
+        return late.FixedPredictor(False)
     return policy.predictor
 
 
@@ -397,11 +408,10 @@ def _replay_column(
     ledger: ``within`` itself, or ``within | forced`` for the adaptive
     variant, whose fallback flags ``forced`` come from its monitor
     machine (see the module DESIGN docstring)."""
-    from ..algorithms.adaptive import AdaptiveReplication, forced_column
-
-    if type(policy) is not AdaptiveReplication:
+    late = _late()
+    if type(policy) is not late.Adaptive:
         return within
-    forced = forced_column(
+    forced = late.forced_column(
         np.concatenate(([0.0], trace.times)),
         np.concatenate(([0], trace.servers)),
         within,
@@ -433,390 +443,9 @@ def _cost_result(
     )
 
 
-class _CostOnlyEngine(Engine):
-    """One eligibility rule and one :meth:`run` for the cost-only tiers.
-
-    The batch and kernel tiers replay the same policies to the same
-    bit-identical ledgers, so everything around the replay — the
-    model check, the policy-kind dispatch, prediction streaming, the
-    errors, :class:`CostResult` assembly, and the Wang replay (the
-    kernel's cascade; Wang ignores predictions, so no tier has its own)
-    — lives here and each tier supplies only :meth:`_algorithm1`.  See
-    the module DESIGN docstring for the eligibility rules and the
-    bit-identical-cost argument.
-    """
-
-    def supports(
-        self, trace: Trace, model: CostModel, policy: ReplicationPolicy
-    ) -> bool:
-        from ..algorithms.adaptive import AdaptiveReplication
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.stream import PredictionStream
-
-        kind = type(policy)
-        if kind is WangReplication:
-            return _wang_rates_ok(model)
-        if kind in (
-            ConventionalReplication,
-            LearningAugmentedReplication,
-            AdaptiveReplication,
-        ):
-            # cheap type/provenance check; the stream itself is built
-            # once, in run()
-            return model.uniform_storage and PredictionStream.supports_predictor(
-                _stream_predictor(policy), trace
-            )
-        return False
-
-    def run(
-        self,
-        trace: Trace,
-        model: CostModel,
-        policy: ReplicationPolicy,
-        drain: bool = True,
-        drain_event_cap: int | None = None,
-    ) -> CostResult:
-        from ..algorithms.adaptive import AdaptiveReplication
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.stream import PredictionStream
-
-        if model.n != trace.n:
-            raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-        kind = type(policy)
-        if kind is WangReplication:
-            if not _wang_rates_ok(model):
-                raise PolicyError(
-                    "WangReplication requires servers indexed by ascending "
-                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
-                )
-            ledger = self._wang(trace, model, drain, drain_event_cap)
-        elif kind in (
-            ConventionalReplication,
-            LearningAugmentedReplication,
-            AdaptiveReplication,
-        ):
-            if not model.uniform_storage:
-                raise PolicyError(
-                    "Algorithm 1 assumes uniform storage rates (paper Section 2)"
-                )
-            stream = PredictionStream.for_predictor(
-                _stream_predictor(policy), trace, model.lam
-            )
-            if stream is None:
-                raise EngineError(
-                    f"{type(self).__name__} cannot stream predictor "
-                    f"{policy.predictor.name!r}; use the reference engine"
-                )
-            ledger = self._algorithm1(
-                trace,
-                model,
-                policy.alpha,
-                _replay_column(trace, model, policy, stream.within),
-                drain,
-                drain_event_cap,
-            )
-        else:
-            raise EngineError(
-                f"{type(self).__name__} does not support {kind.__name__}; "
-                "use the reference engine"
-            )
-        return _cost_result(trace, model, policy, ledger, self.name)
-
-    @abc.abstractmethod
-    def _algorithm1(
-        self,
-        trace: Trace,
-        model: CostModel,
-        alpha: float,
-        within: np.ndarray,
-        drain: bool,
-        drain_event_cap: int | None,
-    ) -> tuple[float, float, int]:
-        """``(storage, transfer, n_transfers)`` of Algorithm 1 under the
-        prediction stream ``within`` (uniform storage rates)."""
-
-    def _wang(
-        self,
-        trace: Trace,
-        model: CostModel,
-        drain: bool,
-        drain_event_cap: int | None,
-    ) -> tuple[float, float, int]:
-        """``(storage, transfer, n_transfers)`` of the Wang et al.
-        baseline (servers indexed by ascending storage rate)."""
-        return _kernel_wang(_SegmentChains(trace), model, drain, drain_event_cap)
-
-
 def _wang_rates_ok(model: CostModel) -> bool:
     rates = model.storage_rates
     return all(rates[i] <= rates[i + 1] for i in range(len(rates) - 1))
-
-
-# ----------------------------------------------------------------------
-# batched slab kernel
-#
-# One trace pass evaluates every cell of a slab.  The cell axis is the
-# second array dimension throughout; every statement below performs, per
-# cell, exactly the scalar operation the reference simulator performs at
-# the same moment (see the module DESIGN docstring for the bit-identity
-# argument).
-# ----------------------------------------------------------------------
-
-_NO_ORDER = np.iinfo(np.int64).max  # insertion-order slot for dead copies
-
-
-def _batch_algorithm1(
-    trace: Trace,
-    model: CostModel,
-    alphas: np.ndarray,
-    pred: np.ndarray,
-    drain: bool,
-    drain_event_cap: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay Algorithm 1 for a whole slab of cells in one trace pass.
-
-    ``alphas`` has shape ``(n_cells,)`` and ``pred`` shape
-    ``(m + 1, n_cells)`` (one prediction column per cell).  Returns
-    ``(storage, transfer, n_transfers)`` arrays whose entry ``c`` is
-    bit-identical to the ledger of :func:`simulate` running Algorithm 1
-    with ``alphas[c]`` under the prediction stream ``pred[:, c]``.
-    """
-    lam = model.lam
-    n = trace.n
-    t_m = trace.span
-    rate = model.storage_rates[0]    # uniform: supports()/run() vet it
-    alphas = np.asarray(alphas, dtype=float)
-    n_cells = alphas.size
-    pred = np.asarray(pred, dtype=bool)
-    if pred.shape != (len(trace) + 1, n_cells):
-        raise ValueError(
-            f"prediction matrix must be (m + 1, n_cells) = "
-            f"({len(trace) + 1}, {n_cells}), got {pred.shape}"
-        )
-    d_beyond = alphas * lam          # the scalar path's single multiply
-    inf = np.inf
-
-    # NOTE on charges: the reference guards every storage charge with
-    # `if e > s`.  Segment starts never exceed their expiry/renewal/
-    # finalize times, so after clipping to t_m the difference `e - s` is
-    # always >= 0 — and adding `0.0 * rate == +0.0` to a non-negative
-    # accumulator is the IEEE identity.  The kernel therefore charges
-    # unconditionally, which is bit-identical and saves the mask work.
-    alive = np.zeros((n, n_cells), dtype=bool)
-    start = np.zeros((n, n_cells), dtype=float)
-    due = np.full((n, n_cells), inf)
-    # dict insertion order == creation order, and each cell creates at
-    # most one copy per request, so the request index serves as the
-    # per-cell insertion counter (the initial copy is order 0)
-    order = np.full((n, n_cells), _NO_ORDER, dtype=np.int64)
-    special = np.full(n_cells, -1, dtype=np.int64)
-    # the two per-cell integer ledgers share one array so the serve step
-    # updates both with a single broadcast add
-    ints = np.zeros((2, n_cells), dtype=np.int64)
-    n_alive = ints[0]
-    n_tx = ints[1]
-    storage = np.zeros(n_cells)
-
-    def expire(fc: np.ndarray, until: float, max_rounds: int | None = None) -> None:
-        """Deliver every due expiry with time < ``until`` among the cell
-        columns ``fc``, one heap pop per cell per round.
-
-        Column subsets stay compressed (integer index arrays) so quiet
-        cells cost nothing; ties pop the lowest server first, matching
-        the scalar ``(time, server, token)`` heap order (``argmin``
-        returns the first minimum).  Rounds run in lockstep — every
-        surviving column pops exactly once per round — so capping the
-        round count at ``max_rounds`` reproduces the scalar drain
-        loop's per-cell fired-event cap exactly.
-        """
-        rounds = 0
-        while max_rounds is None or rounds < max_rounds:
-            if fc is all_cols:
-                wv = due.min(axis=0, out=f3)
-                keep = np.less(wv, until, out=b_keep)
-                fc = keep.nonzero()[0]
-                if not fc.size:
-                    return
-                wv = wv[fc]
-            else:
-                wv = due[:, fc].min(axis=0)
-                keep = wv < until
-                fc, wv = fc[keep], wv[keep]
-                if not fc.size:
-                    return
-            srv = due[:, fc].argmin(axis=0)
-            due[srv, fc] = inf                    # pop the entry
-            last = n_alive[fc] == 1
-            if last.all():
-                # lines 20-25: keep the final copy as the special copy —
-                # the dominant regime.  A single-copy cell holds at most
-                # one due entry (due implies alive), so every fired
-                # column is now dry: no further round can fire.
-                special[fc] = srv
-                return
-            lc = fc[last]
-            special[lc] = srv[last]
-            dropm = ~last
-            dc = fc[dropm]
-            ds = srv[dropm]
-            s_ = np.minimum(start[ds, dc], t_m)
-            e_ = np.minimum(wv[dropm], t_m)
-            storage[dc] += (e_ - s_) * rate
-            alive[ds, dc] = False
-            n_alive[dc] -= 1
-            # only the dropped cells can still hold a due entry < until
-            # (the special-ed cells just popped their only entry), so the
-            # next round's check narrows to them
-            fc = dc
-            rounds += 1
-
-    # per-request schedule rows, precomputed: row i is the scalar path's
-    # t_i + (d_within if pred else d_beyond) for every cell (np.where
-    # selects the operand; the add is the same scalar IEEE add)
-    times = trace.times
-    sched = times[:, None] + np.where(pred[1:], lam, d_beyond)
-
-    # dummy request r_0: initial copy at server 0, duration from pred[0]
-    alive[0, :] = True
-    order[0, :] = 0
-    n_alive[:] = 1
-    due[0, :] = np.where(pred[0], lam, d_beyond)
-
-    all_cols = np.arange(n_cells)
-    times_l = times.tolist()
-    servers_l = trace.servers.tolist()
-    # preallocated full-width work buffers: the serve step runs once per
-    # request, so allocator traffic there dominates the numpy dispatch
-    # overhead this kernel's throughput is made of
-    unit_rate = rate == 1.0
-    f1 = np.empty(n_cells)
-    f2 = np.empty(n_cells)
-    f3 = np.empty(n_cells)
-    b_keep = np.empty(n_cells, dtype=bool)
-    b_miss = np.empty(n_cells, dtype=bool)
-    b_sp = np.empty(n_cells, dtype=bool)
-    b_clear = np.empty(n_cells, dtype=bool)
-    i_src = np.empty(n_cells, dtype=np.intp)
-    # bind ufuncs to locals: the loop body is dispatch-bound
-    np_not, np_and, np_eq = np.logical_not, np.logical_and, np.equal
-    np_min2, np_sub, np_mul = np.minimum, np.subtract, np.multiply
-    np_add, np_copyto = np.add, np.copyto
-    for i in range(len(times_l)):
-        t = times_l[i]
-        j = servers_l[i]
-        expire(all_cols, t)
-        e_t = t if t < t_m else t_m
-        # one unified serve step: read the pre-state fully, then write.
-        # Both branches of the scalar serve set seg[j] = t, so start/alive
-        # rows are written unconditionally; per-cell branch effects ride
-        # on boolean masks (adding a masked-out 0.0 charge, or charging
-        # `(e - s) * 1.0` without the multiply, is the IEEE identity —
-        # see the charge NOTE above).  Requests on which every cell
-        # agrees (all-miss at a cold server, all-renew at a hot one) take
-        # branch-free fast paths.
-        has = alive[j]                     # pre-write view; reads first
-        nh = np.count_nonzero(has)
-        if nh == 0:
-            # every cell transfers from its lowest-indexed live server
-            # (min(seg)); argmax over booleans finds the first live row
-            src = alive.argmax(axis=0, out=i_src)
-            sp = np_eq(special, src, out=b_sp)
-            start[j].fill(t)
-            alive[j].fill(True)
-            order[j].fill(i + 1)           # create appends to the dict
-            np_add(ints, 1, out=ints)      # n_alive and n_tx together
-            if sp.any():
-                # lines 15-19: charge and drop the special source after
-                # the transfer (the destination copy was created above)
-                sc = sp.nonzero()[0]
-                ss = src[sc]
-                s2 = np_min2(start[ss, sc], t_m)
-                if unit_rate:
-                    storage[sc] += e_t - s2
-                else:
-                    storage[sc] += (e_t - s2) * rate
-                alive[ss, sc] = False
-                # a special source holds no due entry (its token was
-                # popped when it became special): no heap cleanup
-                n_alive[sc] -= 1
-                np_copyto(special, -1, where=sp)
-        elif nh == n_cells:
-            # every cell renews its copy period (charge the closed one)
-            clear = np_eq(special, j, out=b_clear)
-            s_ = np_min2(start[j], t_m, out=f1)
-            charge = np_sub(e_t, s_, out=f2)
-            if not unit_rate:
-                np_mul(charge, rate, out=charge)
-            np_add(storage, charge, out=storage)
-            start[j].fill(t)
-            np_copyto(special, -1, where=clear)
-        else:
-            miss = np_not(has, out=b_miss)
-            src = alive.argmax(axis=0, out=i_src)
-            sp = np_eq(special, src, out=b_sp)
-            np_and(sp, miss, out=sp)       # drop the special source
-            clear = np_eq(special, j, out=b_clear)
-            np_and(clear, has, out=clear)  # a renewed special copy
-            s_ = np_min2(start[j], t_m, out=f1)
-            charge = np_sub(e_t, s_, out=f2)
-            if not unit_rate:
-                np_mul(charge, rate, out=charge)
-            np_mul(charge, has, out=charge)    # mask misses to +0.0
-            np_add(storage, charge, out=storage)
-            # writes (scalar order: create/renew seg[j], clear specials,
-            # then drop a charged special source — lines 15-19)
-            start[j].fill(t)
-            alive[j].fill(True)
-            np_copyto(order[j], i + 1, where=miss)  # renew keeps order
-            np_add(ints, miss, out=ints)   # n_alive and n_tx together
-            if sp.any():
-                np.logical_or(clear, sp, out=clear)
-                sc = sp.nonzero()[0]
-                ss = src[sc]
-                s2 = np_min2(start[ss, sc], t_m)
-                if unit_rate:
-                    storage[sc] += e_t - s2
-                else:
-                    storage[sc] += (e_t - s2) * rate
-                alive[ss, sc] = False
-                n_alive[sc] -= 1
-            np_copyto(special, -1, where=clear)
-        due[j, :] = sched[i]
-
-    if drain:
-        # mirror simulate()'s drain loop: every remaining entry is
-        # delivered in heap order up to the per-cell event cap (Algorithm 1 never
-        # reschedules during expiry, so at most n entries fire per cell,
-        # far below the default 4n + 16)
-        cap = drain_event_cap if drain_event_cap is not None else 4 * n + 16
-        expire(all_cols, inf, max_rounds=cap)
-
-    # finalize: charge live copies in per-cell dict insertion order
-    ord_live = np.where(alive, order, _NO_ORDER)
-    for _ in range(n):
-        w = ord_live.min(axis=0)
-        fc = np.nonzero(w < _NO_ORDER)[0]
-        if not fc.size:
-            break
-        fs = ord_live[:, fc].argmin(axis=0)
-        s_ = np.minimum(start[fs, fc], t_m)
-        storage[fc] += (t_m - s_) * rate
-        ord_live[fs, fc] = _NO_ORDER
-
-    # the scalar path accumulates `transfer += lam` once per transfer;
-    # ufunc.accumulate performs the identical left-to-right additions,
-    # so indexing the partial-sum sequence by each cell's transfer count
-    # reproduces the repeated-addition ledger bit for bit
-    max_tx = int(n_tx.max()) if n_cells else 0
-    partial = np.zeros(max_tx + 1)
-    if max_tx:
-        np.add.accumulate(np.full(max_tx, lam), out=partial[1:])
-    transfer = partial[n_tx]
-    return storage, transfer, n_tx
 
 
 #: a slab cell: ``(alpha, accuracy, seed)`` — the grid axes that share
@@ -825,27 +454,6 @@ SlabCell = tuple[float, float, int]
 
 #: the sweep-layer factory signature: (trace, lam, alpha, accuracy, seed)
 SlabFactory = Callable[[Trace, float, float, float, int], ReplicationPolicy]
-
-
-class BatchCostEngine(_CostOnlyEngine):
-    """Cost-only slab replay: every cell of ``(alpha x accuracy x seed)``
-    sharing one ``(trace, lambda)`` in a single vectorized trace pass.
-
-    See the module DESIGN docstring for the bit-identity argument.  The
-    scalar :meth:`run` interface executes a one-column slab, so the
-    engine is a drop-in anywhere a name from :data:`ENGINE_NAMES` is
-    accepted; the throughput win comes from whole slabs, which reach it
-    through :func:`run_policy_slab`.
-    """
-
-    name = "batch"
-
-    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
-        storage, transfer, n_tx = _batch_algorithm1(
-            trace, model, np.array([alpha]), within[:, None], drain,
-            drain_event_cap,
-        )
-        return float(storage[0]), float(transfer[0]), int(n_tx[0])
 
 
 # ----------------------------------------------------------------------
@@ -858,9 +466,6 @@ class BatchCostEngine(_CostOnlyEngine):
 # module DESIGN docstring for the derivation and bit-identity argument).
 # ----------------------------------------------------------------------
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-
-
 class _SegmentChains:
     """Shared per-trace precompute for segment-scan replays.
 
@@ -870,18 +475,17 @@ class _SegmentChains:
     ``searchsorted`` per duration rather than one per cell.
 
     Thread safety: one instance may be shared by the ``threads``
-    backend's cell workers.  Every precomputed array is read-only after
+    execution path's passes.  Every precomputed array is read-only after
     ``__init__``; the duration memo is guarded by a lock (reads stay
     lock-free — CPython dict gets are atomic — and a duplicate
-    ``_Shift`` built in a race is simply discarded by ``setdefault``);
-    the scratch workspace is thread-local, one per worker thread.
+    ``_Shift`` built in a race is simply discarded by ``setdefault``).
     """
 
     __slots__ = (
         "m", "m1", "n", "t_m", "t_all", "j_all", "order", "same",
         "succ", "prev", "prev_clip", "prev_ok", "lastq", "idx1",
-        "arange0", "idx_dtype", "_shifts", "_shift_lock", "_tls",
-        "_csr", "_wangs", "_wang_lock",
+        "idx_dtype", "_shifts", "_shift_lock", "_csr", "_wangs",
+        "_wang_lock",
     )
 
     def __init__(self, trace: Trace):
@@ -914,26 +518,11 @@ class _SegmentChains:
         # the last request at each touched server (no local successor)
         self.lastq = np.flatnonzero(succ == self.m1).astype(idx)
         self.idx1 = np.arange(1, self.m1, dtype=idx)
-        self.arange0 = np.arange(self.m1, dtype=idx)
         self._shifts: dict[float, _Shift] = {}
         self._shift_lock = threading.Lock()
-        self._tls = threading.local()
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._wangs: dict[tuple, "_WangReplay"] = {}
         self._wang_lock = threading.Lock()
-
-    def workspace(self) -> "_KernelWorkspace":
-        """This thread's scratch workspace (created on first use).
-
-        Thread-local so the ``threads`` backend can replay cells
-        concurrently over one shared chains instance — the serial path
-        still reuses a single workspace across the whole slab.
-        """
-        work = getattr(self._tls, "work", None)
-        if work is None:
-            work = _KernelWorkspace(self.m, self.idx_dtype)
-            self._tls.work = work
-        return work
 
     def shifted(self, duration: float) -> "_Shift":
         """The cell-invariant arrays for one keep-duration, memoised.
@@ -1009,142 +598,80 @@ class _Shift:
         self.local_alive = alive[chains.prev_clip]
 
 
-class _KernelWorkspace:
-    """Reusable full-width scratch arrays for one :class:`_SegmentChains`.
-
-    A slab evaluates hundreds of cells over the same trace; without
-    reuse every cell would allocate (and page-fault) trace-length
-    arrays, which at a million requests costs more than the arithmetic.
-    Not thread-safe — one workspace per replay stream, which
-    :meth:`_SegmentChains.workspace` enforces by keeping one instance
-    per worker thread.
-    """
-
-    __slots__ = ("cover", "vals", "serve_cum", "dropped", "b_m1", "die", "L")
-
-    def __init__(self, m: int, idx_dtype: type):
-        m1 = m + 1
-        self.vals = np.empty(m1)
-        self.cover = np.empty(m1, dtype=idx_dtype)
-        self.serve_cum = np.empty(m1, dtype=np.int64)
-        self.dropped = np.empty(m1, dtype=bool)
-        self.b_m1 = np.empty(m1, dtype=bool)
-        self.die = np.empty(m, dtype=bool)
-        self.L = np.empty(m, dtype=bool)
-
-
-def _merge_by_expiry(
+def _drops_by_expiry(
     chains: _SegmentChains,
-    mask: np.ndarray,
+    dropped: np.ndarray,
     pred: np.ndarray,
-    dur_within: float,
-    dur_beyond: float,
-    ws: "_KernelWorkspace",
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(indices, expiries)`` of ``mask`` in ``(E, server)`` order —
-    the expiry heap's pop order.
-
-    Each prediction branch's expiries are a constant shift of the
-    strictly increasing request times, so the masked subset of either
-    branch is already sorted: the ``(E, server)`` order is a two-stream
-    merge, computed on the subsets (the full expiry column is never
-    materialised).  :func:`~repro.core.backends.merge_interleave` does
-    the interleave with two ``searchsorted`` passes; the server
-    tie-break can only matter *across* streams, so it reports
-    cross-stream expiry ties by returning ``None`` and the rare tied
-    instances fall back to a lexsort here.
-    """
-    t_all, j_all = chains.t_all, chains.j_all
-    tmp = np.logical_and(mask, pred, out=ws.b_m1)
-    dw = np.flatnonzero(tmp)
-    np.logical_xor(mask, tmp, out=tmp)       # mask & ~pred
-    db = np.flatnonzero(tmp)
-    # the same scalar IEEE add as schedule(j, t + duration), per subset
-    ew = t_all[dw] + dur_within
-    eb = t_all[db] + dur_beyond
-    if not db.size:
-        return dw, ew
-    if not dw.size:
-        return db, eb
-    merged = merge_interleave(dw, ew, db, eb)
-    if merged is not None:
-        return merged
-    mi = np.flatnonzero(mask)
-    emi = t_all[mi] + np.where(pred[mi], dur_within, dur_beyond)
-    order = np.lexsort((j_all[mi], emi))
-    return mi[order], emi[order]
-
-
-def _resolve_specials(
-    chains: _SegmentChains,
     sw: _Shift,
     sb: _Shift,
-    pred: np.ndarray,
-    die_pos: np.ndarray,
     dur_within: float,
     dur_beyond: float,
-) -> np.ndarray:
-    """The special segment of each die-out group: the ``(E, server)``
-    maximum among segments with ``reach == i - 1`` still current.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pop keys, indices, expiries)`` of the ``dropped`` segments:
+    row by row, each row in ``(E, server)`` order — the expiry heap's
+    pop order.  A segment of row ``r`` with reach ``q`` pops before
+    request ``q + 1``, and its key is that event's flat key ``r * m +
+    q``.
 
-    Candidates are found per group without scanning the trace: each
-    shift's ``reach`` column is non-decreasing, so the segments with a
-    given reach form a contiguous range located by two integer
-    ``searchsorted`` calls, filtered to the cell's prediction branch
-    and to still-current segments (``succ > reach``).
+    Each prediction branch's expiries are a constant shift of the
+    strictly increasing request times, so either branch's segments are
+    already sorted: the union of every row's drops merges once
+    (:func:`~repro.core.backends.merge_interleave`, beyond-branch
+    indices tagged ``+ m1``), and each row's drops are a masked
+    subsequence of the merged union.  The server tie-break can only
+    matter *across* branches, so a cross-branch expiry tie in the union
+    falls back to a lexsort.
     """
-    t_all, j_all, succ = chains.t_all, chains.j_all, chains.succ
-    dp = die_pos.astype(chains.idx_dtype)
-    ki_parts = [_EMPTY_I]
-    gi_parts = [_EMPTY_I]
-    ei_parts = [np.empty(0)]
-    for shift, dur, want in ((sw, dur_within, True), (sb, dur_beyond, False)):
-        lo = np.searchsorted(shift.reach, dp, side="left")
-        cnt = np.searchsorted(shift.reach, dp, side="right") - lo
-        total = int(cnt.sum())
-        if not total:
-            continue
-        k = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(total)
-        g = np.repeat(die_pos, cnt)
-        keep = (pred[k] == want) & (succ[k] > g)
-        k, g = k[keep], g[keep]
-        ki_parts.append(k)
-        gi_parts.append(g)
-        ei_parts.append(t_all[k] + dur)
-    ki = np.concatenate(ki_parts)
-    gi = np.concatenate(gi_parts)
-    ei = np.concatenate(ei_parts)
-    assert ki.size                  # request i-1 always qualifies
-    order = np.lexsort((j_all[ki], ei, gi))
-    ki, gi = ki[order], gi[order]
-    last = np.empty(ki.size, dtype=bool)
-    last[-1] = True
-    np.not_equal(gi[1:], gi[:-1], out=last[:-1])
-    spec = ki[last]
-    # the segment of request i-1 is always a candidate, so every
-    # die-out group resolved a special
-    assert spec.size == die_pos.size
-    return spec
+    t_all, m, m1 = chains.t_all, chains.m, chains.m1
+    if sw is sb:
+        # alpha = 1: both branches share every expiry, request order
+        rows, k = np.nonzero(dropped)
+        return rows * m + sw.reach[k], k, t_all[k] + dur_within
+    within = dropped & pred
+    beyond = dropped ^ within
+    uw = np.flatnonzero(within.any(axis=0))
+    ub = np.flatnonzero(beyond.any(axis=0))
+    # the same scalar IEEE add as schedule(j, t + duration)
+    ew = t_all[uw] + dur_within
+    eb = t_all[ub] + dur_beyond
+    merged = merge_interleave(uw, ew, ub + m1, eb)
+    if merged is None:
+        tag = np.concatenate((uw, ub + m1))
+        exp = np.concatenate((ew, eb))
+        order = np.lexsort((chains.j_all[tag % m1], exp))
+        merged = tag[order], exp[order]
+    tag, exp = merged
+    key, g = np.nonzero(np.concatenate((within, beyond), axis=1)[:, tag])
+    tag = tag[g]
+    is_beyond = tag >= m1
+    k = tag - is_beyond * m1
+    key *= m                          # row r's events start at r * m
+    key += np.where(is_beyond, sb.reach[k], sw.reach[k])
+    return key, k, exp[g]
 
 
 def _tenure_starts(chains: _SegmentChains, miss_full: np.ndarray) -> np.ndarray:
-    """For every request, the request index at which its server's
-    current continuous tenure began (the latest transfer to it, or 0
-    for server 0's initial copy) — a live copy's dict-insertion slot.
+    """For every row and request, the request index at which its
+    server's current continuous tenure began (the latest transfer to
+    it, or 0 for server 0's initial copy) — a live copy's
+    dict-insertion slot.
 
-    One segmented ``maximum.accumulate`` along the shared per-server
-    order: renewals inherit, misses reset.
+    One flat ``maximum.accumulate`` along the shared per-server order,
+    segmented by per-group and per-row offsets: renewals inherit,
+    misses reset.
     """
     so = chains.order
     grp_start = np.empty(so.size, dtype=bool)
     grp_start[0] = True
     np.logical_not(chains.same, out=grp_start[1:])
     gid = np.cumsum(grp_start) - 1
-    vals = np.where(miss_full[so], so, -1)
     off = np.int64(chains.m1 + 1)
-    run = np.maximum.accumulate(vals + gid * off) - gid * off
-    tenure = np.empty(chains.m1, dtype=np.int64)
-    tenure[so] = run
+    rows = np.arange(miss_full.shape[0])[:, None] * ((gid[-1] + 1) * off)
+    seg = gid * off + rows
+    run = np.where(miss_full[:, so], so, -1) + seg
+    np.maximum.accumulate(run.reshape(-1), out=run.reshape(-1))
+    tenure = np.empty(miss_full.shape, dtype=np.int64)
+    tenure[:, so] = run - seg
     return tenure
 
 
@@ -1156,158 +683,168 @@ def _kernel_algorithm1(
     pred: np.ndarray,
     drain: bool,
     drain_event_cap: int | None,
-) -> tuple[float, float, int]:
-    """Replay Algorithm 1 with pure array passes (no per-request loop).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay Algorithm 1 with pure array passes (no per-request loop),
+    once per row of the ``(rows, m + 1)`` prediction matrix ``pred``.
 
-    Returns ``(storage, transfer, n_transfers)`` bit-identical to the
-    ledger of :func:`simulate` running Algorithm 1 with ``alpha`` under
-    the prediction stream ``pred`` on the trace behind ``chains``.  See
-    the module DESIGN docstring for the derivation.
+    Returns ``(storage, transfer, n_transfers)`` arrays whose entry
+    ``r`` is bit-identical to the ledger of :func:`simulate` running
+    Algorithm 1 with ``alpha`` under the prediction stream ``pred[r]``
+    on the trace behind ``chains``.  See the module DESIGN docstring
+    for the derivation and for the row axis.
     """
     m, m1 = chains.m, chains.m1
     t_all, j_all = chains.t_all, chains.j_all
     t_m = chains.t_m
     pred = np.asarray(pred, dtype=bool)
-    if pred.shape != (m1,):
+    if pred.ndim != 2 or pred.shape[1] != m1:
         raise ValueError(
-            f"prediction stream must have length m + 1 = {m1}, "
+            f"prediction matrix must be (rows, m + 1 = {m1}), "
             f"got shape {pred.shape}"
         )
+    n_rows = pred.shape[0]
     dur_beyond = alpha * lam        # the scalar path's single multiply
     sw = chains.shifted(lam)
     sb = chains.shifted(dur_beyond)
-    ws = chains.workspace()
 
     # die-out detection: request i finds every copy expired iff no
     # earlier segment covers it.  The per-duration cover columns are
-    # cached on the shifts; the cell only selects and scans.
-    cover = ws.cover
-    np.copyto(cover, sb.cover)
-    np.copyto(cover, sw.cover, where=pred)
-    np.maximum.accumulate(cover, out=cover)
-    die = np.less(cover[:-1], chains.idx1, out=ws.die)      # pos i-1 = req i
-    die_pos = np.flatnonzero(die)
+    # cached on the shifts; the rows only select and scan.
+    cover = np.where(pred, sw.cover, sb.cover)
+    if n_rows > 1:
+        # keep the rows apart in the flat scan: each row's offset lies
+        # above every cover value of the rows before it
+        row_off = np.arange(n_rows, dtype=np.int64)[:, None] * m1
+        cover = cover + row_off
+    np.maximum.accumulate(cover.reshape(-1), out=cover.reshape(-1))
+    if n_rows > 1:
+        cover -= row_off
+    die = cover[:, :-1] < chains.idx1          # column i-1 = request i
+    # (big temporaries are dropped as soon as they die: a pass's peak is
+    # fresh memory that every pass page-faults in again)
+    del cover
+    die_r, die_c = np.nonzero(die)
+
+    # expiring segments: every segment still live when it expires
+    # mid-trace, row by row in the heap's (E, server) pop order, keyed
+    # by the event it pops at.  Event keys are flat indices into the
+    # (rows, m) die and serve masks — event i of row r is r * m + i - 1
+    # — so they sort by row, then event.
+    dropped = np.where(pred, sw.drop, sb.drop)
+    pop_key, do, e_do = _drops_by_expiry(
+        chains, dropped, pred, sw, sb, lam, dur_beyond
+    )
 
     # special copies: at die-out i the last segment to expire — the
-    # (E, server) maximum among those with reach == i - 1 — stays live
-    # and is resolved at request i itself (renewal or transfer + drop)
-    spec_choice = _EMPTY_I
-    if die_pos.size:
-        spec_choice = _resolve_specials(
-            chains, sw, sb, pred, die_pos, lam, dur_beyond
-        )
+    # last of those popping at event i, the segment of request i-1
+    # among them — stays live and is resolved at request i itself
+    # (renewal or transfer + drop), so it is no pop-phase drop
+    spec = do[:0]
+    if die_r.size:
+        last = np.searchsorted(pop_key, die_r * m + die_c, side="right") - 1
+        spec = do[last]
+        keep = np.ones(do.size, dtype=bool)
+        keep[last] = False
+        pop_key, do, e_do = pop_key[keep], do[keep], e_do[keep]
 
     # renewal iff the previous local segment survives to the request
     # (the shifts' predecessor-alive columns, selected by the
     # *predecessor's* prediction) or the special copy is local
-    L = ws.L
-    np.copyto(L, sb.local_alive)
-    np.copyto(L, sw.local_alive, where=pred[chains.prev_clip])
-    np.logical_and(L, chains.prev_ok, out=L)
-    n_renew = int(np.count_nonzero(L))
-    if die_pos.size:
-        spec_renew = j_all[die_pos + 1] == j_all[spec_choice]
-        n_renew += int(np.count_nonzero(spec_renew))
+    L = np.where(pred[:, chains.prev_clip], sw.local_alive, sb.local_alive)
+    L &= chains.prev_ok
+    n_renew = np.count_nonzero(L, axis=1)
+    if die_r.size:
+        spec_renew = j_all[die_c + 1] == j_all[spec]
+        n_renew += np.bincount(die_r[spec_renew], minlength=n_rows)
     n_tx = m - n_renew
 
     # serve-phase charges (at most one per request): a renewal closes
     # the predecessor's segment, a die-out closes the special's
     serve_mask = np.logical_or(L, die, out=L)        # L is dead after this
-    serve_pos = np.flatnonzero(serve_mask)   # ascending request order
-    closed = chains.prev[1:][serve_pos]
-    if die_pos.size:
-        closed[np.searchsorted(serve_pos, die_pos)] = spec_choice
-
-    # pop-phase drops: live segments expiring mid-trace, minus specials
-    dropped = ws.dropped
-    np.copyto(dropped, sb.drop)
-    np.copyto(dropped, sw.drop, where=pred)
-    if spec_choice.size:
-        dropped[spec_choice] = False
-    do, e_do = _merge_by_expiry(chains, dropped, pred, lam, dur_beyond, ws)
-    pop_ev = np.where(pred[do], sw.reach[do], sb.reach[do])
-    pop_ev += 1                              # monotone: reach follows E
+    srv_key = np.flatnonzero(serve_mask)     # row-major: request order
+    sp1 = srv_key % m + 1
+    closed = chains.prev[sp1]
+    closed[np.flatnonzero(die[serve_mask])] = spec
 
     # trailing segments (a subset of each server's last request): the
     # drain pops them in (E, server) order and the survivor finalizes
-    # as the special; never-expiring copies (infinite expiry) skip the
-    # drain and finalize in dict-insertion order, as do cap-stranded
-    # copies
+    # as the special
     lastq = chains.lastq
-    pred_last = pred[lastq]
-    r_last = np.where(pred_last, sw.reach[lastq], sb.reach[lastq])
-    keep = r_last >= m
-    ti = lastq[keep]
-    e_ti = t_all[ti] + np.where(pred_last[keep], lam, dur_beyond)
-    t_order = np.lexsort((j_all[ti], e_ti))  # at most one per server
-    to = ti[t_order]
-    finite_to = to[np.isfinite(e_ti[t_order])]
-    inf_to = to[finite_to.size:]
-    n_finite = finite_to.size
+    pred_last = pred[:, lastq]
+    keep = np.where(pred_last, sw.reach[lastq], sb.reach[lastq]) >= m
+    tail_r, tc = np.nonzero(keep)
+    tail_q = lastq[tc]
+    e_tail = t_all[tail_q] + np.where(pred_last[tail_r, tc], lam, dur_beyond)
+    t_order = np.lexsort((j_all[tail_q], e_tail, tail_r))
+    tail_r, tail_q, e_tail = tail_r[t_order], tail_q[t_order], e_tail[t_order]
+    n_tail = np.bincount(tail_r, minlength=n_rows)
     cap = drain_event_cap if drain_event_cap is not None else 4 * chains.n + 16
-    fired = min(cap, n_finite) if drain else 0
-    if fired == n_finite and n_finite > 0 and not inf_to.size:
-        drain_drop = finite_to[: n_finite - 1]
-        finalize = finite_to[n_finite - 1 :]
-    else:
-        drain_drop = finite_to[:fired]
-        finalize = np.concatenate((finite_to[fired:], inf_to))
-        if finalize.size > 1:
-            # rare (drain disabled, a binding event cap, or infinite
-            # durations): order the finalize walk by dict insertion
-            miss_full = np.empty(m1, dtype=bool)
-            miss_full[0] = True              # the dummy creates at server 0
-            np.logical_not(serve_mask, out=miss_full[1:])
-            miss_full[1:][die_pos] = ~spec_renew if die_pos.size else False
-            tenure = _tenure_starts(chains, miss_full)
-            finalize = finalize[np.argsort(tenure[finalize], kind="stable")]
+    if not drain or cap < chains.n or not np.isfinite(e_tail).all():
+        # rare: a disabled drain, a binding event cap (at most one
+        # trailing segment per server) or never-expiring copies leave
+        # several copies live; they finalize in dict-insertion order
+        fired = np.zeros(n_rows, dtype=np.int64)
+        if drain:
+            finite = np.bincount(tail_r[np.isfinite(e_tail)], minlength=n_rows)
+            fired = np.minimum(finite, cap)
+        rank = np.arange(tail_r.size) - (np.cumsum(n_tail) - n_tail)[tail_r]
+        finalize = rank >= fired[tail_r]
+        miss_full = np.empty((n_rows, m1), dtype=bool)
+        miss_full[:, 0] = True               # the dummy creates at server 0
+        np.logical_not(serve_mask, out=miss_full[:, 1:])
+        if die_r.size:
+            miss_full[die_r, die_c + 1] = ~spec_renew
+        tenure = _tenure_starts(chains, miss_full)
+        slot = np.where(finalize, tenure[tail_r, tail_q], -1)
+        tail_q = tail_q[np.lexsort((slot, tail_r))]
 
-    # merge both charge sequences into the scalar accumulation order:
+    # merge the charge sequences into the scalar accumulation order:
     # within an event, expiry pops precede the serve-step charge; the
     # drain pops (pseudo-event past every request) and then the finalize
-    # walk occupy the final positions.  Both sequences are already
-    # event-ordered, so their interleave needs only counting sums — a
-    # cumulative count of serve events and one searchsorted over the
-    # sorted pop events — not a comparison sort.
-    n_pop = do.size
-    n_drain = drain_drop.size
-    n_fin = finalize.size
-    n_serve = serve_pos.size
-    # S[i] = number of serve charges with event <= i
-    S = ws.serve_cum
-    S[0] = 0
-    np.cumsum(serve_mask, out=S[1:])
-    sp1 = serve_pos + 1
-    # serve charge position: rank + pops at this or an earlier event
-    pos_srv = np.searchsorted(pop_ev, sp1.astype(pop_ev.dtype), side="right")
-    np.add(pos_srv, chains.arange0[:n_serve], out=pos_srv)
-    # pop charge position: rank + serves at earlier events
-    np.subtract(pop_ev, 1, out=pop_ev)       # pop_ev is dead after this
-    pos_pop = S[pop_ev]
-    np.add(pos_pop, chains.arange0[:n_pop], out=pos_pop)
+    # walk occupy each row's final slots.  The pops and serves of all
+    # rows interleave by counting sums over the flat event keys (earlier
+    # rows first), and fill every row's other slots in that order.
+    n_pop, n_srv = do.size, sp1.size
+    assert n_pop + n_srv + tail_q.size == n_rows * m1
+    # serves at earlier events (earlier rows included), per pop
+    srv_before = np.zeros(n_rows * m + 1, dtype=np.int64)
+    np.cumsum(serve_mask.reshape(-1), out=srv_before[1:])
+    pos_pop = srv_before[pop_key]
+    del srv_before
+    pos_pop += np.arange(n_pop)
+    # pops at this or an earlier event (earlier rows included), per serve
+    pos_srv = np.searchsorted(pop_key, srv_key, side="right")
+    pos_srv += np.arange(n_srv)
 
     # every segment is charged exactly once; each charge is the scalar
     # (end - start) * rate with end already clipped (mid-trace ends
     # precede t_m, drain/finalize end at t_m) and start a request time
-    assert n_pop + n_serve + n_drain + n_fin == m1
-    vals = ws.vals
-    np.subtract(e_do, t_all[do], out=e_do)   # e_do is dead after this
+    charges = np.empty(n_pop + n_srv)
+    e_do -= t_all[do]
     e_do *= rate
-    vals[pos_pop] = e_do
+    charges[pos_pop] = e_do
+    del pos_pop, e_do
     srv_end = t_all[sp1]
     srv_end -= t_all[closed]
     srv_end *= rate
-    vals[pos_srv] = srv_end
-    tail_q = np.concatenate((drain_drop, finalize))
-    tail = (t_m - t_all[tail_q])
+    charges[pos_srv] = srv_end
+    del pos_srv, srv_end
+    tail = t_m - t_all[tail_q]
     tail *= rate
-    vals[m1 - tail_q.size :] = tail
-    # sequential accumulation == the scalar's ordered `storage += charge`
-    storage = seq_sum(vals)
+    vals = np.empty((n_rows, m1))
+    tail_slot = np.arange(m1) >= (m1 - n_tail)[:, None]
+    vals[tail_slot] = tail
+    vals[~tail_slot] = charges
+    # sequential accumulation per row == the scalar's ordered
+    # `storage += charge`
+    np.add.accumulate(vals, axis=1, out=vals)
 
-    # repeated `transfer += lam`, as one sequential left-to-right chain
-    transfer = repeat_add(lam, n_tx)
-    return storage, transfer, n_tx
+    # repeated `transfer += lam`: every row reads the same sequential
+    # left-to-right chain of partial sums at its own transfer count
+    max_tx = int(n_tx.max())
+    partial = np.zeros(max_tx + 1)
+    np.add.accumulate(np.full(max_tx, lam), out=partial[1:])
+    return vals[:, -1], partial[n_tx], n_tx
 
 
 class _WangReplay:
@@ -1521,35 +1058,94 @@ def _kernel_wang(
     return rep.result(drain, drain_event_cap)
 
 
-class KernelCostEngine(_CostOnlyEngine):
+class KernelCostEngine(Engine):
     """Cost-only segment-scan replay: pure array passes, no per-request
     Python loop.
 
-    Algorithm 1 rides the segment scan and Wang's baseline rides the
-    candidate-count formulation plus the sequential episode machine (see
-    the module DESIGN docstring for both bit-identity arguments).  The
-    scalar :meth:`run` interface evaluates one cell;
-    :func:`run_policy_slab` shares the per-trace chains and
-    per-duration reach arrays across a whole slab, whose cells run
-    serially or across threads as ``core/backends.py`` decides from the
-    thread budget (bit-identical either way).
+    Algorithm 1 (and with it the conventional baseline and the adaptive
+    variant) rides the segment scan, and Wang's baseline rides the
+    candidate-count formulation plus the sequential episode machine
+    (see the module DESIGN docstring for the eligibility rules and both
+    bit-identity arguments).  The scalar :meth:`run` interface
+    evaluates one cell as a one-row pass; :func:`run_policy_slab`
+    shares the per-trace chains and per-duration reach arrays across a
+    whole slab, whose passes run serially or across threads as
+    ``core/backends.py`` decides from the thread budget (bit-identical
+    either way).
     """
 
     name = "kernel"
     # a single cell always runs on the serial path
     cell_tags = {"backend": KernelBackend.name}
 
-    def _algorithm1(self, trace, model, alpha, within, drain, drain_event_cap):
-        chains = _SegmentChains(trace)
-        return _kernel_algorithm1(
-            chains,
-            model.storage_rates[0],
-            model.lam,
-            alpha,
-            within,
-            drain,
-            drain_event_cap,
-        )
+    def supports(
+        self, trace: Trace, model: CostModel, policy: ReplicationPolicy
+    ) -> bool:
+        late = _late()
+        kind = type(policy)
+        if kind is late.Wang:
+            return _wang_rates_ok(model)
+        if kind in late.algorithm1:
+            # cheap type/provenance check; the stream itself is built
+            # once, in run()
+            return model.uniform_storage and (
+                late.PredictionStream.supports_predictor(
+                    _stream_predictor(policy), trace
+                )
+            )
+        return False
+
+    def run(
+        self,
+        trace: Trace,
+        model: CostModel,
+        policy: ReplicationPolicy,
+        drain: bool = True,
+        drain_event_cap: int | None = None,
+    ) -> CostResult:
+        if model.n != trace.n:
+            raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
+        late = _late()
+        kind = type(policy)
+        if kind is late.Wang:
+            if not _wang_rates_ok(model):
+                raise PolicyError(
+                    "WangReplication requires servers indexed by ascending "
+                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
+                )
+            ledger = _kernel_wang(
+                _SegmentChains(trace), model, drain, drain_event_cap
+            )
+        elif kind in late.algorithm1:
+            if not model.uniform_storage:
+                raise PolicyError(
+                    "Algorithm 1 assumes uniform storage rates (paper Section 2)"
+                )
+            stream = late.PredictionStream.for_predictor(
+                _stream_predictor(policy), trace, model.lam
+            )
+            if stream is None:
+                raise EngineError(
+                    f"{type(self).__name__} cannot stream predictor "
+                    f"{policy.predictor.name!r}; use the reference engine"
+                )
+            column = _replay_column(trace, model, policy, stream.within)
+            storage, transfer, n_tx = _kernel_algorithm1(
+                _SegmentChains(trace),
+                model.storage_rates[0],
+                model.lam,
+                policy.alpha,
+                column[None, :],
+                drain,
+                drain_event_cap,
+            )
+            ledger = (float(storage[0]), float(transfer[0]), int(n_tx[0]))
+        else:
+            raise EngineError(
+                f"{type(self).__name__} does not support {kind.__name__}; "
+                "use the reference engine"
+            )
+        return _cost_result(trace, model, policy, ledger, self.name)
 
 
 def run_slab(
@@ -1587,57 +1183,45 @@ def run_policy_slab(
     The one slab dispatcher: grid slabs arrive through :func:`run_slab`,
     fleet slabs directly.  Cells may carry heterogeneous cost models —
     distinct per-object lambdas are allowed (every model must agree with
-    ``trace.n``).  With ``engine`` ``"auto"``, ``"kernel"`` or
-    ``"batch"`` (or an instance of those tiers) the eligible cells share
-    the per-trace work:
+    ``trace.n``).  With ``engine`` ``"auto"`` or ``"kernel"`` (or a
+    :class:`KernelCostEngine`) a slab of two or more eligible cells
+    shares one :class:`_SegmentChains`, at any trace length: its
+    per-duration shift columns and per-``(lam, rates)`` Wang cascade
+    replays are memoised on the chains, so cells with different lambdas
+    still share the segment scan and mixed Algorithm-1 + Wang slabs run
+    as one single-tier slab; the Algorithm-1 cells share one cell-major
+    prediction matrix with per-lambda truth and per-seed draw memos
+    (:meth:`PredictionStream.batch_for_cells`) and replay one pass per
+    ``(lambda, alpha, rate)`` group (:func:`_kernel_slab`).
 
-    * the **kernel** tier — forced, or chosen by ``"auto"`` from
-      :data:`KERNEL_SLAB_MIN_M` requests up — builds one
-      :class:`_SegmentChains` for the whole slab: per-duration shift
-      columns and per-``(lam, rates)`` Wang cascade replays are memoised
-      on the chains, so cells with different lambdas still share the
-      segment scan and mixed Algorithm-1 + Wang slabs run as one
-      single-tier slab, plus one cell-major prediction matrix with
-      per-lambda truth and per-seed draw memos
-      (:meth:`PredictionStream.batch_for_cells`);
-    * the **batch** tier — forced, or ``"auto"`` below the crossover —
-      groups cells by *equal* cost model and replay family and runs
-      each group of two or more as one vectorized trace pass (a Wang
-      group shares one kernel-tier replay).
-
-    Cells no slab tier takes fall back through :func:`select_engine`
-    one at a time, so a concrete engine name stays strict (it raises on
-    policies it cannot execute) while ``"auto"`` always completes.
-    Per-cell costs are bit-identical to ``select_engine(trace, model,
-    policy, engine).run_observed(trace, model, policy)`` on every path.
+    Cells the kernel does not take fall back through
+    :func:`select_engine` one at a time, so a concrete engine name stays
+    strict (it raises on policies it cannot execute) while ``"auto"``
+    always completes.  Per-cell costs are bit-identical to
+    ``select_engine(trace, model, policy, engine).run_observed(trace,
+    model, policy)`` on every path.
     """
-    from ..algorithms.wang import WangReplication
-
     cells = list(cells)
     for model, _ in cells:
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
     results: list = [None] * len(cells)
-    wants_kernel = engine == "kernel" or isinstance(engine, KernelCostEngine)
-    wants_batch = engine == "batch" or isinstance(engine, BatchCostEngine)
-    if (wants_kernel or wants_batch or engine == "auto") and len(cells) > 1:
+    slab_engine = engine in ("auto", "kernel") or isinstance(
+        engine, KernelCostEngine
+    )
+    if slab_engine and len(cells) > 1:
         # slab-eligible cells, split by replay shape: Algorithm-1 cells
         # share one prediction matrix, Wang cells one replay per model
         alg1: list[int] = []
         wangs: list[int] = []
         for i, (model, policy) in enumerate(cells):
             if _ENGINES["kernel"].supports(trace, model, policy):
-                if type(policy) is WangReplication:
+                if type(policy) is _late().Wang:
                     wangs.append(i)
                 else:
                     alg1.append(i)
-        if wants_kernel or (
-            not wants_batch and len(trace) >= KERNEL_SLAB_MIN_M
-        ):
-            if len(alg1) + len(wangs) > 1:
-                _kernel_slab(trace, cells, alg1, wangs, results)
-        else:
-            _batch_slabs(trace, cells, alg1 + wangs, results)
+        if len(alg1) + len(wangs) > 1:
+            _kernel_slab(trace, cells, alg1, wangs, results)
     # per-cell fallback: "auto" keeps auto-selecting; a concrete engine
     # stays strict and raises on policies it cannot execute, exactly as
     # the scalar paths do
@@ -1659,6 +1243,14 @@ def _slab_observed(tier: str, n_cells: int, m: int, run, **tags):
     return out
 
 
+#: the largest Algorithm-1 pass, in prediction-matrix entries (rows x
+#: (m + 1)); a group beyond it splits into row chunks, and traces longer
+#: than it run one row per pass.  ``benchmarks/BENCH_scaling.json``'s
+#: ``row_chunk`` view times a 121-cell fig25 grid per cell at trace
+#: sizes on both sides of it.
+_ROW_CHUNK_ELEMS = 1 << 16
+
+
 def _kernel_slab(
     trace: Trace,
     cells: list,
@@ -1668,85 +1260,80 @@ def _kernel_slab(
 ) -> None:
     """Replay the ``alg1`` and ``wangs`` cells over one shared segment
     scan, on the execution path ``auto`` picks for the slab, filling
-    ``results``."""
-    from ..predictions.stream import PredictionStream
+    ``results``.
 
-    units = alg1 + wangs
-    be = get_backend().resolve(len(units), len(trace))
+    The Algorithm-1 cells run one pass per ``(lambda, alpha, rate)``
+    group, in row chunks of at most :data:`_ROW_CHUNK_ELEMS` entries
+    and at most ``ceil(cells / threads)`` rows, so every thread gets
+    work; the Wang cells run one memoised replay per model.
+    """
+    n_cells = len(alg1) + len(wangs)
+    be = get_backend().resolve(n_cells, len(trace))
+    threads = be.threads(n_cells)
+    rows_max = max(
+        1, min(_ROW_CHUNK_ELEMS // (len(trace) + 1), -(-len(alg1) // threads))
+    )
+    groups: dict[tuple, list[int]] = {}
+    for i in alg1:
+        model, policy = cells[i]
+        key = (model.lam, policy.alpha, model.storage_rates[0])
+        groups.setdefault(key, []).append(i)
+    # prediction rows go group by group, so every pass is a row slice
+    order = [i for idx in groups.values() for i in idx]
+    # a unit is one pass: (first prediction row, cells), or (None, the
+    # cells of one Wang model)
+    units: list[tuple[int | None, list[int]]] = []
+    start = 0
+    for idx in groups.values():
+        units += [
+            (start + s, idx[s : s + rows_max])
+            for s in range(0, len(idx), rows_max)
+        ]
+        start += len(idx)
+    wang_groups: dict[tuple, list[int]] = {}
+    for i in wangs:
+        model = cells[i][0]
+        wang_groups.setdefault((model.lam, model.storage_rates), []).append(i)
+    units += [(None, idx) for idx in wang_groups.values()]
 
     def run() -> list:
-        # the prediction matrix is slab work too: the span covers it,
-        # as the batch tier's does
-        rows = PredictionStream.batch_for_cells(
-            [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in alg1],
+        # the prediction matrix is slab work too: the span covers it
+        rows = _late().PredictionStream.batch_for_cells(
+            [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in order],
             trace,
         )
         assert rows is not None  # supports() vetted streamability
+        for r, i in enumerate(order):
+            rows[r] = _replay_column(trace, *cells[i], rows[r])
         chains = _SegmentChains(trace)
 
-        def one(k: int) -> tuple[float, float, int]:
-            model, policy = cells[units[k]]
-            if k < len(alg1):
-                return _kernel_algorithm1(
-                    chains,
-                    model.storage_rates[0],
-                    model.lam,
-                    policy.alpha,
-                    _replay_column(trace, model, policy, rows[k]),
-                    True,
-                    None,
-                )
-            return _kernel_wang(chains, model, True, None)
+        def one(unit: tuple[int | None, list[int]]) -> list:
+            start, idx = unit
+            model, policy = cells[idx[0]]
+            if start is None:
+                # prediction- and alpha-free: one replay serves every
+                # equal-model Wang cell
+                return [_kernel_wang(chains, model, True, None)] * len(idx)
+            ledger = _kernel_algorithm1(
+                chains,
+                model.storage_rates[0],
+                model.lam,
+                policy.alpha,
+                rows[start : start + len(idx)],
+                True,
+                None,
+            )
+            return list(zip(*(a.tolist() for a in ledger)))
 
-        # run_cells preserves cell-index order
-        return be.run_cells(len(units), one)
+        # run_units preserves unit order
+        return be.run_units(units, one, threads)
 
     ledgers = _slab_observed(
-        "kernel", len(units), len(trace), run, backend=be.name
+        "kernel", n_cells, len(trace), run, backend=be.name, passes=len(units)
     )
-    for i, ledger in zip(units, ledgers):
-        results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
-
-
-def _batch_slabs(
-    trace: Trace, cells: list, eligible: list[int], results: list
-) -> None:
-    """Replay every equal-model group of two or more ``eligible`` cells
-    in one batch-tier trace pass, filling ``results``."""
-    from ..algorithms.wang import WangReplication
-    from ..predictions.stream import PredictionStream
-
-    groups: dict[tuple[CostModel, bool], list[int]] = {}
-    for i in eligible:
-        model, policy = cells[i]
-        key = (model, type(policy) is WangReplication)
-        groups.setdefault(key, []).append(i)
-    for (model, is_wang), idxs in groups.items():
-        if len(idxs) < 2:
-            continue
-        policies = [cells[i][1] for i in idxs]
-
-        def run() -> list:
-            if is_wang:
-                # prediction- and alpha-free: one replay serves every
-                # cell of the group
-                ledger = _kernel_wang(_SegmentChains(trace), model, True, None)
-                return [ledger] * len(policies)
-            matrix = PredictionStream.batch_for_predictors(
-                [_stream_predictor(p) for p in policies], trace, model.lam
-            )
-            # adaptive cells replay their monitor-forced column
-            for c, p in enumerate(policies):
-                matrix[:, c] = _replay_column(trace, model, p, matrix[:, c])
-            storage, transfer, n_tx = _batch_algorithm1(
-                trace, model, np.array([p.alpha for p in policies]), matrix,
-                True, None,
-            )
-            return list(zip(storage.tolist(), transfer.tolist(), n_tx.tolist()))
-
-        ledgers = _slab_observed("batch", len(idxs), len(trace), run)
-        for i, p, ledger in zip(idxs, policies, ledgers):
-            results[i] = _cost_result(trace, model, p, ledger, "batch")
+    for (_, idx), out in zip(units, ledgers):
+        for i, ledger in zip(idx, out):
+            results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
 
 
 # ----------------------------------------------------------------------
@@ -1754,20 +1341,11 @@ def _batch_slabs(
 # ----------------------------------------------------------------------
 _ENGINES: dict[str, Engine] = {
     "reference": ReferenceEngine(),
-    "batch": BatchCostEngine(),
     "kernel": KernelCostEngine(),
 }
 
 #: valid names for CLI flags and engine= parameters
-ENGINE_NAMES: tuple[str, ...] = ("auto", "batch", "kernel", "reference")
-
-#: auto's slab crossover (benchmarks/bench_scaling.py ->
-#: BENCH_scaling.json), an older single-width estimate that those rows
-#: do not confirm: the slab crossover moves with slab width — narrow
-#: 12-cell slabs favour the kernel from m=128 (``rows``), the 804-cell
-#: m=64 ``wide_slab`` favours batch — so 1024 awaits a 2-D (cells x m)
-#: re-derivation (ROADMAP item 3)
-KERNEL_SLAB_MIN_M = 1_024
+ENGINE_NAMES: tuple[str, ...] = ("auto", "kernel", "reference")
 
 
 def get_engine(name: str | Engine) -> Engine:
@@ -1791,11 +1369,10 @@ def select_engine(
 ) -> Engine:
     """Pick the engine for one run.
 
-    ``"auto"`` selects the segment-scan kernel for every policy a
-    cost-only tier supports, at any trace length, and the reference
-    engine otherwise (see the module docstring).  Slabs of
-    cells sharing one trace go through :func:`run_policy_slab`, which
-    owns the slab crossover.  A concrete name or :class:`Engine`
+    ``"auto"`` selects the segment-scan kernel for every policy it
+    supports, at any trace length, and the reference engine otherwise
+    (see the module docstring).  Slabs of cells sharing one trace go
+    through :func:`run_policy_slab`.  A concrete name or :class:`Engine`
     instance is returned as-is — callers that need telemetry must pass
     ``"reference"`` explicitly.
     """

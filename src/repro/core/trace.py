@@ -20,7 +20,7 @@ with vectorized operations at construction.  :class:`Request` dataclass
 objects are materialised **lazily** — only when a caller indexes,
 iterates, or touches :attr:`Trace.requests` — so array-native producers
 (the workload generators, the binary trace loader) and array-native
-consumers (the batch/kernel engines, prediction streams, the offline DP)
+consumers (the kernel engine, prediction streams, the offline DP)
 never pay O(m) Python object churn.  :meth:`Trace.from_arrays` is the
 zero-copy fast path: a contiguous float64/int64 input array is adopted
 as-is (as a read-only view) rather than copied, which is what makes

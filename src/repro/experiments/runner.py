@@ -268,7 +268,7 @@ def _slab_chunk_task(
     ``(index, alpha, accuracy, seed)`` tuple.  The whole chunk goes
     through :func:`~repro.core.engine.run_slab` — the grid adapter of the
     one slab dispatcher, :func:`~repro.core.engine.run_policy_slab` — as
-    a kernel or batch slab where the engine and policies allow it and as
+    a kernel slab where the engine and policies allow it and as
     bit-identical per-cell runs otherwise, so one IPC round covers the
     entire slab either way.
     """
@@ -305,7 +305,7 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
     (fork-inherited object or digest-addressed mmap), builds every
     object's policy from the fork-inherited factory table, and evaluates
     the whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
-    (kernel/batch slab where eligible, per-cell fallback otherwise) —
+    (kernel slab where eligible, per-cell fallback otherwise) —
     the same dispatcher grid chunks reach through ``run_slab``.
 
     ``first`` marks the sub-slab holding its group's first spec index
@@ -520,11 +520,10 @@ class ExperimentRunner:
         A :class:`~.progress.ProgressReporter`; defaults to silent.
     engine:
         Simulation engine for grid cells: ``"auto"`` (default) evaluates
-        each dispatched slab of cells sharing a ``(trace, lambda)``
-        with loop-free kernel replays (long traces) or one vectorized
-        batch pass when a cost-only tier supports every cell, per-cell
-        on the kernel or reference engine otherwise; ``"kernel"``/
-        ``"batch"``/``"reference"`` force one engine.
+        each dispatched slab of cells sharing a ``(trace, lambda)`` as
+        one kernel slab of loop-free multi-row passes where the kernel
+        supports the cells, per cell on the reference engine otherwise;
+        ``"kernel"``/``"reference"`` force one engine.
         Results are bit-identical across engines, so the result cache is
         shared between them.  When this runner forks worker processes it
         caps the kernel's thread fan-out at ``cores // workers`` for the
@@ -652,7 +651,7 @@ class ExperimentRunner:
         resolves to ``"reference"`` here: fleet reports expose full
         per-object simulation results (serves, logs), so only an
         explicit cost-only choice — ``ExperimentRunner(engine="kernel")``,
-        or ``engine="auto"``/``"batch"``/``"kernel"`` passed directly —
+        or ``engine="auto"``/``"kernel"`` passed directly —
         trades that telemetry away.
 
         ``materialize=False`` streams outcomes through the report's
@@ -956,16 +955,16 @@ class ExperimentRunner:
     def _slab_chunk_size(self, n_cells: int, engine: str | Engine) -> int:
         """Cells per dispatched slab chunk.
 
-        Slab-capable engines (batch, kernel) want the widest chunks the
-        pool can still load-balance (the vectorized trace pass — or the
-        kernel's shared per-trace chains — amortises across every cell
-        of a chunk, and wider chunks mean fewer IPC rounds); the
-        per-cell engines keep the finer-grained sizing.
+        The kernel wants the widest chunks the pool can still
+        load-balance (its shared per-trace chains and multi-row passes
+        amortise across every cell of a chunk, and wider chunks mean
+        fewer IPC rounds); the reference engine keeps the finer-grained
+        sizing.
         """
         if self.chunk_size is not None:
             return max(1, self.chunk_size)
         name = engine.name if isinstance(engine, Engine) else engine
-        if name in ("auto", "batch", "kernel"):
+        if name in ("auto", "kernel"):
             return max(1, -(-n_cells // (self.workers * 2)))
         return self._chunk_size(n_cells)
 
@@ -1093,8 +1092,8 @@ class ExperimentRunner:
         )
         by_index = {j.index: j for j in sim_misses}
         # group cache misses into slabs keyed by (trace digest, lambda):
-        # every cell of a slab shares one trace pass on the batch engine,
-        # and one slab chunk costs one IPC round.  Each slab is split
+        # every cell of a slab shares the kernel's per-trace work, and
+        # one slab chunk costs one IPC round.  Each slab is split
         # into at most ~2 chunks per worker so wide grids still load-
         # balance across the pool.
         slabs: dict[tuple[str, float], tuple[tuple, list[Job]]] = {}

@@ -45,7 +45,7 @@ class _TraceBacked(Predictor):
 
     The per-server index is built lazily on the first query: grid slabs
     construct hundreds of these predictors only to hand them to the
-    batch/kernel engines, which stream predictions from vectorized arrays
+    kernel engine, which streams predictions from vectorized arrays
     and never query the predictor itself.
     """
 

@@ -27,27 +27,27 @@ back to the reference engine.
 
 Batched streams
 ---------------
-The slab tiers consume a *prediction matrix* — one stream per cell —
+Kernel slabs consume a *prediction matrix* — one stream per cell —
 and :meth:`PredictionStream.batch_for_cells` is its one builder.  It
 takes ``(predictor, lam)`` cells, computes the ground truth once per
 distinct lambda (the cells of a cross-object fleet slab may carry
 per-object transfer costs) and draws each seed's PCG64 stream once,
 shared across every cell using it, so row ``c`` is bit-identical to the
 scalar stream :meth:`PredictionStream.for_predictor` builds for that
-cell.  The kernel
-tier reads its cell-major rows directly;
-:meth:`PredictionStream.batch_for_predictors` is the one-lambda view of
-the same builder, returning the ``(m + 1, n_cells)`` column layout the
-batch tier's trace pass walks (or the rows, with ``cell_major=True``).
+cell.  The kernel's multi-row passes read its cell-major rows
+directly; :meth:`PredictionStream.batch_for_predictors` is the
+one-lambda view of the same builder, returning the request-major
+``(m + 1, n_cells)`` column layout (or the rows, with
+``cell_major=True``).
 
 Thread safety
 -------------
 The kernel tier's ``threads`` backend (``core/backends.py``) consumes
-these streams from concurrent cell workers, which is safe by
+these streams from concurrent pass workers, which is safe by
 construction: the per-lambda truth and per-seed draw memos in the batch
 builder are *function-local* dicts — each call builds its own — and
 every returned stream/matrix is fully written before the caller fans
-cells out, after which the workers only read their own column.  Scalar
+passes out, after which the workers only read their own rows.  Scalar
 :class:`PredictionStream` instances additionally freeze their ``within``
 array (``writeable = False``).  Keep it that way: a future cross-call
 memo would need a lock or thread-local storage.
@@ -202,9 +202,9 @@ class PredictionStream:
         None if any is not streamable on ``trace``.
 
         :meth:`batch_for_cells` with every cell at ``lam``.  The default
-        ``(m + 1, n_cells)`` layout is what the batch tier's trace pass
-        walks, one request row at a time; ``cell_major=True`` returns
-        the builder's ``(n_cells, m + 1)`` rows unchanged.
+        layout is request-major, ``(m + 1, n_cells)``;
+        ``cell_major=True`` returns the builder's ``(n_cells, m + 1)``
+        rows unchanged, what the kernel's multi-row passes take.
         """
         rows = cls.batch_for_cells([(p, lam) for p in predictors], trace)
         if rows is None or cell_major:

@@ -28,10 +28,10 @@ to the serial per-object loop, not merely statistically equivalent:
    cell.  Cross-object slabs go through the same dispatcher as grid
    slabs (:func:`repro.core.engine.run_policy_slab`, which
    :func:`~repro.core.engine.run_slab` adapts for grid cells) and share
-   the per-trace work — segment chains on the kernel tier, one
-   vectorized trace pass per equal-model group on the batch tier — but
-   each cell's arithmetic is the engine-tier replay already proven
-   bit-identical to the reference simulator.
+   the per-trace work — segment chains, and one multi-row pass per
+   ``(lambda, alpha)`` group on the kernel — but each cell's arithmetic
+   is the kernel replay already proven bit-identical to the reference
+   simulator.
    Grouping objects by
    ``(trace digest, lambda)`` only changes *which* engine evaluates a
    cell, never the floats it produces.
@@ -106,8 +106,7 @@ class ObjectOutcome:
     """Result of one object's simulation plus its offline optimum.
 
     ``result`` is a full :class:`SimulationResult` under the reference
-    engine, or a cost-only :class:`CostResult` under the batch and kernel
-    tiers.
+    engine, or a cost-only :class:`CostResult` under the kernel.
     ``n_requests`` is recorded at fold time so report tables never need
     to reach through ``result.trace`` (cost-only results assembled from
     compact worker rows still carry the parent's trace, but streaming
@@ -471,9 +470,9 @@ class MultiObjectSystem:
 
         ``engine`` selects the simulation engine per object.  The default
         ``"reference"`` keeps full per-object telemetry in the report
-        (serves, event logs, copy records); ``"auto"``/``"batch"``/
-        ``"kernel"`` runs cost-only where a cost-only tier supports the
-        policy — outcomes then carry a
+        (serves, event logs, copy records); ``"auto"``/``"kernel"``
+        runs cost-only where the kernel supports the policy — outcomes
+        then carry a
         :class:`~repro.core.engine.CostResult` with identical costs but
         no telemetry (``"auto"`` runs each eligible object on the
         loop-free kernel; ``grouped=True`` slabs take the tier

@@ -116,6 +116,8 @@ def wang_counterexample_trace(
 
     ``m`` counts the requests at server 1 (the paper's ``r_2 .. r_m``).
     """
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
     if m < 1:
         raise ValueError(f"need m >= 1 requests, got {m}")
     if eps is None:
@@ -168,6 +170,8 @@ class LowerBoundAdversary:
         model: CostModel | None = None,
     ) -> AdversaryOutcome:
         """Generate ``n_requests`` adversarial requests against ``policy``."""
+        if n_requests < 1:
+            raise ValueError(f"need n_requests >= 1, got {n_requests}")
         lam, eps = self.lam, self.eps
         model = model or CostModel(lam=lam, n=2)
         sim = InteractiveSimulation(2, model, policy)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from repro import (
     WangReplication,
     run_slab,
 )
+from repro.core.backends import THREADS_MIN_CELLS_PER_THREAD, set_thread_budget
 from repro.workloads import uniform_random_trace
+
+#: the narrowest slab ``auto`` fans out over threads
+MIN_THREADED_CELLS = 2 * THREADS_MIN_CELLS_PER_THREAD
 
 
 @pytest.fixture
@@ -104,30 +109,62 @@ def registered_scenario_legs():
     return legs, covered
 
 
+def _assert_runs_match(name, runs, refs):
+    for run, ref in zip(runs, refs, strict=True):
+        assert isinstance(run, CostResult), name
+        assert run.engine == "kernel", name
+        # bit-identity, not mere closeness
+        assert run.storage_cost == ref.storage_cost, name
+        assert run.transfer_cost == ref.transfer_cost, name
+        assert run.n_transfers == ref.ledger.n_transfers, name
+
+
 def assert_registered_scenarios_match_reference(engine):
     """The registered-scenario oracle: every leg of
-    :func:`registered_scenario_legs` runs on ``engine`` (a cost-only tier,
-    or ``"auto"``) as one two-cell slab pass and matches the reference
+    :func:`registered_scenario_legs` runs on ``engine`` (the kernel, or
+    ``"auto"``) as one two-cell kernel slab and matches the reference
     cell by cell; at least 18 scenarios must be eligible."""
     legs, covered = registered_scenario_legs()
     for name, trace, model, factory, cells, refs in legs:
         runs, spans = slab_passes(
             lambda: run_slab(trace, model, cells, factory, engine=engine)
         )
-        # the tier ran the slab as one pass, not cell by cell
-        assert len(spans) == 1 and spans[0][1] == len(cells), name
-        tier = spans[0][0]
-        if engine != "auto":
-            assert tier == engine.name, name
-        for run, ref in zip(runs, refs):
-            assert isinstance(run, CostResult), name
-            assert run.engine == tier, name
-            # bit-identity, not mere closeness
-            assert run.storage_cost == ref.storage_cost, name
-            assert run.transfer_cost == ref.transfer_cost, name
-            assert run.n_transfers == ref.ledger.n_transfers, name
+        # the kernel ran the slab as one slab call, not cell by cell
+        assert spans == [("kernel", len(cells))], name
+        _assert_runs_match(name, runs, refs)
     # the paper and adaptive grids, smoke, tight examples, adversary,
-    # and the synthetic workload grids must all ride the cost-only tiers
+    # and the synthetic workload grids must all ride the kernel
+    assert covered >= 18
+
+
+@functools.lru_cache(maxsize=None)
+def assert_registered_scenarios_wide():
+    """The oracle's wide axis: every leg's two cells cycled to a
+    threaded-width slab (so cells with the same alpha share a multi-row
+    pass), run under a thread budget of 1 and of 4, matching the cached
+    reference results cell by cell; the budget-4 slabs run over
+    threads.  Run once per test session."""
+    legs, covered = registered_scenario_legs()
+    backends = set()
+    for name, trace, model, factory, cells, refs in legs:
+        wide = list(itertools.islice(itertools.cycle(cells), MIN_THREADED_CELLS))
+        wide_refs = list(itertools.islice(itertools.cycle(refs), len(wide)))
+        for budget in (1, 4):
+            prev = set_thread_budget(budget)
+            try:
+                runs, spans = slab_passes(
+                    lambda: run_slab(trace, model, wide, factory, engine="kernel"),
+                    tags=("cells", "backend", "passes"),
+                )
+            finally:
+                set_thread_budget(prev)
+            (n_cells, backend, passes), = spans
+            assert n_cells == len(wide), name
+            # serial passes take several rows each
+            assert budget > 1 or passes < n_cells, (name, passes)
+            backends.add(backend)
+            _assert_runs_match(name, runs, wide_refs)
+    assert backends == {"numpy", "threads"}
     assert covered >= 18
 
 
@@ -184,9 +221,13 @@ def instances(draw, max_m=30):
 
 @st.composite
 def slabs(draw, min_cells=1, max_cells=6):
-    """``(alpha, accuracy, seed)`` grid cells of one slab."""
+    """``(alpha, accuracy, seed)`` grid cells of one slab; alphas come
+    from a small set, so cells share multi-row passes."""
     k = draw(st.integers(min_cells, max_cells))
-    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    alpha_set = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    alphas = draw(
+        st.lists(st.sampled_from(alpha_set), min_size=k, max_size=k)
+    )
     accs = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
     seeds = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
     return list(zip(alphas, accs, seeds))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro import (
     AdaptiveReplication,
     AdversarialPredictor,
-    BatchCostEngine,
     CostModel,
     FixedPredictor,
     KernelCostEngine,
@@ -237,18 +236,18 @@ class TestCostOnlyTiers:
             trace, model, _adaptive(trace, specs[0]),
             drain=drain, drain_event_cap=cap,
         )
-        for eng in (BatchCostEngine(), KernelCostEngine()):
-            run = eng.run(trace, model, _adaptive(trace, specs[0]), drain, cap)
-            _assert_same_ledger(run, ref, eng.name)
-        # one slab pass per tier, cell by cell equal to the reference
-        for tier in ("batch", "kernel"):
-            cells = [(model, _adaptive(trace, spec)) for spec in specs]
-            runs, spans = slab_passes(
-                lambda: run_policy_slab(trace, cells, tier)
-            )
-            assert spans == [(tier, len(cells))]
-            for run, ref in zip(runs, refs):
-                _assert_same_ledger(run, ref, tier)
+        run = KernelCostEngine().run(
+            trace, model, _adaptive(trace, specs[0]), drain, cap
+        )
+        _assert_same_ledger(run, ref, "kernel")
+        # one kernel slab call, cell by cell equal to the reference
+        cells = [(model, _adaptive(trace, spec)) for spec in specs]
+        runs, spans = slab_passes(
+            lambda: run_policy_slab(trace, cells, "kernel")
+        )
+        assert spans == [("kernel", len(cells))]
+        for run, ref in zip(runs, refs):
+            _assert_same_ledger(run, ref, "kernel")
 
     def test_special_copy_ties_break_by_server(self):
         # both copies expire at t = 2 (server 0 after lambda, server 1
@@ -286,5 +285,4 @@ class TestCostOnlyTiers:
         forced = _forced(trace, model, make())
         assert forced[1:].tolist() == flags
         assert np.count_nonzero(forced[1:] != forced[:-1]) > 100
-        for eng in (BatchCostEngine(), KernelCostEngine()):
-            _assert_same_ledger(eng.run(trace, model, make()), ref, eng.name)
+        _assert_same_ledger(KernelCostEngine().run(trace, model, make()), ref, "kernel")

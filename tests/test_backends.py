@@ -2,7 +2,7 @@
 execution paths.
 
 The contract under test (core/backends.py DESIGN): a kernel slab runs its
-cells one after another (``numpy``) or fanned over a thread pool
+passes one after another (``numpy``) or fanned over a thread pool
 (``threads``), chosen only by ``get_backend().resolve`` from the thread
 budget and the slab width, and the threaded run reproduces the serial one
 *bit for bit*, per cell, across all registered scenarios and every
@@ -15,7 +15,6 @@ the process-pool runner caps thread fan-out (workers x threads <= cores).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -38,7 +37,6 @@ from repro import (
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
 from repro.core.backends import (
-    THREADS_MIN_CELLS_PER_THREAD,
     merge_interleave,
     repeat_add,
     seq_sum,
@@ -46,7 +44,6 @@ from repro.core.backends import (
     thread_budget,
 )
 from repro.core.engine import (
-    KERNEL_SLAB_MIN_M,
     _kernel_algorithm1,
     _SegmentChains,
     run_policy_slab,
@@ -61,10 +58,14 @@ from repro.predictions import (
 )
 from repro.workloads import ibm_like_trace, uniform_random_trace
 
-from conftest import instances, slab_passes, slabs, tie_prone_traces
-
-#: the narrowest slab ``auto`` fans out over threads
-MIN_THREADED_CELLS = 2 * THREADS_MIN_CELLS_PER_THREAD
+from conftest import (
+    MIN_THREADED_CELLS,
+    assert_registered_scenarios_wide,
+    instances,
+    slab_passes,
+    slabs,
+    tie_prone_traces,
+)
 
 
 @contextmanager
@@ -244,33 +245,9 @@ def test_mixed_fleet_bit_identity_across_backends(slab):
 
 
 def test_all_registered_scenarios_backends_bit_identical():
-    """Every registered scenario's grid, cycled to a threaded-width slab:
-    threads == serial per cell wherever the slab is kernel-eligible."""
-    from repro.experiments import list_scenarios
-
-    kernel = get_engine("kernel")
-    covered = 0
-    for scenario in list_scenarios():
-        lam = scenario.lambdas[0]
-        acc = scenario.accuracies[-1]
-        seed = scenario.seeds[0]
-        trace = scenario.build_trace(
-            lam=lam, alpha=scenario.alphas[0], accuracy=acc, seed=seed
-        )
-        model = CostModel(lam=lam, n=trace.n)
-        grid = [
-            (a, c, seed) for a in scenario.alphas for c in scenario.accuracies
-        ]
-        cells = list(itertools.islice(itertools.cycle(grid), MIN_THREADED_CELLS))
-        if all(
-            kernel.supports(trace, model, scenario.policy_factory(trace, lam, *c))
-            for c in cells
-        ):
-            assert_threads_match_serial(
-                _kernel_grid(trace, model, cells, scenario.policy_factory)
-            )
-            covered += 1
-    assert covered >= 18  # same floor as the kernel equivalence suite
+    """The registered-scenario oracle's wide axis: threads == serial ==
+    reference per cell on every leg."""
+    assert_registered_scenarios_wide()
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +351,9 @@ def _ledger_digest(tuples):
 
 def test_shared_chains_16_thread_stress_digest_identical():
     """One trace, one shared _SegmentChains, 16 threads replaying
-    overlapping cell sets concurrently: every thread's ledger must be
-    digest-identical to the serial replay (thread-local workspaces,
-    lock-guarded shift memo, read-only precompute)."""
+    overlapping multi-row passes concurrently: every thread's ledger
+    must be digest-identical to the serial replay (lock-guarded shift
+    memo, read-only precompute)."""
     trace = ibm_like_trace(n=5, m=2_000, seed=9)
     model = CostModel(lam=10.0, n=trace.n)
     alphas = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
@@ -389,10 +366,13 @@ def test_shared_chains_16_thread_stress_digest_identical():
     rate, lam = model.storage_rates[0], model.lam
 
     def replay_all(chains):
-        return [
-            _kernel_algorithm1(chains, rate, lam, a, rows[k], True, None)
-            for k, a in enumerate(alphas)
-        ]
+        ledgers = []
+        for a in alphas:
+            storage, transfer, n_tx = _kernel_algorithm1(
+                chains, rate, lam, a, rows, True, None
+            )
+            ledgers += zip(storage.tolist(), transfer.tolist(), n_tx.tolist())
+        return ledgers
 
     expected = _ledger_digest(replay_all(_SegmentChains(trace)))
 
@@ -482,7 +462,7 @@ def test_executor_caps_thread_budget_while_forked():
 def test_multi_object_backend_matches_default():
     """A grouped fleet of 16 objects sharing a (trace, lambda) is one
     threaded kernel slab with the serial per-object costs."""
-    tr = uniform_random_trace(n=3, m=KERNEL_SLAB_MIN_M + 10, horizon=2e5, seed=7)
+    tr = uniform_random_trace(n=3, m=400, horizon=2e5, seed=7)
     specs = [
         ObjectSpec(
             object_id=f"obj-{i}",
@@ -504,9 +484,7 @@ def test_multi_object_backend_matches_default():
 def test_engine_spans_tagged_with_backend():
     """Kernel spans name the path ``auto`` chose: a narrow slab and a
     single kernel cell run serially whatever the budget."""
-    trace = uniform_random_trace(
-        n=4, m=KERNEL_SLAB_MIN_M + 50, horizon=1e6, seed=5
-    )
+    trace = uniform_random_trace(n=4, m=400, horizon=1e6, seed=5)
     model = CostModel(lam=20.0, n=4)
     cells = [(a, 1.0, 0) for a in (0.2, 0.5, 0.8)]
     _, tags = _slab_run(
@@ -536,7 +514,7 @@ def test_obs_summary_groups_by_backend():
             {"name": "engine.slab", "dur_ns": 2 * 10**9,
              "tags": {"tier": "kernel", "backend": "threads"}},
             {"name": "engine.slab", "dur_ns": 5 * 10**8,
-             "tags": {"tier": "batch"}},
+             "tags": {"tier": "kernel"}},
         ],
     }
     out = summarize(snap)
@@ -547,15 +525,15 @@ def test_obs_summary_groups_by_backend():
 
 
 def test_fleet_spans_tag_backend_only_on_kernel_tier():
-    """In a fleet only kernel-tier spans name an execution path:
-    batch-tier slabs carry no backend tag, and neither do the
-    fleet.chunk spans, whichever tier ran inside them."""
+    """In a fleet only kernel-tier spans name an execution path: every
+    engine span, short objects and long alike, and none of the
+    fleet.chunk spans, whichever path ran inside them."""
     from repro.obs.exporters import summarize
 
     def conventional(trace, model):
         return ConventionalReplication()
 
-    long = uniform_random_trace(n=3, m=KERNEL_SLAB_MIN_M + 10, horizon=2e5, seed=7)
+    long = uniform_random_trace(n=3, m=1_034, horizon=2e5, seed=7)
     short = uniform_random_trace(3, 40, 100.0, seed=0)
     specs = [
         ObjectSpec(f"s{i}", short, 5.0, conventional) for i in range(3)
@@ -569,9 +547,8 @@ def test_fleet_spans_tag_backend_only_on_kernel_tier():
     engine_spans = [
         s for s in snap["spans"] if s["name"] in ("engine.slab", "engine.cell")
     ]
-    assert {s["tags"]["tier"] for s in engine_spans} == {"batch", "kernel"}
-    for s in engine_spans:
-        assert ("backend" in s["tags"]) == (s["tags"]["tier"] == "kernel"), s
+    assert {s["tags"]["tier"] for s in engine_spans} == {"kernel"}
+    assert all("backend" in s["tags"] for s in engine_spans)
     chunks = [s for s in snap["spans"] if s["name"] == "fleet.chunk"]
     assert chunks and not any("backend" in s["tags"] for s in chunks)
     assert "fleet.chunk{" not in summarize(snap)

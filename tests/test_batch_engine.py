@@ -1,14 +1,17 @@
-"""Equivalence and wiring tests for the batched slab engine.
+"""Equivalence and wiring tests for the kernel's multi-row passes.
 
-The contract under test (core/engine.py DESIGN): the slab-vectorized
-:class:`BatchCostEngine` must reproduce the reference event-driven
-simulator *bit for bit*, per cell, for every eligible policy
-(Algorithm 1 with streamable predictors, the conventional baseline, and
-Wang et al.) on arbitrary instances and arbitrary slabs of
-``(alpha, accuracy, seed)`` cells; batched prediction matrices must
-consume the PCG64 streams exactly as the scalar paths do; and the
-layers above (``select_engine``, ``run_slab``, ``sweep_grid``,
-``ExperimentRunner``, fleets, the CLI) must route slabs onto it.
+The contract under test (core/engine.py DESIGN, "Slab mode"): a slab's
+Algorithm-1 cells that share ``(lambda, alpha, rate)`` replay as one
+pass over a ``(rows, m + 1)`` prediction matrix, and every row must
+reproduce the reference event-driven simulator *bit for bit* for every
+eligible policy (Algorithm 1 with streamable predictors, the
+conventional baseline, the adapted algorithm, and Wang et al.) on
+arbitrary instances and arbitrary slabs of ``(alpha, accuracy, seed)``
+cells; batched prediction matrices must consume the PCG64 streams
+exactly as the scalar paths do; and the layers above
+(``select_engine``, ``run_slab``, ``sweep_grid``, ``ExperimentRunner``,
+fleets, the CLI) must route every slab onto the kernel, at any trace
+length.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    BatchCostEngine,
+    AdaptiveReplication,
     ConventionalReplication,
     CostModel,
     CostResult,
     EngineError,
+    KernelCostEngine,
     LearningAugmentedReplication,
     MultiObjectSystem,
     ObjectSpec,
@@ -35,7 +39,13 @@ from repro import (
     select_engine,
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
-from repro.core.engine import ENGINE_NAMES
+from repro.core.backends import set_thread_budget
+from repro.core.engine import (
+    ENGINE_NAMES,
+    _kernel_algorithm1,
+    _SegmentChains,
+    _tenure_starts,
+)
 from repro.experiments import ExperimentRunner, ResultCache, get_scenario, scenario_names
 from repro.predictions import (
     AdversarialPredictor,
@@ -47,28 +57,36 @@ from repro.predictions import (
 from repro.workloads import diurnal_trace, uniform_random_trace
 
 from conftest import (
-    assert_registered_scenarios_match_reference,
+    assert_registered_scenarios_wide,
     instances,
     slab_passes,
     slabs,
+    tie_prone_traces,
+    traces,
 )
 
-BATCH = BatchCostEngine()
+KERNEL = KernelCostEngine()
 REF = ReferenceEngine()
 
 
 def assert_slab_matches_reference(trace, model, factory, cells):
-    """One batched slab pass == per-cell reference runs."""
+    """One kernel slab, one pass per ``(lambda, alpha)`` group (one
+    replay for Wang cells) == per-cell reference runs."""
+    policies = [factory(trace, model.lam, *cell) for cell in cells]
+    groups = {
+        "wang" if type(p) is WangReplication else p.alpha for p in policies
+    }
     runs, spans = slab_passes(
-        lambda: run_slab(trace, model, cells, factory, engine=BATCH)
+        lambda: run_slab(trace, model, cells, factory, engine=KERNEL),
+        tags=("tier", "cells", "passes"),
     )
     if len(cells) > 1:
-        # the whole slab ran as one batch pass, not cell by cell
-        assert spans == [("batch", len(cells))]
+        # the whole slab ran as one slab call, rows sharing passes
+        assert spans == [("kernel", len(cells), len(groups))]
     assert len(runs) == len(cells)
     for cell, run in zip(cells, runs):
         assert isinstance(run, CostResult)
-        assert run.engine == "batch"
+        assert run.engine == "kernel"
         ref = REF.run(trace, model, factory(trace, model.lam, *cell))
         # bit-identity, not mere closeness
         assert run.storage_cost == ref.storage_cost, cell
@@ -85,7 +103,7 @@ def assert_slab_matches_reference(trace, model, factory, cells):
 @settings(max_examples=50, deadline=None)
 @given(instances(), slabs())
 def test_algorithm1_slab_bit_identity(inst, cells):
-    """Batch == reference per cell for Algorithm 1 slabs."""
+    """Every row of a multi-row pass == reference for Algorithm 1."""
     trace, model = inst
     assert_slab_matches_reference(trace, model, algorithm1_factory, cells)
 
@@ -127,6 +145,66 @@ def test_fixed_and_adversarial_predictor_slabs(inst, alpha, within):
     assert_slab_matches_reference(trace, model, adversarial_factory, cells)
 
 
+@settings(max_examples=40, deadline=None)
+@given(tie_prone_traces(), st.integers(1, 4), slabs(min_cells=2, max_cells=8))
+def test_tie_prone_multi_row_slab(trace, lam_int, cells):
+    """Integer timing: cross-branch expiry ties in the union of the
+    rows' drops take the lexsort fallback and stay bit-identical."""
+    model = CostModel(lam=float(lam_int), n=trace.n)
+    assert_slab_matches_reference(trace, model, algorithm1_factory, cells)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    instances(),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.lists(st.sampled_from(["oracle", "noisy", "adversarial"]),
+             min_size=2, max_size=5),
+)
+def test_adaptive_multi_row_slab(inst, beta, kinds):
+    """Adapted-algorithm cells replay their monitor-forced columns as
+    rows of one pass."""
+    trace, model = inst
+
+    def factory(tr, lam, alpha, accuracy, seed):
+        kind = kinds[seed]
+        pred = (
+            OraclePredictor(tr) if kind == "oracle"
+            else AdversarialPredictor(tr) if kind == "adversarial"
+            else NoisyOraclePredictor(tr, accuracy, seed=seed)
+        )
+        return AdaptiveReplication(pred, alpha, beta=beta, warmup=2)
+
+    cells = [(0.5, 0.6, s) for s in range(len(kinds))]
+    assert_slab_matches_reference(trace, model, factory, cells)
+
+
+def test_wide_short_slab_runs_one_pass_per_alpha():
+    """The 804-cell, 4-alpha slab at m = 64 (one (trace, lambda) slab
+    of a template fleet) runs as one pass per alpha when serial."""
+    trace = uniform_random_trace(8, 64, horizon=64.0, seed=0)
+    model = CostModel(lam=50.0, n=8)
+    cells = [
+        (alpha, acc, seed)
+        for seed in range(67)
+        for alpha in (0.2, 0.5, 0.8, 1.0)
+        for acc in (0.0, 0.6, 1.0)
+    ]
+    prev = set_thread_budget(1)
+    try:
+        runs, spans = slab_passes(
+            lambda: run_slab(trace, model, cells, algorithm1_factory),
+            tags=("tier", "cells", "passes"),
+        )
+    finally:
+        set_thread_budget(prev)
+    (tier, n_cells, passes), = spans
+    assert (tier, n_cells) == ("kernel", 804) and passes <= 4
+    for k in range(0, 804, 67):
+        ref = REF.run(trace, model, algorithm1_factory(trace, 50.0, *cells[k]))
+        assert runs[k].total_cost == ref.total_cost
+
+
 @settings(max_examples=20, deadline=None)
 @given(instances(), st.integers(0, 3))
 def test_zero_alpha_full_trust_slab(inst, seed):
@@ -136,7 +214,7 @@ def test_zero_alpha_full_trust_slab(inst, seed):
 
 
 def test_single_policy_run_matches_reference():
-    """The scalar Engine interface (one-column slab) is bit-identical."""
+    """The scalar Engine interface (a one-row pass) is bit-identical."""
     trace = uniform_random_trace(n=4, m=80, horizon=500.0, seed=5)
     model = CostModel(lam=25.0, n=4)
     for make in (
@@ -146,12 +224,12 @@ def test_single_policy_run_matches_reference():
         ConventionalReplication,
         WangReplication,
     ):
-        b = BATCH.run(trace, model, make())
+        k = KERNEL.run(trace, model, make())
         r = REF.run(trace, model, make())
-        assert b.storage_cost == r.storage_cost
-        assert b.transfer_cost == r.transfer_cost
-        assert b.n_transfers == r.ledger.n_transfers
-        assert b.engine == "batch"
+        assert k.storage_cost == r.storage_cost
+        assert k.transfer_cost == r.transfer_cost
+        assert k.n_transfers == r.ledger.n_transfers
+        assert k.engine == "kernel"
 
 
 def test_drain_event_cap_matches_reference():
@@ -159,15 +237,59 @@ def test_drain_event_cap_matches_reference():
     model = CostModel(lam=15.0, n=5)
     pol = LearningAugmentedReplication(OraclePredictor(trace), 0.5)
     for cap in (0, 1, 2, None):
-        b = BATCH.run(trace, model, pol, drain_event_cap=cap)
+        k = KERNEL.run(trace, model, pol, drain_event_cap=cap)
         r = REF.run(
             trace,
             model,
             LearningAugmentedReplication(OraclePredictor(trace), 0.5),
             drain_event_cap=cap,
         )
-        assert b.storage_cost == r.storage_cost, cap
-        assert b.transfer_cost == r.transfer_cost, cap
+        assert k.storage_cost == r.storage_cost, cap
+        assert k.transfer_cost == r.transfer_cost, cap
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), st.floats(0.0, 1.0), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_multi_row_drain_configurations(inst, alpha, drain, cap):
+    """drain=False and binding event caps on one multi-row pass: each
+    row's cap-stranded copies finalize in its own dict-insertion order."""
+    trace, model = inst
+    specs = [(0.3, 0), (0.7, 1), (1.0, 2)]
+
+    def policy(acc, seed):
+        return LearningAugmentedReplication(
+            NoisyOraclePredictor(trace, acc, seed=seed), alpha,
+            allow_zero_alpha=True,
+        )
+
+    rows = PredictionStream.batch_for_cells(
+        [(policy(*spec).predictor, model.lam) for spec in specs], trace
+    )
+    storage, transfer, n_tx = _kernel_algorithm1(
+        _SegmentChains(trace), 1.0, model.lam, alpha, rows, drain, cap
+    )
+    for r, spec in enumerate(specs):
+        ref = REF.run(trace, model, policy(*spec), drain, cap)
+        assert storage[r] == ref.storage_cost, spec
+        assert transfer[r] == ref.transfer_cost, spec
+        assert n_tx[r] == ref.ledger.n_transfers, spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(traces(), st.integers(2, 4), st.data())
+def test_tenure_walk_keeps_rows_apart(trace, n_rows, data):
+    """The dict-insertion walk of a multi-row pass gives every row its
+    own one-row walk: the flat scan's offsets keep rows apart."""
+    chains = _SegmentChains(trace)
+    miss = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=chains.m1, max_size=chains.m1),
+        min_size=n_rows, max_size=n_rows,
+    )))
+    miss[:, 0] = True                    # the dummy creates at server 0
+    tenure = _tenure_starts(chains, miss)
+    for r in range(n_rows):
+        assert np.array_equal(tenure[r], _tenure_starts(chains, miss[r:r + 1])[0])
 
 
 def test_non_unit_uniform_rate_slab():
@@ -272,29 +394,35 @@ class TestSelection:
         self.model = CostModel(lam=20.0, n=4)
 
     def test_engine_names_and_registry(self):
-        assert ENGINE_NAMES == ("auto", "batch", "kernel", "reference")
-        assert isinstance(get_engine("batch"), BatchCostEngine)
+        assert ENGINE_NAMES == ("auto", "kernel", "reference")
+        assert isinstance(get_engine("kernel"), KernelCostEngine)
+        with pytest.raises(ValueError, match="unknown engine 'batch'"):
+            get_engine("batch")
 
     def test_auto_prefers_batch_for_slabs(self):
+        """``auto`` runs a short slab on the kernel as one multi-row
+        pass, like a single cell."""
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
         assert select_engine(self.trace, self.model, pol, "auto") \
             is get_engine("kernel")
         cells = [(0.5, 1.0, s) for s in range(8)]
-        runs = run_slab(self.trace, self.model, cells, algorithm1_factory)
-        assert [r.engine for r in runs] == ["batch"] * 8
+        runs, spans = slab_passes(
+            lambda: run_slab(self.trace, self.model, cells, algorithm1_factory),
+            tags=("tier", "cells", "passes"),
+        )
+        assert spans == [("kernel", 8, 1)]
+        assert [r.engine for r in runs] == ["kernel"] * 8
         # ineligible policies fall back to reference even for slabs
         runs = run_slab(self.trace, self.model, cells, _learned_factory)
         assert all(hasattr(r, "serves") for r in runs)
 
     def test_explicit_batch_on_unsupported_policy_raises(self):
-        from repro import AdaptiveReplication
-
         pol = AdaptiveReplication(
             SlidingWindowPredictor(window=5), 0.5, beta=0.1
         )
-        assert not BATCH.supports(self.trace, self.model, pol)
+        assert not KERNEL.supports(self.trace, self.model, pol)
         with pytest.raises(EngineError):
-            BATCH.run(self.trace, self.model, pol)
+            KERNEL.run(self.trace, self.model, pol)
 
     def test_supports_slab_rejects_mixed_and_unstreamable(self):
         def mixed_factory(trace, lam, alpha, accuracy, seed):
@@ -302,29 +430,29 @@ class TestSelection:
                 return WangReplication()
             return ConventionalReplication()
 
-        # no single batch pass covers two replay families: each cell
-        # runs alone, still on the batch tier and bit-identical to the
-        # reference
+        # two replay families share one slab call: an Algorithm-1 pass
+        # and a Wang replay, bit-identical to the reference
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
         runs, spans = slab_passes(
             lambda: run_slab(
-                self.trace, self.model, cells, mixed_factory, engine=BATCH
-            )
+                self.trace, self.model, cells, mixed_factory, engine=KERNEL
+            ),
+            tags=("tier", "cells", "passes"),
         )
-        assert spans == []
+        assert spans == [("kernel", 2, 2)]
         for cell, run in zip(cells, runs):
             ref = REF.run(
                 self.trace, self.model,
                 mixed_factory(self.trace, self.model.lam, *cell),
             )
-            assert run.engine == "batch"
+            assert run.engine == "kernel"
             assert run.total_cost == ref.total_cost
 
         policy = _learned_factory(self.trace, self.model.lam, *cells[0])
-        assert not BATCH.supports(self.trace, self.model, policy)
+        assert not KERNEL.supports(self.trace, self.model, policy)
         with pytest.raises(EngineError):
             run_slab(
-                self.trace, self.model, cells, _learned_factory, engine=BATCH
+                self.trace, self.model, cells, _learned_factory, engine=KERNEL
             )
 
     def test_run_slab_falls_back_per_cell(self):
@@ -361,7 +489,7 @@ class TestConsumers:
             name: sweep_grid(
                 trace, (10.0, 100.0), (0.2, 1.0), (0.0, 1.0), engine=name
             )
-            for name in ("auto", "batch", "reference")
+            for name in ("auto", "kernel", "reference")
         }
         base = grids["reference"]
         for name, grid in grids.items():
@@ -373,19 +501,20 @@ class TestConsumers:
     def test_runner_batch_scenario_and_shared_cache(self, tmp_path):
         scenario = get_scenario("smoke")
         ref = ExperimentRunner(workers=1, engine="reference").run(scenario)
-        batch = ExperimentRunner(workers=2, engine="batch").run(scenario)
-        for a, b in zip(ref.results, batch.results):
+        kernel = ExperimentRunner(workers=2, engine="kernel").run(scenario)
+        for a, b in zip(ref.results, kernel.results):
             assert a.online_cost == b.online_cost
             assert a.optimal_cost == b.optimal_cost
-        # the cache is keyed per cell and shared across engines: a batch
-        # run warms it for a kernel re-run, which then executes nothing
+        # the cache is keyed per cell and shared across engines: a
+        # kernel run warms it for a reference re-run, which then
+        # executes nothing
         cache = ResultCache(tmp_path / "cache")
-        first = ExperimentRunner(workers=2, cache=cache, engine="batch").run(
+        first = ExperimentRunner(workers=2, cache=cache, engine="kernel").run(
             scenario
         )
         assert first.executed == len(first)
         again = ExperimentRunner(
-            workers=2, cache=ResultCache(tmp_path / "cache"), engine="kernel"
+            workers=2, cache=ResultCache(tmp_path / "cache"), engine="reference"
         ).run(scenario)
         assert again.executed == 0 and again.cached == len(again)
 
@@ -405,37 +534,42 @@ class TestConsumers:
         system = MultiObjectSystem(3, specs)
         ref = system.run()
         # engine=None inherits an explicitly configured runner engine
-        report = ExperimentRunner(workers=2, engine="batch").run_fleet(system)
+        report = ExperimentRunner(workers=2, engine="kernel").run_fleet(system)
         assert report.online_total == ref.online_total
         assert isinstance(report.outcomes[0].result, CostResult)
-        assert report.outcomes[0].result.engine == "batch"
+        assert report.outcomes[0].result.engine == "kernel"
         # ...but a default ("auto") runner keeps the telemetry-preserving
         # reference engine for fleets, as before
         default_report = ExperimentRunner(workers=1).run_fleet(system)
         assert default_report.online_total == ref.online_total
         assert hasattr(default_report.outcomes[0].result, "serves")
-        # MultiObjectSystem.run(engine="batch", runner=...) also routes
+        # MultiObjectSystem.run(engine="kernel", runner=...) also routes
         via_system = system.run(
-            runner=ExperimentRunner(workers=1), engine="batch"
+            runner=ExperimentRunner(workers=1), engine="kernel"
         )
         assert via_system.online_total == ref.online_total
 
-    def test_cli_accepts_batch_engine(self):
+    def test_cli_accepts_batch_engine(self, capsys):
+        """argparse rejects ``--engine batch`` (exit 2)."""
         from repro.cli import build_parser
 
         p = build_parser()
-        args = p.parse_args(["sweep", "--engine", "batch"])
-        assert args.engine == "batch"
-        args = p.parse_args(["experiments", "run", "smoke", "--engine", "batch"])
-        assert args.engine == "batch"
+        for argv in (
+            ["sweep", "--engine", "batch"],
+            ["experiments", "run", "smoke", "--engine", "batch"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                p.parse_args(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'batch'" in capsys.readouterr().err
+        args = p.parse_args(["sweep", "--engine", "kernel"])
+        assert args.engine == "kernel"
 
 
 def test_all_registered_scenarios_batch_equivalent_where_supported():
-    """Every registered scenario's two-cell slab, and a Wang slab on its
-    trace, run as one batch pass and match the reference per cell
-    wherever eligible (the paper grids, smoke, tight examples,
-    adversary, and the synthetic workload grids all are)."""
-    assert_registered_scenarios_match_reference(BATCH)
+    """The registered-scenario oracle's wide axis: every leg as a
+    threaded-width multi-row slab, serial and threaded."""
+    assert_registered_scenarios_wide()
 
 
 # ----------------------------------------------------------------------
@@ -453,12 +587,14 @@ class TestWorkloadScenarios:
 
     @pytest.mark.parametrize("name", ["bursty", "periodic", "diurnal"])
     def test_scenario_slab_is_batchable_and_bit_identical(self, name):
+        """A 3-cell slab of each synthetic workload: one kernel slab
+        call, every row equal to the reference."""
         scenario = get_scenario(name)
         lam = scenario.lambdas[0]
         trace = scenario.build_trace(lam=lam, alpha=0.2, accuracy=0.5, seed=0)
         model = CostModel(lam=lam, n=trace.n)
         cells = [(0.2, 0.5, 0), (1.0, 1.0, 0), (0.1, 0.0, 1)]
-        # the helper asserts the one 3-cell batch pass
+        # the helper asserts one pass per alpha
         assert_slab_matches_reference(trace, model, scenario.policy_factory, cells)
 
     def test_diurnal_trace_properties(self):

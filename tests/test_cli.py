@@ -121,6 +121,31 @@ class TestCommands:
         assert "heat map" in out and "legend" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["adversary", "--requests", "0"], "need n_requests >= 1, got 0"),
+        (["wang", "--lambda", "0"], "lambda must be > 0"),
+        (["sweep", "--requests", "0"], "need at least 2 requests"),
+        (["sweep", "--lambda", "0", "--requests", "50"], "lambda must be > 0"),
+        (["tight", "--m", "0"], "need m >= 1 requests"),
+        (["tight", "--alpha", "2"], "alpha must be in (0, 1]"),
+        (["adaptive", "--beta", "-1", "--requests", "50"], "beta must be >= 0"),
+    ],
+    ids=[
+        "adversary-requests-0", "wang-lambda-0", "sweep-requests-0",
+        "sweep-lambda-0", "tight-m-0", "tight-alpha-2", "adaptive-beta-neg",
+    ],
+)
+def test_paper_commands_report_bad_input(argv, message, capsys):
+    """Bad inputs to the paper commands exit 2 with one ``error:`` line
+    on stderr, not a traceback or a bogus ratio."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 class TestTraceCommand:
     def _save(self, tmp_path, name="w.csv"):
         from repro.system import save_trace

@@ -1,8 +1,8 @@
 """Equivalence and selection tests for the tiered simulation engines.
 
-The contract under test (core/engine.py DESIGN): each cost-only tier —
-:class:`BatchCostEngine` and :class:`KernelCostEngine` — must reproduce
-the reference event-driven simulator's total / storage / transfer costs
+The contract under test (core/engine.py DESIGN): the cost-only tier,
+:class:`KernelCostEngine`, must reproduce the reference event-driven
+simulator's total / storage / transfer costs
 *bit for bit* for every eligible policy — Algorithm 1 with streamable
 predictors, the conventional baseline, and Wang et al. — on arbitrary
 instances and on every registered scenario, and must refuse (or be
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro import (
     AdaptiveReplication,
-    BatchCostEngine,
     ConventionalReplication,
     CostModel,
     CostResult,
@@ -47,7 +46,6 @@ from repro.workloads import uniform_random_trace
 
 from conftest import assert_registered_scenarios_match_reference, instances
 
-BATCH = BatchCostEngine()
 KERNEL = KernelCostEngine()
 REF = ReferenceEngine()
 
@@ -61,14 +59,12 @@ def assert_same_ledger(run, ref, label=None):
 
 
 def assert_costs_match(trace, model, make_policy):
-    """Every cost-only tier and the reference on fresh policies:
-    identical cost ledgers; returns the kernel's and the reference's
-    results."""
+    """The kernel and the reference on fresh policies: identical cost
+    ledgers; returns the kernel's and the reference's results."""
     ref = REF.run(trace, model, make_policy())
-    runs = [eng.run(trace, model, make_policy()) for eng in (BATCH, KERNEL)]
-    for run in runs:
-        assert_same_ledger(run, ref, run.engine)
-    return runs[-1], ref
+    run = KERNEL.run(trace, model, make_policy())
+    assert_same_ledger(run, ref, run.engine)
+    return run, ref
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +308,9 @@ class TestConsumers:
 
     def test_all_registered_scenarios_equivalent_where_supported(self):
         """Every registered scenario through the default ``auto`` slab
-        routing: one pass on the tier it picks, matching the reference
-        cell by cell, the Wang baseline on every scenario's trace (the
-        batch and kernel tiers are forced in their own test modules)."""
+        routing: one kernel slab call, matching the reference cell by
+        cell, the Wang baseline on every scenario's trace (the kernel is
+        forced in its own test module)."""
         assert_registered_scenarios_match_reference("auto")
 
 

@@ -132,10 +132,10 @@ class TestFleetBitIdentity:
 
     @settings(max_examples=10, deadline=None)
     @given(fleet_systems(max_objects=5))
-    def test_batch_tier_matches_reference(self, system):
+    def test_grouped_kernel_slabs_match_reference(self, system):
         reference = system.run(engine="reference")
-        batch = system.run(engine="batch", grouped=True)
-        _assert_outcomes_equal(reference, batch)
+        grouped = system.run(engine="kernel", grouped=True)
+        _assert_outcomes_equal(reference, grouped)
 
     def test_kernel_slab_matches_serial(self):
         tr = uniform_random_trace(3, 60, horizon=120.0, seed=2)

@@ -2,16 +2,15 @@
 
 The contract under test (core/engine.py DESIGN): the loop-free
 :class:`KernelCostEngine` must reproduce the reference event-driven
-simulator — and therefore the batch engine — *bit for bit*, per cell,
-for every kernel-eligible policy (Algorithm 1 with streamable
-predictors, the conventional baseline, and Wang's baseline via the
-cascade kernel) on arbitrary instances, drain configurations, and
-slabs; ``supports()`` has no policy exclusions left, so
-``select_engine`` routes every registered policy's single cells onto
-the kernel and ``run_slab`` its slabs above the crossover; and the layers
-above (``run_slab``, ``sweep_grid``, ``ExperimentRunner``, the CLI,
-the ``repro bench`` discovery) must route onto the kernel where it
-wins.
+simulator *bit for bit*, per cell, for every kernel-eligible policy
+(Algorithm 1 with streamable predictors, the conventional baseline, and
+Wang's baseline via the cascade kernel) on arbitrary instances, drain
+configurations, and slabs; ``supports()`` has no policy exclusions
+left, so ``select_engine`` routes every registered policy's single
+cells onto the kernel and ``run_slab`` its slabs, at any trace length;
+and the layers above (``run_slab``, ``sweep_grid``,
+``ExperimentRunner``, the CLI, the ``repro bench`` discovery) must
+route onto the kernel.
 
 The vectorized brute-force offline search (satellite) is pinned against
 its kept loop reference here too.
@@ -25,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    BatchCostEngine,
     ConventionalReplication,
     CostModel,
     CostResult,
@@ -40,7 +38,7 @@ from repro import (
     select_engine,
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
-from repro.core.engine import ENGINE_NAMES, KERNEL_SLAB_MIN_M
+from repro.core.engine import ENGINE_NAMES
 from repro.offline.brute_force import (
     _brute_force_reference,
     brute_force_optimal_cost,
@@ -68,24 +66,19 @@ from conftest import (
 )
 
 KERNEL = KernelCostEngine()
-BATCH = BatchCostEngine()
 REF = ReferenceEngine()
 
 
 def assert_kernel_matches_reference(trace, model, factory, cells):
-    """Kernel slab replays == the batch slab == per-cell reference runs."""
+    """Kernel slab replays == per-cell reference runs."""
     runs, spans = slab_passes(
         lambda: run_slab(trace, model, cells, factory, engine=KERNEL)
     )
     assert len(runs) == len(cells)
-    batch_runs, batch_spans = slab_passes(
-        lambda: run_slab(trace, model, cells, factory, engine=BATCH)
-    )
     if len(cells) > 1:
-        # each tier ran the whole slab as one pass, not cell by cell
+        # the whole slab ran as one slab call, not cell by cell
         assert spans == [("kernel", len(cells))]
-        assert batch_spans == [("batch", len(cells))]
-    for cell, run, brun in zip(cells, runs, batch_runs):
+    for cell, run in zip(cells, runs):
         assert isinstance(run, CostResult)
         assert run.engine == "kernel"
         ref = REF.run(trace, model, factory(trace, model.lam, *cell))
@@ -93,8 +86,6 @@ def assert_kernel_matches_reference(trace, model, factory, cells):
         assert run.storage_cost == ref.storage_cost, cell
         assert run.transfer_cost == ref.transfer_cost, cell
         assert run.n_transfers == ref.ledger.n_transfers, cell
-        assert run.storage_cost == brun.storage_cost, cell
-        assert run.transfer_cost == brun.transfer_cost, cell
     return runs
 
 
@@ -106,8 +97,8 @@ def assert_kernel_matches_reference(trace, model, factory, cells):
 @settings(max_examples=50, deadline=None)
 @given(instances(), slabs(), st.sampled_from([1.0, 2.5, 0.3, 7.0]))
 def test_algorithm1_slab_bit_identity(inst, cells, rate):
-    """Kernel == batch == reference per cell for Algorithm 1, at unit
-    and non-unit uniform storage rates (the ``* rate`` charges)."""
+    """Kernel == reference per cell for Algorithm 1, at unit and
+    non-unit uniform storage rates (the ``* rate`` charges)."""
     trace, model = inst
     model = CostModel(lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n)
     assert_kernel_matches_reference(trace, model, algorithm1_factory, cells)
@@ -213,8 +204,8 @@ def wang_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(wang_instances(), st.integers(2, 4))
 def test_wang_slab_bit_identity(inst, k):
-    """Kernel == batch == reference per cell for Wang, on the instances
-    most likely to hit the episode machine."""
+    """Kernel == reference per cell for Wang, on the instances most
+    likely to hit the episode machine."""
     trace, model = inst
     cells = [(0.5, 1.0, s) for s in range(k)]
     assert_kernel_matches_reference(trace, model, _wang_factory, cells)
@@ -320,7 +311,7 @@ class TestSupports:
         assert not KERNEL.supports(self.trace, model, pol)
 
     def test_wang_slab_accepted_by_both_slab_tiers(self):
-        # the helper asserts one 2-cell pass on each slab tier
+        # the helper asserts one 2-cell kernel slab call
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
         assert_kernel_matches_reference(
             self.trace, self.model, _wang_factory, cells
@@ -334,11 +325,7 @@ class TestSupports:
 
 class TestSelection:
     def setup_method(self):
-        # beyond the slab crossover
-        self.big = uniform_random_trace(
-            n=4, m=KERNEL_SLAB_MIN_M + 200, horizon=1e6, seed=1
-        )
-        # below it
+        self.big = uniform_random_trace(n=4, m=1_224, horizon=1e6, seed=1)
         self.small = uniform_random_trace(n=4, m=60, horizon=400.0, seed=2)
         self.model = CostModel(lam=20.0, n=4)
 
@@ -353,21 +340,18 @@ class TestSelection:
         assert self._slab_tiers(self.big, algorithm1_factory) == {"kernel"}
 
     def test_auto_keeps_batch_below_slab_crossover(self):
+        """Short slabs run on the kernel, like single cells."""
         pol = LearningAugmentedReplication(OraclePredictor(self.small), 0.5)
-        assert len(self.small) < KERNEL_SLAB_MIN_M
-        # a single cell rides the kernel at any length; slabs take batch
         assert select_engine(self.small, self.model, pol) is get_engine("kernel")
-        assert self._slab_tiers(self.small, algorithm1_factory) == {"batch"}
+        assert self._slab_tiers(self.small, algorithm1_factory) == {"kernel"}
 
     def test_wang_rides_kernel_through_select_engine(self):
-        """select_engine never falls back for Wang: single cells run on
-        the kernel, slabs on batch only below the crossover (like every
-        policy)."""
+        """select_engine never falls back for Wang: single cells and
+        slabs run on the kernel at any trace length."""
         pol = WangReplication()
-        assert select_engine(self.big, self.model, pol) is get_engine("kernel")
-        assert self._slab_tiers(self.big, _wang_factory) == {"kernel"}
-        assert select_engine(self.small, self.model, pol) is get_engine("kernel")
-        assert self._slab_tiers(self.small, _wang_factory) == {"batch"}
+        for trace in (self.big, self.small):
+            assert select_engine(trace, self.model, pol) is get_engine("kernel")
+            assert self._slab_tiers(trace, _wang_factory) == {"kernel"}
 
     def test_history_policy_falls_back_to_reference(self):
         pol = LearningAugmentedReplication(SlidingWindowPredictor(5), 0.5)
@@ -377,17 +361,19 @@ class TestSelection:
         cells = [(0.2, 0.8, 0), (0.7, 0.4, 1), (1.0, 1.0, 0)]
         runs = run_slab(self.big, self.model, cells, algorithm1_factory)
         assert all(r.engine == "kernel" for r in runs)
-        batch_runs = run_slab(
-            self.big, self.model, cells, algorithm1_factory, engine="batch"
-        )
-        for a, b in zip(runs, batch_runs):
-            assert a.storage_cost == b.storage_cost
-            assert a.transfer_cost == b.transfer_cost
+        for cell, run in zip(cells, runs):
+            ref = REF.run(
+                self.big, self.model,
+                algorithm1_factory(self.big, self.model.lam, *cell),
+            )
+            assert run.storage_cost == ref.storage_cost
+            assert run.transfer_cost == ref.transfer_cost
 
     def test_run_slab_auto_keeps_batch_on_short_traces(self):
+        """Short-trace slabs run on the kernel."""
         cells = [(0.2, 0.8, 0), (0.7, 0.4, 1)]
         runs = run_slab(self.small, self.model, cells, algorithm1_factory)
-        assert all(r.engine == "batch" for r in runs)
+        assert all(r.engine == "kernel" for r in runs)
 
     def test_run_slab_explicit_kernel(self):
         cells = [(0.2, 0.8, 0), (0.7, 0.4, 1)]
@@ -406,7 +392,7 @@ class TestSelection:
             self.small, self.model, cells, wang_factory, engine="kernel"
         )
         assert all(r.engine == "kernel" for r in runs)
-        # auto keeps the short Wang slab on the batch tier, same costs
+        # auto runs the same kernel slab, same costs
         auto_runs = run_slab(self.small, self.model, cells, wang_factory)
         for r in list(runs) + list(auto_runs):
             assert r.storage_cost == ref.storage_cost
@@ -578,9 +564,9 @@ def test_bench_discovery_finds_runnable_suites():
 
     bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
     suites = _discover_bench_suites(bench_dir)
-    for name in ("trace", "kernel", "scaling", "fleet", "backends"):
+    for name in ("trace", "scaling", "fleet", "backends"):
         assert name in suites
-    for name in ("engines", "batch"):
+    for name in ("engines", "batch", "kernel"):
         assert name not in suites
     # pytest-only figure benchmarks expose no main() and are not listed
     assert "fig25_28" not in suites
@@ -591,6 +577,6 @@ def test_bench_cli_list_and_unknown(capsys, tmp_path):
 
     assert main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "kernel" in out and "scaling" in out
+    assert "scaling" in out and "fleet" in out
     assert main(["bench", "no-such-suite"]) == 2
     assert main(["bench", "--dir", str(tmp_path)]) == 2

@@ -251,7 +251,7 @@ class TestBitIdentity:
     @given(
         instances(),
         st.floats(0.05, 1.0),
-        st.sampled_from(["reference", "batch", "kernel", "auto"]),
+        st.sampled_from(["reference", "kernel", "auto"]),
     )
     def test_engine_tiers_unchanged_by_obs(self, trace, alpha, engine):
         from repro.analysis.sweep import algorithm1_factory

@@ -248,7 +248,7 @@ def _engine_costs(trace, lam, alpha, accuracy, seed):
     from repro.analysis.sweep import algorithm1_factory
 
     out = {}
-    for name in ("reference", "batch", "kernel"):
+    for name in ("reference", "kernel"):
         policy = algorithm1_factory(trace, lam, alpha, accuracy, seed)
         run = get_engine(name).run(trace, CostModel(lam=lam, n=trace.n), policy)
         out[name] = (run.storage_cost, run.transfer_cost)
@@ -260,8 +260,8 @@ def test_all_registered_scenarios_array_vs_request_built():
     list (the legacy eager path), equals the array-built one (the
     columnar fast path) with the same column dtypes, and every leg of
     the registered-scenario oracle replays on the request-built trace
-    bit-identically to the oracle's cached reference results, on both
-    cost-only tiers."""
+    bit-identically to the oracle's cached reference results on the
+    kernel."""
     legs, covered = registered_scenario_legs()
     rebuilt = {}
     for name, array_built, model, factory, cells, refs in legs:
@@ -275,12 +275,11 @@ def test_all_registered_scenarios_array_vs_request_built():
             assert request_built.times.dtype == array_built.times.dtype, name
             assert request_built.servers.dtype == array_built.servers.dtype, name
             rebuilt[key] = request_built
-        for engine in ("batch", "kernel"):
-            runs = run_slab(rebuilt[key], model, cells, factory, engine=engine)
-            for run, ref in zip(runs, refs):
-                assert run.storage_cost == ref.storage_cost, name
-                assert run.transfer_cost == ref.transfer_cost, name
-                assert run.n_transfers == ref.ledger.n_transfers, name
+        runs = run_slab(rebuilt[key], model, cells, factory, engine="kernel")
+        for run, ref in zip(runs, refs):
+            assert run.storage_cost == ref.storage_cost, name
+            assert run.transfer_cost == ref.transfer_cost, name
+            assert run.n_transfers == ref.ledger.n_transfers, name
     assert covered >= 18
 
 
@@ -290,7 +289,7 @@ def test_engines_bit_identical_on_array_native_traces(cols, alpha):
     n, times, servers = cols
     tr = Trace.from_arrays(times, servers, n=n)
     costs = _engine_costs(tr, 5.0, alpha, 1.0, 0)
-    assert costs["reference"] == costs["batch"] == costs["kernel"]
+    assert costs["reference"] == costs["kernel"]
 
 
 # ----------------------------------------------------------------------
