@@ -10,18 +10,20 @@ ride the same kernel slab via the cascade factorisation; equal-model
 Wang cells deduplicate through its memoised replay).  Three paths are
 timed:
 
-* **serial** — ``MultiObjectSystem.run`` object-at-a-time, each object
-  on the engine ``auto`` picks for a single cell (measured on a
+* **serial** — this bench's per-object loop: one ``run_policy_slab``
+  call on ``auto`` and one memoised ``optimal_cost`` per object, the
+  calls perfbench's fleet-log traced pass makes (measured on a
   subsample, reported as objects/sec);
-* **grouped** — in-process cross-object slabs
-  (``run(grouped=True, materialize=False)``);
+* **grouped** — cross-object slabs in-process
+  (``ExperimentRunner(workers=1).run_fleet(materialize=False)``);
 * **sharded** — ``ExperimentRunner.run_fleet`` across worker processes
   with work-sized chunks, streaming aggregates, and no per-object IPC.
 
 Bit-identity of the grouped, sharded, and streaming paths against the
-serial reference-simulator loop is always asserted on a small fleet of
-the same mixed-policy shape before any timing.  The vectorized ``split_trace_by_object`` is
-benchmarked against the per-row reference loop on the same log.
+per-object loop on the reference simulator is always asserted on a
+small fleet of the same mixed-policy shape before any timing.  The
+vectorized ``split_trace_by_object`` is benchmarked against the per-row
+reference loop on the same log.
 
 Standalone use (the CI smoke step runs this via ``repro bench``)::
 
@@ -135,27 +137,47 @@ def _build_fleet(n_objects: int, templates, factories=None):
     return MultiObjectSystem(N_SERVERS, specs)
 
 
+def _per_object(system, engine: str = "auto") -> list[tuple[float, float]]:
+    """The per-object loop: one ``run_policy_slab`` call and one memoised
+    ``optimal_cost`` per object; ``(online, optimal)`` per object."""
+    from repro.core.costs import CostModel
+    from repro.core.engine import run_policy_slab
+    from repro.offline.dp import optimal_cost
+
+    optima: dict = {}
+    rows = []
+    for spec in system.specs:
+        model = CostModel(lam=spec.lam, n=system.n)
+        policy = spec.policy_factory(spec.trace, model)
+        (run,) = run_policy_slab(spec.trace, [(model, policy)], engine)
+        key = (id(spec.trace), spec.lam)
+        if key not in optima:
+            optima[key] = optimal_cost(spec.trace, model)
+        rows.append((run.total_cost, optima[key]))
+    return rows
+
+
 def check_bit_identity(workers: int = 2) -> None:
-    """Serial reference loop vs grouped / sharded / streaming paths on a
-    small mixed-policy fleet (incl. the Wang engine-fallback)."""
+    """The per-object loop on the reference simulator vs the grouped /
+    sharded / streaming paths on a small mixed-policy fleet."""
     from repro.experiments import ExperimentRunner
 
     system = _build_fleet(IDENTITY_OBJECTS, _templates(4),
                           factories=_mixed_factories())
-    serial = system.run(engine="reference")
-    grouped = system.run(engine="auto", grouped=True)
-    for a, b in zip(serial.outcomes, grouped.outcomes):
-        assert a.online == b.online, (a.object_id, a.online, b.online)
-        assert a.optimal == b.optimal, a.object_id
+    reference = _per_object(system, engine="reference")
+    grouped = ExperimentRunner(workers=1).run_fleet(system, engine="auto")
     runner = ExperimentRunner(workers=workers)
     sharded = runner.run_fleet(system, engine="auto")
     streaming = runner.run_fleet(system, engine="auto", materialize=False)
-    for a, b in zip(serial.outcomes, sharded.outcomes):
-        assert a.online == b.online, (a.object_id, a.online, b.online)
-        assert a.optimal == b.optimal, a.object_id
-    assert streaming.online_total == serial.online_total
-    assert streaming.optimal_total == serial.optimal_total
-    assert streaming.worst_object_ratio == serial.worst_object_ratio
+    for report in (grouped, sharded):
+        for (online, optimal), o in zip(reference, report.outcomes):
+            assert o.online == online, (o.object_id, o.online, online)
+            assert o.optimal == optimal, o.object_id
+    assert streaming.online_total == sum(on for on, _ in reference)
+    assert streaming.optimal_total == sum(opt for _, opt in reference)
+    assert streaming.worst_object_ratio == max(
+        on / opt for on, opt in reference
+    )
 
 
 def _split_reference(accesses, n):
@@ -238,13 +260,15 @@ def run_fleet_bench(
     serial_system = _build_fleet(sample, templates,
                                  factories=_mixed_factories())
     t0 = time.perf_counter()
-    serial_report = serial_system.run(engine="auto", materialize=False)
+    serial_rows = _per_object(serial_system)
     serial_s = time.perf_counter() - t0
     serial_rate = sample / serial_s
 
     system = _build_fleet(n_objects, templates, factories=_mixed_factories())
     t0 = time.perf_counter()
-    grouped_report = system.run(engine="auto", grouped=True, materialize=False)
+    grouped_report = ExperimentRunner(workers=1).run_fleet(
+        system, engine="auto", materialize=False
+    )
     grouped_s = time.perf_counter() - t0
 
     runner = ExperimentRunner(workers=workers)
@@ -255,7 +279,7 @@ def run_fleet_bench(
     assert sharded_report.online_total == grouped_report.online_total
     assert sharded_report.optimal_total == grouped_report.optimal_total
     if sample == n_objects:
-        assert serial_report.online_total == grouped_report.online_total
+        assert sum(on for on, _ in serial_rows) == grouped_report.online_total
 
     split = run_split_bench(n_objects)
     return {
@@ -300,9 +324,12 @@ def test_fleet_speedup(benchmark):
     # against a gross regression here
     assert report["split_speedup"] >= 0.5
 
+    from repro.experiments import ExperimentRunner
+
     system = _build_fleet(2_000, _templates(), factories=_mixed_factories())
+    runner = ExperimentRunner(workers=1)
     benchmark(
-        lambda: system.run(engine="auto", grouped=True, materialize=False)
+        lambda: runner.run_fleet(system, engine="auto", materialize=False)
     )
 
 

@@ -15,12 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.costs import CostModel
-from ..core.engine import Engine, run_slab
+from ..core.engine import Engine
 from ..core.policy import ReplicationPolicy
 from ..core.trace import Trace
-from ..obs import metrics as _obs
-from ..offline.dp import optimal_cost
 from ..predictions.oracle import NoisyOraclePredictor, OraclePredictor
 
 __all__ = [
@@ -138,70 +135,40 @@ def sweep_grid(
     accuracies: Sequence[float],
     factory: PolicyFactory = algorithm1_factory,
     seed: int = 0,
-    optimal_cache: dict[float, float] | None = None,
     runner=None,
     engine: str | Engine | None = None,
 ) -> SweepResult:
     """Run the full (lambda, alpha, accuracy) grid on one trace.
 
-    The optimal offline cost depends only on ``lambda`` and is cached
-    across the inner grid.
+    The grid runs on ``runner``
+    (:meth:`~repro.experiments.ExperimentRunner.run_grid`), by default
+    ``ExperimentRunner(workers=1)``: in-process and uncached.  A runner
+    with workers shards the grid across processes (with on-disk caching
+    if it has a cache), bit-identically.  The offline optimum is
+    computed once per ``lambda``.
 
-    ``runner`` may be an :class:`repro.experiments.ExperimentRunner`;
-    the grid is then sharded across its worker processes (with on-disk
-    caching if the runner has a cache) and yields bit-identical results
-    to this serial path.  The default preserves serial execution.
-
-    ``engine`` selects the simulation engine; the default (``None``)
-    means ``"auto"`` — each ``(trace, lambda)``'s whole slab of
-    ``(alpha, accuracy)`` cells runs as one kernel slab, one loop-free
-    multi-row pass per alpha, when the kernel supports the factory's
-    policies (grid cells consume only ``total_cost``), per-cell on the
-    reference engine otherwise — or, with a ``runner``,
-    whatever engine the runner was configured with.  Per-cell results
-    are bit-identical across engines; pass ``"reference"`` to force the
+    ``engine`` selects the simulation engine; the default (``None``) is
+    the runner's, ``"auto"`` unless configured otherwise: each chunk of
+    a ``lambda``'s ``(alpha, accuracy)`` cells runs as one kernel slab,
+    one loop-free multi-row pass per alpha, when the kernel supports the
+    factory's policies (grid cells consume only ``total_cost``), and
+    per cell on the reference engine otherwise.  Per-cell results are
+    bit-identical across engines; pass ``"reference"`` to force the
     full-telemetry simulator.
     """
-    if runner is not None:
-        return runner.run_grid(
-            trace,
-            lambdas,
-            alphas,
-            accuracies,
-            factory=factory,
-            seed=seed,
-            optimal_cache=optimal_cache,
-            engine=engine,
-        )
-    if engine is None:
-        engine = "auto"
-    result = SweepResult()
-    opt_cache = optimal_cache if optimal_cache is not None else {}
-    # one slab per lambda: every (alpha, accuracy) cell shares the trace
-    # and cost model, which is exactly the kernel slab's unit of work
-    cells = [(alpha, acc, seed) for alpha in alphas for acc in accuracies]
-    for lam in lambdas:
-        model = CostModel(lam=lam, n=trace.n)
-        if lam not in opt_cache:
-            opt_cache[lam] = optimal_cost(trace, model)
-        opt = opt_cache[lam]
-        if _obs.enabled:
-            with _obs.span("sweep.slab", lam=lam, cells=len(cells)):
-                runs = run_slab(trace, model, cells, factory, engine=engine)
-            _obs.counter("repro_sweep_cells_total").inc(len(cells))
-        else:
-            runs = run_slab(trace, model, cells, factory, engine=engine)
-        for (alpha, acc, _), run in zip(cells, runs):
-            result.add(
-                SweepPoint(
-                    lam=lam,
-                    alpha=alpha,
-                    accuracy=acc,
-                    online_cost=run.total_cost,
-                    optimal_cost=opt,
-                )
-            )
-    return result
+    if runner is None:
+        from ..experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner(workers=1)
+    return runner.run_grid(
+        trace,
+        lambdas,
+        alphas,
+        accuracies,
+        factory=factory,
+        seed=seed,
+        engine=engine,
+    )
 
 
 def format_table(

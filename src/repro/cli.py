@@ -467,19 +467,40 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _read_fleet_log(path: str) -> list[tuple[float, int, str]]:
     """Parse a combined access log CSV into ``(time, server, object)``
-    rows.  A non-numeric first field (a header) is skipped."""
+    rows.  Blank lines are skipped, and so is the first non-blank row
+    if its time field is not a number (a header); any other malformed
+    row raises ``ValueError`` as ``path:line: <reason>``."""
     import csv
 
     rows: list[tuple[float, int, str]] = []
+    header_allowed = True
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.reader(fh):
-            if len(rec) < 3:
+        reader = csv.reader(fh)
+
+        def malformed(reason: str) -> ValueError:
+            return ValueError(f"{path}:{reader.line_num}: {reason}")
+
+        for rec in reader:
+            if not any(field.strip() for field in rec):
                 continue
+            header, header_allowed = header_allowed, False
             try:
                 t = float(rec[0])
             except ValueError:
-                continue
-            rows.append((t, int(rec[1]), rec[2].strip()))
+                if header:
+                    continue
+                raise malformed(f"time {rec[0]!r} is not a number") from None
+            if len(rec) < 3 or not rec[2].strip():
+                raise malformed(
+                    f"expected time,server,object, got {','.join(rec)!r}"
+                )
+            try:
+                server = int(rec[1])
+            except ValueError:
+                raise malformed(
+                    f"server {rec[1]!r} is not an integer"
+                ) from None
+            rows.append((t, server, rec[2].strip()))
     return rows
 
 

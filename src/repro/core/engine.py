@@ -77,14 +77,17 @@ Everything else falls back to the reference engine:
   kernel never produces telemetry, by construction.
 
 ``select_engine(trace, model, policy, "auto")`` returns the kernel iff
-``supports()`` holds, else the reference engine.  ``sweep_grid`` and
-``ExperimentRunner`` default to ``"auto"`` because grid cells consume
-only costs; ``MultiObjectSystem.run`` defaults to ``"reference"``
-because its :class:`FleetReport` exposes full per-object results.
-Slabs — cells sharing one trace — have one dispatcher,
-:func:`run_policy_slab`, over pre-built ``(model, policy)`` cells;
-:func:`run_slab` is its grid-facing adapter (it builds each ``(alpha,
-accuracy, seed)`` cell's policy once and delegates).  Cells the kernel
+``supports()`` holds, else the reference engine.  Grids and fleets share
+one runner dispatch (:mod:`repro.experiments.runner`): grid runs
+(``sweep_grid``, ``ExperimentRunner.run``/``run_grid``) default to
+``"auto"`` because grid cells consume only costs; fleet runs
+(``MultiObjectSystem.run``, ``ExperimentRunner.run_fleet``) default to
+``"reference"`` because their :class:`FleetReport` exposes full
+per-object results.  Slabs — cells sharing one trace — have one
+dispatcher, :func:`run_policy_slab`, over pre-built ``(model,
+policy)`` cells, which the runner's chunks call directly;
+:func:`run_slab` adapts ``(alpha, accuracy, seed)`` grid cells onto it
+(it builds each cell's policy once and delegates).  Cells the kernel
 does not take fall back to bit-identical per-cell execution.
 
 The kernel: loop-free segment-scan replay
@@ -1180,12 +1183,14 @@ def run_policy_slab(
 ) -> list:
     """Evaluate pre-built ``(model, policy)`` cells sharing one trace.
 
-    The one slab dispatcher: grid slabs arrive through :func:`run_slab`,
-    fleet slabs directly.  Cells may carry heterogeneous cost models —
-    distinct per-object lambdas are allowed (every model must agree with
-    ``trace.n``).  With ``engine`` ``"auto"`` or ``"kernel"`` (or a
-    :class:`KernelCostEngine`) a slab of two or more eligible cells
-    shares one :class:`_SegmentChains`, at any trace length: its
+    The one slab dispatcher: the runner's chunks (grid cells and fleet
+    objects alike) call it directly, and :func:`run_slab` adapts
+    ``(alpha, accuracy, seed)`` grid cells onto it.  Cells may carry
+    heterogeneous cost models — distinct per-object lambdas are allowed
+    (every model must agree with ``trace.n``).  With ``engine``
+    ``"auto"`` or ``"kernel"`` (or a :class:`KernelCostEngine`) a slab
+    of two or more eligible cells shares one :class:`_SegmentChains`,
+    at any trace length: its
     per-duration shift columns and per-``(lam, rates)`` Wang cascade
     replays are memoised on the chains, so cells with different lambdas
     still share the segment scan and mixed Algorithm-1 + Wang slabs run

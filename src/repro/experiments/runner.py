@@ -6,16 +6,18 @@ atomic :class:`Job`s — one per ``(lambda, alpha, accuracy, seed)`` cell
 make the parallelism safe to adopt everywhere:
 
 * **Determinism** — every job seeds its own predictor from the job's
-  ``seed`` field, exactly as the serial :func:`~..analysis.sweep.sweep_grid`
-  loop does, so ``workers=8`` is bit-identical to ``workers=1`` and to
-  the legacy serial path.
+  ``seed`` field, so ``workers=8`` is bit-identical to ``workers=1``,
+  the in-process run behind :func:`~..analysis.sweep.sweep_grid`.
 * **Caching / resumability** — each completed job (and each offline-
   optimal computation) is written to the :class:`~.cache.ResultCache` as
   it finishes; an interrupted grid resumes from the completed cells and
   a warm re-run executes zero simulations.
-* **Cheap dispatch** — jobs are tiny tuples; traces and factories reach
-  the workers through fork-inherited module state (never pickled), and
-  jobs are chunked to amortise the remaining IPC.
+* **Cheap dispatch** — scenario grids and fleets share one packer and
+  one chunk task (a fleet object is a cell like a grid cell): chunks
+  are tuples of ``(trace, lambda)`` sub-slabs of tiny cell tuples,
+  traces and policy factories reach the workers through fork-inherited
+  module state (never pickled), optima ride in chunks, and a run costs
+  one pool task per chunk.
 * **Columnar trace hand-off** — a large trace (``spill_threshold``
   requests and up, with ``workers > 1``) is not handed to workers as a
   Python object at all: the parent writes its columns once to a
@@ -46,12 +48,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..analysis.sweep import SweepPoint, SweepResult, algorithm1_factory
 from ..core import backends
 from ..core.costs import CostModel
-from ..core.engine import (
-    CostResult,
-    Engine,
-    run_policy_slab,
-    run_slab,
-)
+from ..core.engine import CostResult, Engine, run_policy_slab
 from ..core.trace import Trace
 from ..obs import metrics as _obs
 from ..obs.logging import get_logger, kv
@@ -74,9 +71,10 @@ _log = get_logger("experiments.runner")
 class WorkerCrashError(RuntimeError):
     """A pool worker process died mid-run (killed, out of memory, ...).
 
-    The message names the task kind that was in flight and, for a cached
-    scenario run, that re-running with the same cache resumes from the
-    cells completed before the crash.
+    The message names the run's task kind (``sim`` for scenario grids,
+    ``fleet`` for fleets) and, for a cached scenario run, that re-running
+    with the same cache resumes from the cells completed before the
+    crash.
     """
 
 
@@ -158,7 +156,7 @@ class ExperimentResult:
         """The rows of one seed as a legacy :class:`SweepResult`.
 
         With a single-seed scenario the seed argument may be omitted; the
-        returned points follow the serial ``sweep_grid`` ordering.
+        returned points follow ``(lambda, alpha, accuracy)`` order.
         """
         seeds = self.seeds()
         if seed is None:
@@ -186,10 +184,11 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # worker-side state and task functions
 #
-# The scenario (with its arbitrary, possibly unpicklable factories) and
-# the pre-built traces are published in this module-level slot *before*
-# the pool is created; forked workers inherit the snapshot, so task
-# arguments stay tiny and nothing user-defined is ever pickled.
+# The policy builder (closing over arbitrary, possibly unpicklable
+# factories) and the pre-built traces are published in this module-level
+# slot *before* the pool is created; forked workers inherit the
+# snapshot, so task arguments stay tiny and nothing user-defined is ever
+# pickled.
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: dict[str, Any] | None = None
 
@@ -204,22 +203,23 @@ def _ctx() -> dict[str, Any]:
     return _WORKER_CONTEXT
 
 
-def _resolve_trace(trace_key: tuple) -> Trace:
-    """The trace for ``trace_key``: fork-inherited object, or a lazily
-    memory-mapped spool file shared by every process (see the module
-    docstring's columnar hand-off note)."""
+def _resolve_trace(digest: str) -> Trace:
+    """The trace with content ``digest``: fork-inherited object, or a
+    lazily memory-mapped spool file shared by every process (see the
+    module docstring's columnar hand-off note)."""
     ctx = _ctx()
-    trace = ctx["traces"].get(trace_key)
+    trace = ctx["traces"].get(digest)
     if trace is not None:
         return trace
-    digest, path = ctx["trace_files"][trace_key]
     trace = _TRACE_MEMO.get(digest)
     if trace is None:
         from ..system.trace_io import load_trace_npz
 
         # the parent validated the trace before spooling it; skipping
         # re-validation keeps the load O(1) (no page is faulted in)
-        trace = load_trace_npz(path, mmap=True, validate=False)
+        trace = load_trace_npz(
+            ctx["trace_files"][digest], mmap=True, validate=False
+        )
         _TRACE_MEMO[digest] = trace
     return trace
 
@@ -229,146 +229,82 @@ def _resolve_trace(trace_key: tuple) -> Trace:
 _SLAB_CELL_BUCKETS = _obs.log_buckets(1.0, 1e4, per_decade=2)
 
 
-def _chunk_observed(kind: str, cells: int, thunk: Callable[[], Any]):
-    """Run one worker chunk, piggybacking telemetry on its result.
-
-    Every task function returns ``(payload, delta)`` where ``delta`` is
-    the worker's drained registry snapshot (None when instrumentation is
-    off, so the disabled path ships no extra bytes over the IPC).  The
-    parent folds each delta in with :func:`repro.obs.metrics.merge_delta`
-    at the consumption site.
-    """
-    if not _obs.enabled:
-        return thunk(), None
-    with _obs.span("runner.chunk", kind=kind, cells=cells) as sp:
-        payload = thunk()
-    _obs.counter("repro_worker_busy_seconds_total").inc(sp.elapsed)
-    return payload, _obs.drain()
-
-
-def _group_optimum(trace_key: tuple, lam: float) -> float:
-    """The offline optimum of one ``(trace, lambda)`` group."""
-    trace = _resolve_trace(trace_key)
-    return optimal_cost(trace, CostModel(lam=lam, n=trace.n))
-
-
-def _opt_task(item: tuple[tuple, float]):
-    trace_key, lam = item
-    return _chunk_observed(
-        "opt", 1, lambda: (trace_key, lam, _group_optimum(trace_key, lam))
-    )
-
-
-def _slab_chunk_task(
-    item: tuple[tuple, float, Sequence[tuple[int, float, float, int]]],
-):
-    """Evaluate one slab chunk: cells sharing a ``(trace, lambda)``.
-
-    ``item`` is ``(trace_key, lam, cells)`` with each cell an
-    ``(index, alpha, accuracy, seed)`` tuple.  The whole chunk goes
-    through :func:`~repro.core.engine.run_slab` — the grid adapter of the
-    one slab dispatcher, :func:`~repro.core.engine.run_policy_slab` — as
-    a kernel slab where the engine and policies allow it and as
-    bit-identical per-cell runs otherwise, so one IPC round covers the
-    entire slab either way.
-    """
-    trace_key, lam, cells = item
-    if _obs.enabled:
-        _obs.histogram(
-            "repro_runner_slab_cells", bounds=_SLAB_CELL_BUCKETS
-        ).observe(len(cells))
-
-    def compute() -> list[tuple[int, float]]:
-        ctx = _ctx()
-        scenario: Scenario = ctx["scenario"]
-        trace = _resolve_trace(trace_key)
-        engine = ctx.get("engine", "auto")
-        model = CostModel(lam=lam, n=trace.n)
-        runs = run_slab(
-            trace,
-            model,
-            [(alpha, accuracy, seed) for _, alpha, accuracy, seed in cells],
-            scenario.policy_factory,
-            engine=engine,
+def _ship(result) -> tuple:
+    """A materialized row: a compact ``("cost", name, engine, storage,
+    transfer, n_tx)`` tuple for a cost-only result, else ``("full",
+    SimulationResult)``."""
+    if type(result) is CostResult:
+        return (
+            "cost",
+            result.policy_name,
+            result.engine,
+            result.storage_cost,
+            result.transfer_cost,
+            result.n_transfers,
         )
-        return [(cell[0], run.total_cost) for cell, run in zip(cells, runs)]
-
-    return _chunk_observed("sim", len(cells), compute)
+    return ("full", result)
 
 
-def _fleet_chunk_task(chunk: Sequence[tuple]):
-    """Evaluate one fleet chunk: a tuple of cross-object sub-slabs.
+def _chunk_task(chunk: Sequence[tuple]):
+    """Evaluate one dispatch chunk: a tuple of sub-slabs.
 
-    Each sub-slab is ``(trace_key, lam, spec_indices, factory_indices,
-    first)`` — the objects of one ``(trace digest, lambda)`` group
-    assigned to this chunk.  The worker resolves the shared trace once
-    (fork-inherited object or digest-addressed mmap), builds every
-    object's policy from the fork-inherited factory table, and evaluates
-    the whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
-    (kernel slab where eligible, per-cell fallback otherwise) —
-    the same dispatcher grid chunks reach through ``run_slab``.
+    Each sub-slab is ``(digest, lam, cells, with_optimum)``: cells
+    sharing one ``(trace, lambda)``, each a tuple whose first field is
+    its row key (a grid job index or a fleet spec index).  The worker
+    resolves the trace once (fork-inherited object or digest-addressed
+    mmap), builds each cell's policy with the context's ``build(trace,
+    model, cell)``, and evaluates the sub-slab through
+    :func:`~repro.core.engine.run_policy_slab` (kernel slab where
+    eligible, per-cell fallback otherwise).  ``with_optimum`` asks for
+    the group's offline optimum as well, so optima ride in their chunk;
+    a sub-slab without cells carries only its optimum.
 
-    ``first`` marks the sub-slab holding its group's first spec index
-    (only when the parent asked for optima): the worker also computes
-    that group's offline optimum, outside the ``fleet.chunk`` span, so
-    the optima ride in their chunk and a fleet pass costs one pool round
-    trip per chunk rather than one per object.
-
-    Returns ``(opts, rows)``.  ``opts`` lists ``(trace_key, lam,
-    optimum)`` per flagged sub-slab.  ``rows`` are ``(spec_index, row)``
-    where ``row`` is the bare online cost in streaming mode, or a compact
-    ``("cost", name, engine, storage, transfer, n_tx)`` tuple /
-    ``("full", SimulationResult)`` payload when the parent materializes
-    outcomes — compact rows keep a million-object run's IPC free of
-    per-object trace pickling (the parent rebuilds each
-    :class:`~repro.core.engine.CostResult` against its own trace
-    reference, bitwise-identical totals).
+    Returns ``((opts, rows), delta)``.  ``opts`` lists ``(digest, lam,
+    optimum)`` per flagged sub-slab.  ``rows`` are ``(row_key,
+    row)``, where ``row`` is the bare online cost, or a :func:`_ship`
+    payload when the context's ``ship_results`` is set: compact rows
+    keep a million-object run's IPC free of per-object trace pickling
+    (the parent rebuilds each :class:`~repro.core.engine.CostResult`
+    against its own trace reference, bitwise-identical totals).
+    ``delta`` is the worker's drained telemetry registry (None when
+    instrumentation is off, so the disabled path ships no extra bytes);
+    the parent folds it in with :func:`repro.obs.metrics.merge_delta`.
     """
-    n_objects = sum(len(sub[2]) for sub in chunk)
+    ctx = _ctx()
+    n_cells = sum(len(sub[2]) for sub in chunk)
 
     def compute() -> tuple[list, list]:
-        ctx = _ctx()
-        n: int = ctx["n"]
-        engine = ctx.get("engine", "reference")
-        factories = ctx["factories"]
-        ship_results: bool = ctx["fleet_ship_results"]
-        opts: list[tuple[tuple, float, float]] = []
+        build = ctx["build"]
+        engine = ctx["engine"]
+        ship_results: bool = ctx["ship_results"]
+        opts: list[tuple[str, float, float]] = []
         rows: list[tuple[int, Any]] = []
-        for trace_key, lam, idxs, fidxs, first in chunk:
-            if first:
-                opts.append((trace_key, lam, _group_optimum(trace_key, lam)))
-            trace = _resolve_trace(trace_key)
-            model = CostModel(lam=lam, n=n)
-            cells = [(model, factories[f](trace, model)) for f in fidxs]
-            if _obs.enabled:
-                with _obs.span(
-                    "fleet.chunk", objects=len(idxs), m=len(trace), lam=lam
-                ):
-                    runs = run_policy_slab(trace, cells, engine)
-            else:
-                runs = run_policy_slab(trace, cells, engine)
-            for i, result in zip(idxs, runs):
-                if not ship_results:
-                    rows.append((i, result.total_cost))
-                elif type(result) is CostResult:
-                    rows.append(
-                        (
-                            i,
-                            (
-                                "cost",
-                                result.policy_name,
-                                result.engine,
-                                result.storage_cost,
-                                result.transfer_cost,
-                                result.n_transfers,
-                            ),
-                        )
+        for digest, lam, cells, with_optimum in chunk:
+            trace = _resolve_trace(digest)
+            model = CostModel(lam=lam, n=trace.n)
+            if with_optimum:
+                opts.append((digest, lam, optimal_cost(trace, model)))
+            runs = run_policy_slab(
+                trace, [(model, build(trace, model, c)) for c in cells], engine
+            )
+            for cell, result in zip(cells, runs):
+                rows.append(
+                    (
+                        cell[0],
+                        _ship(result) if ship_results else result.total_cost,
                     )
-                else:
-                    rows.append((i, ("full", result)))
+                )
         return opts, rows
 
-    return _chunk_observed("fleet", n_objects, compute)
+    if not _obs.enabled:
+        return compute(), None
+    _obs.histogram(
+        "repro_runner_slab_cells", bounds=_SLAB_CELL_BUCKETS
+    ).observe(n_cells)
+    with _obs.span("runner.chunk", kind=ctx["kind"], cells=n_cells) as sp:
+        payload = compute()
+    _obs.counter("repro_worker_busy_seconds_total").inc(sp.elapsed)
+    return payload, _obs.drain()
 
 
 def _fork_context():
@@ -400,7 +336,7 @@ class _Executor:
     """Uniform chunk executor: forked process pool, or in-process.
 
     Publishes ``context`` to :data:`_WORKER_CONTEXT` for the duration of
-    the run so the task functions behave identically on both paths.
+    the run so :func:`_chunk_task` behaves identically on both paths.
 
     When forking, also installs a kernel thread budget of
     ``cores // workers`` *before* the pool is created, so forked workers
@@ -408,9 +344,10 @@ class _Executor:
     the box beyond ``workers x threads <= cores`` (the serial path keeps the
     full budget).  The previous budget is restored on exit.
 
-    A worker that dies mid-run breaks the pool; :meth:`run_tagged` turns
-    that into a :class:`WorkerCrashError` naming the task kinds in
-    flight, followed by ``crash_hint`` (what the caller can do about it).
+    A worker that dies mid-run breaks the pool; :meth:`run` turns that
+    into a :class:`WorkerCrashError` naming the run's kind (the
+    context's ``kind``), followed by ``crash_hint`` (what the caller can
+    do about it).
     """
 
     _NO_BUDGET = object()     # sentinel: budget untouched (serial path)
@@ -448,57 +385,38 @@ class _Executor:
             self._prev_budget = self._NO_BUDGET
         _WORKER_CONTEXT = None
 
-    def run_tagged(
-        self,
-        tasks,
-        window: int | None = None,
-    ):
-        """Yield ``(tag, fn(arg))`` for heterogeneous tasks as they
-        complete.
+    def run(self, chunks: Sequence[tuple]):
+        """Yield each chunk's :func:`_chunk_task` result as it completes.
 
-        ``tasks`` is any iterable of ``(tag, fn, arg)`` triples.  With
-        ``window=None`` every task enters the pool together, so cheap
-        and expensive kinds never serialise behind each other.  A finite
-        ``window`` keeps at most that many tasks in flight and refills
-        from the iterable as futures complete — the shared-queue half of
-        work-stealing dispatch: a worker that drains its small chunks
+        At most ``workers x 4`` chunks are in flight, refilled from
+        ``chunks`` in order as futures complete — the shared-queue half
+        of work-stealing dispatch: a worker that drains its small chunks
         immediately pulls the next one while a straggler is still busy,
-        and the parent never holds more than ``window`` futures for an
-        arbitrarily long task stream.
+        and the parent never holds more than that many futures for an
+        arbitrarily long chunk list.
         """
         if self._pool is None:
-            for tag, fn, arg in tasks:
-                yield tag, fn(arg)
+            for chunk in chunks:
+                yield _chunk_task(chunk)
             return
-        it = iter(tasks)
-        limit = float("inf") if window is None else max(1, window)
-        tags: dict[Any, Any] = {}
+        it = iter(chunks)
         pending: set = set()
 
         def refill() -> None:
-            while len(pending) < limit:
-                nxt = next(it, None)
-                if nxt is None:
-                    return
-                tag, fn, arg = nxt
-                fut = self._pool.submit(fn, arg)
-                tags[fut] = tag
-                pending.add(fut)
+            for chunk in itertools.islice(it, self.workers * 4 - len(pending)):
+                pending.add(self._pool.submit(_chunk_task, chunk))
 
         try:
             refill()
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    result = fut.result()
-                    yield tags.pop(fut), result
+                    yield fut.result()
                 refill()
         except BrokenProcessPool as exc:
-            # every task still tagged was in flight when the pool broke
-            kinds = ", ".join(sorted(set(tags.values())))
             raise WorkerCrashError(
-                f"a worker process died while running {kinds} tasks"
-                f"{self._crash_hint}"
+                f"a worker process died while running "
+                f"{self._context['kind']} tasks{self._crash_hint}"
             ) from exc
 
 
@@ -513,9 +431,6 @@ class ExperimentRunner:
     cache:
         A :class:`ResultCache` for on-disk memoisation, or ``None`` to
         disable caching entirely.
-    chunk_size:
-        Jobs per dispatched task; ``None`` picks a size that keeps every
-        worker busy while amortising pickling.
     progress:
         A :class:`~.progress.ProgressReporter`; defaults to silent.
     engine:
@@ -550,7 +465,6 @@ class ExperimentRunner:
         self,
         workers: int | None = None,
         cache: ResultCache | None = None,
-        chunk_size: int | None = None,
         progress: ProgressReporter | None = None,
         engine: str | Engine = "auto",
         spill_dir: str | os.PathLike[str] | None = None,
@@ -560,7 +474,6 @@ class ExperimentRunner:
             workers = os.cpu_count() or 1
         self.workers = max(1, int(workers))
         self.cache = cache if cache is not None else NullCache()
-        self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
         self.engine = engine
         self.spill_dir = spill_dir
@@ -581,10 +494,10 @@ class ExperimentRunner:
         accuracies: Sequence[float],
         factory: PolicyFactory = algorithm1_factory,
         seed: int = 0,
-        optimal_cache: dict[float, float] | None = None,
         engine: str | Engine | None = None,
     ) -> SweepResult:
-        """Drop-in parallel equivalent of the serial ``sweep_grid`` loop.
+        """One ``(lambda, alpha, accuracy)`` grid on one trace, as a
+        :class:`SweepResult` (what ``sweep_grid`` returns).
 
         Simulation results are disk-cached only when ``factory`` is a
         plain module-level function whose name is a stable identity;
@@ -607,7 +520,6 @@ class ExperimentRunner:
         )
         result = self._run_scenario(
             scenario,
-            optimal_cache=optimal_cache,
             sim_cache=self.cache if salt is not None else NullCache(),
             engine=engine,
         )
@@ -621,29 +533,20 @@ class ExperimentRunner:
         materialize: bool = True,
         top_k: int = 16,
     ):
-        """Parallel equivalent of ``MultiObjectSystem.run``.
+        """Simulate every object of a ``MultiObjectSystem``.
 
         Object results are not cached (policy factories of ad-hoc specs
-        have no stable identity); parallelism and progress only.  The
-        dispatch is built for fleet scale:
+        have no stable identity); parallelism and progress only.  Objects
+        group by ``(trace digest, lambda)``, one cell per object, and go
+        through the same dispatch as scenario grids (:meth:`_dispatch`):
+        each group evaluates as one cross-object engine slab in the
+        worker, distinct traces travel once (fork-inherited or through
+        the mmap spool), and chunks are sized by total trace length, so
+        one giant object among thousands of tiny ones does not straggle.
 
-        * objects are grouped by ``(trace digest, lambda)`` and each
-          group evaluates as one cross-object engine slab in the worker
-          (:func:`~repro.core.engine.run_policy_slab`);
-        * workers receive only their own chunk's spec indices — the
-          distinct traces travel once through the fork-inherited context
-          or the content-addressed mmap spool, never per object;
-        * chunks are sized by total trace length and pulled from a
-          shared refill queue (``run_tagged(window=...)``), so one giant
-          object among thousands of tiny ones does not straggle;
-        * each group's offline optimum is computed once, by the chunk
-          holding the group's first object, and rides back with that
-          chunk's rows — one pool round trip per chunk, not one per
-          object.
-
-        Outcomes fold through an index-ordered reorder buffer, keeping
-        every mode bit-identical to the serial per-object loop (see the
-        DESIGN docstring in :mod:`repro.system.multi_object`).
+        Outcomes fold through an index-ordered reorder buffer, so every
+        worker count gives bit-identical reports (see the DESIGN
+        docstring in :mod:`repro.system.multi_object`).
 
         ``engine`` threads through to every per-object simulation.
         ``None`` (the default) inherits the engine this runner was
@@ -674,84 +577,62 @@ class ExperimentRunner:
         # by content digest — the digest is the trace's worker-side name
         digest_by_id: dict[int, str] = {}
         traces: dict[str, Trace] = {}
-        spec_digest: list[str] = []
+        spec_key: list[tuple[str, float]] = []
         for spec in specs:
             d = digest_by_id.get(id(spec.trace))
             if d is None:
                 d = trace_digest(spec.trace)
                 digest_by_id[id(spec.trace)] = d
                 traces.setdefault(d, spec.trace)
-            spec_digest.append(d)
+            spec_key.append((d, spec.lam))
 
-        # distinct policy factories, fork-inherited; chunks carry indices
+        # distinct policy factories, fork-inherited; cells carry indices
         findex: dict[int, int] = {}
         factories: list[Any] = []
-        spec_f: list[int] = []
-        for spec in specs:
+        # (digest, lambda) groups of (spec index, factory index) cells
+        groups: dict[tuple[str, float], list[tuple[int, int]]] = {}
+        for i, spec in enumerate(specs):
             k = id(spec.policy_factory)
             if k not in findex:
                 findex[k] = len(factories)
                 factories.append(spec.policy_factory)
-            spec_f.append(findex[k])
+            groups.setdefault(spec_key[i], []).append((i, findex[k]))
 
-        # (digest, lambda) slab groups, spec order within each group
-        groups: dict[tuple[str, float], list[int]] = {}
-        for i, spec in enumerate(specs):
-            groups.setdefault((spec_digest[i], spec.lam), []).append(i)
-        group_items = [(d, lam, idxs) for (d, lam), idxs in groups.items()]
-
-        inherit, trace_files, spool_cleanup = self._spool_traces(
-            traces, {d: d for d in traces}
-        )
-        context = {
-            "traces": inherit,
-            "trace_files": trace_files,
-            "n": n,
-            "engine": engine,
-            "factories": factories,
-            "fleet_ship_results": bool(materialize),
-        }
-        chunks = self._fleet_chunks(
-            group_items, specs, spec_f, compute_optimal=compute_optimal
-        )
-        tasks = (("fleet", _fleet_chunk_task, c) for c in chunks)
         self.progress.start(len(specs), label="fleet", unit="objects")
         opts: dict[tuple[str, float], float] = {}
         pending_rows: dict[int, Any] = {}
-        spec_key = [(spec_digest[i], specs[i].lam) for i in range(len(specs))]
         next_i = 0
 
-        def drain() -> None:
+        def fold(chunk_opts: list, rows: list) -> None:
             # reorder buffer: outcomes enter the report in spec-index
             # order (and only once their group's optimum is known), so
             # streaming totals repeat the serial sum's float additions
             nonlocal next_i
-            while next_i < len(specs):
-                if next_i not in pending_rows:
-                    return
+            for d, lam, opt in chunk_opts:
+                opts[(d, lam)] = opt
+            pending_rows.update(rows)
+            while next_i in pending_rows:
                 key = spec_key[next_i]
                 if compute_optimal and key not in opts:
                     return
                 row = pending_rows.pop(next_i)
                 spec = specs[next_i]
-                if materialize:
-                    if row[0] == "full":
-                        result = row[1]
-                    else:
-                        _, name, eng_name, storage, transfer, n_tx = row
-                        result = CostResult(
-                            trace=spec.trace,
-                            model=CostModel(lam=spec.lam, n=n),
-                            policy_name=name,
-                            storage_cost=storage,
-                            transfer_cost=transfer,
-                            n_transfers=n_tx,
-                            engine=eng_name,
-                        )
-                    online = result.total_cost
+                if not materialize:
+                    result, online = None, row
+                elif row[0] == "full":
+                    result, online = row[1], row[1].total_cost
                 else:
-                    result = None
-                    online = row
+                    _, name, eng_name, storage, transfer, n_tx = row
+                    result = CostResult(
+                        trace=spec.trace,
+                        model=CostModel(lam=spec.lam, n=n),
+                        policy_name=name,
+                        storage_cost=storage,
+                        transfer_cost=transfer,
+                        n_transfers=n_tx,
+                        engine=eng_name,
+                    )
+                    online = result.total_cost
                 report.add(
                     spec.object_id,
                     online,
@@ -762,25 +643,19 @@ class ExperimentRunner:
                 next_i += 1
                 self.progress.update()
 
-        window = self.workers * 4 if self.workers > 1 else None
         with _obs.timed_span("runner.fleet", objects=len(specs)) as sp:
-            try:
-                with _Executor(self.workers, context) as ex:
-                    for _, ((chunk_opts, rows), delta) in ex.run_tagged(
-                        tasks, window=window
-                    ):
-                        _obs.merge_delta(delta)
-                        for tk, lam, opt in chunk_opts:
-                            opts[(tk, lam)] = opt
-                        if _obs.enabled:
-                            _obs.counter(
-                                "repro_runner_jobs_total", source="executed"
-                            ).inc(len(rows))
-                        for i, row in rows:
-                            pending_rows[i] = row
-                        drain()
-            finally:
-                spool_cleanup()
+            n_chunks = self._dispatch(
+                "fleet",
+                traces,
+                [
+                    (d, lam, cells, compute_optimal)
+                    for (d, lam), cells in groups.items()
+                ],
+                lambda trace, model, cell: factories[cell[1]](trace, model),
+                engine,
+                fold,
+                ship_results=bool(materialize),
+            )
         self.progress.finish()
         if _obs.enabled and sp.elapsed > 0:
             _obs.gauge("repro_fleet_objects_per_second").set(
@@ -790,8 +665,8 @@ class ExperimentRunner:
             "fleet finished",
             **kv(
                 objects=len(specs),
-                groups=len(group_items),
-                chunks=len(chunks),
+                groups=len(groups),
+                chunks=n_chunks,
                 workers=self.workers,
                 materialize=bool(materialize),
                 elapsed_s=round(sp.elapsed, 3),
@@ -800,16 +675,65 @@ class ExperimentRunner:
         return report
 
     # ------------------------------------------------------------------
+    def _dispatch(
+        self,
+        kind: str,
+        traces: Mapping[str, Trace],
+        groups: Sequence[tuple[str, float, Sequence[tuple], bool]],
+        build: Callable[[Trace, CostModel, tuple], Any],
+        engine: str | Engine,
+        fold: Callable[[list, list], None],
+        ship_results: bool = False,
+        crash_hint: str = "",
+    ) -> int:
+        """Evaluate ``groups`` one pool task per chunk: the one dispatch
+        path of scenario grids and fleets (in-process when serial).
+
+        ``traces`` maps digests to traces.  Each group is ``(digest,
+        lambda, cells, with_optimum)``: the cells to simulate and whether
+        the group's offline optimum is wanted too.  Workers build each
+        cell's policy with ``build(trace, model, cell)``, run it on
+        ``engine`` and return rows as ``ship_results`` asks (see
+        :func:`_chunk_task`).  :meth:`_chunks` packs the groups;
+        ``fold(opts, rows)`` consumes each chunk's payload as it
+        completes.  ``kind`` tags the ``runner.chunk`` spans and names
+        the run in a :class:`WorkerCrashError`, followed by
+        ``crash_hint``.  Returns the number of chunks.
+        """
+        chunks = self._chunks(groups, {d: len(tr) for d, tr in traces.items()})
+        inherit, trace_files, spool_cleanup = self._spool_traces(traces)
+        context = {
+            "kind": kind,
+            "build": build,
+            "engine": engine,
+            "ship_results": ship_results,
+            "traces": inherit,
+            "trace_files": trace_files,
+        }
+        try:
+            with _Executor(self.workers, context, crash_hint) as ex:
+                for (opts, rows), delta in ex.run(chunks):
+                    _obs.merge_delta(delta)
+                    if _obs.enabled:
+                        _obs.counter(
+                            "repro_runner_jobs_total", source="executed"
+                        ).inc(len(rows))
+                    fold(opts, rows)
+        finally:
+            spool_cleanup()
+        return len(chunks)
+
     def _spool_traces(
-        self, traces: Mapping[tuple, Trace], digests: Mapping[tuple, str]
-    ) -> tuple[dict[tuple, Trace], dict[tuple, tuple[str, str]], Any]:
+        self, traces: Mapping[str, Trace]
+    ) -> tuple[dict[str, Trace], dict[str, str], Any]:
         """Write spool-eligible traces to content-addressed npz files.
 
-        Returns ``(inherit, trace_files, cleanup)``: the traces the
-        worker context keeps as objects, a ``trace_key -> (digest,
-        path)`` map for the spooled ones, and a zero-argument cleanup
-        callable (a no-op when a persistent ``spill_dir`` is configured,
-        whose content-addressed files are reusable across runs).
+        ``traces`` is keyed by content digest.  Returns ``(inherit,
+        trace_files, cleanup)``: the traces the worker context keeps as
+        objects, a ``digest -> path`` map for the spooled ones, and a
+        zero-argument cleanup callable (a no-op when a persistent
+        ``spill_dir`` is configured, whose content-addressed files are
+        reusable across runs).
         """
         threshold = self.spill_threshold
         # spool only when the run will actually fork workers: the
@@ -821,7 +745,7 @@ class ExperimentRunner:
             or _fork_context() is None
         ):
             return dict(traces), {}, lambda: None
-        big = [k for k, tr in traces.items() if len(tr) >= threshold]
+        big = [d for d, tr in traces.items() if len(tr) >= threshold]
         if not big:
             return dict(traces), {}, lambda: None
         from ..system.trace_io import save_trace_npz
@@ -836,15 +760,14 @@ class ExperimentRunner:
             )
             root = Path(tmp.name)
             cleanup = tmp.cleanup
-        trace_files: dict[tuple, tuple[str, str]] = {}
-        for k in big:
-            digest = digests[k]
+        trace_files: dict[str, str] = {}
+        for digest in big:
             path = root / f"{digest}.npz"
             if not path.exists():
                 # write-then-rename: a persistent spool dir may be shared
                 # by concurrent runs, and the digest names the content
                 tmp_path = root / f".{digest}.{os.getpid()}.tmp.npz"
-                save_trace_npz(traces[k], tmp_path)
+                save_trace_npz(traces[digest], tmp_path)
                 os.replace(tmp_path, path)
                 _log.info(
                     "trace spooled",
@@ -855,123 +778,86 @@ class ExperimentRunner:
                     _obs.counter("repro_runner_spool_bytes_total").inc(
                         path.stat().st_size
                     )
-            trace_files[k] = (digest, str(path))
-        inherit = {k: tr for k, tr in traces.items() if k not in trace_files}
+            trace_files[digest] = str(path)
+        inherit = {d: tr for d, tr in traces.items() if d not in trace_files}
         return inherit, trace_files, cleanup
 
-    # ------------------------------------------------------------------
-    def _chunk_size(self, n_tasks: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        if n_tasks == 0:
-            return 1
-        # ~4 chunks per worker balances load against dispatch overhead
-        return max(1, min(64, -(-n_tasks // (self.workers * 4))))
-
-    #: ceiling on objects per fleet chunk, bounding worker row lists
+    #: ceiling on cells per chunk, bounding worker row lists
     FLEET_CHUNK_MAX_OBJECTS = 16_384
-    #: per-object fixed work (policy build, row assembly) in
+    #: per-cell fixed work (policy build, row assembly) in
     #: request-equivalents, so tiny-trace fleets still get finite chunks
     FLEET_OBJECT_OVERHEAD = 64
 
-    def _fleet_chunks(
+    def _chunks(
         self,
-        group_items: Sequence[tuple[str, float, Sequence[int]]],
-        specs: Sequence[Any],
-        spec_f: Sequence[int],
-        compute_optimal: bool,
+        groups: Sequence[tuple[str, float, Sequence[tuple], bool]],
+        lengths: Mapping[str, int],
     ) -> list[tuple]:
-        """Pack ``(digest, lambda)`` groups into dispatch chunks by work.
+        """Pack ``(digest, lambda, cells, with_optimum)`` groups into
+        dispatch chunks by work.
 
-        Chunk cost is total trace length plus a per-object overhead, not
-        object count, so a skewed fleet (one million-request object among
-        thousands of tiny ones) splits into comparable work parcels: the
-        giant object lands in its own chunk while the tiny objects pack
-        densely.  Groups larger than one budget split across chunks;
-        groups smaller than it share chunks (each contributing a
-        sub-slab).  The packing is a pure function of spec order, trace
-        lengths, and the worker/chunk-size configuration — deterministic
-        run to run.  An explicit ``chunk_size`` reverts to object-count
-        parcels of that size.
-
-        Each sub-slab is ``(digest, lambda, spec_indices,
-        factory_indices, first)``; ``first`` is true on the sub-slab
-        holding its group's first spec index when ``compute_optimal`` is
-        set, and tells :func:`_fleet_chunk_task` to compute that group's
-        offline optimum.
+        A cell costs its trace length plus
+        :attr:`FLEET_OBJECT_OVERHEAD`, and the budget is a quarter of one
+        worker's share of the total: about 4 chunks per worker, enough
+        for the refill queue to rebalance and few enough to amortise
+        dispatch.  A group within the budget and
+        :attr:`FLEET_CHUNK_MAX_OBJECTS` stays whole, packs greedily
+        beside other groups (so tiny objects pack densely while a giant
+        one lands in a chunk of its own), and carries its own optimum.
+        A larger group splits into near-equal sub-slabs, one chunk each:
+        never more than ``workers x 2`` by the budget, so each sub-slab
+        stays wide enough for the kernel to amortise its per-trace work,
+        but as many as the cell ceiling needs.  A split group's optimum
+        is a chunk of its own with no cells, which runs the DP beside the
+        cells instead of in series with one of their chunks; so is an
+        optimum whose cells were all cached.  The packing is a pure
+        function of the groups, their trace lengths and the worker
+        count.
         """
-        def cost(i: int) -> int:
-            return len(specs[i].trace) + self.FLEET_OBJECT_OVERHEAD
-
-        if self.chunk_size is not None:
-            budget = None
-            max_objs = max(1, self.chunk_size)
-        else:
-            total = sum(
-                cost(i) for _, _, idxs in group_items for i in idxs
-            )
-            # ~4 chunks per worker: enough granularity for the refill
-            # queue to rebalance, few enough to amortise dispatch
-            budget = max(1, -(-total // (self.workers * 4)))
-            max_objs = self.FLEET_CHUNK_MAX_OBJECTS
+        overhead = self.FLEET_OBJECT_OVERHEAD
+        max_cells = self.FLEET_CHUNK_MAX_OBJECTS
+        total = sum(
+            len(cells) * (lengths[d] + overhead) for d, _, cells, _ in groups
+        )
+        budget = max(1, -(-total // (self.workers * 4)))
         chunks: list[tuple] = []
         cur: list[tuple] = []
-        cur_cost = 0
-        cur_objs = 0
-
-        def close() -> None:
-            nonlocal cur, cur_cost, cur_objs
+        cur_cost = cur_cells = 0
+        for d, lam, cells, with_optimum in groups:
+            n = len(cells)
+            cost = n * (lengths[d] + overhead)
+            pieces = max(
+                min(self.workers * 2, -(-cost // budget)), -(-n // max_cells)
+            )
+            if n and (pieces == 1 or n == 1):
+                if cur and (
+                    cur_cost + cost > budget or cur_cells + n > max_cells
+                ):
+                    chunks.append(tuple(cur))
+                    cur, cur_cost, cur_cells = [], 0, 0
+                cur.append((d, lam, tuple(cells), with_optimum))
+                cur_cost += cost
+                cur_cells += n
+                continue
+            # a split group, or an optimum whose cells were all cached;
+            # closing the open chunk first keeps chunks in group order
             if cur:
                 chunks.append(tuple(cur))
-                cur, cur_cost, cur_objs = [], 0, 0
-
-        for digest, lam, idxs in group_items:
-            pos = 0
-            while pos < len(idxs):
-                first = compute_optimal and pos == 0
-                take: list[int] = []
-                fids: list[int] = []
-                while pos < len(idxs):
-                    c = cost(idxs[pos])
-                    full = cur_objs >= max_objs or (
-                        budget is not None and cur_cost + c > budget
-                    )
-                    # an empty chunk always accepts one object, so a
-                    # single over-budget giant still dispatches
-                    if full and (cur or take):
-                        break
-                    take.append(idxs[pos])
-                    fids.append(spec_f[idxs[pos]])
-                    cur_cost += c
-                    cur_objs += 1
-                    pos += 1
-                if take:
-                    cur.append((digest, lam, tuple(take), tuple(fids), first))
-                if pos < len(idxs):
-                    close()
-        close()
+                cur, cur_cost, cur_cells = [], 0, 0
+            if with_optimum:
+                chunks.append(((d, lam, (), True),))
+            if n:
+                chunks += [
+                    ((d, lam, tuple(part), False),)
+                    for part in _chunked(cells, -(-n // pieces))
+                ]
+        if cur:
+            chunks.append(tuple(cur))
         return chunks
-
-    def _slab_chunk_size(self, n_cells: int, engine: str | Engine) -> int:
-        """Cells per dispatched slab chunk.
-
-        The kernel wants the widest chunks the pool can still
-        load-balance (its shared per-trace chains and multi-row passes
-        amortise across every cell of a chunk, and wider chunks mean
-        fewer IPC rounds); the reference engine keeps the finer-grained
-        sizing.
-        """
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        name = engine.name if isinstance(engine, Engine) else engine
-        if name in ("auto", "kernel"):
-            return max(1, -(-n_cells // (self.workers * 2)))
-        return self._chunk_size(n_cells)
 
     def _run_scenario(
         self,
         scenario: Scenario,
-        optimal_cache: dict[float, float] | None = None,
         sim_cache: ResultCache | NullCache | None = None,
         engine: str | Engine | None = None,
     ) -> ExperimentResult:
@@ -983,9 +869,7 @@ class ExperimentRunner:
         # the span both records the scenario in the timeline (when
         # enabled) and is the stopwatch behind ExperimentResult.elapsed
         with _obs.timed_span("runner.scenario", scenario=scenario.name) as sp:
-            out = self._run_scenario_inner(
-                scenario, optimal_cache, sim_cache, engine
-            )
+            out = self._run_scenario_inner(scenario, sim_cache, engine)
         out.elapsed = sp.elapsed
         _log.info(
             "scenario finished",
@@ -1008,7 +892,6 @@ class ExperimentRunner:
     def _run_scenario_inner(
         self,
         scenario: Scenario,
-        optimal_cache: dict[float, float] | None,
         sim_cache: ResultCache | NullCache | None,
         engine: str | Engine | None,
     ) -> ExperimentResult:
@@ -1023,141 +906,98 @@ class ExperimentRunner:
             workers=self.workers,
         )
 
-        # build each distinct trace once, in the parent
-        traces: dict[tuple, Trace] = {}
+        # build each distinct trace once, in the parent; workers name a
+        # trace by its content digest
         digests: dict[tuple, str] = {}
+        traces: dict[str, Trace] = {}
         for job in jobs:
-            if job.trace_key not in traces:
+            if job.trace_key not in digests:
                 tr = scenario.build_trace(**job.params)
-                traces[job.trace_key] = tr
                 digests[job.trace_key] = trace_digest(tr)
+                traces.setdefault(digests[job.trace_key], tr)
 
-        # large traces are handed off by digest + mmap path, small ones
-        # ride along in the fork-inherited context
-        inherit, trace_files, spool_cleanup = self._spool_traces(traces, digests)
-        context = {
-            "scenario": scenario,
-            "traces": inherit,
-            "trace_files": trace_files,
-            "engine": engine,
+        # one group per (digest, lambda): its optimum plus the cells the
+        # cache misses
+        groups: dict[tuple[str, float], list[tuple]] = {
+            (digests[j.trace_key], j.lam): [] for j in jobs
         }
-        opts: dict[tuple[tuple, float], float] = {}
+        opts: dict[tuple[str, float], float] = {}
         online: dict[int, tuple[float, bool]] = {}
-
-        # ----- offline optima: one per distinct (trace, lambda) -------
-        opt_pairs = list(dict.fromkeys((j.trace_key, j.lam) for j in jobs))
-        opt_misses: list[tuple[tuple, float]] = []
-        single_trace = len(traces) == 1
         with _obs.span("runner.cache_lookup", jobs=len(jobs)):
-            for tk, lam in opt_pairs:
-                if (
-                    optimal_cache is not None
-                    and single_trace
-                    and lam in optimal_cache
-                ):
-                    opts[(tk, lam)] = optimal_cache[lam]
-                    out.opt_cached += 1
-                    continue
+            for d, lam in groups:
                 hit = _cached_cost(
                     self.cache,
-                    self._opt_payload(scenario, digests[tk], lam),
+                    self._opt_payload(scenario, d, lam),
                     "optimal_cost",
                 )
                 if hit is not None:
-                    opts[(tk, lam)] = hit
+                    opts[(d, lam)] = hit
                     out.opt_cached += 1
-                else:
-                    opt_misses.append((tk, lam))
-
-            # ----- simulations: consult the cache, then dispatch misses
-            sim_misses: list[Job] = []
             for job in jobs:
+                d = digests[job.trace_key]
                 hit = _cached_cost(
                     sim_cache,
-                    self._sim_payload(scenario, digests[job.trace_key], job),
+                    self._sim_payload(scenario, d, job),
                     "online_cost",
                 )
                 if hit is not None:
                     online[job.index] = (hit, True)
                     out.cached += 1
                 else:
-                    sim_misses.append(job)
+                    groups[(d, job.lam)].append(
+                        (job.index, job.alpha, job.accuracy, job.seed)
+                    )
         if _obs.enabled:
             _obs.counter("repro_runner_jobs_total", source="cached").inc(
                 out.cached
             )
 
-        self.progress.start(
-            len(jobs), cached=out.cached, label=scenario.name
-        )
-        by_index = {j.index: j for j in sim_misses}
-        # group cache misses into slabs keyed by (trace digest, lambda):
-        # every cell of a slab shares the kernel's per-trace work, and
-        # one slab chunk costs one IPC round.  Each slab is split
-        # into at most ~2 chunks per worker so wide grids still load-
-        # balance across the pool.
-        slabs: dict[tuple[str, float], tuple[tuple, list[Job]]] = {}
-        for j in sim_misses:
-            key = (digests[j.trace_key], j.lam)
-            slabs.setdefault(key, (j.trace_key, []))[1].append(j)
-        chunks: list[tuple[tuple, float, tuple]] = []
-        for (_, lam), (trace_key, slab_jobs) in slabs.items():
-            cells = [(j.index, j.alpha, j.accuracy, j.seed) for j in slab_jobs]
-            size = self._slab_chunk_size(len(cells), engine)
-            chunks.extend(
-                (trace_key, lam, tuple(part)) for part in _chunked(cells, size)
-            )
-        # optima and simulation chunks enter the pool together: the
-        # optima are consumed only at assembly below, so nothing waits
-        # on the (expensive) DP before simulations start
-        tasks = [("opt", _opt_task, pair) for pair in opt_misses]
-        tasks += [("sim", _slab_chunk_task, chunk) for chunk in chunks]
+        def fold(chunk_opts: list, rows: list) -> None:
+            for d, lam, opt in chunk_opts:
+                opts[(d, lam)] = opt
+                out.opt_executed += 1
+                self.cache.put(
+                    self._opt_payload(scenario, d, lam), {"optimal_cost": opt}
+                )
+            for index, cost in rows:
+                online[index] = (cost, False)
+                out.executed += 1
+                job = jobs[index]
+                sim_cache.put(
+                    self._sim_payload(scenario, digests[job.trace_key], job),
+                    {"online_cost": cost},
+                )
+                self.progress.update()
+
         crash_hint = (
             f"; the cells completed before it are cached in {sim_cache.root},"
             " and re-running with the same cache resumes from them"
             if isinstance(sim_cache, ResultCache)
             else ""
         )
-        try:
-            with _Executor(self.workers, context, crash_hint) as ex:
-                for tag, (result, delta) in ex.run_tagged(tasks):
-                    _obs.merge_delta(delta)
-                    if tag == "opt":
-                        tk, lam, opt = result
-                        opts[(tk, lam)] = opt
-                        out.opt_executed += 1
-                        self.cache.put(
-                            self._opt_payload(scenario, digests[tk], lam),
-                            {"optimal_cost": opt},
-                        )
-                        if optimal_cache is not None and single_trace:
-                            optimal_cache[lam] = opt
-                        continue
-                    if _obs.enabled:
-                        _obs.counter(
-                            "repro_runner_jobs_total", source="executed"
-                        ).inc(len(result))
-                    for index, cost in result:
-                        online[index] = (cost, False)
-                        out.executed += 1
-                        job = by_index[index]
-                        sim_cache.put(
-                            self._sim_payload(
-                                scenario, digests[job.trace_key], job
-                            ),
-                            {"online_cost": cost},
-                        )
-                        self.progress.update()
-        finally:
-            spool_cleanup()
-
+        self.progress.start(len(jobs), cached=out.cached, label=scenario.name)
+        self._dispatch(
+            "sim",
+            traces,
+            [
+                (d, lam, cells, (d, lam) not in opts)
+                for (d, lam), cells in groups.items()
+                if cells or (d, lam) not in opts
+            ],
+            lambda trace, model, cell: scenario.policy_factory(
+                trace, model.lam, *cell[1:]
+            ),
+            engine,
+            fold,
+            crash_hint=crash_hint,
+        )
         for job in jobs:
             cost, was_cached = online[job.index]
             out.results.append(
                 JobResult(
                     job=job,
                     online_cost=cost,
-                    optimal_cost=opts[(job.trace_key, job.lam)],
+                    optimal_cost=opts[(digests[job.trace_key], job.lam)],
                     cached=was_cached,
                 )
             )
@@ -1193,7 +1033,7 @@ class ExperimentRunner:
 
 
 def _enumerate_jobs(scenario: Scenario) -> list[Job]:
-    """Expand a scenario grid in the serial ``sweep_grid`` order."""
+    """Expand a scenario grid in ``(seed, lambda, alpha, accuracy)`` order."""
     jobs: list[Job] = []
     for seed, lam, alpha, accuracy in itertools.product(
         scenario.seeds, scenario.lambdas, scenario.alphas, scenario.accuracies

@@ -21,35 +21,36 @@ Everything reduces to independent single-object runs (exactly the
 paper's decomposition): with no storage capacity limits, the optimal
 strategy for the combined instance is the union of per-object optima,
 and any per-object guarantee carries to the fleet total.  That
-independence is what makes every fleet execution mode *bit-identical*
-to the serial per-object loop, not merely statistically equivalent:
+independence is what makes a fleet run at any worker count
+*bit-identical* to simulating each object alone, not merely
+statistically equivalent:
 
 1. **Per-object costs.**  Each object is one ``(trace, model, policy)``
-   cell.  Cross-object slabs go through the same dispatcher as grid
-   slabs (:func:`repro.core.engine.run_policy_slab`, which
-   :func:`~repro.core.engine.run_slab` adapts for grid cells) and share
-   the per-trace work — segment chains, and one multi-row pass per
+   cell — the unit a scenario grid cell is, so fleets and grids share
+   one runner dispatch (chunks of ``(trace, lambda)`` sub-slabs, see
+   :mod:`repro.experiments.runner`) and one slab dispatcher
+   (:func:`repro.core.engine.run_policy_slab`).  A slab shares the
+   per-trace work — segment chains, and one multi-row pass per
    ``(lambda, alpha)`` group on the kernel — but each cell's arithmetic
    is the kernel replay already proven bit-identical to the reference
-   simulator.
-   Grouping objects by
-   ``(trace digest, lambda)`` only changes *which* engine evaluates a
-   cell, never the floats it produces.
+   simulator.  Grouping objects by ``(trace digest, lambda)`` only
+   changes *which* engine evaluates a cell, never the floats it
+   produces.
 2. **Offline optima.**  ``optimal_cost(trace, model)`` is a
    deterministic function of ``(trace, lambda, n)``; computing it once
    per distinct ``(trace digest, lambda)`` group and sharing the float
    across the group's objects reproduces the per-object values exactly.
-3. **Aggregation order.**  Serial totals are left-to-right Python sums
-   in spec order.  Parallel runs complete chunks in nondeterministic
-   order, so the runner folds outcomes through an index-ordered reorder
-   buffer: every accumulator (:class:`FleetStats`) sees objects in spec
-   order, making streaming totals bitwise equal to ``sum()`` over
-   materialized outcomes.
+3. **Aggregation order.**  Report totals are left-to-right Python sums
+   in spec order.  Chunks complete in nondeterministic order, so the
+   runner folds outcomes through an index-ordered reorder buffer: every
+   accumulator (:class:`FleetStats`) sees objects in spec order, making
+   streaming totals bitwise equal to ``sum()`` over materialized
+   outcomes.
 4. **Worker state.**  Workers rebuild ``CostModel(lam, n)`` from the
    same scalars and resolve traces by content digest (fork-inherited
    object or mmap of the spooled columns — the exact bytes the parent
    hashed), so policies and predictor RNG streams are bit-identical to
-   the ones the serial loop builds.
+   the ones an in-process run builds.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.costs import CostModel
-from ..core.engine import CostResult, Engine, run_policy_slab, select_engine
+from ..core.engine import CostResult, Engine
 from ..core.policy import ReplicationPolicy
 from ..core.simulator import SimulationResult
 from ..core.trace import Trace, TraceError
-from ..offline.dp import optimal_cost
 
 __all__ = [
     "ObjectSpec",
@@ -198,7 +198,7 @@ class FleetStats:
     Holds O(top_k + sketch) state regardless of fleet size: running
     totals, the worst object, a fixed log-bucket ratio sketch, and a
     top-k offender heap.  Objects must be observed in spec order for
-    totals to stay bitwise equal to the serial ``sum()`` (the runner's
+    totals to stay bitwise equal to a left-to-right ``sum()`` (the runner's
     reorder buffer guarantees that; see the module DESIGN docstring).
     """
 
@@ -360,8 +360,14 @@ class FleetReport:
         return self.stats.worst_ratio
 
     def ratio_quantile(self, q: float) -> float:
-        """Approximate per-object ratio quantile from the log sketch."""
-        return self.stats.sketch.quantile(q)
+        """Approximate per-object ratio quantile from the log sketch.
+
+        The sketch answers bucket upper edges; capping them at the worst
+        ratio keeps every quantile at or below the worst object while
+        staying within the sketch's ``10^(1/16)`` factor of the true
+        quantile, which lies in the same bucket and never exceeds it.
+        """
+        return min(self.stats.sketch.quantile(q), self.worst_object_ratio)
 
     def top_offenders(self) -> list[dict]:
         """Worst objects by ratio (at most ``top_k`` rows, descending)."""
@@ -434,8 +440,8 @@ class MultiObjectSystem:
     optimal strategy for the combined instance is the union of per-object
     optima, and any per-object competitive guarantee carries to the
     fleet total (a ratio-weighted average of per-object ratios).  See
-    the module DESIGN docstring for why every execution mode below is
-    bit-identical to the serial per-object loop.
+    the module DESIGN docstring for why a run at any worker count is
+    bit-identical to simulating each object alone.
     """
 
     def __init__(self, n: int, specs: Iterable[ObjectSpec]):
@@ -457,16 +463,19 @@ class MultiObjectSystem:
         compute_optimal: bool = True,
         runner=None,
         engine: str | Engine = "reference",
-        grouped: bool = False,
         materialize: bool = True,
         top_k: int = 16,
     ) -> FleetReport:
         """Simulate every object; optionally skip the offline optima.
 
-        ``runner`` may be an :class:`repro.experiments.ExperimentRunner`;
-        per-object simulations then shard across its worker processes
-        with results identical to the serial path (objects are
-        independent).  The default preserves serial execution.
+        The fleet runs through ``runner``'s
+        :meth:`~repro.experiments.ExperimentRunner.run_fleet`: objects
+        sharing a ``(trace, lambda)`` evaluate as one cross-object engine
+        slab (:func:`~repro.core.engine.run_policy_slab`), and each
+        group's offline optimum is computed once.  The default
+        (``None``) is ``ExperimentRunner(workers=1)``, in-process; a
+        runner with workers shards the objects across processes with
+        bit-identical results (objects are independent).
 
         ``engine`` selects the simulation engine per object.  The default
         ``"reference"`` keeps full per-object telemetry in the report
@@ -474,83 +483,24 @@ class MultiObjectSystem:
         runs cost-only where the kernel supports the policy — outcomes
         then carry a
         :class:`~repro.core.engine.CostResult` with identical costs but
-        no telemetry (``"auto"`` runs each eligible object on the
-        loop-free kernel; ``grouped=True`` slabs take the tier
-        :func:`~repro.core.engine.run_policy_slab` picks).
-
-        ``grouped=True`` evaluates objects sharing a ``(trace, lambda)``
-        as one cross-object engine slab in-process
-        (:func:`~repro.core.engine.run_policy_slab`) and computes each
-        group's offline optimum once — the serial sibling of the
-        runner's sharded dispatch, bit-identical to ``grouped=False``.
+        no telemetry.
 
         ``materialize=False`` streams outcomes through the
         :class:`FleetStats` accumulator instead of keeping one
         :class:`ObjectOutcome` per object; ``top_k`` sizes its offender
         table.
         """
-        if runner is not None:
-            return runner.run_fleet(
-                self,
-                compute_optimal=compute_optimal,
-                engine=engine,
-                materialize=materialize,
-                top_k=top_k,
-            )
-        report = FleetReport(materialize=materialize, top_k=top_k)
-        opt_memo: dict[tuple[int, float], float] = {}
+        if runner is None:
+            from ..experiments.runner import ExperimentRunner
 
-        def opt_for(trace: Trace, lam: float) -> float:
-            # optimal_cost is deterministic in (trace, lam, n), so the
-            # memo returns the identical float the per-object call would
-            if not compute_optimal:
-                return 0.0
-            key = (id(trace), lam)
-            if key not in opt_memo:
-                opt_memo[key] = optimal_cost(
-                    trace, CostModel(lam=lam, n=self.n)
-                )
-            return opt_memo[key]
-
-        if grouped:
-            groups: dict[tuple[int, float], list[int]] = {}
-            for i, spec in enumerate(self.specs):
-                groups.setdefault((id(spec.trace), spec.lam), []).append(i)
-            rows: list = [None] * len(self.specs)
-            for (_tid, lam), idxs in groups.items():
-                trace = self.specs[idxs[0]].trace
-                model = CostModel(lam=lam, n=self.n)
-                cells = [
-                    (model, self.specs[i].policy_factory(trace, model))
-                    for i in idxs
-                ]
-                runs = run_policy_slab(trace, cells, engine)
-                opt = opt_for(trace, lam)
-                for i, r in zip(idxs, runs):
-                    rows[i] = (r, opt)
-            for spec, (result, opt) in zip(self.specs, rows):
-                report.add(
-                    spec.object_id,
-                    result.total_cost,
-                    opt,
-                    len(spec.trace),
-                    result=result if materialize else None,
-                )
-            return report
-        for spec in self.specs:
-            model = CostModel(lam=spec.lam, n=self.n)
-            policy = spec.policy_factory(spec.trace, model)
-            result = select_engine(spec.trace, model, policy, engine).run_observed(
-                spec.trace, model, policy
-            )
-            report.add(
-                spec.object_id,
-                result.total_cost,
-                opt_for(spec.trace, spec.lam),
-                len(spec.trace),
-                result=result if materialize else None,
-            )
-        return report
+            runner = ExperimentRunner(workers=1)
+        return runner.run_fleet(
+            self,
+            compute_optimal=compute_optimal,
+            engine=engine,
+            materialize=materialize,
+            top_k=top_k,
+        )
 
 
 def split_trace_by_object(

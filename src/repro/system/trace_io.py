@@ -412,7 +412,13 @@ def load_access_log_csv(
             ts, op, obj = parts[0], parts[1], parts[2]
             if op not in read_ops:
                 continue
-            per_object.setdefault(obj, []).append(float(ts) * time_unit)
+            try:
+                t = float(ts) * time_unit
+            except ValueError:
+                raise TraceError(
+                    f"{path}:{lineno}: timestamp {ts!r} is not a number"
+                ) from None
+            per_object.setdefault(obj, []).append(t)
 
     rng = np.random.default_rng(seed)
     probs = zipf_server_probabilities(n, zipf_exponent)

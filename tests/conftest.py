@@ -16,13 +16,28 @@ from repro import (
     ReferenceEngine,
     Trace,
     WangReplication,
+    optimal_cost,
     run_slab,
+    simulate,
 )
 from repro.core.backends import THREADS_MIN_CELLS_PER_THREAD, set_thread_budget
 from repro.workloads import uniform_random_trace
 
 #: the narrowest slab ``auto`` fans out over threads
 MIN_THREADED_CELLS = 2 * THREADS_MIN_CELLS_PER_THREAD
+
+
+def fleet_reference(system) -> list[tuple[str, float, float]]:
+    """Each object of a ``MultiObjectSystem`` simulated alone on the
+    reference simulator, with its own offline optimum: ``(object_id,
+    online, optimal)`` per spec."""
+    out = []
+    for spec in system.specs:
+        model = CostModel(lam=spec.lam, n=system.n)
+        policy = spec.policy_factory(spec.trace, model)
+        online = simulate(spec.trace, model, policy).total_cost
+        out.append((spec.object_id, online, optimal_cost(spec.trace, model)))
+    return out
 
 
 @pytest.fixture

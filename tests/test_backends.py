@@ -88,11 +88,12 @@ def _slab_run(n, run):
 
 
 def _serial_and_threaded(run):
-    """``run()`` — one kernel slab of at least ``MIN_THREADED_CELLS``
-    cells — at budget 1 and at budget 4: asserts the slab ran serially,
+    """``run()`` — kernel slabs of at least ``MIN_THREADED_CELLS`` cells
+    each — at budget 1 and at budget 4: asserts every slab ran serially,
     then over threads, and returns both results."""
     (serial, tags1), (threaded, tags4) = _slab_run(1, run), _slab_run(4, run)
-    assert (tags1, tags4) == (["numpy"], ["threads"])
+    assert tags1
+    assert (tags1, tags4) == (["numpy"] * len(tags1), ["threads"] * len(tags1))
     return serial, threaded
 
 
@@ -211,8 +212,8 @@ def _fleet_policy(trace, lam, kind, alpha, acc):
 def test_mixed_fleet_bit_identity_across_backends(slab):
     """Mixed Algorithm-1 + Wang fleet slabs with heterogeneous lambdas:
     the threaded path replays every object's ledger bit for bit, and the
-    serial slab, the grouped fleet and the sharded fleet all give the
-    reference simulator's per-object costs."""
+    serial slab and the fleet run both give the reference simulator's
+    per-object costs."""
     trace, objects = slab
     models = [CostModel(lam=lam, n=trace.n) for lam, *_ in objects]
 
@@ -235,13 +236,10 @@ def test_mixed_fleet_bit_identity_across_backends(slab):
                    lambda tr, model, obj=obj: _fleet_policy(tr, *obj))
         for k, obj in enumerate(objects)
     ])
-    grouped = system.run(engine="kernel", compute_optimal=False, grouped=True)
-    sharded = ExperimentRunner(workers=1).run_fleet(
-        system, engine="kernel", compute_optimal=False
-    )
-    base = [r.total_cost for r in refs]
-    for report in (grouped, sharded):
-        assert [o.result.total_cost for o in report.outcomes] == base
+    report = system.run(engine="kernel", compute_optimal=False)
+    assert [o.result.total_cost for o in report.outcomes] == [
+        r.total_cost for r in refs
+    ]
 
 
 def test_all_registered_scenarios_backends_bit_identical():
@@ -412,9 +410,11 @@ def test_batch_for_cells_memos_thread_safe():
 # ----------------------------------------------------------------------
 
 #: a 4 x 4 grid: one threaded-width slab per lambda
+#: 32 cells: the in-process runner splits the slab into two sub-slabs of
+#: MIN_THREADED_CELLS, each wide enough for the threaded path
 GRID = dict(
     lambdas=(50.0,),
-    alphas=(0.2, 0.4, 0.6, 0.8),
+    alphas=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
     accuracies=(0.25, 0.5, 0.75, 1.0),
 )
 
@@ -432,10 +432,10 @@ def test_sweep_grid_backend_matches_default():
 
 
 def test_experiment_runner_backend_matches_default():
-    """The runner's in-process grid chunks (16 cells each) reach the
-    threaded path and return the serial costs."""
+    """The runner's in-process grid chunks (two 16-cell sub-slabs) reach
+    the threaded path and return the serial costs."""
     trace = ibm_like_trace(n=6, m=400, seed=4)
-    runner = ExperimentRunner(workers=1, engine="kernel", chunk_size=16)
+    runner = ExperimentRunner(workers=1, engine="kernel")
     base, got = _serial_and_threaded(lambda: runner.run_grid(trace, **GRID))
     assert _online_costs(base) == _online_costs(got)
 
@@ -460,8 +460,8 @@ def test_executor_caps_thread_budget_while_forked():
 
 
 def test_multi_object_backend_matches_default():
-    """A grouped fleet of 16 objects sharing a (trace, lambda) is one
-    threaded kernel slab with the serial per-object costs."""
+    """A fleet of 32 objects sharing a (trace, lambda) runs as two
+    threaded kernel slabs with the serial per-object costs."""
     tr = uniform_random_trace(n=3, m=400, horizon=2e5, seed=7)
     specs = [
         ObjectSpec(
@@ -470,11 +470,11 @@ def test_multi_object_backend_matches_default():
             lam=10.0,
             policy_factory=lambda trace, model: ConventionalReplication(),
         )
-        for i in range(MIN_THREADED_CELLS)
+        for i in range(2 * MIN_THREADED_CELLS)
     ]
     system = MultiObjectSystem(3, specs)
     base, got = _serial_and_threaded(
-        lambda: system.run(engine="kernel", compute_optimal=False, grouped=True)
+        lambda: system.run(engine="kernel", compute_optimal=False)
     )
     for a, b in zip(base.outcomes, got.outcomes):
         assert a.result.total_cost == b.result.total_cost
@@ -527,7 +527,7 @@ def test_obs_summary_groups_by_backend():
 def test_fleet_spans_tag_backend_only_on_kernel_tier():
     """In a fleet only kernel-tier spans name an execution path: every
     engine span, short objects and long alike, and none of the
-    fleet.chunk spans, whichever path ran inside them."""
+    runner.chunk spans, whichever path ran inside them."""
     from repro.obs.exporters import summarize
 
     def conventional(trace, model):
@@ -549,9 +549,9 @@ def test_fleet_spans_tag_backend_only_on_kernel_tier():
     ]
     assert {s["tags"]["tier"] for s in engine_spans} == {"kernel"}
     assert all("backend" in s["tags"] for s in engine_spans)
-    chunks = [s for s in snap["spans"] if s["name"] == "fleet.chunk"]
+    chunks = [s for s in snap["spans"] if s["name"] == "runner.chunk"]
     assert chunks and not any("backend" in s["tags"] for s in chunks)
-    assert "fleet.chunk{" not in summarize(snap)
+    assert "runner.chunk{" not in summarize(snap)
 
 
 def test_bench_thread_counts_never_oversubscribe(monkeypatch):

@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.sweep import sweep_grid
+from repro import CostModel, optimal_cost, simulate
+from repro.analysis.sweep import SweepPoint, algorithm1_factory, sweep_grid
 from repro.experiments import (
     ArtifactStore,
     ConsoleProgress,
@@ -29,6 +30,8 @@ from repro.experiments import (
     unregister_scenario,
 )
 from repro.workloads import uniform_random_trace
+
+from conftest import fleet_reference
 
 LAMS = (5.0, 50.0)
 ALPHAS = (0.2, 0.5, 1.0)
@@ -148,16 +151,33 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # runner: parallel == serial
 # ----------------------------------------------------------------------
+def reference_points(trace, lambdas, alphas, accuracies, seed):
+    """Each grid cell simulated alone on the reference simulator, in
+    ``sweep_grid`` order, with its own offline optimum."""
+    points = []
+    for lam in lambdas:
+        model = CostModel(lam=lam, n=trace.n)
+        opt = optimal_cost(trace, model)
+        for alpha in alphas:
+            for acc in accuracies:
+                policy = algorithm1_factory(trace, lam, alpha, acc, seed)
+                online = simulate(trace, model, policy).total_cost
+                points.append(SweepPoint(lam, alpha, acc, online, opt))
+    return points
+
+
 class TestEquivalence:
-    def test_run_grid_matches_serial_sweep(self):
+    def test_run_grid_matches_reference_cells(self):
         trace = small_trace_factory(7)
-        serial = sweep_grid(trace, LAMS, ALPHAS, ACCS, seed=7)
+        reference = reference_points(trace, LAMS, ALPHAS, ACCS, seed=7)
+        default = sweep_grid(trace, LAMS, ALPHAS, ACCS, seed=7)
+        assert default.points == reference
         for workers in (1, 2):
             got = sweep_grid(
                 trace, LAMS, ALPHAS, ACCS, seed=7,
                 runner=ExperimentRunner(workers=workers),
             )
-            assert got.points == serial.points
+            assert got.points == reference
 
     def test_scenario_parallel_matches_serial(self, scenario):
         serial = ExperimentRunner(workers=1).run(scenario)
@@ -169,19 +189,6 @@ class TestEquivalence:
             r.optimal_cost for r in parallel.results
         ]
         assert serial.sweep_result(7).points == parallel.sweep_result(7).points
-
-    def test_optimal_cache_shared_with_serial_path(self):
-        trace = small_trace_factory(1)
-        opt_cache: dict[float, float] = {}
-        sweep_grid(
-            trace, LAMS, (0.5,), (1.0,), seed=1,
-            optimal_cache=opt_cache, runner=ExperimentRunner(workers=1),
-        )
-        assert set(opt_cache) == set(LAMS)
-        serial_cache: dict[float, float] = {}
-        sweep_grid(trace, LAMS, (0.5,), (1.0,), seed=1,
-                   optimal_cache=serial_cache)
-        assert opt_cache == serial_cache
 
     def test_multi_seed_scenario(self, scenario):
         multi = replace(scenario, seeds=(1, 2))
@@ -195,8 +202,9 @@ class TestEquivalence:
 
 
 class TestFig25Acceptance:
-    """The PR's acceptance grid: fig25 rows identical across execution
-    modes (2 workers == 1 worker == legacy serial ``sweep_grid``)."""
+    """The acceptance grid: fig25 rows identical across execution modes
+    (2 workers == 1 worker == ``sweep_grid``) and to the reference
+    simulator cell by cell."""
 
     def test_fig25_parallel_serial_and_legacy_agree(self):
         scenario = get_scenario("fig25").with_grid(
@@ -212,7 +220,105 @@ class TestFig25Acceptance:
             trace, scenario.lambdas, scenario.alphas, scenario.accuracies,
             seed=0,
         )
-        assert legacy.points == parallel.sweep_result().points
+        reference = reference_points(
+            trace, scenario.lambdas, scenario.alphas, scenario.accuracies, 0
+        )
+        assert legacy.points == parallel.sweep_result().points == reference
+
+
+# ----------------------------------------------------------------------
+# dispatch: one packer, one pool task per chunk
+# ----------------------------------------------------------------------
+def _shape(chunks):
+    """Each chunk as ``[(trace, cells, with_optimum)]`` per sub-slab."""
+    return [[(d, len(cells), opt) for d, _, cells, opt in c] for c in chunks]
+
+
+def _group(d, cells, with_optimum=True):
+    return (d, 10.0, [(i, 0.5, 1.0, 0) for i in range(cells)], with_optimum)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "workers,groups,lengths,shape",
+        [
+            # long-grid: a split group's optimum goes alone, and its
+            # cells split into workers x 2 sub-slabs of at most 31
+            (2, [_group("g", 121)], {"g": 200_000},
+             [[("g", 0, True)]] + [[("g", 31, False)]] * 3
+             + [[("g", 28, False)]]),
+            # adaptive-grid: 9 cells, at most workers x 2 sub-slabs
+            (2, [_group("g", 9)], {"g": 11_688},
+             [[("g", 0, True)]] + [[("g", 3, False)]] * 3),
+            # fleet-log: one-object groups pack by the budget, each
+            # carrying its optimum
+            (1, [_group(f"o{i}", 1) for i in range(16)],
+             {f"o{i}": 16 for i in range(16)},
+             [[(f"o{4 * k + j}", 1, True) for j in range(4)]
+              for k in range(4)]),
+            # an optimum whose cells all hit the cache runs alone, once
+            (2, [_group("a", 0), _group("b", 6, False)],
+             {"a": 500, "b": 500},
+             [[("a", 0, True)]] + [[("b", 2, False)]] * 3),
+        ],
+        ids=["long-grid", "adaptive-grid", "fleet-log", "cached-cells"],
+    )
+    def test_packer_rules(self, workers, groups, lengths, shape):
+        chunks = ExperimentRunner(workers=workers)._chunks(groups, lengths)
+        assert _shape(chunks) == shape
+
+    def test_grid_run_is_one_task_per_chunk(self, scenario):
+        """Each (trace, lambda) group of 9 cells on 2 workers: the
+        optimum alone plus 3 three-cell sub-slabs, one pool task each."""
+        from repro.obs import metrics
+
+        with metrics.enabled_scope():
+            metrics.reset()
+            ExperimentRunner(workers=2).run(scenario)
+            snap = metrics.drain()
+        spans = [
+            s["tags"] for s in snap["spans"] if s["name"] == "runner.chunk"
+        ]
+        assert [t["kind"] for t in spans] == ["sim"] * 8
+        assert sorted(t["cells"] for t in spans) == [0] * 2 + [3] * 6
+
+    def test_cached_cells_optimum_runs_alone_once(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        import repro.experiments.runner as runner_mod
+        from repro.obs import metrics
+
+        cold = ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            scenario
+        )
+        for path in tmp_path.glob("*/*.json"):
+            if json.loads(path.read_text())["key"]["kind"] == "opt":
+                path.unlink()
+        calls = []
+        real = runner_mod.optimal_cost
+
+        def counting(trace, model):
+            calls.append(model.lam)
+            return real(trace, model)
+
+        monkeypatch.setattr(runner_mod, "optimal_cost", counting)
+        with metrics.enabled_scope():
+            metrics.reset()
+            runner = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
+            warm = runner.run(scenario)
+            snap = metrics.drain()
+        assert warm.cached == scenario.n_jobs
+        assert warm.opt_executed == len(LAMS)
+        assert calls == list(LAMS)
+        cells = [
+            s["tags"]["cells"]
+            for s in snap["spans"]
+            if s["name"] == "runner.chunk"
+        ]
+        assert cells == [0] * len(LAMS)
+        assert [r.as_row() for r in warm.results] == [
+            {**r.as_row(), "cached": True} for r in cold.results
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +378,7 @@ class TestCache:
             pytest.skip("needs the fork start method")
         cache_dir = tmp_path / "cache"
         crashing = replace(scenario, policy_factory=crashing_factory)
-        runner = ExperimentRunner(
-            workers=2, chunk_size=1, cache=ResultCache(cache_dir)
-        )
+        runner = ExperimentRunner(workers=2, cache=ResultCache(cache_dir))
         with pytest.raises(WorkerCrashError) as err:
             runner.run(crashing)
         msg = str(err.value)
@@ -432,17 +536,13 @@ class TestFleet:
 
     def test_fleet_parallel_matches_serial(self):
         system = self._system()
+        reference = fleet_reference(system)
         serial = system.run()
         parallel = system.run(runner=ExperimentRunner(workers=2))
-        assert [o.object_id for o in serial.outcomes] == [
-            o.object_id for o in parallel.outcomes
-        ]
-        assert [o.online for o in serial.outcomes] == [
-            o.online for o in parallel.outcomes
-        ]
-        assert [o.optimal for o in serial.outcomes] == [
-            o.optimal for o in parallel.outcomes
-        ]
+        for report in (serial, parallel):
+            assert [
+                (o.object_id, o.online, o.optimal) for o in report.outcomes
+            ] == reference
         assert serial.fleet_ratio == parallel.fleet_ratio
 
     def test_fleet_skip_optimal(self):

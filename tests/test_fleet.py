@@ -2,12 +2,15 @@
 streaming aggregates, chunking, and the fleet CLI.
 
 The load-bearing property is bit-identity: grouped slab evaluation,
-sharded worker dispatch, and streaming aggregation must reproduce the
-serial per-object reference loop float-for-float, including mixed
-Algorithm-1 + Wang fleets, which ride the kernel tier as one slab.
+sharded worker dispatch, and streaming aggregation must reproduce each
+object's reference simulation and offline optimum float-for-float,
+including mixed Algorithm-1 + Wang fleets, which ride the kernel tier as
+one slab.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from repro.system import (
     split_trace_by_object,
 )
 from repro.workloads import uniform_random_trace
+
+from conftest import fleet_reference
 
 
 def la_oracle(trace, model):
@@ -102,15 +107,15 @@ def _mixed_system(n_objects=30, n=4, seed=0):
     return MultiObjectSystem(n, specs)
 
 
-def _assert_outcomes_equal(a, b):
-    assert [o.object_id for o in a.outcomes] == [o.object_id for o in b.outcomes]
-    for x, y in zip(a.outcomes, b.outcomes):
-        assert x.online == y.online, x.object_id
-        assert x.optimal == y.optimal, x.object_id
+def _assert_matches_reference(report, reference, optimal=True):
+    assert [
+        (o.object_id, o.online, o.optimal if optimal else 0.0)
+        for o in report.outcomes
+    ] == [(i, on, opt if optimal else 0.0) for i, on, opt in reference]
 
 
 # ----------------------------------------------------------------------
-# bit-identity: grouped slabs / sharded runner / streaming vs serial
+# bit-identity: grouped slabs / sharded runner / streaming vs reference
 # ----------------------------------------------------------------------
 
 
@@ -118,24 +123,28 @@ class TestFleetBitIdentity:
     @settings(max_examples=20, deadline=None)
     @given(fleet_systems())
     def test_grouped_sharded_streaming_match_serial(self, system):
-        serial = system.run(engine="reference")
-        grouped = system.run(engine="auto", grouped=True)
-        _assert_outcomes_equal(serial, grouped)
+        reference = fleet_reference(system)
         runner = ExperimentRunner(workers=1)
-        sharded = runner.run_fleet(system, engine="auto")
-        _assert_outcomes_equal(serial, sharded)
+        report = runner.run_fleet(system, engine="auto")
+        _assert_matches_reference(report, reference)
         streaming = runner.run_fleet(system, engine="auto", materialize=False)
-        assert streaming.online_total == serial.online_total
-        assert streaming.optimal_total == serial.optimal_total
-        assert streaming.worst_object_ratio == serial.worst_object_ratio
-        assert streaming.n_objects == serial.n_objects
+        online = optimal = 0.0
+        for _, on, opt in reference:
+            online += on
+            optimal += opt
+        assert streaming.online_total == online
+        assert streaming.optimal_total == optimal
+        assert streaming.worst_object_ratio == max(
+            on / opt if opt else (1.0 if on == 0 else float("inf"))
+            for _, on, opt in reference
+        )
+        assert streaming.n_objects == len(reference)
 
     @settings(max_examples=10, deadline=None)
     @given(fleet_systems(max_objects=5))
     def test_grouped_kernel_slabs_match_reference(self, system):
-        reference = system.run(engine="reference")
-        grouped = system.run(engine="kernel", grouped=True)
-        _assert_outcomes_equal(reference, grouped)
+        report = system.run(engine="kernel")
+        _assert_matches_reference(report, fleet_reference(system))
 
     def test_kernel_slab_matches_serial(self):
         tr = uniform_random_trace(3, 60, horizon=120.0, seed=2)
@@ -144,9 +153,8 @@ class TestFleetBitIdentity:
             for i in range(6)
         ]
         system = MultiObjectSystem(3, specs)
-        serial = system.run(engine="reference")
-        kernel = system.run(engine="kernel", grouped=True)
-        _assert_outcomes_equal(serial, kernel)
+        report = system.run(engine="kernel")
+        _assert_matches_reference(report, fleet_reference(system))
 
     def test_strict_kernel_takes_mixed_wang_fleet(self):
         """A heterogeneous Algorithm-1 + Wang fleet is a single-tier
@@ -159,29 +167,28 @@ class TestFleetBitIdentity:
             ObjectSpec("d", tr, 25.0, conventional),
         ]
         system = MultiObjectSystem(3, specs)
-        serial = system.run(engine="reference")
-        kernel = system.run(engine="kernel", grouped=True)
-        _assert_outcomes_equal(serial, kernel)
-        auto = system.run(engine="auto", grouped=True)
-        _assert_outcomes_equal(serial, auto)
+        reference = fleet_reference(system)
+        kernel = system.run(engine="kernel")
+        _assert_matches_reference(kernel, reference)
+        assert {o.result.engine for o in kernel.outcomes} == {"kernel"}
+        _assert_matches_reference(system.run(engine="auto"), reference)
 
     def test_worker_pool_matches_serial(self):
         system = _mixed_system(30)
-        serial = system.run(engine="reference")
+        reference = fleet_reference(system)
         runner = ExperimentRunner(workers=2)
-        sharded = runner.run_fleet(system, engine="auto")
-        _assert_outcomes_equal(serial, sharded)
+        report = runner.run_fleet(system, engine="auto")
+        _assert_matches_reference(report, reference)
         streaming = runner.run_fleet(system, engine="auto", materialize=False)
-        assert streaming.online_total == serial.online_total
-        assert streaming.optimal_total == serial.optimal_total
+        assert streaming.online_total == sum(on for _, on, _ in reference)
+        assert streaming.optimal_total == sum(opt for _, _, opt in reference)
 
     def test_skip_optimal(self):
         system = _mixed_system(8)
         runner = ExperimentRunner(workers=1)
         report = runner.run_fleet(system, compute_optimal=False, engine="kernel")
         assert report.optimal_total == 0.0
-        serial = system.run(compute_optimal=False, engine="reference")
-        assert report.online_total == serial.online_total
+        _assert_matches_reference(report, fleet_reference(system), optimal=False)
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +196,20 @@ class TestFleetBitIdentity:
 # ----------------------------------------------------------------------
 
 
-class TestFleetChunking:
-    def _chunk_inputs(self, specs):
-        spec_digest = [trace_digest(s.trace) for s in specs]
-        spec_f = [0] * len(specs)
-        groups: dict = {}
-        for i, s in enumerate(specs):
-            groups.setdefault((spec_digest[i], s.lam), []).append(i)
-        return [(d, lam, idxs) for (d, lam), idxs in groups.items()], spec_f
+def _fleet_groups(specs):
+    """The ``(digest, lambda, cells, with_optimum)`` groups and trace
+    lengths ``run_fleet`` hands the packer (one policy factory)."""
+    groups: dict = {}
+    lengths = {}
+    for i, s in enumerate(specs):
+        d = trace_digest(s.trace)
+        lengths[d] = len(s.trace)
+        groups.setdefault((d, s.lam), []).append((i, 0))
+    items = [(d, lam, cells, True) for (d, lam), cells in groups.items()]
+    return items, lengths
 
+
+class TestFleetChunking:
     def test_skewed_fleet_chunking_deterministic_and_complete(self):
         giant = uniform_random_trace(3, 3000, horizon=6000.0, seed=9)
         tiny = [
@@ -209,54 +221,47 @@ class TestFleetChunking:
         ]
         specs.insert(7, ObjectSpec("giant", giant, 5.0, la_oracle))
         runner = ExperimentRunner(workers=4)
-        group_items, spec_f = self._chunk_inputs(specs)
-        c1, c2 = (
-            runner._fleet_chunks(
-                group_items, specs, spec_f, compute_optimal=True
-            )
-            for _ in range(2)
-        )
+        groups, lengths = _fleet_groups(specs)
+        c1, c2 = (runner._chunks(groups, lengths) for _ in range(2))
         assert c1 == c2  # same inputs -> byte-identical chunking
         subs = [sub for chunk in c1 for sub in chunk]
-        covered = sorted(i for _, _, idxs, _, _ in subs for i in idxs)
+        covered = sorted(i for _, _, cells, _ in subs for i, _ in cells)
         assert covered == list(range(len(specs)))
         assert len(c1) > 1  # the skewed fleet actually splits
         # the giant object dominates the per-chunk cost budget, so the
         # chunk carrying it holds nothing else
         for chunk in c1:
-            idxs = [i for _, _, sub, _, _ in chunk for i in sub]
+            idxs = [i for _, _, cells, _ in chunk for i, _ in cells]
             if 7 in idxs:
                 assert idxs == [7]
-        # exactly one sub-slab per group is flagged to compute the
-        # group's optimum: the one holding the group's first spec index
-        flagged = [(d, lam, idxs[0]) for d, lam, idxs, _, f in subs if f]
-        assert flagged == [(d, lam, idxs[0]) for d, lam, idxs in group_items]
-        assert not any(
-            f for chunk in runner._fleet_chunks(
-                group_items, specs, spec_f, compute_optimal=False
-            ) for *_, f in chunk
-        )
+        # each group asks for its optimum exactly once: in its only
+        # sub-slab if it stayed whole, else in a chunk of its own
+        flagged = [(d, lam) for d, lam, _, opt in subs if opt]
+        assert sorted(flagged) == sorted((d, lam) for d, lam, _, _ in groups)
+        for d, lam, cells, _ in groups:
+            parts = [sub for sub in subs if sub[:2] == (d, lam) and sub[2]]
+            if len(parts) > 1:
+                assert ((d, lam, (), True),) in c1
 
-    def test_chunk_size_override(self):
+    def test_chunk_size_override(self, monkeypatch):
+        """``FLEET_CHUNK_MAX_OBJECTS`` caps the cells of every chunk."""
         specs = [
             ObjectSpec(
                 f"o{i}", uniform_random_trace(2, 4, 10.0, seed=i), 2.0, la_oracle
             )
             for i in range(10)
         ]
-        runner = ExperimentRunner(workers=2, chunk_size=3)
-        group_items, spec_f = self._chunk_inputs(specs)
-        chunks = runner._fleet_chunks(
-            group_items, specs, spec_f, compute_optimal=True
-        )
-        sizes = [sum(len(idxs) for _, _, idxs, _, _ in c) for c in chunks]
+        monkeypatch.setattr(ExperimentRunner, "FLEET_CHUNK_MAX_OBJECTS", 3)
+        chunks = ExperimentRunner(workers=2)._chunks(*_fleet_groups(specs))
+        sizes = [sum(len(cells) for _, _, cells, _ in c) for c in chunks]
         assert all(s <= 3 for s in sizes)
         assert sum(sizes) == len(specs)
 
     @staticmethod
     def _split_group_system():
-        # a six-object (trace, lambda) group, which chunk_size=2 splits
-        # across three chunks, plus two single-object groups
+        # a six-object (trace, lambda) group, which a two-cell chunk
+        # ceiling splits across three chunks, plus two single-object
+        # groups
         tr = uniform_random_trace(3, 40, horizon=120.0, seed=5)
         other = uniform_random_trace(3, 25, horizon=90.0, seed=6)
         specs = [
@@ -269,39 +274,47 @@ class TestFleetChunking:
         ]
         return MultiObjectSystem(3, specs)
 
-    def test_fleet_dispatch_is_one_task_per_chunk(self):
-        """Optima ride in their fleet chunk: the pool sees one task per
-        chunk and no standalone optimum tasks."""
+    def test_fleet_dispatch_is_one_task_per_chunk(self, monkeypatch):
+        """The pool sees one task per chunk, optima included."""
         from repro.obs import metrics
 
+        monkeypatch.setattr(ExperimentRunner, "FLEET_CHUNK_MAX_OBJECTS", 2)
         system = self._split_group_system()
-        specs = list(system.specs)
-        runner = ExperimentRunner(workers=2, chunk_size=2)
-        group_items, spec_f = self._chunk_inputs(specs)
-        chunks = runner._fleet_chunks(
-            group_items, specs, spec_f, compute_optimal=True
-        )
+        runner = ExperimentRunner(workers=2)
+        chunks = runner._chunks(*_fleet_groups(system.specs))
         with metrics.enabled_scope():
             metrics.reset()
             runner.run_fleet(system, engine="auto")
             snap = metrics.drain()
-        kinds = [
-            s["tags"]["kind"] for s in snap["spans"] if s["name"] == "runner.chunk"
+        spans = [
+            s["tags"] for s in snap["spans"] if s["name"] == "runner.chunk"
         ]
-        assert kinds == ["fleet"] * len(chunks)
+        assert [t["kind"] for t in spans] == ["fleet"] * len(chunks)
+        assert sorted(t["cells"] for t in spans) == sorted(
+            sum(len(sub[2]) for sub in c) for c in chunks
+        )
 
     def test_group_optima_ride_in_their_chunk(self, monkeypatch):
-        """A group split across chunks gets the reference optima, and its
-        optimum is computed once — by the chunk holding its first object,
-        never by a standalone optimum task."""
+        """Whole groups carry their optimum in their chunk; a group split
+        across chunks gets its optimum from a chunk of its own.  Either
+        way each optimum is computed once and the costs are the
+        reference ones."""
         import repro.experiments.runner as runner_mod
 
+        monkeypatch.setattr(ExperimentRunner, "FLEET_CHUNK_MAX_OBJECTS", 2)
         system = self._split_group_system()
-        serial = system.run(engine="reference")
-        split = ExperimentRunner(workers=2, chunk_size=2).run_fleet(
-            system, engine="auto"
+        reference = fleet_reference(system)
+        _assert_matches_reference(
+            ExperimentRunner(workers=2).run_fleet(system, engine="auto"),
+            reference,
         )
-        _assert_outcomes_equal(serial, split)
+
+        runner = ExperimentRunner(workers=1)
+        chunks = runner._chunks(*_fleet_groups(system.specs))
+        split = trace_digest(system.specs[0].trace), 10.0
+        assert chunks[0] == ((*split, (), True),)
+        assert all(not sub[3] for c in chunks[1:4] for sub in c)
+        assert [sub[3] for sub in chunks[4]] == [True, True]
 
         calls = []
         real = runner_mod.optimal_cost
@@ -310,13 +323,9 @@ class TestFleetChunking:
             calls.append((trace_digest(trace), model.lam))
             return real(trace, model)
 
-        def no_opt_task(item):
-            raise AssertionError("a fleet run queued a standalone optimum task")
-
         monkeypatch.setattr(runner_mod, "optimal_cost", counting)
-        monkeypatch.setattr(runner_mod, "_opt_task", no_opt_task)
-        runner = ExperimentRunner(workers=1, chunk_size=2)
-        _assert_outcomes_equal(serial, runner.run_fleet(system, engine="auto"))
+        report = runner.run_fleet(system, engine="auto")
+        _assert_matches_reference(report, reference)
         groups = [(trace_digest(s.trace), s.lam) for s in system.specs]
         assert calls == list(dict.fromkeys(groups))
         calls.clear()
@@ -384,6 +393,19 @@ class TestStreamingReport:
         )
         assert q50 <= q90 <= q99
         assert q99 >= report.worst_object_ratio / 10 ** (1 / 16)
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_ratio_quantiles_never_exceed_worst_object(self, materialize):
+        """Quantiles are capped at the worst ratio, yet stay within the
+        sketch's bucket factor of the true quantile."""
+        report = FleetReport(materialize=materialize)
+        for i, online in enumerate((1.1484, 1.02, 1.3, 1.0)):
+            result = SimpleNamespace(total_cost=online)
+            report.add(f"o{i}", online, 1.0, 1, result=result)
+        assert report.worst_object_ratio == 1.3
+        for q, true in ((0.0, 1.0), (0.5, 1.1484), (0.9, 1.3), (1.0, 1.3)):
+            got = report.ratio_quantile(q)
+            assert true <= got <= min(true * 10 ** (1 / 16), 1.3)
 
     def test_materialized_table_caps_at_top_k(self):
         system = _mixed_system(12)
@@ -534,6 +556,36 @@ class TestFleetCLI:
         out = capsys.readouterr().out
         assert "4 objects" in out
         assert "obj-0" in out
+
+    @pytest.mark.parametrize(
+        "bad,line",
+        [
+            ("bad-row", 5),
+            ("4x,1,a", 5),
+            ("4.0,x,a", 5),
+            ("4.0,1", 5),
+            ("4.0,1,", 5),
+            ("time,server,object", 5),
+            ("", None),
+        ],
+        ids=["word", "time", "server", "short", "object", "header", "blank"],
+    )
+    def test_access_log_malformed_row_exits_2(
+        self, tmp_path, capsys, bad, line
+    ):
+        """Only the first non-blank row may be a header and blank lines
+        are skipped; any other malformed row exits 2 naming its line."""
+        log = tmp_path / "fleet.csv"
+        rows = ["time,server,object", "", "1.0,0,a", "2.0,1,a", bad, "5.0,0,b"]
+        log.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = main(self.ARGS + ["--access-log", str(log), "--n", "2"])
+        captured = capsys.readouterr()
+        if line is None:
+            assert rc == 0
+            assert "2 objects" in captured.out
+        else:
+            assert rc == 2
+            assert captured.err.startswith(f"{log}:{line}: ")
 
     def test_access_log_requires_n(self, tmp_path, capsys):
         log = tmp_path / "fleet.csv"

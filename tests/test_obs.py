@@ -537,7 +537,7 @@ class TestCli:
         assert code == 0
         snap = exporters.load_snapshot_json(m)
         assert any(
-            c["name"] == "repro_sweep_cells_total" for c in snap["counters"]
+            c["name"] == "repro_runner_jobs_total" for c in snap["counters"]
         )
 
     def test_log_flags(self, capsys):

@@ -105,14 +105,3 @@ class TestFormatTable:
     def test_custom_title(self, small_sweep):
         result, _ = small_sweep
         assert format_table(result, 50.0, title="Figure X").startswith("Figure X")
-
-
-class TestOptimalCache:
-    def test_cache_reused(self):
-        trace = ibm_like_trace(n=4, m=200, span=20_000.0, seed=2)
-        cache: dict[float, float] = {}
-        sweep_grid(trace, (100.0,), (0.5,), (1.0,), optimal_cache=cache)
-        assert 100.0 in cache
-        first = cache[100.0]
-        sweep_grid(trace, (100.0,), (1.0,), (0.0,), optimal_cache=cache)
-        assert cache[100.0] == first

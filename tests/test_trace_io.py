@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,12 @@ class TestAccessLogIngestion:
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.log"
         self._write_log(p, ["1000 GET"])
-        with pytest.raises(TraceError, match="columns"):
+        prefix = re.escape(f"{p}:1: ")
+        with pytest.raises(TraceError, match=prefix + ".*columns"):
+            load_access_log_csv(p, n=2)
+        self._write_log(p, ["1000 GET a", "abc GET a"])
+        message = f"{p}:2: timestamp 'abc' is not a number"
+        with pytest.raises(TraceError, match=re.escape(message)):
             load_access_log_csv(p, n=2)
 
     def test_zipf_assignment_deterministic(self, tmp_path):
