@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AdaptiveReplication, CostModel, NoisyOraclePredictor, \
-    OraclePredictor, simulate
+from repro import AdaptiveReplication, CostModel, simulate
+from repro.analysis.sweep import accuracy_predictor
 from repro.analysis.theory import adaptive_robustness_bound
 from repro.experiments import ExperimentRunner, get_scenario
 
@@ -30,12 +30,6 @@ ALPHAS = (0.0, 0.2, 0.5, 1.0)
 ACCURACIES = (0.0, 0.5, 1.0)
 _GRIDS: dict[str, object] = {}
 _PLAIN_SCENARIO = {1000.0: "fig27", 10000.0: "fig28"}
-
-
-def _predictor(trace, acc, seed=0):
-    if acc >= 1.0:
-        return OraclePredictor(trace)
-    return NoisyOraclePredictor(trace, acc, seed=seed)
 
 
 def _grid(name):
@@ -93,7 +87,7 @@ def test_fig29_32_adaptive(benchmark, paper_trace, figure, lam, beta):
     # cell (small alpha, 0% accuracy) directly to keep the monitor's
     # forced-fallback fraction observable in the emitted results
     probe = AdaptiveReplication(
-        _predictor(paper_trace, 0.0), 0.2, beta=beta, warmup=100
+        accuracy_predictor(paper_trace, 0.0, 0), 0.2, beta=beta, warmup=100
     )
     model = CostModel(lam=lam, n=paper_trace.n)
     simulate(paper_trace, model, probe)
@@ -107,7 +101,7 @@ def test_fig29_32_adaptive(benchmark, paper_trace, figure, lam, beta):
 
     def unit():
         pol = AdaptiveReplication(
-            _predictor(paper_trace, 0.5), 0.2, beta=beta, warmup=100
+            accuracy_predictor(paper_trace, 0.5, 0), 0.2, beta=beta, warmup=100
         )
         return simulate(paper_trace, model, pol).total_cost
 

@@ -26,21 +26,32 @@ one view of the adapted algorithm (Figures 29-32):
   :data:`REFERENCE_MAX_M` requests, on the reference simulator and the
   kernel;
 
-and one view of the Wang et al. baseline:
+one view of the Wang et al. baseline:
 
 * ``wang`` — single kernel cells on the :data:`WANG_SIZES`-request
   prefixes (the same sizes under ``--quick``) of the paper-size
   IBM-like trace on :data:`WANG_N` servers at lambda = 100,
   Wang against Algorithm 1 over a noisy oracle (alpha 0.5, accuracy
   0.7), timed :data:`WANG_REPEATS` times each; ``wang_vs_algorithm1``
-  is the per-cell ratio at each size.
+  is the per-cell ratio at each size;
+
+and one view of the kernel's two execution paths (``core/backends.py``):
+
+* ``threads`` — at every size of at least :data:`THREADS_MIN_M`, the
+  fig25 slab (the 121-cell grid at lambda = 10) and a
+  :data:`FLEET_CELLS`-cell mixed-policy fleet slab (Conventional + Wang
+  cells with heterogeneous lambdas), under thread budget 1 (the serial
+  ``numpy`` path) and under each :func:`_thread_counts` budget (the
+  ``threads`` path); ``threads_vs_serial`` is the serial-over-threaded
+  wall-clock ratio per slab, size and budget.  The view asserts that
+  :func:`get_backend` resolves each budget to the path it reports.
 
 Every other timing is the min (``total_s``, ``per_cell_ms``) and median
-(``median_s``) of :data:`REPEATS` runs of a serial slab (thread budget
-1), and the report records the core count.  Per-cell costs are asserted
-bit-identical across every engine and call shape in every view; the
-reference simulator runs only up to :data:`REFERENCE_MAX_M` (it anchors
-correctness, not throughput).
+(``median_s``) of :data:`REPEATS` runs of a slab, serial (thread budget
+1) outside the threads view, and the report records the core count.  Per-cell costs are asserted
+bit-identical across every engine, call shape and thread budget in
+every view; the reference simulator runs only up to
+:data:`REFERENCE_MAX_M` (it anchors correctness, not throughput).
 
 Standalone use (the CI smoke step runs this via ``repro bench``)::
 
@@ -103,6 +114,11 @@ WANG_N = 8
 WANG_LAMBDA = 100.0
 WANG_CELL = (0.5, 0.7, 3)
 WANG_REPEATS = 20
+
+#: the threads view: the smallest trace size it runs at, and the width
+#: of its mixed-policy fleet slab
+THREADS_MIN_M = 20_000
+FLEET_CELLS = 64
 
 #: slab-over-per-cell-calls gate on the wide slab, per cell
 MIN_SPEEDUP = 2.0
@@ -297,6 +313,86 @@ def _wang_view(repeats=WANG_REPEATS) -> dict:
     }
 
 
+def _thread_counts() -> list[int]:
+    """Thread budgets the threads view runs beyond serial: 2 and the
+    box's core count, but never more threads than there are cores.  On
+    a single-core box the list is empty: threads cannot win there, and
+    an oversubscribed budget would record a bogus crossover (``auto``
+    never picks threads at budget 1 for the same reason)."""
+    cores = os.cpu_count() or 1
+    return [t for t in sorted({2, cores}) if 2 <= t <= cores]
+
+
+def _threads_view(sizes, repeats) -> dict:
+    """The fig25 slab and the mixed fleet slab per thread budget, costs
+    asserted equal across budgets."""
+    from repro.algorithms.conventional import ConventionalReplication
+    from repro.algorithms.wang import WangReplication
+    from repro.analysis.sweep import (
+        PAPER_ACCURACIES,
+        PAPER_ALPHAS,
+        algorithm1_factory,
+    )
+    from repro.core.backends import get_backend, set_thread_budget
+    from repro.core.costs import CostModel
+    from repro.core.engine import run_policy_slab, run_slab
+    from repro.workloads import ibm_like_trace
+
+    grid = [(a, acc, SMOKE_SEED) for a in PAPER_ALPHAS for acc in PAPER_ACCURACIES]
+    # every fourth object runs the Wang baseline
+    fleet = [
+        (
+            CostModel(lam=5.0 + i, n=SMOKE_N),
+            WangReplication() if i % 4 == 3 else ConventionalReplication(),
+        )
+        for i in range(FLEET_CELLS)
+    ]
+    rows, ratios = [], {}
+    for m in sizes:
+        if m < THREADS_MIN_M:
+            continue
+        trace = ibm_like_trace(n=SMOKE_N, m=m, seed=SMOKE_SEED)
+        model = CostModel(lam=SCALE_LAMBDA, n=SMOKE_N)
+        slabs = {
+            "fig25": (grid, lambda: run_slab(
+                trace, model, grid, algorithm1_factory, "kernel"
+            )),
+            "fleet": (fleet, lambda: run_policy_slab(trace, fleet, "kernel")),
+        }
+        serial = {}
+        for budget in [1, *_thread_counts()]:
+            path = "numpy" if budget == 1 else "threads"
+            prev = set_thread_budget(budget)
+            try:
+                for slab, (cells, run) in slabs.items():
+                    # the timed leg must be the path it is reported as
+                    assert get_backend().resolve(len(cells), m).name == path
+                    row, costs = _timed_row(path, trace, cells, repeats, run)
+                    rows.append({**row, "slab": slab, "threads": budget})
+                    base_s, base_costs = serial.setdefault(
+                        slab, (row["total_s"], costs)
+                    )
+                    assert costs == base_costs, (
+                        f"cost mismatch: {slab} at {budget} threads, m={m}"
+                    )
+                    if budget > 1:
+                        key = f"{slab} m={m} threads={budget}"
+                        ratios[key] = base_s / row["total_s"]
+            finally:
+                set_thread_budget(prev)
+    return {
+        "trace": {"workload": "ibm_like", "n": SMOKE_N, "seed": SMOKE_SEED},
+        "lam": SCALE_LAMBDA,
+        "fleet": (
+            f"{FLEET_CELLS} cells, lambda = 5 + i, Wang at every fourth "
+            "cell, Conventional otherwise"
+        ),
+        "thread_counts": _thread_counts(),
+        "rows": rows,
+        "threads_vs_serial": ratios,
+    }
+
+
 def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
     """Sweep trace size x slab shape; returns the report dict."""
     from repro.core.backends import set_thread_budget
@@ -331,6 +427,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             fig29.policy_factory,
         )
         wang = _wang_view()
+        threads = _threads_view(sizes, repeats)
     finally:
         set_thread_budget(prev)
     return {
@@ -366,6 +463,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             "rows": adaptive,
         },
         "wang": wang,
+        "threads": threads,
         "slab_vs_cells_wide": _per_cell(wide, "cells") / _per_cell(wide, "slab"),
         "kernel_vs_reference_adaptive": (
             _per_cell(adaptive, "reference") / _per_cell(adaptive, "kernel")
@@ -381,12 +479,15 @@ def format_rows(report: dict) -> str:
         ("chunk", report["row_chunk"]["rows"]),
         ("adapt", report["adaptive"]["rows"]),
         ("wang", report["wang"]["rows"]),
+        ("thread", report["threads"]["rows"]),
     )
     for view, rows in views:
         for r in rows:
             label = r.get("policy", r["engine"])
             if "row_chunk_elems" in r:
                 label = f"2^{r['row_chunk_elems'].bit_length() - 1}"
+            if "threads" in r:
+                label = f"{r['slab']} t={r['threads']}"
             lines.append(
                 f"{view:<6} {r['m']:>8d} {label:>10s} {r['cells']:>6d} "
                 f"{r['total_s']:>7.3f}s {r['median_s']:>7.3f}s "
@@ -476,11 +577,16 @@ def main(argv=None) -> int:
         f"{m}: {r:.2f}x"
         for m, r in report["wang"]["wang_vs_algorithm1"].items()
     )
+    threads = ", ".join(
+        f"{key}: {r:.2f}x"
+        for key, r in report["threads"]["threads_vs_serial"].items()
+    ) or f"none on {report['cpu_count']} core(s)"
     print(
         f"wide m={WIDE_M} slab: one slab call {speedup:.2f}x over per-cell "
         f"kernel calls; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "
         f"{report['kernel_vs_reference_adaptive']:.1f}x over reference; "
-        f"Wang over Algorithm 1 per kernel cell ({wang}) -> {out}"
+        f"Wang over Algorithm 1 per kernel cell ({wang}); threaded over "
+        f"serial slabs ({threads}) -> {out}"
     )
     return gate_exit(
         speedup, gate, strict, label="slab-over-per-cell speedup"

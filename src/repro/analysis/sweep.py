@@ -113,18 +113,25 @@ PolicyFactory = Callable[[Trace, float, float, float, int], ReplicationPolicy]
 The trace is provided so oracle-backed predictors can be constructed."""
 
 
+def accuracy_predictor(
+    trace: Trace, accuracy: float, seed: int
+) -> OraclePredictor | NoisyOraclePredictor:
+    """The grids' predictor at one accuracy: the exact oracle at 1.0, a
+    seeded noisy oracle otherwise (which rejects accuracies outside
+    ``[0, 1]``)."""
+    if accuracy == 1.0:
+        return OraclePredictor(trace)
+    return NoisyOraclePredictor(trace, accuracy, seed=seed)
+
+
 def algorithm1_factory(
     trace: Trace, lam: float, alpha: float, accuracy: float, seed: int
 ) -> ReplicationPolicy:
     """Default factory: Algorithm 1 with a noisy-oracle predictor."""
     from ..algorithms.learning_augmented import LearningAugmentedReplication
 
-    if accuracy >= 1.0:
-        predictor = OraclePredictor(trace)
-    else:
-        predictor = NoisyOraclePredictor(trace, accuracy, seed=seed)
     return LearningAugmentedReplication(
-        predictor, alpha, allow_zero_alpha=True
+        accuracy_predictor(trace, accuracy, seed), alpha, allow_zero_alpha=True
     )
 
 

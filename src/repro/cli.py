@@ -2,20 +2,14 @@
 
 Subcommands
 -----------
-``sweep``
-    The Appendix J grid (Figures 25-28): online-to-optimal cost ratios
-    over (alpha, accuracy) for one or more lambdas.
-``adaptive``
-    The adapted algorithm grid (Figures 29-32).
-``tight``
-    The tight examples (Figures 5 and 6) and their limit ratios.
-``wang``
-    The Wang et al. counterexample (Figure 9).
-``adversary``
-    The Section 9 lower-bound adversary.
 ``experiments``
     The scenario registry: ``list`` the registered experiment
     configurations or ``run`` one in parallel with result caching.
+    Every paper experiment is a registered scenario: the Appendix J
+    grids (``fig25`` .. ``fig32``), the tight examples
+    (``tight-robustness``, ``tight-consistency``), the Wang et al.
+    counterexample (``wang-counterexample``) and the Section 9 adversary
+    (``adversarial-lower-bound``).
 ``fleet``
     Multi-object fleets: ``run`` simulates every object of a fleet —
     built from a combined ``time,server,object`` access log or from a
@@ -39,7 +33,7 @@ Subcommands
     Telemetry utilities: ``summary`` pretty-prints a metrics snapshot
     written by ``--metrics-out``.
 
-The ``sweep``, ``experiments run``, and ``bench`` subcommands accept
+The ``experiments run``, ``fleet run`` and ``bench`` subcommands accept
 ``--metrics-out`` / ``--spans-out``; either flag switches the telemetry
 substrate on for the invocation and exports the collected registry when
 the command finishes (Prometheus text for ``.prom``/``.txt`` metric
@@ -50,10 +44,8 @@ logger hierarchy, which is silent by default.
 
 Examples::
 
-    repro-replication sweep --lambda 1000 --requests 2000
-    repro-replication tight --alpha 0.5
-    repro-replication wang --m 500
     repro-replication experiments run fig25 --workers 8
+    repro-replication experiments run tight-robustness wang-counterexample
     repro-replication experiments run smoke --metrics-out m.json --spans-out s.json
     repro-replication obs summary m.json
     repro-replication trace info workload.csv.gz
@@ -68,39 +60,14 @@ import os
 import sys
 from typing import Sequence
 
-from .algorithms import (
-    AdaptiveReplication,
-    LearningAugmentedReplication,
-    WangReplication,
-)
-from .analysis.sweep import (
-    PAPER_ACCURACIES,
-    PAPER_ALPHAS,
-    format_table,
-    sweep_grid,
-)
-from .analysis.theory import consistency_bound, robustness_bound
-from .core import CostModel, simulate
-from .core.engine import ENGINE_NAMES, run_policy_slab
-from .offline import optimal_cost
-from .predictions import FixedPredictor, NoisyOraclePredictor, OraclePredictor
-from .workloads import (
-    LowerBoundAdversary,
-    consistency_tight_trace,
-    ibm_like_trace,
-    robustness_tight_trace,
-    wang_counterexample_trace,
-)
+from .core.engine import ENGINE_NAMES
 
 __all__ = ["main", "build_parser"]
 
-#: the paper commands, whose bad inputs surface as ValueError (a
-#: TraceError among them) from the library's constructors
-_PAPER_COMMANDS = ("sweep", "adaptive", "tight", "wang", "adversary")
-
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Telemetry export flags shared by sweep / experiments run / bench."""
+    """Telemetry export flags shared by experiments run / fleet run /
+    bench."""
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="enable telemetry and write the metrics snapshot to PATH "
@@ -113,8 +80,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine-tier flag shared by sweep / experiments run / fleet
-    run."""
+    """The engine-tier flag shared by experiments run / fleet run."""
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="auto",
         help="simulation engine: 'kernel' = loop-free segment-scan "
@@ -138,40 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit log records as JSON lines instead of "
                    "key=value text (implies --log-level info unless set)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("sweep", help="Figures 25-28 grid")
-    s.add_argument("--lambda", dest="lam", type=float, action="append",
-                   help="transfer cost (repeatable; default 1000)")
-    s.add_argument("--requests", type=int, default=2000,
-                   help="trace length (default 2000; paper uses 11688)")
-    s.add_argument("--servers", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--coarse", action="store_true",
-                   help="6x6 grid instead of the paper's 11x11")
-    s.add_argument("--heatmap", action="store_true",
-                   help="also render an ASCII heat map per lambda")
-    _add_engine_flags(s)
-    _add_obs_flags(s)
-
-    a = sub.add_parser("adaptive", help="Figures 29-32 grid")
-    a.add_argument("--lambda", dest="lam", type=float, default=1000.0)
-    a.add_argument("--beta", type=float, default=0.1)
-    a.add_argument("--requests", type=int, default=2000)
-    a.add_argument("--seed", type=int, default=0)
-
-    t = sub.add_parser("tight", help="Figures 5-6 tight examples")
-    t.add_argument("--alpha", type=float, default=0.5)
-    t.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    t.add_argument("--m", type=int, default=2001)
-
-    w = sub.add_parser("wang", help="Figure 9 counterexample")
-    w.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    w.add_argument("--m", type=int, default=1000)
-
-    v = sub.add_parser("adversary", help="Section 9 lower-bound adversary")
-    v.add_argument("--alpha", type=float, default=0.5)
-    v.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    v.add_argument("--requests", type=int, default=500)
 
     e = sub.add_parser("experiments", help="scenario registry: list / run")
     esub = e.add_subparsers(dest="exp_command", required=True)
@@ -292,105 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    lams = args.lam or [1000.0]
-    trace = ibm_like_trace(n=args.servers, m=args.requests, seed=args.seed)
-    if args.coarse:
-        alphas = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        accs = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    else:
-        alphas, accs = PAPER_ALPHAS, PAPER_ACCURACIES
-    result = sweep_grid(
-        trace, lams, alphas, accs, seed=args.seed,
-        engine=getattr(args, "engine", "auto"),
-    )
-    for lam in lams:
-        print(format_table(result, lam))
-        if getattr(args, "heatmap", False):
-            from .analysis.plotting import render_sweep_heatmap
-
-            print(render_sweep_heatmap(result, lam))
-        print()
-    return 0
-
-
-def _cmd_adaptive(args: argparse.Namespace) -> int:
-    trace = ibm_like_trace(m=args.requests, seed=args.seed)
-    model = CostModel(lam=args.lam, n=trace.n)
-    opt = optimal_cost(trace, model)
-    grid = [
-        (alpha, acc) for alpha in (0.1, 0.5, 1.0) for acc in (0.0, 0.5, 1.0)
-    ]
-    cells = [
-        (
-            model,
-            AdaptiveReplication(
-                OraclePredictor(trace)
-                if acc >= 1.0
-                else NoisyOraclePredictor(trace, acc, seed=args.seed),
-                alpha=alpha,
-                beta=args.beta,
-            ),
-        )
-        for alpha, acc in grid
-    ]
-    runs = run_policy_slab(trace, cells, "auto")
-    print(f"lambda={args.lam:g} beta={args.beta:g} target<={2 + args.beta:g}")
-    print("alpha  accuracy  ratio")
-    for (alpha, acc), run in zip(grid, runs):
-        print(f"{alpha:5.1f}  {acc:8.0%}  {run.total_cost / opt:6.3f}")
-    return 0
-
-
-def _cmd_tight(args: argparse.Namespace) -> int:
-    lam, alpha = args.lam, args.alpha
-    model = CostModel(lam=lam, n=2)
-
-    tr = robustness_tight_trace(lam, alpha, args.m)
-    pol = LearningAugmentedReplication(FixedPredictor(False), alpha)
-    run = simulate(tr, model, pol)
-    opt = optimal_cost(tr, model)
-    print(
-        f"Figure 5 (robustness):  ratio={run.total_cost / opt:.4f}  "
-        f"limit 1+1/alpha={robustness_bound(alpha):.4f}"
-    )
-
-    cycles = max(1, args.m // 3)
-    tr = consistency_tight_trace(lam, cycles=cycles)
-    pol = LearningAugmentedReplication(OraclePredictor(tr), alpha)
-    run = simulate(tr, model, pol)
-    opt = optimal_cost(tr, model)
-    print(
-        f"Figure 6 (consistency): ratio={run.total_cost / opt:.4f}  "
-        f"limit (5+alpha)/3={consistency_bound(alpha):.4f}"
-    )
-    return 0
-
-
-def _cmd_wang(args: argparse.Namespace) -> int:
-    tr = wang_counterexample_trace(args.lam, m=args.m)
-    model = CostModel(lam=args.lam, n=2)
-    run = simulate(tr, model, WangReplication())
-    opt = optimal_cost(tr, model)
-    print(
-        f"Figure 9 (Wang et al.): ratio={run.total_cost / opt:.4f}  "
-        "limit 5/2=2.5 (claimed 2 is refuted)"
-    )
-    return 0
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    adv = LowerBoundAdversary(lam=args.lam)
-    pol = LearningAugmentedReplication(FixedPredictor(False), args.alpha)
-    out = adv.run(pol, n_requests=args.requests)
-    opt = optimal_cost(out.trace, CostModel(lam=args.lam, n=2))
-    print(
-        f"Section 9 adversary vs alpha={args.alpha:g}: "
-        f"ratio={out.result.total_cost / opt:.4f} (lower bound 1.5)"
-    )
-    return 0
-
-
 def _coarsen(values: tuple, keep: int = 3) -> tuple:
     """At most ``keep`` values spread over the axis, endpoints included."""
     if len(values) <= keep:
@@ -508,6 +341,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import time
 
     from .analysis.sweep import algorithm1_factory
+    from .core.costs import CostModel
     from .core.trace import TraceError
     from .experiments import (
         ConsoleProgress,
@@ -526,44 +360,43 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     def policy_factory(trace, model):
         return algorithm1_factory(trace, model.lam, alpha, accuracy, seed)
 
-    specs = []
-    if args.access_log:
-        if args.n is None:
-            print("--n is required with --access-log", file=sys.stderr)
-            return 2
-        try:
+    if args.access_log and args.n is None:
+        print("--n is required with --access-log", file=sys.stderr)
+        return 2
+    try:
+        scenario = None if args.access_log else get_scenario(args.scenario)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    try:
+        if scenario is None:
             rows = _read_fleet_log(args.access_log)
             traces = split_trace_by_object(rows, args.n)
-        except (TraceError, OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if not traces:
-            print(f"no usable rows in {args.access_log}", file=sys.stderr)
-            return 2
-        n = args.n
-        for obj, tr in sorted(traces.items()):
-            specs.append(ObjectSpec(obj, tr, lam, policy_factory))
-    else:
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        templates = [
-            scenario.build_trace(lam, alpha, accuracy, seed + t)
-            for t in range(max(1, args.templates))
-        ]
-        n = templates[0].n
-        width = len(str(max(0, args.objects - 1)))
-        for i in range(args.objects):
-            specs.append(
-                ObjectSpec(
-                    f"obj-{i:0{width}d}",
-                    templates[i % len(templates)],
-                    lam,
-                    policy_factory,
-                )
-            )
+            if not traces:
+                print(f"no usable rows in {args.access_log}", file=sys.stderr)
+                return 2
+            n = args.n
+            named = sorted(traces.items())
+            probe = named[0][1]
+        else:
+            templates = [
+                scenario.build_trace(lam, alpha, accuracy, seed + t)
+                for t in range(max(1, args.templates))
+            ]
+            n = templates[0].n
+            width = len(str(max(0, args.objects - 1)))
+            named = [
+                (f"obj-{i:0{width}d}", templates[i % len(templates)])
+                for i in range(args.objects)
+            ]
+            probe = templates[0]
+        specs = [ObjectSpec(obj, tr, lam, policy_factory) for obj, tr in named]
+        # one probe policy: a bad --alpha or --accuracy fails here, not
+        # during the run (inside a worker with --workers > 1)
+        policy_factory(probe, CostModel(lam=lam, n=n))
+    except (TraceError, OSError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     system = MultiObjectSystem(n, specs)
     runner = ExperimentRunner(
         workers=args.workers,
@@ -796,11 +629,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         metrics.enable()
     handlers = {
-        "sweep": _cmd_sweep,
-        "adaptive": _cmd_adaptive,
-        "tight": _cmd_tight,
-        "wang": _cmd_wang,
-        "adversary": _cmd_adversary,
         "experiments": _cmd_experiments,
         "fleet": _cmd_fleet,
         "trace": _cmd_trace,
@@ -812,11 +640,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if want_obs:
             _export_obs(args)
         return code
-    except ValueError as exc:
-        if args.command not in _PAPER_COMMANDS:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         resumable = (
             args.command == "experiments"

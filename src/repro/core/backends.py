@@ -56,8 +56,8 @@ thread gets at least :data:`THREADS_MIN_CELLS_PER_THREAD` cells — below
 that, executor dispatch eats the win — and runs serially otherwise; a
 threaded slab cuts its passes into row chunks of at most ``ceil(cells /
 threads)`` rows, so every thread gets a pass.
-``benchmarks/bench_backends.py`` times the two paths against each other
-(``benchmarks/BENCH_backends.json``).
+The ``threads`` view of ``benchmarks/bench_scaling.py`` times the two
+paths against each other (``benchmarks/BENCH_scaling.json``).
 
 Process-pool interaction
 ------------------------

@@ -17,6 +17,8 @@ Built-ins cover the paper's evaluation (Zuo, Tang, Lee, SPAA 2024):
   ablations (consistency/robustness dial, deployable predictors);
 * ``tight-robustness`` / ``tight-consistency`` — the Figure 5/6 tight
   examples;
+* ``wang-counterexample`` — the Figure 9 instance against Wang et al.'s
+  algorithm;
 * ``adversarial-lower-bound`` — the Section 9 adaptive adversary;
 * ``bursty`` / ``periodic`` / ``diurnal`` — Algorithm 1 grids over the
   synthetic workload family (burst/idle alternation, jittered
@@ -37,6 +39,7 @@ from ..analysis.sweep import (
     PAPER_ACCURACIES,
     PAPER_ALPHAS,
     PolicyFactory,
+    accuracy_predictor,
     algorithm1_factory,
 )
 from ..core.policy import ReplicationPolicy
@@ -212,17 +215,14 @@ def _adaptive_factory(beta: float, warmup: int = 100) -> PolicyFactory:
         trace: Trace, lam: float, alpha: float, accuracy: float, seed: int
     ) -> ReplicationPolicy:
         from ..algorithms import AdaptiveReplication
-        from ..predictions import NoisyOraclePredictor, OraclePredictor
 
-        pred = (
-            OraclePredictor(trace)
-            if accuracy >= 1.0
-            else NoisyOraclePredictor(trace, accuracy, seed=seed)
-        )
         # the adaptive variant requires alpha > 0; the paper's grids use
         # 0.1 as the stand-in for the full-trust limit
         return AdaptiveReplication(
-            pred, alpha if alpha > 0 else 0.1, beta=beta, warmup=warmup
+            accuracy_predictor(trace, accuracy, seed),
+            alpha if alpha > 0 else 0.1,
+            beta=beta,
+            warmup=warmup,
         )
 
     return factory
@@ -258,6 +258,21 @@ def _consistency_trace(lam: float) -> Trace:
     from ..workloads import consistency_tight_trace
 
     return consistency_tight_trace(lam, cycles=667)
+
+
+def _wang_factory(
+    trace: Trace, lam: float, alpha: float, accuracy: float, seed: int
+) -> ReplicationPolicy:
+    """Wang et al.'s algorithm, which takes no predictions and no alpha."""
+    from ..algorithms import WangReplication
+
+    return WangReplication()
+
+
+def _wang_trace(lam: float) -> Trace:
+    from ..workloads import wang_counterexample_trace
+
+    return wang_counterexample_trace(lam, m=1000)
 
 
 def _adversary_trace(lam: float, alpha: float) -> Trace:
@@ -421,6 +436,24 @@ def _register_builtins() -> None:
             accuracies=(1.0,),
             trace_params=("lam",),
             tags=("tight", "adversarial"),
+        )
+    )
+
+    register_scenario(
+        Scenario(
+            name="wang-counterexample",
+            description=(
+                "Figure 9 counterexample: Wang et al.'s algorithm approaches "
+                "5/2 times the optimum, refuting its claimed ratio 2"
+            ),
+            trace_factory=_wang_trace,
+            policy_factory=_wang_factory,
+            lambdas=(100.0,),
+            # one cell: the policy ignores alpha and accuracy
+            alphas=(1.0,),
+            accuracies=(0.0,),
+            trace_params=("lam",),
+            tags=("adversarial",),
         )
     )
 

@@ -71,7 +71,7 @@ Public surface
     library-silent by default, configured by the CLI's
     ``--log-level`` / ``--log-json`` flags.
 
-CLI wiring: ``repro sweep|experiments run|bench --metrics-out M
+CLI wiring: ``repro experiments run|fleet run|bench --metrics-out M
 --spans-out S`` enable telemetry for the run and export on exit;
 ``repro obs summary M`` pretty-prints a snapshot.
 """

@@ -138,7 +138,7 @@ def assert_registered_scenarios_match_reference(engine):
     """The registered-scenario oracle: every leg of
     :func:`registered_scenario_legs` runs on ``engine`` (the kernel, or
     ``"auto"``) as one two-cell kernel slab and matches the reference
-    cell by cell; at least 18 scenarios must be eligible."""
+    cell by cell; at least 19 scenarios must be eligible."""
     legs, covered = registered_scenario_legs()
     for name, trace, model, factory, cells, refs in legs:
         runs, spans = slab_passes(
@@ -147,9 +147,10 @@ def assert_registered_scenarios_match_reference(engine):
         # the kernel ran the slab as one slab call, not cell by cell
         assert spans == [("kernel", len(cells))], name
         _assert_runs_match(name, runs, refs)
-    # the paper and adaptive grids, smoke, tight examples, adversary,
-    # and the synthetic workload grids must all ride the kernel
-    assert covered >= 18
+    # the paper and adaptive grids, smoke, tight examples, the Wang
+    # counterexample, adversary, and the synthetic workload grids must
+    # all ride the kernel
+    assert covered >= 19
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,7 +181,7 @@ def assert_registered_scenarios_wide():
             backends.add(backend)
             _assert_runs_match(name, runs, wide_refs)
     assert backends == {"numpy", "threads"}
-    assert covered >= 18
+    assert covered >= 19
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 5, max_m: int = 50):

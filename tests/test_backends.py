@@ -555,16 +555,16 @@ def test_fleet_spans_tag_backend_only_on_kernel_tier():
 
 
 def test_bench_thread_counts_never_oversubscribe(monkeypatch):
-    """The backends bench sweeps thread budgets only up to the core
-    count: on a single-core box the sweep is empty, so the recorded
-    report cannot claim a bogus oversubscribed threads win."""
+    """The scaling bench's threads view sweeps thread budgets only up to
+    the core count: on a single-core box the sweep is empty, so the
+    recorded report cannot claim a bogus oversubscribed threads win."""
     import importlib.util
     import os
 
     path = os.path.join(
-        os.path.dirname(__file__), "..", "benchmarks", "bench_backends.py"
+        os.path.dirname(__file__), "..", "benchmarks", "bench_scaling.py"
     )
-    spec = importlib.util.spec_from_file_location("_bench_backends", path)
+    spec = importlib.util.spec_from_file_location("_bench_scaling", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     cores = os.cpu_count() or 1
@@ -573,19 +573,3 @@ def test_bench_thread_counts_never_oversubscribe(monkeypatch):
     assert mod._thread_counts() == []
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert mod._thread_counts() == [2, 8]
-
-
-def test_bench_discovery_includes_backends_suite():
-    import os
-
-    from repro.cli import _discover_bench_suites
-
-    bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    assert "backends" in _discover_bench_suites(bench_dir)
-
-
-def test_bench_cli_list_includes_backends(capsys):
-    from repro.cli import main
-
-    assert main(["bench", "--list"]) == 0
-    assert "backends" in capsys.readouterr().out

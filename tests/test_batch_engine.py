@@ -555,14 +555,14 @@ class TestConsumers:
 
         p = build_parser()
         for argv in (
-            ["sweep", "--engine", "batch"],
             ["experiments", "run", "smoke", "--engine", "batch"],
+            ["fleet", "run", "--scenario", "smoke", "--engine", "batch"],
         ):
             with pytest.raises(SystemExit) as exc:
                 p.parse_args(argv)
             assert exc.value.code == 2
             assert "invalid choice: 'batch'" in capsys.readouterr().err
-        args = p.parse_args(["sweep", "--engine", "kernel"])
+        args = p.parse_args(["experiments", "run", "smoke", "--engine", "kernel"])
         assert args.engine == "kernel"
 
 

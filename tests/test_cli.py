@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
+
 import pytest
 
 from repro import (
     AdaptiveReplication,
     CostModel,
+    FixedPredictor,
+    LearningAugmentedReplication,
     NoisyOraclePredictor,
     OraclePredictor,
+    WangReplication,
     optimal_cost,
     simulate,
 )
+from repro.analysis.sweep import algorithm1_factory
 from repro.cli import build_parser, main
-from repro.workloads import ibm_like_trace
+from repro.workloads import (
+    LowerBoundAdversary,
+    consistency_tight_trace,
+    ibm_like_trace,
+    robustness_tight_trace,
+    wang_counterexample_trace,
+)
 
 from conftest import slab_passes
 
@@ -23,127 +36,117 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.command == "sweep"
-        assert args.requests == 2000
-
-    def test_sweep_repeatable_lambda(self):
-        args = build_parser().parse_args(
-            ["sweep", "--lambda", "10", "--lambda", "100"]
+    def test_subcommands(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
         )
-        assert args.lam == [10.0, 100.0]
+        assert list(sub.choices) == [
+            "experiments", "fleet", "trace", "bench", "obs",
+        ]
 
-    def test_tight_options(self):
-        args = build_parser().parse_args(["tight", "--alpha", "0.3"])
-        assert args.alpha == 0.3
+
+def _beyond(alpha):
+    return LearningAugmentedReplication(FixedPredictor(False), alpha)
 
 
 class TestCommands:
-    def test_tight_runs(self, capsys):
-        assert main(["tight", "--alpha", "0.5", "--m", "301"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 5" in out and "Figure 6" in out
+    """The deleted paper commands' replacements: registered scenarios
+    run through ``experiments run``, whose rows.csv cell at an old
+    command's defaults equals ``simulate`` + ``optimal_cost`` on the old
+    command's instance, bit for bit."""
 
-    def test_wang_runs(self, capsys):
-        assert main(["wang", "--m", "200"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 9" in out
-        assert "2.5" in out
-
-    def test_adversary_runs(self, capsys):
-        assert main(["adversary", "--requests", "120"]) == 0
-        out = capsys.readouterr().out
-        assert "Section 9" in out
-
-    def test_sweep_runs_small(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--lambda",
-                    "100",
-                    "--requests",
-                    "200",
-                    "--coarse",
-                ]
+    def _ratio(self, tmp_path, name, cell, trace, policy, lam=100.0,
+               flags=()):
+        assert main([
+            "experiments", "run", name, "--no-cache", "--workers", "1",
+            "--out", str(tmp_path), *flags,
+        ]) == 0
+        with open(tmp_path / name / "rows.csv", newline="") as fh:
+            row = next(
+                r for r in csv.DictReader(fh)
+                if (float(r["alpha"]), float(r["accuracy"])) == cell
             )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "lambda = 100" in out
+        model = CostModel(lam=lam, n=trace.n)
+        assert float(row["online_cost"]) == simulate(trace, model, policy).total_cost
+        assert float(row["optimal_cost"]) == optimal_cost(trace, model)
+        return f"{float(row['ratio']):.4f}"
 
-    def test_adaptive_runs_small(self, capsys):
-        code, spans = slab_passes(
-            lambda: main(["adaptive", "--requests", "300", "--beta", "0.5"])
-        )
-        assert code == 0
-        # the 9 cells run as one slab pass, not cell by cell
-        assert [cells for _, cells in spans] == [9]
-        out = capsys.readouterr().out
-        assert "ratio" in out
-        # and print the reference simulator's ratios
-        trace = ibm_like_trace(m=300, seed=0)
-        model = CostModel(lam=1000.0, n=trace.n)
-        opt = optimal_cost(trace, model)
-        expected = []
-        for alpha in (0.1, 0.5, 1.0):
-            for acc in (0.0, 0.5, 1.0):
-                pred = (
-                    OraclePredictor(trace)
-                    if acc >= 1.0
-                    else NoisyOraclePredictor(trace, acc, seed=0)
-                )
-                run = simulate(
-                    trace, model, AdaptiveReplication(pred, alpha, beta=0.5)
-                )
-                expected.append(
-                    f"{alpha:5.1f}  {acc:8.0%}  {run.total_cost / opt:6.3f}"
-                )
-        assert out.splitlines()[2:] == expected
+    def test_tight_runs(self, tmp_path):
+        """``repro tight`` (alpha 0.5, m = 2001): Figures 5 and 6."""
+        tr = robustness_tight_trace(100.0, 0.5, 2001)
+        assert self._ratio(
+            tmp_path, "tight-robustness", (0.5, 0.0), tr, _beyond(0.5)
+        ) == "2.9950"
+        tr = consistency_tight_trace(100.0, cycles=667)
+        oracle = LearningAugmentedReplication(OraclePredictor(tr), 0.5)
+        assert self._ratio(
+            tmp_path, "tight-consistency", (0.5, 1.0), tr, oracle
+        ) == "1.8332"
 
-    def test_sweep_heatmap_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--lambda",
-                    "100",
-                    "--requests",
-                    "150",
-                    "--coarse",
-                    "--heatmap",
-                ]
-            )
-            == 0
+    def test_wang_runs(self, tmp_path):
+        """``repro wang`` (m = 1000): Figure 9."""
+        tr = wang_counterexample_trace(100.0, m=1000)
+        assert self._ratio(
+            tmp_path, "wang-counterexample", (1.0, 0.0), tr, WangReplication()
+        ) == "2.4996"
+
+    def test_adversary_runs(self, tmp_path):
+        """``repro adversary`` (alpha 0.5, 500 requests): Section 9."""
+        out = LowerBoundAdversary(lam=100.0).run(_beyond(0.5), n_requests=500)
+        assert self._ratio(
+            tmp_path, "adversarial-lower-bound", (0.5, 0.0), out.trace,
+            _beyond(0.5),
+        ) == "1.7499"
+
+    def test_sweep_runs_small(self, tmp_path):
+        """``repro sweep --lambda 100`` maps onto ``fig26`` (coarse
+        here), at the paper's trace size."""
+        tr = ibm_like_trace(n=10, seed=0)
+        policy = algorithm1_factory(tr, 100.0, 0.5, 0.5, 0)
+        self._ratio(
+            tmp_path, "fig26", (0.5, 0.5), tr, policy, flags=["--coarse"]
         )
-        out = capsys.readouterr().out
-        assert "heat map" in out and "legend" in out
+
+    def test_adaptive_runs_small(self, tmp_path):
+        """``repro adaptive`` is ``fig29 --coarse``: its 3x3 adaptive
+        cells (lambda 1000, beta 0.1) run as kernel slabs."""
+        tr = ibm_like_trace(n=10, seed=0)
+        policy = AdaptiveReplication(
+            NoisyOraclePredictor(tr, 0.5, seed=0), 0.5, beta=0.1, warmup=100
+        )
+        _, spans = slab_passes(lambda: self._ratio(
+            tmp_path, "fig29", (0.5, 0.5), tr, policy, lam=1000.0,
+            flags=["--coarse"],
+        ))
+        assert {tier for tier, _ in spans} == {"kernel"}
+        assert sum(cells for _, cells in spans) == 9
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv",
     [
-        (["adversary", "--requests", "0"], "need n_requests >= 1, got 0"),
-        (["wang", "--lambda", "0"], "lambda must be > 0"),
-        (["sweep", "--requests", "0"], "need at least 2 requests"),
-        (["sweep", "--lambda", "0", "--requests", "50"], "lambda must be > 0"),
-        (["tight", "--m", "0"], "need m >= 1 requests"),
-        (["tight", "--alpha", "2"], "alpha must be in (0, 1]"),
-        (["adaptive", "--beta", "-1", "--requests", "50"], "beta must be >= 0"),
+        ["adversary", "--requests", "0"],
+        ["wang", "--lambda", "0"],
+        ["sweep", "--requests", "0"],
+        ["sweep", "--lambda", "0", "--requests", "50"],
+        ["tight", "--m", "0"],
+        ["tight", "--alpha", "2"],
+        ["adaptive", "--beta", "-1", "--requests", "50"],
     ],
     ids=[
         "adversary-requests-0", "wang-lambda-0", "sweep-requests-0",
         "sweep-lambda-0", "tight-m-0", "tight-alpha-2", "adaptive-beta-neg",
     ],
 )
-def test_paper_commands_report_bad_input(argv, message, capsys):
-    """Bad inputs to the paper commands exit 2 with one ``error:`` line
-    on stderr, not a traceback or a bogus ratio."""
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+def test_paper_commands_report_bad_input(argv, capsys):
+    """The deleted paper commands (their registered scenarios replace
+    them) are bad input themselves: argparse exits 2 with ``invalid
+    choice`` before any argument after the name is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 class TestTraceCommand:

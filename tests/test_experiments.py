@@ -89,7 +89,8 @@ class TestRegistry:
         names = scenario_names()
         for expected in ("fig25", "fig28", "fig29", "fig32", "ablation-alpha",
                          "tight-robustness", "tight-consistency",
-                         "adversarial-lower-bound", "smoke"):
+                         "wang-counterexample", "adversarial-lower-bound",
+                         "smoke"):
             assert expected in names
 
     def test_get_unknown_raises_with_suggestions(self):

@@ -599,6 +599,26 @@ class TestFleetCLI:
         assert main(self.ARGS + ["--access-log", str(log), "--n", "2"]) == 2
         assert "object a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "2", "alpha must be in (0, 1]"),
+            ("--lambda", "0", "lambda must be > 0"),
+            ("--accuracy", "-0.5", "accuracy must be in [0, 1]"),
+            ("--accuracy", "1.5", "accuracy must be in [0, 1]"),
+        ],
+        ids=["alpha-2", "lambda-0", "accuracy-neg", "accuracy-1.5"],
+    )
+    def test_bad_number_exits_2(self, capsys, flag, value, message):
+        """A bad number fails before any object runs: one message on
+        stderr and exit 2, not a traceback (or, for an accuracy above 1,
+        a silent oracle run)."""
+        rc = main(self.ARGS + ["--scenario", "smoke", "--objects", "4", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(self.ARGS + ["--scenario", "nope"]) == 2
         assert "nope" in capsys.readouterr().err

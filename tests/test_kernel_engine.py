@@ -462,7 +462,7 @@ def test_cli_sweep_kernel_engine(capsys):
     from repro.cli import main
 
     assert main([
-        "sweep", "--lambda", "100", "--requests", "120", "--coarse",
+        "experiments", "run", "smoke", "--no-cache", "--workers", "1",
         "--engine", "kernel",
     ]) == 0
     out = capsys.readouterr().out
@@ -564,9 +564,9 @@ def test_bench_discovery_finds_runnable_suites():
 
     bench_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
     suites = _discover_bench_suites(bench_dir)
-    for name in ("trace", "scaling", "fleet", "backends"):
+    for name in ("trace", "scaling", "fleet"):
         assert name in suites
-    for name in ("engines", "batch", "kernel"):
+    for name in ("engines", "batch", "kernel", "backends"):
         assert name not in suites
     # pytest-only figure benchmarks expose no main() and are not listed
     assert "fig25_28" not in suites

@@ -526,20 +526,6 @@ class TestCli:
         bad.write_text("{}")
         assert main(["obs", "summary", str(bad)]) == 2
 
-    def test_sweep_metrics_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        m = tmp_path / "m.json"
-        code = main([
-            "sweep", "--lambda", "10", "--requests", "60", "--coarse",
-            "--metrics-out", str(m),
-        ])
-        assert code == 0
-        snap = exporters.load_snapshot_json(m)
-        assert any(
-            c["name"] == "repro_runner_jobs_total" for c in snap["counters"]
-        )
-
     def test_log_flags(self, capsys):
         from repro.cli import main
 

@@ -105,3 +105,18 @@ class TestFormatTable:
     def test_custom_title(self, small_sweep):
         result, _ = small_sweep
         assert format_table(result, 50.0, title="Figure X").startswith("Figure X")
+
+
+def test_only_accuracy_one_selects_the_oracle():
+    """Accuracy 1.0 runs the exact oracle; an accuracy above 1 is
+    rejected by the grid factories instead of running as an oracle."""
+    from repro import OraclePredictor
+    from repro.analysis.sweep import algorithm1_factory
+    from repro.experiments import get_scenario
+
+    trace = ibm_like_trace(n=3, m=50, seed=2)
+    policy = algorithm1_factory(trace, 10.0, 0.5, 1.0, 0)
+    assert type(policy.predictor) is OraclePredictor
+    for factory in (algorithm1_factory, get_scenario("fig29").policy_factory):
+        with pytest.raises(ValueError, match=r"accuracy must be in \[0, 1\]"):
+            factory(trace, 1000.0, 0.5, 1.5, 0)

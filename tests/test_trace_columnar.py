@@ -280,7 +280,7 @@ def test_all_registered_scenarios_array_vs_request_built():
             assert run.storage_cost == ref.storage_cost, name
             assert run.transfer_cost == ref.transfer_cost, name
             assert run.n_transfers == ref.ledger.n_transfers, name
-    assert covered >= 18
+    assert covered >= 19
 
 
 @given(trace_columns(max_n=4, max_m=20), st.floats(0.1, 1.0))
