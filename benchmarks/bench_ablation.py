@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for Algorithm 1's design choices.
 
 * **Hyper-parameter alpha** — the consistency/robustness dial: sweep
   alpha at fixed accuracies and verify the trade-off direction (smaller

@@ -3,42 +3,49 @@
 Not a paper figure, but the paper's *proof structure*: every partition of
 the request sequence (induced by the optimal strategy) must satisfy the
 consistency bound with perfect predictions.  Running it on the full
-evaluation workload turns the proof into a measurement.
+evaluation workload (m = 11,688, each lambda of Figures 25-28) turns the
+proof into a measurement.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import (
     CostModel,
     LearningAugmentedReplication,
     OraclePredictor,
+    optimal_cost,
+    optimal_schedule,
     simulate,
 )
 from repro.analysis.partition import partition_report
 from repro.analysis.theory import consistency_bound
 
-from conftest import emit
+from conftest import LAMBDAS, emit
 
 
-def test_partition_bounds_at_scale(benchmark, paper_trace):
-    # a moderate slice keeps the partition scan affordable in CI
-    trace = paper_trace.slice_time(0.0, paper_trace.times[2000])
-    lam, alpha = 1000.0, 0.3
-    model = CostModel(lam=lam, n=trace.n)
-    pol = LearningAugmentedReplication(OraclePredictor(trace), alpha)
-    res = simulate(trace, model, pol)
-    parts = partition_report(trace, model, res, pol.classifications)
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_partition_bounds_at_scale(benchmark, paper_trace, lam):
+    alpha = 0.3
+    model = CostModel(lam=lam, n=paper_trace.n)
+    pol = LearningAugmentedReplication(OraclePredictor(paper_trace), alpha)
+    res = simulate(paper_trace, model, pol)
+    parts = partition_report(paper_trace, model, res, pol.classifications)
 
     ratios = np.array([p.ratio for p in parts if p.opt > 0])
     bound = consistency_bound(alpha)
     assert ratios.max() <= bound + 1e-7
+    # the partitions split the optimal strategy's cost without overlap
+    assert sum(p.opt for p in parts) == pytest.approx(
+        optimal_cost(paper_trace, model), rel=1e-9
+    )
     emit(
-        "Section 5 partition analysis (perfect predictions, lambda=1000)",
+        f"Section 5 partition analysis (perfect predictions, lambda={lam:g})",
         "\n".join(
             [
-                f"{len(parts)} partitions over {len(trace)} requests",
+                f"{len(parts)} partitions over {len(paper_trace)} requests",
                 f"per-partition ratio: max {ratios.max():.4f}, "
                 f"mean {ratios.mean():.4f}, median {np.median(ratios):.4f}",
                 f"consistency bound (5+alpha)/3 = {bound:.4f} — "
@@ -47,7 +54,4 @@ def test_partition_bounds_at_scale(benchmark, paper_trace):
         ),
     )
 
-    def unit():
-        return len(partition_report(trace, model, res, pol.classifications))
-
-    benchmark(unit)
+    benchmark(lambda: len(optimal_schedule(paper_trace, model)[1]))

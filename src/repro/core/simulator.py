@@ -11,7 +11,9 @@ ReplicationPolicy` over a :class:`~repro.core.trace.Trace`:
 * the at-least-one-copy invariant is enforced on every drop;
 * storage cost is integrated continuously and **clipped to the final
   request time** ``t_m`` (the paper's accounting convention for measured
-  costs, cf. Section 11's counterexample and DESIGN.md Section 5).
+  costs, cf. Section 11's counterexample; :mod:`repro.offline.dp` clips
+  the optimum the same way, so online/optimal ratios compare like with
+  like).
 
 Copy lifecycles (creation, expiry, special switch, drop) are recorded in
 :class:`CopyRecord` objects so the analysis layer can reproduce the

@@ -13,8 +13,9 @@ Built-ins cover the paper's evaluation (Zuo, Tang, Lee, SPAA 2024):
   scenario per ``lambda`` in {10, 100, 1000, 10000} (Appendix J.2);
 * ``fig29`` .. ``fig32`` — the adapted algorithm with robustness target
   ``2 + beta`` for ``(lambda, beta)`` in {1000, 10000} x {0.1, 1};
-* ``ablation-alpha`` and ``ablation-predictor-*`` — the DESIGN.md
-  ablations (consistency/robustness dial, deployable predictors);
+* ``ablation-alpha`` and ``ablation-predictor-*`` — the ablations of
+  ``benchmarks/bench_ablation.py`` (alpha as the consistency/robustness
+  dial, and the learned predictors a deployment could run);
 * ``tight-robustness`` / ``tight-consistency`` — the Figure 5/6 tight
   examples;
 * ``wang-counterexample`` — the Figure 9 instance against Wang et al.'s

@@ -1,7 +1,8 @@
-"""Exact optimal offline replication cost in ``O(m * n)``.
+"""Exact optimal offline replication cost in ``O(m * n)``, and one optimal
+schedule.
 
-Derivation (from the paper's structural Propositions 3-6; see DESIGN.md):
-there exists an optimal offline strategy in which
+Derivation (from the paper's structural Propositions 3-6): there exists
+an optimal offline strategy in which
 
 1. every request ``r_i`` is either served by a copy held at ``s[r_i]``
    continuously since the preceding local request ``r_{p(i)}`` ("keep",
@@ -20,6 +21,20 @@ expiry time among currently open kept intervals*.  Scanning requests in
 time order with that scalar as the DP state gives an exact algorithm; at
 most one open interval per server exists at any time, so the state space
 is bounded by ``n`` and the total complexity is ``O(m * n)``.
+
+One walk serves both entry points.  It holds the DP states as a Pareto
+front sorted by expiry and prunes exactly: a state with smaller-or-equal
+expiry and greater-or-equal cost never beats its dominator on any
+suffix.  Per request, *bridge* charges the gap to the states whose open
+intervals do not span it, and *decide* branches each state into keep and
+skip and merges the branches; each step builds a fresh front and never
+mutates it.  :func:`optimal_schedule` keeps a reference to every front
+and walks back from the final minimum-cost state, undoing decide(i) with
+the first state of the front it read whose keep branch, else skip
+branch, yields the target, and bridge(i) by the target's expiry alone.
+Those comparisons are exact float equality: the walk computed each
+surviving cost with one addition from its predecessor's, and the
+backward pass repeats that addition on the same operands.
 
 The implementation is validated in the test suite against an exhaustive
 exponential search (``repro.offline.brute_force``) on thousands of random
@@ -58,7 +73,9 @@ class OfflineDecision:
     bridged: bool
 
 
-def _prepare(trace: Trace, model: CostModel):
+def _uniform_rate(trace: Trace, model: CostModel) -> float:
+    """The storage rate every server shares; rejects a model the offline
+    solvers cannot take."""
     if model.n != trace.n:
         raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
     if not model.uniform_storage:
@@ -66,36 +83,23 @@ def _prepare(trace: Trace, model: CostModel):
             "optimal_cost assumes uniform storage rates (the paper's "
             "setting); use brute_force for small non-uniform instances"
         )
-    rate = model.storage_rates[0]
-    seq = trace.with_dummy()
-    nxt = trace.next_local_time()
-    return seq, nxt, rate
+    return model.storage_rates[0]
 
 
-def optimal_cost(trace: Trace, model: CostModel) -> float:
-    """Exact minimum offline cost of serving ``trace`` under ``model``.
+def _walk(
+    trace: Trace,
+    model: CostModel,
+    fronts: list[tuple[list[float], list[float]]] | None = None,
+) -> float:
+    """The frontier walk behind both entry points; returns the optimum.
 
-    Storage is accounted over ``[0, t_m]`` and each transfer costs
-    ``lambda`` — the same conventions as the simulator, so online/optimal
-    ratios are directly comparable.
-
-    The scan inputs (dummy-prefixed times, next-local times, per-gap and
-    per-keep storage charges) are prepared as vectorized numpy arrays in
-    one pass; the sequential frontier walk then maintains the DP state as
-    a Pareto front sorted by expiry — larger ``E`` costs strictly more —
-    merged in O(frontier) per request with *exact* dominance pruning (a
-    state with smaller-or-equal expiry and greater-or-equal cost can
-    never beat its dominator on any suffix, so dropping it is lossless,
-    unlike the older tolerance-based prune).
+    The scan inputs are prepared as numpy columns in one pass and walked
+    as plain lists.  Given a list as ``fronts``, the walk appends the
+    front ``(Es, cs)`` it holds after each step: ``fronts[2 * i]`` after
+    bridge(i) (the initial front at i = 0), ``fronts[2 * i + 1]`` after
+    decide(i).
     """
-    if model.n != trace.n:
-        raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-    if not model.uniform_storage:
-        raise ValueError(
-            "optimal_cost assumes uniform storage rates (the paper's "
-            "setting); use brute_force for small non-uniform instances"
-        )
-    rate = model.storage_rates[0]
+    rate = _uniform_rate(trace, model)
     lam = model.lam
     m = len(trace)
     if m == 0:
@@ -126,6 +130,8 @@ def optimal_cost(trace: Trace, model: CostModel) -> float:
 
     for i in range(m + 1):
         if i:
+            if fronts is not None:
+                fronts.append((Es, cs))  # after decide(i - 1)
             # bridging charge for states whose open intervals do not span
             # the gap (E < t_i - eps); they form a suffix of the front
             thresh = times[i] - _EPS
@@ -148,6 +154,8 @@ def optimal_cost(trace: Trace, model: CostModel) -> float:
                         new_c.append(c)
                         best = c
                 Es, cs = new_E, new_c
+        if fronts is not None:
+            fronts.append((Es, cs))  # after bridge(i)
 
         nl = nxt[i]
         if nl == inf:
@@ -211,95 +219,64 @@ def optimal_cost(trace: Trace, model: CostModel) -> float:
                 best = c
         Es, cs = out_E, out_c
 
+    if fronts is not None:
+        fronts.append((Es, cs))  # after decide(m)
     return base + cs[-1]
+
+
+def optimal_cost(trace: Trace, model: CostModel) -> float:
+    """Exact minimum offline cost of serving ``trace`` under ``model``.
+
+    Storage is accounted over ``[0, t_m]`` and each transfer costs
+    ``lambda`` — the same conventions as the simulator, so online/optimal
+    ratios are directly comparable.
+    """
+    return _walk(trace, model)
 
 
 def optimal_schedule(trace: Trace, model: CostModel) -> tuple[float, list[OfflineDecision]]:
     """Optimal cost plus the reconstructed per-request decisions.
 
-    Runs the same DP as :func:`optimal_cost` but keeps back-pointers; the
-    returned decisions are one optimal solution (ties broken toward
-    "keep") and cover ``r_0 .. r_m`` (index 0 is the dummy request's
-    decision about the initial copy).  Intended for inspection and the
-    partition analysis rather than hot loops.
+    Runs :func:`optimal_cost`'s walk, keeping its fronts, so the cost is
+    bit-identical to it; the returned decisions are one optimal solution
+    (ties broken toward "keep") and cover ``r_0 .. r_m`` (index 0 is the
+    dummy request's decision about the initial copy).
     """
-    seq, nxt, rate = _prepare(trace, model)
-    lam = model.lam
-    m = len(seq) - 1
-    if m == 0:
-        return 0.0, []
+    fronts: list[tuple[list[float], list[float]]] = []
+    cost = _walk(trace, model, fronts)
+    if not fronts:
+        return cost, []
+    rate = model.storage_rates[0]
+    inf = float("inf")
+    times = [0.0, *trace.times.tolist()]
+    nxt = trace.next_local_time().tolist()
 
-    seen = {0}
-    base = 0.0
-    for r in seq[1:]:
-        if r.server not in seen:
-            base += lam
-            seen.add(r.server)
-
-    NEG = float("-inf")
-    # state: E -> (cost, parent_key, decision at this step, bridged)
-    Hist = dict[float, tuple[float, float | None, bool | None, bool]]
-    layers: list[Hist] = []
-
-    def decide(i: int, cur: Hist) -> Hist:
-        t_i = seq[i].time
-        nl = nxt[i]
-        out: Hist = {}
-        for E, (c, _, _, bridged) in cur.items():
-            if nl != float("inf"):
-                kE = max(E, nl)
-                kc = c + (nl - t_i) * rate
-                if kc < out.get(kE, (float("inf"), None, None, False))[0]:
-                    out[kE] = (kc, E, True, bridged)
-                sc = c + lam
-                if sc < out.get(E, (float("inf"), None, None, False))[0]:
-                    out[E] = (sc, E, False, bridged)
-            else:
-                if c < out.get(E, (float("inf"), None, None, False))[0]:
-                    out[E] = (c, E, False, bridged)
-        return out
-
-    cur: Hist = {NEG: (0.0, None, None, False)}
-    cur = decide(0, cur)
-    layers.append(cur)
-    for i in range(1, m + 1):
-        gap = seq[i].time - seq[i - 1].time
-        t_i = seq[i].time
-        moved: Hist = {}
-        for E, (c, _, _, _) in cur.items():
-            bridged = E < t_i - _EPS
-            cc = c + (gap * rate if bridged else 0.0)
-            if cc < moved.get(E, (float("inf"), None, None, False))[0]:
-                moved[E] = (cc, E, None, bridged)
-        cur = decide(i, moved)
-        layers.append(cur)
-
-    bestE = min(cur, key=lambda E: cur[E][0])
-    total = base + cur[bestE][0]
-
-    # walk back through layers to recover decisions (r_m down to r_0)
+    Es, cs = fronts[-1]
+    E, c = Es[-1], cs[-1]  # the minimum-cost final state
     decisions: list[OfflineDecision] = []
-    key: float | None = bestE
-    for i in range(m, 0, -1):
-        entry = layers[i][key]  # type: ignore[index]
-        _, parent, keep, bridged = entry
-        decisions.append(
-            OfflineDecision(
-                request_index=i,
-                keep=bool(keep) if keep is not None else False,
-                bridged=bool(bridged),
-            )
-        )
-        key = parent
-    # the dummy request r_0's decision (keep the initial copy at server 0
-    # until its next local request) lives in layer 0
-    entry0 = layers[0][key]  # type: ignore[index]
-    decisions.append(
-        OfflineDecision(
-            request_index=0,
-            keep=bool(entry0[2]) if entry0[2] is not None else False,
-            bridged=False,
-        )
-    )
+    for i in range(len(nxt) - 1, -1, -1):
+        # undo decide(i): the first state of the front it read (largest
+        # expiry first) whose keep branch (max(E', nl), c' + K) yields the
+        # target, else the one whose skip branch (E', c' + lam) does
+        Es, cs = fronts[2 * i]
+        keep = False
+        nl = nxt[i]
+        if nl != inf:
+            K = (nl - times[i]) * rate  # the walk's keep charge, same bits
+            for j in range(len(Es)):
+                if max(Es[j], nl) == E and cs[j] + K == c:
+                    keep = True
+                    break
+            else:
+                j = Es.index(E)
+            E, c = Es[j], cs[j]
+        # undo bridge(i): a state keeps its expiry, and it paid the gap
+        # exactly when its open intervals did not span it
+        bridged = False
+        if i:
+            Es, cs = fronts[2 * i - 1]
+            bridged = E < times[i] - _EPS
+            c = cs[Es.index(E)]
+        decisions.append(OfflineDecision(request_index=i, keep=keep, bridged=bridged))
     decisions.reverse()
-    return total, decisions
+    return cost, decisions

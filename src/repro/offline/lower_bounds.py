@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..core.costs import CostModel
 from ..core.trace import Trace
+from .dp import _uniform_rate
 
 __all__ = ["opt_lower_bound"]
 
@@ -30,16 +31,22 @@ def opt_lower_bound(trace: Trace, model: CostModel) -> float:
       ``t_i - t_{i-1}`` across every global gap; the part beyond
       ``lambda`` is not already counted, contributing
       ``t_i - t_{i-1} - lambda`` when positive.
+
+    Storage is charged at the servers' shared rate ``mu``: per request
+    ``min(lambda, mu * gap)``, per global gap ``gg`` ``max(0, mu * gg -
+    lambda)``.  The bound stays valid because an instance's cost at rate
+    ``mu`` is ``mu`` times its cost at rate 1 with ``lambda / mu``.  Like
+    :func:`~repro.offline.dp.optimal_cost`, it rejects non-uniform rates.
     """
-    if model.n != trace.n:
-        raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
+    mu = _uniform_rate(trace, model)
     lam = model.lam
     total = 0.0
     gaps = trace.inter_request_gaps()
     prev_t = 0.0
     for r, gap in zip(trace, gaps):
-        total += lam if gap > lam else gap
-        global_gap = r.time - prev_t
+        local = mu * gap
+        total += lam if local > lam else local
+        global_gap = mu * (r.time - prev_t)
         if global_gap > lam:
             total += global_gap - lam
         prev_t = r.time

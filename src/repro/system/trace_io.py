@@ -18,7 +18,8 @@ Lets users plug their own workloads into the library:
   (``timestamp_ms operation object_id [size ...]``), filters read
   operations, and produces per-object traces — so when the real IBM
   trace is available the paper's exact experiment can be rerun without
-  code changes (cf. the substitution note in DESIGN.md).
+  code changes (until then :mod:`repro.workloads.ibm_like` stands in for
+  it).
 """
 
 from __future__ import annotations

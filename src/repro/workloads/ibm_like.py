@@ -4,10 +4,10 @@ The paper evaluates on read requests of one object from the public IBM
 object-storage traces (object ``652aaef228286e0a``: 11688 reads over 7
 days, i.e. a mean inter-arrival of ~52 s and a mean *per-server*
 inter-request time of ~500 s once spread over 10 servers by the Zipf
-rule).  The traces are not redistributable and unavailable offline, so —
-per the substitution rule in DESIGN.md — this module synthesises an
-arrival sequence that matches the statistics the paper's analysis
-actually depends on:
+rule).  The traces are not redistributable and unavailable offline, so
+this module synthesises an arrival sequence that matches the statistics
+the paper's analysis actually depends on (a real log in the IBM layout
+replaces it through :func:`repro.system.trace_io.load_access_log_csv`):
 
 * total request count and 7-day span (mean per-server gap ~500 s);
 * heavy-tailed, bursty inter-arrivals (log-normal mixture: dense bursts

@@ -2,8 +2,9 @@
 
 Robustness ``1 + 1/alpha`` must hold for *any* predictions; consistency
 ``(5 + alpha)/3`` for perfect predictions.  These are exact inequalities
-under the repo's accounting conventions (DESIGN.md Section 5), so any
-violation is a bug, not noise.
+under the repo's accounting conventions (storage clipped to the final
+request time for both the simulator and the offline optimum, see
+:mod:`repro.core.simulator`), so any violation is a bug, not noise.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CostModel,
@@ -12,13 +14,17 @@ from repro import (
     optimal_cost,
     optimal_schedule,
 )
+from repro.analysis.partition import reconstruct_optimal_holdings
 from repro.offline import opt_lower_bound
 from repro.workloads import (
     consistency_tight_trace,
+    ibm_like_trace,
     robustness_tight_trace,
     uniform_random_trace,
     wang_counterexample_trace,
 )
+
+from conftest import tie_prone_traces
 
 
 class TestHandComputedOptima:
@@ -154,7 +160,7 @@ class TestOptimalSchedule:
             tr = uniform_random_trace(n, m, 30.0, seed=int(rng.integers(2**31)))
             model = CostModel(lam=2.0, n=n)
             cost, decisions = optimal_schedule(tr, model)
-            assert cost == pytest.approx(optimal_cost(tr, model))
+            assert cost == optimal_cost(tr, model)  # one walk, same bits
             assert len(decisions) == m + 1  # includes the dummy r_0
 
     def test_decisions_indexed_in_order(self):
@@ -173,6 +179,35 @@ class TestOptimalSchedule:
     def test_empty_trace(self):
         cost, decisions = optimal_schedule(Trace(2, []), CostModel(lam=1.0, n=2))
         assert cost == 0.0 and decisions == []
+
+    def test_ties_break_toward_keep(self):
+        # keeping r_1's copy at server 1 until r_2 costs 1 = lam, a tie;
+        # the schedule keeps it (skipping would flip r_1 only)
+        tr = Trace(2, [(3.0, 1), (4.0, 1), (5.0, 0), (6.0, 0)])
+        cost, decisions = optimal_schedule(tr, CostModel(lam=1.0, n=2))
+        assert cost == 8.0
+        assert [d.keep for d in decisions] == [True, True, False, True, False]
+        assert not any(d.bridged for d in decisions)
+
+    @given(tie_prone_traces(), st.integers(1, 6), st.sampled_from([0.3, 1.0, 2.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_prone_schedule_realises_optimum(self, trace, lam, rate):
+        model = CostModel(lam=float(lam), n=trace.n, storage_rates=(rate,) * trace.n)
+        cost, decisions = optimal_schedule(trace, model)
+        assert cost == optimal_cost(trace, model)
+        assert len(decisions) == (len(trace) + 1 if len(trace) else 0)
+        # the decisions, laid out as storage intervals and transfers,
+        # cost what the walk says
+        h = reconstruct_optimal_holdings(trace, model)
+        storage = sum((b - a) * rate for ivs in h.intervals.values() for a, b in ivs)
+        assert storage + model.lam * len(h.transfers) == pytest.approx(cost, rel=1e-9)
+
+    def test_paper_size_schedule(self):
+        tr = ibm_like_trace(n=10, m=11688, seed=0)
+        model = CostModel(lam=1000.0, n=10)
+        cost, decisions = optimal_schedule(tr, model)
+        assert len(decisions) == 11689
+        assert cost == optimal_cost(tr, model)
 
 
 class TestOptLowerBound:
@@ -200,3 +235,19 @@ class TestOptLowerBound:
         tr = Trace(2, [(1.0, 1)])
         with pytest.raises(ValueError):
             opt_lower_bound(tr, CostModel(lam=5.0, n=3))
+
+    def test_scales_with_storage_rate(self):
+        # at rate 0.5 keeping the copy across the three unit gaps costs 1.5
+        tr = Trace(1, [(1.0, 0), (2.0, 0), (3.0, 0)])
+        model = CostModel(lam=10.0, n=1, storage_rates=(0.5,))
+        assert brute_force_optimal_cost(tr, model) == pytest.approx(1.5)
+        assert optimal_cost(tr, model) == pytest.approx(1.5)
+        assert opt_lower_bound(tr, model) == pytest.approx(1.5)
+
+    def test_non_uniform_rates_rejected(self):
+        # charging raw gaps here would give 12.0 against an optimum of 11.2
+        tr = Trace(2, [(1.0, 1), (2.0, 1), (3.0, 1)])
+        model = CostModel(lam=10.0, n=2, storage_rates=(1.0, 0.1))
+        assert brute_force_optimal_cost(tr, model) == pytest.approx(11.2)
+        with pytest.raises(ValueError, match="uniform"):
+            opt_lower_bound(tr, model)

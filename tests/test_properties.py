@@ -164,10 +164,11 @@ class TestOfflineProperties:
         res = simulate(trace, model, pol)
         assert optimal_cost(trace, model) <= res.total_cost + 1e-7
 
-    @given(instances())
+    @given(instances(), st.sampled_from([0.3, 1.0, 2.5]))
     @settings(max_examples=60, deadline=None)
-    def test_opt_lower_bound_below_optimal(self, inst):
+    def test_opt_lower_bound_below_optimal(self, inst, rate):
         trace, model = inst
+        model = CostModel(lam=model.lam, n=model.n, storage_rates=(rate,) * model.n)
         assert opt_lower_bound(trace, model) <= optimal_cost(trace, model) + 1e-9
 
     @given(instances())
@@ -175,7 +176,7 @@ class TestOfflineProperties:
     def test_schedule_cost_matches(self, inst):
         trace, model = inst
         cost, decisions = optimal_schedule(trace, model)
-        assert cost == pytest.approx(optimal_cost(trace, model), rel=1e-9, abs=1e-9)
+        assert cost == optimal_cost(trace, model)
         assert len(decisions) == len(trace) + (1 if len(trace) else 0)
 
     @given(instances())
