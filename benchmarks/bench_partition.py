@@ -3,8 +3,8 @@
 Not a paper figure, but the paper's *proof structure*: every partition of
 the request sequence (induced by the optimal strategy) must satisfy the
 consistency bound with perfect predictions.  Running it on the full
-evaluation workload (m = 11,688, each lambda of Figures 25-28) turns the
-proof into a measurement.
+evaluation workload (m = 11,688, each lambda of Figures 25-28, each alpha
+of :data:`PARTITION_ALPHAS`) turns the proof into a measurement.
 """
 
 from __future__ import annotations
@@ -25,10 +25,14 @@ from repro.analysis.theory import consistency_bound
 
 from conftest import LAMBDAS, emit
 
+#: the distrust levels checked at each lambda, from the near-trusting end
+#: of Figures 25-28 to the conventional algorithm (alpha = 1)
+PARTITION_ALPHAS = (0.1, 0.3, 0.5, 1.0)
 
+
+@pytest.mark.parametrize("alpha", PARTITION_ALPHAS)
 @pytest.mark.parametrize("lam", LAMBDAS)
-def test_partition_bounds_at_scale(benchmark, paper_trace, lam):
-    alpha = 0.3
+def test_partition_bounds_at_scale(benchmark, paper_trace, lam, alpha):
     model = CostModel(lam=lam, n=paper_trace.n)
     pol = LearningAugmentedReplication(OraclePredictor(paper_trace), alpha)
     res = simulate(paper_trace, model, pol)
@@ -42,7 +46,8 @@ def test_partition_bounds_at_scale(benchmark, paper_trace, lam):
         optimal_cost(paper_trace, model), rel=1e-9
     )
     emit(
-        f"Section 5 partition analysis (perfect predictions, lambda={lam:g})",
+        "Section 5 partition analysis (perfect predictions, "
+        f"lambda={lam:g}, alpha={alpha:g})",
         "\n".join(
             [
                 f"{len(parts)} partitions over {len(paper_trace)} requests",

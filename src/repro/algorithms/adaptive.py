@@ -7,14 +7,17 @@ we learn whether the previous prediction was right) and monitors an upper
 bound of the online-to-optimal cost ratio online:
 
 * ``OPT_L`` — a lower bound on the optimal offline cost: per request,
-  ``lambda`` when the local gap exceeds ``lambda`` else the gap itself,
-  plus the uncovered part ``(t_i - t_{i-1} - lambda)`` of long global
-  gaps (the denominator of the paper's equation (11));
+  ``lambda`` when the local gap's storage ``mu * gap`` exceeds
+  ``lambda`` else that storage, plus the uncovered part ``mu * (t_i -
+  t_{i-1}) - lambda`` of long global gaps (the denominator of the
+  paper's equation (11); :func:`~repro.offline.opt_lower_bound`
+  computes the same sum in the same order);
 * ``Online_U`` — an upper bound on the online cost: the Proposition 2
-  allocations of all arisen requests plus a conservative ``2 * lambda``
-  for each server's still-open tail (its pending regular copy plus the
-  worst-case misprediction penalty — both cases of Section 8's analysis
-  are bounded by ``2 * lambda``).
+  allocations of all arisen requests (transfers at ``lambda``, storage
+  at the uniform rate ``mu``) plus a conservative ``lambda + mu *
+  lambda`` for each server's still-open tail (its pending regular copy,
+  kept at most ``lambda``, plus the worst-case misprediction penalty of
+  one transfer).
 
 Whenever ``Online_U / OPT_L > 2 + beta``, the intended duration after the
 current request is forced to ``lambda`` (the conventional 2-competitive
@@ -96,11 +99,12 @@ class AdaptiveReplication(LearningAugmentedReplication):
     # ------------------------------------------------------------------
     @property
     def online_upper(self) -> float:
-        """Current ``Online_U``: allocations + 2*lambda per active server."""
+        """Current ``Online_U``: allocations + ``lambda + mu * lambda``
+        per active server."""
         assert self._model is not None
-        return self.online_upper_base + 2.0 * self._model.lam * len(
-            self._servers_seen
-        )
+        lam = self._model.lam
+        tail = lam + self._model.storage_rates[0] * lam
+        return self.online_upper_base + tail * len(self._servers_seen)
 
     @property
     def monitored_ratio(self) -> float:
@@ -121,27 +125,28 @@ class AdaptiveReplication(LearningAugmentedReplication):
     ) -> None:
         assert self._model is not None
         lam = self._model.lam
+        mu = self._model.storage_rates[0]     # uniform (reset checks)
         t = request.time
         self._requests_seen += 1
         self._servers_seen.add(request.server)
 
-        # --- OPT_L (denominator of eq. 11) -----------------------------
+        # --- OPT_L (denominator of eq. 11), opt_lower_bound's terms -----
         local_gap = t - t_p if not math.isnan(t_p) else float("inf")
-        self.opt_lower += lam if local_gap > lam else local_gap
-        global_gap = t - self._prev_global_time
+        local = mu * local_gap
+        self.opt_lower += lam if local > lam else local
+        global_gap = mu * (t - self._prev_global_time)
         if global_gap > lam:
             self.opt_lower += global_gap - lam
         self._prev_global_time = t
 
         # --- Online_U (Prop. 2 allocations of arisen requests) ---------
+        held = 0.0 if math.isnan(l_i) else l_i
         if rtype is RequestType.TYPE_1:
-            self.online_upper_base += lam + (0.0 if math.isnan(l_i) else l_i)
+            self.online_upper_base += lam + mu * held
         elif rtype is RequestType.TYPE_2:
-            self.online_upper_base += (
-                lam + (t - t_prime) + (0.0 if math.isnan(l_i) else l_i)
-            )
+            self.online_upper_base += lam + mu * (t - t_prime) + mu * held
         else:  # Type-3 / Type-4: t_i - t_p(i)
-            self.online_upper_base += t - t_p
+            self.online_upper_base += mu * (t - t_p)
 
         # --- trip / release the conventional fallback -------------------
         forced = False
@@ -166,6 +171,7 @@ def forced_column(
     within: np.ndarray,
     n: int,
     lam: float,
+    mu: float,
     alpha: float,
     beta: float,
     warmup: int,
@@ -178,7 +184,7 @@ def forced_column(
     bool column of length ``m + 1`` whose entry ``i`` is the trip
     decision ``_note_request`` takes at request ``i`` (``forced[0]``,
     the dummy, is False), for the policy with ``alpha``, ``beta`` and
-    ``warmup`` under ``lam``.
+    ``warmup`` under ``lam`` and the uniform storage rate ``mu``.
 
     One scalar pass over per-server state, with no simulator.  ``E[s]``
     is the expiry ``t + d`` set at server ``s``'s latest request
@@ -198,7 +204,7 @@ def forced_column(
     m = len(times) - 1
     inf = math.inf
     beyond = alpha * lam            # the reference's single multiply
-    two_lam = 2.0 * lam
+    tail = lam + mu * lam           # open-tail allowance per seen server
     bound = 2.0 + beta
     d = lam if preds[0] else beyond
     expiry = [-inf] * n
@@ -220,21 +226,22 @@ def forced_column(
         # Online_U: Proposition 2 allocation of the request's type
         if top_e < t:                # die-out: only the special copy lives
             if top_s == j:           # Type 4
-                upper_base += t - t_p
+                upper_base += mu * (t - t_p)
             else:                    # Type 2, t' = the special's expiry
-                upper_base += lam + (t - top_e) + last_d[j]
+                upper_base += lam + mu * (t - top_e) + mu * last_d[j]
         elif expiry[j] >= t:         # Type 3
-            upper_base += t - t_p
+            upper_base += mu * (t - t_p)
         else:                        # Type 1
-            upper_base += lam + last_d[j]
+            upper_base += lam + mu * last_d[j]
         # OPT_L (denominator of eq. 11)
         if t_p != t_p:               # first request at j
             seen += 1
             local_gap = inf
         else:
             local_gap = t - t_p
-        opt_lower += lam if local_gap > lam else local_gap
-        global_gap = t - prev_t
+        local = mu * local_gap
+        opt_lower += lam if local > lam else local
+        global_gap = mu * (t - prev_t)
         if global_gap > lam:
             opt_lower += global_gap - lam
         prev_t = t
@@ -244,7 +251,7 @@ def forced_column(
             if opt_lower <= 0.0:
                 ratio = inf
             else:
-                ratio = (upper_base + two_lam * seen) / opt_lower
+                ratio = (upper_base + tail * seen) / opt_lower
             f = forced[i] = ratio > bound
         d = lam if f or preds[i] else beyond
         e = t + d

@@ -23,7 +23,9 @@ a much sharper check than the aggregate ratio alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import repeat
 
 from ..algorithms.learning_augmented import RequestClassification
 from ..core.costs import CostModel
@@ -46,24 +48,38 @@ class OptimalHoldings:
     """Storage intervals of one optimal offline strategy.
 
     ``intervals`` maps each server to a list of ``(start, end)`` holding
-    periods; ``transfers`` lists the times of transfer-served requests;
-    ``total_cost`` is the strategy's cost (== the DP optimum).
+    periods, sorted and disjoint; ``transfers`` lists the times of
+    transfer-served requests, in request order; ``total_cost`` is the
+    strategy's cost (== the DP optimum).
     """
 
     intervals: dict[int, list[tuple[float, float]]]
     transfers: tuple[float, ...]
     total_cost: float
+    #: per server, the interval starts and ends as sorted lists, for
+    #: bisection
+    _bounds: dict[int, tuple[list[float], list[float]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_bounds", {
+            s: ([a for a, _ in ivs], [b for _, b in ivs])
+            for s, ivs in self.intervals.items()
+        })
 
     def holder_crossing(self, t: float, exclude: int | None = None) -> int | None:
         """A server (other than ``exclude``) holding a copy crossing time
         ``t`` (strictly containing ``t`` in the interior of a holding
         period), or None."""
-        for server, ivs in self.intervals.items():
+        for server, (starts, ends) in self._bounds.items():
             if server == exclude:
                 continue
-            for a, b in ivs:
-                if a < t < b:
-                    return server
+            # the one interval that can contain t: the last starting
+            # before it
+            k = bisect_left(starts, t) - 1
+            if k >= 0 and t < ends[k]:
+                return server
         return None
 
 
@@ -117,11 +133,22 @@ def reconstruct_optimal_holdings(
 
     # a request is served locally iff a reconstructed interval at its own
     # server contains its arrival time (kept intervals end exactly at the
-    # request they serve); everything else is transfer-served
+    # request they serve); everything else is transfer-served.  Some
+    # interval a < t <= b + 1e-12 exists iff the latest end among the
+    # intervals starting before t reaches it, so each server's intervals
+    # are sorted by start with running maxima of their ends.
+    reach: dict[int, tuple[list[float], list[float]]] = {}
+    for server, ivs in per_server.items():
+        ivs = sorted(ivs)
+        ends = [b for _, b in ivs]
+        for k in range(1, len(ends)):
+            if ends[k] < ends[k - 1]:
+                ends[k] = ends[k - 1]
+        reach[server] = ([a for a, _ in ivs], ends)
     for r in trace:
-        ivs = per_server.get(r.server, [])
-        local = any(a < r.time <= b + 1e-12 for a, b in ivs)
-        if not local:
+        starts, ends = reach.get(r.server, ((), ()))
+        k = bisect_left(starts, r.time) - 1
+        if k < 0 or not r.time <= ends[k] + 1e-12:
             transfers.append(r.time)
 
     merged = {s: _merge(iv) for s, iv in per_server.items()}
@@ -201,15 +228,20 @@ def partition_report(
     for d, e in bounds:
         t_d, t_e = seq[d].time, seq[e].time
         online = sum(alloc.get(i, 0.0) for i in range(d + 1, e + 1))
-        # optimal storage clipped to (t_d, t_e]
+        # optimal storage clipped to (t_d, t_e]: each server's sorted,
+        # disjoint intervals that end after t_d and start before t_e,
+        # added in the order a full scan would add them
         storage = 0.0
         for server, ivs in holdings.intervals.items():
-            for a, b in ivs:
+            starts, ends = holdings._bounds[server]
+            for a, b in ivs[bisect_right(ends, t_d):bisect_left(starts, t_e)]:
                 lo, hi = max(a, t_d), min(b, t_e)
                 if hi > lo:
                     storage += (hi - lo) * model.rate(server)
-        transfers = sum(
-            model.lam for t in holdings.transfers if t_d < t <= t_e
+        # the transfer times are sorted: count those in (t_d, t_e]
+        n_tx = bisect_right(holdings.transfers, t_e) - bisect_right(
+            holdings.transfers, t_d
         )
+        transfers = sum(repeat(model.lam, n_tx))
         out.append(Partition(d=d, e=e, online=online, opt=storage + transfers))
     return out

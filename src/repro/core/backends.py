@@ -148,24 +148,26 @@ def repeat_add(value: float, count: int) -> float:
     return float(np.add.accumulate(np.full(count, value))[-1])
 
 
-def merge_interleave(dw, ew, db, eb):
-    """Interleave two expiry-sorted streams; ``None`` on any cross-stream
-    tie, where the caller's lexsort fallback defines the order."""
-    # Positional interleave via two searchsorted passes.
+def merge_interleave(ew, eb):
+    """The merge order of two sorted expiry streams: indices into
+    ``concatenate((ew, eb))`` in merged order, each stream keeping its
+    own order (a stable argsort), or ``None`` on any cross-stream tie,
+    where the caller's lexsort fallback defines the order."""
+    # one search places the first stream; the second fills the slots it
+    # leaves, and a gather at the placements finds cross-stream ties (a
+    # placement past the end has every eb below it, so clipping it to
+    # the last one cannot fake a tie)
     lo = np.searchsorted(eb, ew, side="left")
-    if not np.array_equal(lo, np.searchsorted(eb, ew, side="right")):
+    if eb.size and (eb[np.minimum(lo, eb.size - 1)] == ew).any():
         return None
-    out = np.empty(dw.size + db.size, dtype=np.int64)
-    exp = np.empty(out.size)
-    pw = np.arange(dw.size)
-    pw += lo
-    out[pw] = dw
-    exp[pw] = ew
-    pb = np.arange(db.size)
-    pb += np.searchsorted(ew, eb, side="left")
-    out[pb] = db
-    exp[pb] = eb
-    return out, exp
+    nw = ew.size
+    order = np.empty(nw + eb.size, dtype=np.intp)
+    lo += np.arange(nw)
+    order[lo] = np.arange(nw)
+    take_b = np.ones(order.size, dtype=bool)
+    take_b[lo] = False
+    order[take_b] = np.arange(nw, order.size)
+    return order
 
 
 def wang_cascade(

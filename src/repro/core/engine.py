@@ -122,7 +122,9 @@ is the state-free array ``E[q] = t[q] + d[q]``.  From it:
   pop before request ``i``, so it is the last of those in the heap's
   pop order — and it is resolved at request ``i`` itself (renewed if
   local, dropped after the transfer otherwise), so die-outs never
-  couple across requests.
+  couple across requests.  Its segment closes at ``t_i``, and nothing is
+  charged between its pop and request ``i``'s serve step, so it keeps
+  its pop slot and carries the charge that closes it.
 
 Renewals are then ``reach[prev] >= i`` or a special renewal; every
 other request is a transfer; and each of the ``m + 1`` segments is
@@ -139,9 +141,12 @@ charges are ``(E, server)``-ordered by merging the two per-branch
 expiry streams (each a constant shift of the strictly increasing
 times, hence already sorted; rare cross-stream ties fall back to a
 lexsort), serve-phase charges are emitted in request order by
-construction, and the two sequences interleave by counting sums
-(``cumsum`` + ``searchsorted``) rather than comparison sorts.  The
-ordered charge values are then reduced with ``np.add.accumulate`` —
+construction, and the two sequences interleave by counting sums rather
+than comparison sorts: a pop's slot is the ``cumsum`` count of serves at
+earlier events plus the pops before it, and the serves fill the slots
+the pops leave.  Every one of these steps is a linear pass except the
+one search that merges the two expiry streams.  The ordered charge
+values are then reduced with ``np.add.accumulate`` —
 NumPy's *sequential* accumulation, unlike ``np.add.reduce``'s pairwise
 tree — so the final sum performs the same doubles additions in the
 same order as the ledger's ``storage += charge``.  Transfers are read
@@ -165,13 +170,15 @@ flattened matrix:
 * ``np.nonzero`` yields ``(row, request)`` pairs in row-major order, so
   each row's die-outs and serves stay in request order;
 * the drops of every row merge once, as the union of all rows' drops:
-  each row's ``(E, server)`` order is a masked subsequence of it, and
-  one ``searchsorted`` on flat ``(row, event)`` keys finds every
-  die-out's special;
-* each row holds exactly ``m + 1`` charges: the pops and serves of all
-  rows interleave by counting sums over the flat event keys and fill
-  the rows' leading slots in that order, and each row's drain and
-  finalize charges take its trailing slots;
+  each row's ``(E, server)`` order is a masked subsequence of it (a
+  one-row pass takes the union as it is), and the die mask, gathered at
+  the flat ``(row, event)`` pop keys, marks the last pop of each
+  die-out event — its special;
+* each row holds exactly ``m + 1`` charges: each row's drain and
+  finalize charges take its trailing slots, and the pops and serves of
+  all rows interleave by counting sums over the flat event keys
+  (offset by the earlier rows' trailing charges) straight into the
+  other slots;
 * the ledgers reduce with ``np.add.accumulate(axis=1)``, sequential
   within each row, and transfers index one shared partial-sum table.
 
@@ -420,6 +427,7 @@ def _replay_column(
         within,
         trace.n,
         model.lam,
+        model.storage_rates[0],
         policy.alpha,
         policy.beta,
         policy.warmup,
@@ -469,6 +477,17 @@ SlabFactory = Callable[[Trace, float, float, float, int], ReplicationPolicy]
 # module DESIGN docstring for the derivation and bit-identity argument).
 # ----------------------------------------------------------------------
 
+#: the largest value a 32-bit index or count column holds
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _nonzero(mask: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(mask)`` for a contiguous mask, minus the Python
+    wrapper, which costs more than the search itself on the arrays of a
+    short object."""
+    return mask.ravel().nonzero()[0]
+
+
 class _SegmentChains:
     """Shared per-trace precompute for segment-scan replays.
 
@@ -501,7 +520,7 @@ class _SegmentChains:
         self.j_all = np.concatenate(([0], trace.servers))
         # 32-bit index columns halve the bandwidth of the hot passes;
         # traces beyond 2^31 requests would fall back to 64-bit
-        idx = np.int32 if self.m1 < np.iinfo(np.int32).max - 1 else np.int64
+        idx = np.int32 if self.m1 < _INT32_MAX - 1 else np.int64
         self.idx_dtype = idx
         order = np.argsort(self.j_all, kind="stable")
         js = self.j_all[order]
@@ -603,54 +622,64 @@ class _Shift:
 
 def _drops_by_expiry(
     chains: _SegmentChains,
-    dropped: np.ndarray,
     pred: np.ndarray,
     sw: _Shift,
     sb: _Shift,
     dur_within: float,
     dur_beyond: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(pop keys, indices, expiries)`` of the ``dropped`` segments:
-    row by row, each row in ``(E, server)`` order — the expiry heap's
-    pop order.  A segment of row ``r`` with reach ``q`` pops before
-    request ``q + 1``, and its key is that event's flat key ``r * m +
-    q``.
+    """``(pop keys, indices, expiries)`` of the segments each row of
+    ``pred`` keeps live until they expire mid-trace: row by row, each
+    row in ``(E, server)`` order — the expiry heap's pop order.  A
+    segment of row ``r`` with reach ``q`` pops before request ``q + 1``,
+    and its key is that event's flat key ``r * m + q``.
 
     Each prediction branch's expiries are a constant shift of the
     strictly increasing request times, so either branch's segments are
     already sorted: the union of every row's drops merges once
-    (:func:`~repro.core.backends.merge_interleave`, beyond-branch
-    indices tagged ``+ m1``), and each row's drops are a masked
-    subsequence of the merged union.  The server tie-break can only
-    matter *across* branches, so a cross-branch expiry tie in the union
-    falls back to a lexsort.
+    (:func:`~repro.core.backends.merge_interleave`, one search), and
+    each row's drops are a masked subsequence of the merged union — a
+    one-row pass's drops are the union itself.  The server tie-break
+    can only matter *across* branches, so a cross-branch expiry tie in
+    the union falls back to a lexsort.
     """
-    t_all, m, m1 = chains.t_all, chains.m, chains.m1
+    t_all, m = chains.t_all, chains.m
+    n_rows = pred.shape[0]
     if sw is sb:
-        # alpha = 1: both branches share every expiry, request order
-        rows, k = np.nonzero(dropped)
-        return rows * m + sw.reach[k], k, t_all[k] + dur_within
-    within = dropped & pred
-    beyond = dropped ^ within
-    uw = np.flatnonzero(within.any(axis=0))
-    ub = np.flatnonzero(beyond.any(axis=0))
+        # alpha = 1: both branches share every expiry, and every row
+        # drops the same segments, in request order
+        k = _nonzero(sw.drop)
+        key = sw.reach[k]
+        if n_rows > 1:
+            key = (np.arange(n_rows)[:, None] * m + key).reshape(-1)
+            k = np.tile(k, n_rows)
+        return key, k, t_all[k] + dur_within
+    within = pred & sw.drop
+    beyond = np.greater(sb.drop, pred)           # sb's, where not pred
+    uw = _nonzero(within.any(axis=0))
+    ub = _nonzero(beyond.any(axis=0))
     # the same scalar IEEE add as schedule(j, t + duration)
     ew = t_all[uw] + dur_within
     eb = t_all[ub] + dur_beyond
-    merged = merge_interleave(uw, ew, ub + m1, eb)
-    if merged is None:
-        tag = np.concatenate((uw, ub + m1))
-        exp = np.concatenate((ew, eb))
-        order = np.lexsort((chains.j_all[tag % m1], exp))
-        merged = tag[order], exp[order]
-    tag, exp = merged
-    key, g = np.nonzero(np.concatenate((within, beyond), axis=1)[:, tag])
-    tag = tag[g]
-    is_beyond = tag >= m1
-    k = tag - is_beyond * m1
-    key *= m                          # row r's events start at r * m
-    key += np.where(is_beyond, sb.reach[k], sw.reach[k])
-    return key, k, exp[g]
+    order = merge_interleave(ew, eb)
+    k = np.concatenate((uw, ub))
+    exp = np.concatenate((ew, eb))
+    if order is None:
+        order = np.lexsort((chains.j_all[k], exp))
+    key = np.concatenate((sw.reach[uw], sb.reach[ub]))
+    if n_rows > 1:
+        # each row's drops, as (row, position in the union's order)
+        sel = np.concatenate((within, beyond), axis=1).take(
+            np.concatenate((uw, ub + chains.m1))[order], axis=1
+        )
+        g = _nonzero(sel)
+        rows = np.arange(n_rows).repeat(sel.sum(axis=1))
+        g -= rows * order.size
+        order = order[g]
+        rows *= m                     # row r's events start at r * m
+        rows += key[order]
+        return rows, k[order], exp[order]
+    return key[order], k[order], exp[order]
 
 
 def _tenure_starts(chains: _SegmentChains, miss_full: np.ndarray) -> np.ndarray:
@@ -712,8 +741,11 @@ def _kernel_algorithm1(
 
     # die-out detection: request i finds every copy expired iff no
     # earlier segment covers it.  The per-duration cover columns are
-    # cached on the shifts; the rows only select and scan.
-    cover = np.where(pred, sw.cover, sb.cover)
+    # cached on the shifts; the rows only select and scan.  (The rows
+    # pick between the shifts with arithmetic and bitwise ops: np.where
+    # mispredicts its branch on noisy prediction rows.)
+    cover = np.multiply(pred, sw.cover - sb.cover)
+    cover += sb.cover
     if n_rows > 1:
         # keep the rows apart in the flat scan: each row's offset lies
         # above every cover value of the rows before it
@@ -726,48 +758,52 @@ def _kernel_algorithm1(
     # (big temporaries are dropped as soon as they die: a pass's peak is
     # fresh memory that every pass page-faults in again)
     del cover
-    die_r, die_c = np.nonzero(die)
+    # event keys are flat indices into the (rows, m) die and serve masks
+    # — event i of row r is r * m + i - 1 — so they sort by row, then
+    # event
+    die_key = _nonzero(die)
+    die_i = die_key % m + 1                  # each die-out's request
 
     # expiring segments: every segment still live when it expires
     # mid-trace, row by row in the heap's (E, server) pop order, keyed
-    # by the event it pops at.  Event keys are flat indices into the
-    # (rows, m) die and serve masks — event i of row r is r * m + i - 1
-    # — so they sort by row, then event.
-    dropped = np.where(pred, sw.drop, sb.drop)
-    pop_key, do, e_do = _drops_by_expiry(
-        chains, dropped, pred, sw, sb, lam, dur_beyond
-    )
+    # by the event it pops at
+    pop_key, do, e_do = _drops_by_expiry(chains, pred, sw, sb, lam, dur_beyond)
 
     # special copies: at die-out i the last segment to expire — the
     # last of those popping at event i, the segment of request i-1
     # among them — stays live and is resolved at request i itself
-    # (renewal or transfer + drop), so it is no pop-phase drop
-    spec = do[:0]
-    if die_r.size:
-        last = np.searchsorted(pop_key, die_r * m + die_c, side="right") - 1
-        spec = do[last]
-        keep = np.ones(do.size, dtype=bool)
-        keep[last] = False
-        pop_key, do, e_do = pop_key[keep], do[keep], e_do[keep]
+    # (renewal or transfer + drop), so its segment closes at t_i.  Its
+    # pop is event i's last and a die-out has no other serve-phase
+    # charge, so the special keeps its pop slot and takes the charge
+    # that closes it.  Every die-out event has a pop, so the last pop
+    # of each die-out event is one special per die-out, in event order.
+    is_spec = die.reshape(-1)[pop_key]
+    del die
+    is_spec[:-1] &= pop_key[1:] != pop_key[:-1]
+    spec_at = _nonzero(is_spec)
+    del is_spec
+    e_do[spec_at] = t_all[die_i]
+    spec_renew = j_all[die_i] == j_all[do[spec_at]]
 
     # renewal iff the previous local segment survives to the request
     # (the shifts' predecessor-alive columns, selected by the
     # *predecessor's* prediction) or the special copy is local
-    L = np.where(pred[:, chains.prev_clip], sw.local_alive, sb.local_alive)
+    pred_prev = pred.take(chains.prev_clip, axis=1)
+    L = np.greater(sb.local_alive, pred_prev)      # sb's, where not pred
+    pred_prev &= sw.local_alive
+    L |= pred_prev
+    del pred_prev
     L &= chains.prev_ok
-    n_renew = np.count_nonzero(L, axis=1)
-    if die_r.size:
-        spec_renew = j_all[die_c + 1] == j_all[spec]
-        n_renew += np.bincount(die_r[spec_renew], minlength=n_rows)
+    n_renew = L.sum(axis=1)
+    n_renew += np.bincount(die_key[spec_renew] // m, minlength=n_rows)
     n_tx = m - n_renew
 
     # serve-phase charges (at most one per request): a renewal closes
-    # the predecessor's segment, a die-out closes the special's
-    serve_mask = np.logical_or(L, die, out=L)        # L is dead after this
-    srv_key = np.flatnonzero(serve_mask)     # row-major: request order
-    sp1 = srv_key % m + 1
-    closed = chains.prev[sp1]
-    closed[np.flatnonzero(die[serve_mask])] = spec
+    # the predecessor's segment
+    sp1 = _nonzero(L)                        # row-major: request order
+    if n_rows > 1:
+        sp1 %= m
+    sp1 += 1
 
     # trailing segments (a subset of each server's last request): the
     # drain pops them in (E, server) order and the survivor finalizes
@@ -781,6 +817,7 @@ def _kernel_algorithm1(
     t_order = np.lexsort((j_all[tail_q], e_tail, tail_r))
     tail_r, tail_q, e_tail = tail_r[t_order], tail_q[t_order], e_tail[t_order]
     n_tail = np.bincount(tail_r, minlength=n_rows)
+    tail_end = n_tail.cumsum()
     cap = drain_event_cap if drain_event_cap is not None else 4 * chains.n + 16
     if not drain or cap < chains.n or not np.isfinite(e_tail).all():
         # rare: a disabled drain, a binding event cap (at most one
@@ -790,54 +827,58 @@ def _kernel_algorithm1(
         if drain:
             finite = np.bincount(tail_r[np.isfinite(e_tail)], minlength=n_rows)
             fired = np.minimum(finite, cap)
-        rank = np.arange(tail_r.size) - (np.cumsum(n_tail) - n_tail)[tail_r]
+        rank = np.arange(tail_r.size) - (tail_end - n_tail)[tail_r]
         finalize = rank >= fired[tail_r]
         miss_full = np.empty((n_rows, m1), dtype=bool)
         miss_full[:, 0] = True               # the dummy creates at server 0
-        np.logical_not(serve_mask, out=miss_full[:, 1:])
-        if die_r.size:
-            miss_full[die_r, die_c + 1] = ~spec_renew
+        np.logical_not(L, out=miss_full[:, 1:])
+        miss_full[die_key // m, die_i] = ~spec_renew
         tenure = _tenure_starts(chains, miss_full)
         slot = np.where(finalize, tenure[tail_r, tail_q], -1)
         tail_q = tail_q[np.lexsort((slot, tail_r))]
 
-    # merge the charge sequences into the scalar accumulation order:
-    # within an event, expiry pops precede the serve-step charge; the
-    # drain pops (pseudo-event past every request) and then the finalize
-    # walk occupy each row's final slots.  The pops and serves of all
-    # rows interleave by counting sums over the flat event keys (earlier
-    # rows first), and fill every row's other slots in that order.
+    # merge the charge sequences into the scalar accumulation order,
+    # straight into each row's m + 1 slots: within an event, expiry pops
+    # precede the serve-step charge; the drain pops (pseudo-event past
+    # every request) and then the finalize walk take each row's last
+    # slots.  A pop's flat slot counts the serves at earlier events, the
+    # earlier pops and the earlier rows' trailing charges (counting
+    # sums over the flat event keys, earlier rows first); the serves
+    # fill the slots left, in request order.
     n_pop, n_srv = do.size, sp1.size
     assert n_pop + n_srv + tail_q.size == n_rows * m1
-    # serves at earlier events (earlier rows included), per pop
-    srv_before = np.zeros(n_rows * m + 1, dtype=np.int64)
-    np.cumsum(serve_mask.reshape(-1), out=srv_before[1:])
-    pos_pop = srv_before[pop_key]
-    del srv_before
-    pos_pop += np.arange(n_pop)
-    # pops at this or an earlier event (earlier rows included), per serve
-    pos_srv = np.searchsorted(pop_key, srv_key, side="right")
-    pos_srv += np.arange(n_srv)
+    cnt = np.int32 if n_rows * m1 < _INT32_MAX else np.int64
+    before = np.zeros(n_rows * m + 1, dtype=cnt)
+    L.ravel().cumsum(dtype=cnt, out=before[1:])
+    del L
+    before[:-1].reshape(n_rows, m)[:] += (tail_end - n_tail)[:, None]
+    pos_pop = before[pop_key]
+    del before
+    pos_pop += np.arange(n_pop, dtype=cnt)
+    pos_tail = (tail_r + 1) * m1 - tail_end[tail_r] + np.arange(tail_r.size)
+    free = np.ones(n_rows * m1, dtype=bool)
+    free[pos_pop] = False
+    free[pos_tail] = False
+    pos_srv = _nonzero(free)
+    del free
 
     # every segment is charged exactly once; each charge is the scalar
     # (end - start) * rate with end already clipped (mid-trace ends
     # precede t_m, drain/finalize end at t_m) and start a request time
-    charges = np.empty(n_pop + n_srv)
+    vals = np.empty((n_rows, m1))
+    flat = vals.reshape(-1)
     e_do -= t_all[do]
     e_do *= rate
-    charges[pos_pop] = e_do
+    flat[pos_pop] = e_do
     del pos_pop, e_do
     srv_end = t_all[sp1]
-    srv_end -= t_all[closed]
+    srv_end -= t_all[chains.prev[sp1]]
     srv_end *= rate
-    charges[pos_srv] = srv_end
+    flat[pos_srv] = srv_end
     del pos_srv, srv_end
     tail = t_m - t_all[tail_q]
     tail *= rate
-    vals = np.empty((n_rows, m1))
-    tail_slot = np.arange(m1) >= (m1 - n_tail)[:, None]
-    vals[tail_slot] = tail
-    vals[~tail_slot] = charges
+    flat[pos_tail] = tail
     # sequential accumulation per row == the scalar's ordered
     # `storage += charge`
     np.add.accumulate(vals, axis=1, out=vals)
@@ -980,23 +1021,25 @@ class _WangReplay:
         # miss->renewal flips (a die-out extension served locally); a
         # flip's closed segment starts where the extension started
         serve_mask = self.req_renew
+        S = self.r_cum                      # serves up to each event
         if flip_req.size:
             serve_mask = serve_mask.copy()
             serve_mask[flip_req] = True
-        serve_pos = np.flatnonzero(serve_mask)
+            S = serve_mask.cumsum()
+        serve_pos = _nonzero(serve_mask)
         start_srv = t_all[chains.prev[serve_pos]]
         if flip_req.size:
-            start_srv[np.searchsorted(serve_pos, flip_req)] = flip_start
+            start_srv[S[flip_req] - 1] = flip_start
 
         # the same counting interleave as _kernel_algorithm1: within an
-        # event, pops precede the serve charge; drain then finalize last
-        S = np.cumsum(serve_mask)
+        # event, pops precede the serve charge, and the serves fill the
+        # slots the pops leave; drain then finalize last
         n_pop = pw.size
         n_srv = serve_pos.size
         pos_pop = S[pev - 1] + np.arange(n_pop, dtype=np.int64)
-        pos_srv = np.searchsorted(pev, serve_pos, side="right") + np.arange(
-            n_srv, dtype=np.int64
-        )
+        srv_slot = np.ones(n_pop + n_srv, dtype=bool)
+        srv_slot[pos_pop] = False
+        pos_srv = _nonzero(srv_slot)
 
         # finalize walk in dict-insertion order: a live copy sits at the
         # slot of its creating event — the server's last true miss, a

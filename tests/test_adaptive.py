@@ -72,6 +72,48 @@ class TestMonitors:
         res = simulate(tr, model, pol)
         assert res.total_cost <= pol.online_upper + 1e-9
 
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    def test_opt_lower_is_opt_lower_bound_at_every_rate(self, rate):
+        # the monitor charges storage at the uniform rate: its OPT_L is
+        # opt_lower_bound's sum bit for bit, and below the optimum
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 40))
+            tr = uniform_random_trace(n, m, 30.0, seed=int(rng.integers(2**31)))
+            model = CostModel(lam=2.0, n=n, storage_rates=(rate,) * n)
+            pol = AdaptiveReplication(
+                NoisyOraclePredictor(tr, 0.6, seed=1), 0.4, beta=1.0, warmup=0
+            )
+            simulate(tr, model, pol)
+            assert pol.opt_lower == opt_lower_bound(tr, model)
+            assert pol.opt_lower <= optimal_cost(tr, model)
+
+    def test_opt_lower_at_half_rate_is_the_optimum(self):
+        # three requests one time unit apart at the only server: keeping
+        # the copy costs 0.5 per gap, so the optimum is 1.5 — raw gaps
+        # would put OPT_L at 3.0, above it
+        tr = Trace(1, [(1.0, 0), (2.0, 0), (3.0, 0)])
+        model = CostModel(lam=10.0, n=1, storage_rates=(0.5,))
+        pol = AdaptiveReplication(OraclePredictor(tr), 0.5, beta=1.0, warmup=0)
+        simulate(tr, model, pol)
+        assert pol.opt_lower == opt_lower_bound(tr, model) == 1.5
+        assert optimal_cost(tr, model) == 1.5
+
+    @pytest.mark.parametrize("rate", [0.5, 3.0])
+    def test_online_upper_bounds_measured_cost_at_every_rate(self, rate):
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 50))
+            tr = uniform_random_trace(n, m, 80.0, seed=int(rng.integers(2**31)))
+            model = CostModel(lam=4.0, n=n, storage_rates=(rate,) * n)
+            pol = AdaptiveReplication(
+                AdversarialPredictor(tr), 0.3, beta=0.1, warmup=0
+            )
+            res = simulate(tr, model, pol)
+            assert pol.online_upper >= res.total_cost
+
     def test_monitor_history_recorded(self):
         tr = uniform_random_trace(2, 10, horizon=20.0, seed=1)
         pol = AdaptiveReplication(OraclePredictor(tr), 0.5, beta=0.5, warmup=0)
@@ -202,6 +244,7 @@ def _forced(trace, model, policy):
         within,
         trace.n,
         model.lam,
+        model.storage_rates[0],
         policy.alpha,
         policy.beta,
         policy.warmup,
@@ -248,6 +291,21 @@ class TestCostOnlyTiers:
         assert spans == [("kernel", len(cells))]
         for run, ref in zip(runs, refs):
             _assert_same_ledger(run, ref, "kernel")
+
+    @pytest.mark.parametrize("rate", [0.5, 3.0])
+    @settings(max_examples=40, deadline=None)
+    @given(adaptive_instances(), adaptive_specs())
+    def test_bit_identical_at_storage_rate(self, rate, inst, spec):
+        # the monitor's trips depend on the storage rate; the kernel's
+        # forced column must trip where the reference policy does
+        trace, model = inst
+        model = CostModel(lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n)
+        pol = _adaptive(trace, spec)
+        ref = simulate(trace, model, pol)
+        forced = _forced(trace, model, _adaptive(trace, spec))
+        assert forced[1:].tolist() == [f for _, _, f in pol.monitor_history]
+        run = KernelCostEngine().run(trace, model, _adaptive(trace, spec))
+        _assert_same_ledger(run, ref, f"kernel at rate {rate}")
 
     def test_special_copy_ties_break_by_server(self):
         # both copies expire at t = 2 (server 0 after lambda, server 1

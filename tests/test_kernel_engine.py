@@ -38,6 +38,7 @@ from repro import (
     select_engine,
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
+from repro.core import engine as engine_module
 from repro.core.engine import ENGINE_NAMES
 from repro.offline.brute_force import (
     _brute_force_reference,
@@ -111,6 +112,60 @@ def test_tie_prone_slab_bit_identity(trace, lam_int, seed):
     model = CostModel(lam=float(lam_int), n=trace.n)
     cells = [(0.0, 0.3, seed), (0.5, 0.7, seed), (1.0, 1.0, seed)]
     assert_kernel_matches_reference(trace, model, algorithm1_factory, cells)
+
+
+@st.composite
+def row_invariance_cases(draw):
+    """A random or tie-prone trace at a uniform rate, a few ``(alpha,
+    accuracy, seed)`` cells sharing one alpha, and a row-chunk size."""
+    if draw(st.booleans()):
+        trace, model = draw(instances())
+        lam = model.lam
+    else:
+        trace = draw(tie_prone_traces())
+        lam = float(draw(st.integers(1, 4)))
+    rate = draw(st.sampled_from((0.3, 1.0, 2.5)))
+    alpha = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    cells = [
+        (alpha, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(2, 7)))
+    ]
+    model = CostModel(lam=lam, n=trace.n, storage_rates=(rate,) * trace.n)
+    return trace, model, cells, draw(st.integers(1, 3))
+
+
+def _ledgers(results):
+    return [(r.storage_cost, r.transfer_cost, r.n_transfers) for r in results]
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_invariance_cases())
+def test_row_invariance(case):
+    """A cell's ledger does not depend on the pass it rides in: alone (a
+    one-row pass), in one multi-row pass with the other cells of its
+    alpha, and in passes of ``chunk_rows`` rows, it is the same."""
+    trace, model, cells, chunk_rows = case
+    alone = _ledgers(
+        KERNEL.run(trace, model, algorithm1_factory(trace, model.lam, *cell))
+        for cell in cells
+    )
+
+    def slab():
+        return slab_passes(
+            lambda: run_slab(trace, model, cells, algorithm1_factory, KERNEL),
+            tags=("passes",),
+        )
+
+    multi, spans = slab()
+    assert spans == [(1,)]
+    bound = engine_module._ROW_CHUNK_ELEMS
+    engine_module._ROW_CHUNK_ELEMS = chunk_rows * (len(trace) + 1)
+    try:
+        chunked, spans = slab()
+    finally:
+        engine_module._ROW_CHUNK_ELEMS = bound
+    assert spans == [(-(-len(cells) // chunk_rows),)]
+    assert _ledgers(multi) == alone == _ledgers(chunked)
 
 
 def _conventional_factory(trace, lam, alpha, accuracy, seed):

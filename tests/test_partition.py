@@ -4,23 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AdversarialPredictor,
     CostModel,
     LearningAugmentedReplication,
+    NoisyOraclePredictor,
     OraclePredictor,
     Trace,
     optimal_cost,
+    optimal_schedule,
     simulate,
 )
+from repro.analysis import allocate_costs
 from repro.analysis.partition import (
+    OptimalHoldings,
+    _merge,
     find_partitions,
     partition_report,
     reconstruct_optimal_holdings,
 )
 from repro.analysis.theory import consistency_bound, robustness_bound
 from repro.workloads import consistency_tight_trace, uniform_random_trace
+
+from conftest import tie_prone_traces, traces
 
 
 class TestReconstruction:
@@ -140,3 +149,98 @@ class TestPerPartitionBounds:
         res = simulate(tr, model, pol)
         parts = partition_report(tr, model, res, pol.classifications)
         assert max(p.ratio for p in parts) > consistency_bound(alpha) - 0.15
+
+
+# ----------------------------------------------------------------------
+# the bisection lookups against full scans
+# ----------------------------------------------------------------------
+
+
+def _scan_holdings(trace, model):
+    """reconstruct_optimal_holdings with its local-serve test as a scan
+    over every interval of the request's server."""
+    cost, decisions = optimal_schedule(trace, model)
+    seq = trace.with_dummy()
+    nxt = trace.next_local_time()
+    per_server = {}
+    for d in decisions:
+        i = d.request_index
+        if d.keep and nxt[i] != float("inf"):
+            per_server.setdefault(seq[i].server, []).append((seq[i].time, nxt[i]))
+        if d.bridged:
+            prev = seq[i - 1]
+            per_server.setdefault(prev.server, []).append((prev.time, seq[i].time))
+    transfers = [
+        r.time
+        for r in trace
+        if not any(a < r.time <= b + 1e-12 for a, b in per_server.get(r.server, []))
+    ]
+    return OptimalHoldings(
+        intervals={s: _merge(iv) for s, iv in per_server.items()},
+        transfers=tuple(transfers),
+        total_cost=cost,
+    )
+
+
+def _scan_crossing(h, t, exclude):
+    for server, ivs in h.intervals.items():
+        if server != exclude and any(a < t < b for a, b in ivs):
+            return server
+    return None
+
+
+def _scan_report(trace, model, h, alloc):
+    """find_partitions + partition_report's sums as full scans."""
+    m = len(trace)
+    cuts = [0] + [
+        r.index for r in trace
+        if r.index < m and _scan_crossing(h, r.time, r.server) is None
+    ] + [m]
+    cuts = list(dict.fromkeys(cuts))
+    seq = trace.with_dummy()
+    out = []
+    for d, e in zip(cuts, cuts[1:]):
+        t_d, t_e = seq[d].time, seq[e].time
+        storage = 0.0
+        for server, ivs in h.intervals.items():
+            for a, b in ivs:
+                lo, hi = max(a, t_d), min(b, t_e)
+                if hi > lo:
+                    storage += (hi - lo) * model.rate(server)
+        transfers = sum(model.lam for t in h.transfers if t_d < t <= t_e)
+        online = sum(alloc.get(i, 0.0) for i in range(d + 1, e + 1))
+        out.append((d, e, online, storage + transfers))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(traces(max_m=40), tie_prone_traces(max_m=40)),
+    st.sampled_from((0.5, 1.0, 2.0, 3.0, 7.5)),
+    st.sampled_from((0.3, 1.0, 2.5)),
+    st.sampled_from((0.25, 0.5, 1.0)),
+    st.floats(0.0, 1.0),
+)
+def test_bisection_matches_full_scans(trace, lam, rate, alpha, accuracy):
+    """Every bisection lookup returns what a scan over every interval and
+    transfer returns, and each partition's float additions are the
+    scan's, in its order: reports are == the scan-based ones."""
+    model = CostModel(lam=lam, n=trace.n, storage_rates=(rate,) * trace.n)
+    h = reconstruct_optimal_holdings(trace, model)
+    assert h == _scan_holdings(trace, model)
+    probes = {0.0, *trace.times.tolist()}
+    probes |= {x for ivs in h.intervals.values() for iv in ivs for x in iv}
+    probes |= {x + 0.5 for x in list(probes)}
+    for t in sorted(probes):
+        for exclude in (None, *range(trace.n)):
+            assert h.holder_crossing(t, exclude) == _scan_crossing(h, t, exclude)
+    pol = LearningAugmentedReplication(
+        NoisyOraclePredictor(trace, accuracy, seed=1), alpha
+    )
+    res = simulate(trace, model, pol)
+    report = partition_report(trace, model, res, pol.classifications)
+    alloc = allocate_costs(res, pol.classifications)
+    assert [(p.d, p.e) for p in report] == find_partitions(trace, h)
+    assert [(p.d, p.e, p.online, p.opt) for p in report] == _scan_report(
+        trace, model, h, alloc
+    )
