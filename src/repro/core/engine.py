@@ -188,7 +188,11 @@ Algorithm-1 cells by ``(lambda, alpha, rate)`` and runs each group as
 one pass, split into row chunks only to bound a pass's memory
 (:data:`_ROW_CHUNK_ELEMS`) and to give every thread of the threaded
 execution path work.  The fig25 grid's 121 cells are 11 groups, one
-per alpha.
+per alpha.  A group whose two durations coincide (``alpha * lambda ==
+lambda``: alpha = 1, as in the conventional baseline) replays one row
+for all its cells: the prediction picks between equal durations, and
+distinct request times give distinct expiries, so no tie order can
+differ between its rows.
 
 Wang's baseline rides the same tier through a *cascade factorisation*
 (:class:`_WangReplay`).  Its drop cascade (``renewed_once`` flags,
@@ -408,6 +412,14 @@ def _stream_predictor(policy: ReplicationPolicy):
     return policy.predictor
 
 
+def _durations_coincide(model: CostModel, policy: ReplicationPolicy) -> bool:
+    """Whether an Algorithm-1-family policy's two keep-durations are
+    equal (``alpha * lambda == lambda``, as at alpha = 1): its
+    prediction column then picks nothing, and every row of its pass
+    replays the same ledger."""
+    return policy.alpha * model.lam == model.lam
+
+
 def _replay_column(
     trace: Trace,
     model: CostModel,
@@ -417,9 +429,10 @@ def _replay_column(
     """The prediction column whose Algorithm-1 replay is ``policy``'s
     ledger: ``within`` itself, or ``within | forced`` for the adaptive
     variant, whose fallback flags ``forced`` come from its monitor
-    machine (see the module DESIGN docstring)."""
+    machine (see the module DESIGN docstring).  The monitor is skipped
+    where the durations coincide: forcing cannot change the ledger."""
     late = _late()
-    if type(policy) is not late.Adaptive:
+    if type(policy) is not late.Adaptive or _durations_coincide(model, policy):
         return within
     forced = late.forced_column(
         np.concatenate(([0.0], trace.times)),
@@ -1313,7 +1326,8 @@ def _kernel_slab(
     The Algorithm-1 cells run one pass per ``(lambda, alpha, rate)``
     group, in row chunks of at most :data:`_ROW_CHUNK_ELEMS` entries
     and at most ``ceil(cells / threads)`` rows, so every thread gets
-    work; the Wang cells run one memoised replay per model.
+    work; a group whose durations coincide replays one row for all its
+    cells, and the Wang cells run one memoised replay per model.
     """
     n_cells = len(alg1) + len(wangs)
     be = get_backend().resolve(n_cells, len(trace))
@@ -1326,18 +1340,22 @@ def _kernel_slab(
         model, policy = cells[i]
         key = (model.lam, policy.alpha, model.storage_rates[0])
         groups.setdefault(key, []).append(i)
-    # prediction rows go group by group, so every pass is a row slice
-    order = [i for idx in groups.values() for i in idx]
-    # a unit is one pass: (first prediction row, cells), or (None, the
+    # prediction rows go group by group, so every pass is a row slice; a
+    # unit is one pass: (first prediction row, cells), or (None, the
     # cells of one Wang model)
+    order: list[int] = []
     units: list[tuple[int | None, list[int]]] = []
-    start = 0
     for idx in groups.values():
+        if _durations_coincide(*cells[idx[0]]):
+            # one row's ledger is every row's: it serves the group
+            units.append((len(order), idx))
+            order.append(idx[0])
+            continue
         units += [
-            (start + s, idx[s : s + rows_max])
+            (len(order) + s, idx[s : s + rows_max])
             for s in range(0, len(idx), rows_max)
         ]
-        start += len(idx)
+        order += idx
     wang_groups: dict[tuple, list[int]] = {}
     for i in wangs:
         model = cells[i][0]
@@ -1362,16 +1380,18 @@ def _kernel_slab(
                 # prediction- and alpha-free: one replay serves every
                 # equal-model Wang cell
                 return [_kernel_wang(chains, model, True, None)] * len(idx)
+            shared = _durations_coincide(model, policy)
             ledger = _kernel_algorithm1(
                 chains,
                 model.storage_rates[0],
                 model.lam,
                 policy.alpha,
-                rows[start : start + len(idx)],
+                rows[start : start + (1 if shared else len(idx))],
                 True,
                 None,
             )
-            return list(zip(*(a.tolist() for a in ledger)))
+            out = list(zip(*(a.tolist() for a in ledger)))
+            return out * len(idx) if shared else out
 
         # run_units preserves unit order
         return be.run_units(units, one, threads)

@@ -4,8 +4,8 @@ Every cacheable unit of work (one simulation cell, one offline-optimal
 computation) is identified by a *key payload*: a JSON-serialisable
 mapping of everything the result depends on — the trace content digest,
 the cost-model and policy parameters, the scenario version, and the
-global :data:`CACHE_VERSION`.  The payload is canonicalised, hashed with
-SHA-256, and the result stored at ``<root>/<key[:2]>/<key>.json``.
+global :data:`CACHE_VERSION`.  The payload is canonicalised and hashed
+with SHA-256 into the entry's id.
 
 Because the trace *content* (not its generator's name) is part of the
 key, editing a workload generator automatically invalidates the affected
@@ -13,8 +13,24 @@ entries.  Changes to policy code are not content-hashed; bump the
 scenario's ``version`` (or :data:`CACHE_VERSION` for package-wide
 changes) to invalidate.
 
-Writes are atomic (temp file + ``os.replace``), so an interrupted grid
-leaves only whole entries behind and the next run resumes from them.
+Layout: append-only JSON-lines *segments*, one per writer.  Each
+:class:`ResultCache` appends one line ``{"id": <content key>, "key":
+<payload>, "value": <value>}`` per :meth:`~ResultCache.put` to its own
+segment ``<root>/<pid>-<random token>.jsonl``, created by its first put
+(a forked child that puts gets a segment of its own).  Each line is one
+``os.write`` on an ``O_APPEND`` descriptor, so an interrupted grid
+keeps every cell it completed, and concurrent runs on one root never
+write the same file.  Entries of the older one-file-per-entry layout
+(``<root>/<key[:2]>/<key>.json``) are not read.
+
+Reads go through an in-memory id -> value index.  A line that is torn
+(no trailing newline), does not parse, or does not hold an object value
+counts as no entry; of the lines for one id, the last wins, reading the
+segments least recently modified first (equal times in name order).  An instance loads the index
+from every segment at its first lookup (``get``, ``contains``,
+``len()`` or ``put``) and then adds its own puts: it sees the entries
+on disk at its first lookup plus its own puts.  Another process's later
+appends can cost a recomputation, never a wrong value.
 """
 
 from __future__ import annotations
@@ -22,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -59,12 +74,50 @@ def trace_digest(trace: Trace) -> str:
     return h.hexdigest()
 
 
+def _segments(root: Path) -> list[Path]:
+    """The segments under ``root``, least recently modified first."""
+    stamped = []
+    try:
+        names = os.listdir(root)
+    except FileNotFoundError:
+        return []
+    for name in names:
+        if name.endswith(".jsonl"):
+            path = root / name
+            try:
+                stamped.append((path.stat().st_mtime_ns, name, path))
+            except FileNotFoundError:  # removed by a concurrent clear()
+                pass
+    return [path for _, _, path in sorted(stamped)]
+
+
+def _load(root: Path) -> dict[str, dict[str, Any]]:
+    """The id -> value index of every segment under ``root``."""
+    index: dict[str, dict[str, Any]] = {}
+    for path in _segments(root):
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            continue
+        # the piece after the last newline is empty or a torn line
+        for line in data.split(b"\n")[:-1]:
+            try:
+                entry = json.loads(line)
+                key, value = entry["id"], entry["value"]
+            except (ValueError, TypeError, KeyError):
+                continue
+            if isinstance(key, str) and isinstance(value, dict):
+                index[key] = value
+    return index
+
+
 class ResultCache:
     """Disk-backed key/value store for experiment results.
 
     Values are small JSON objects (costs, not full simulation logs).
     ``hits`` / ``misses`` counters make cache behaviour observable in
-    tests and progress reports.
+    tests and progress reports.  See the module docstring for the
+    segment layout and which entries an instance sees.
     """
 
     def __init__(self, root: str | os.PathLike[str], version: int = CACHE_VERSION):
@@ -72,37 +125,35 @@ class ResultCache:
         self.version = int(version)
         self.hits = 0
         self.misses = 0
+        self._index: dict[str, dict[str, Any]] | None = None
+        # (pid of the writing process, its segment)
+        self._segment: tuple[int, Path] | None = None
 
     # ------------------------------------------------------------------
     def _key(self, payload: Mapping[str, Any]) -> str:
         return content_key({**payload, "cache_version": self.version})
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _entries(self) -> dict[str, dict[str, Any]]:
+        """The id -> value index, loaded from disk on first use."""
+        if self._index is None:
+            self._index = _load(self.root)
+        return self._index
+
+    def _segment_path(self) -> Path:
+        """The segment this process appends to."""
+        pid = os.getpid()
+        if self._segment is None or self._segment[0] != pid:
+            self.root.mkdir(parents=True, exist_ok=True)
+            name = f"{pid}-{os.urandom(6).hex()}.jsonl"
+            self._segment = (pid, self.root / name)
+        return self._segment[1]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _read(path: Path) -> dict[str, Any] | None:
-        """The value stored at ``path``, or None when there is no entry.
-
-        An unreadable entry — truncated JSON, or a file whose content is
-        not a ``{"value": {...}}`` object — counts as no entry, so
-        :meth:`get`, :meth:`contains` and ``len()`` agree on it.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                value = json.load(fh)["value"]
-        except (OSError, ValueError, TypeError, KeyError):
-            return None
-        return value if isinstance(value, dict) else None
-
     def get(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Return the stored value for ``payload``, or None on a miss.
-
-        An unreadable entry is a miss too (see :meth:`_read`), so the
-        caller recomputes it and :meth:`put` overwrites it.
-        """
-        value = self._read(self._path(self._key(payload)))
+        """Return a fresh copy of the stored value for ``payload``, or
+        None on a miss (an unreadable line is no entry, so the caller
+        recomputes it and :meth:`put` supersedes it)."""
+        value = self._entries().get(self._key(payload))
         if value is None:
             self.misses += 1
             if _obs.enabled:
@@ -111,53 +162,49 @@ class ResultCache:
         self.hits += 1
         if _obs.enabled:
             _obs.counter("repro_cache_requests_total", outcome="hit").inc()
-        return value
+        return dict(value)
 
     def put(self, payload: Mapping[str, Any], value: Mapping[str, Any]) -> str:
-        """Store ``value`` under ``payload``'s key; returns the key."""
+        """Append ``value`` under ``payload``'s key; returns the key."""
         key = self._key(payload)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": dict(payload), "value": dict(value)}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        index = self._entries()
+        line = json.dumps(
+            {"id": key, "key": dict(payload), "value": dict(value)}, default=str
+        ) + "\n"
+        data = line.encode("utf-8")
+        fd = os.open(
+            self._segment_path(), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, default=str)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise OSError(f"short write to the result cache under {self.root}")
+        # the value as a reader of the line sees it
+        index[key] = json.loads(line)["value"]
         if _obs.enabled:
             _obs.counter("repro_cache_writes_total").inc()
         return key
 
     def contains(self, payload: Mapping[str, Any]) -> bool:
         """Whether :meth:`get` would hit (the counters do not move)."""
-        return self._read(self._path(self._key(payload))) is not None
+        return self._key(payload) in self._entries()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """The number of entries :meth:`get` can read."""
-        if not self.root.exists():
-            return 0
-        return sum(
-            1 for p in self.root.glob("*/*.json") if self._read(p) is not None
-        )
+        return len(self._entries())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return 0
-        for path in self.root.glob("*/*.json"):
+        """Delete every segment; returns the number of entries removed."""
+        removed = len(_load(self.root))
+        for path in _segments(self.root):
             try:
                 path.unlink()
-                removed += 1
-            except OSError:
+            except FileNotFoundError:
                 pass
+        self._index = None
         return removed
 
 

@@ -9,9 +9,11 @@ make the parallelism safe to adopt everywhere:
   ``seed`` field, so ``workers=8`` is bit-identical to ``workers=1``,
   the in-process run behind :func:`~..analysis.sweep.sweep_grid`.
 * **Caching / resumability** — each completed job (and each offline-
-  optimal computation) is written to the :class:`~.cache.ResultCache` as
-  it finishes; an interrupted grid resumes from the completed cells and
-  a warm re-run executes zero simulations.
+  optimal computation) is appended to the run's own segment of the
+  :class:`~.cache.ResultCache` as it finishes (one JSON line per cell);
+  an interrupted grid resumes from the completed cells, a warm re-run
+  executes zero simulations, and concurrent runs on one cache directory
+  never write the same file.
 * **Cheap dispatch** — scenario grids and fleets share one packer and
   one chunk task (a fleet object is a cell like a grid cell): chunks
   are tuples of ``(trace, lambda)`` sub-slabs of tiny cell tuples,
@@ -35,6 +37,7 @@ execution falls back to the identical in-process code path.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import sys
@@ -1061,10 +1064,15 @@ def _chunked(items: Sequence[Any], size: int) -> list[Sequence[Any]]:
 
 def _cached_cost(cache, payload: dict, field: str) -> float | None:
     """``field`` of ``payload``'s cache entry as a float, or None on a
-    miss — including an entry without a numeric ``field``, so the cell
-    re-runs and ``put`` overwrites the entry."""
+    miss — including an entry whose ``field`` is not a finite,
+    non-negative JSON number (a bool, a string, NaN or an infinity), so
+    the cell re-runs and its ``put`` supersedes the entry."""
     hit = cache.get(payload)
-    try:
-        return float(hit[field])
-    except (TypeError, KeyError, ValueError):
+    cost = None if hit is None else hit.get(field)
+    if type(cost) not in (int, float):  # a JSON bool is not a number
         return None
+    try:
+        cost = float(cost)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return cost if math.isfinite(cost) and cost >= 0 else None

@@ -81,6 +81,38 @@ def crashing_factory(trace, lam, alpha, accuracy, seed):
     return algorithm1_factory(trace, lam, alpha, accuracy, seed)
 
 
+def rewrite_segments(cache_dir, edit) -> None:
+    """Rewrite every result-cache segment under ``cache_dir`` line by
+    line: ``edit(entry)`` gives the parsed line's replacement text (a
+    newline is appended), or None to delete the line.  Each rewritten
+    segment is dated a minute back, as an earlier run's segment would
+    be: readers take segments in modification order, and a later run's
+    lines must not tie with these on a coarse file clock."""
+    segments = list(cache_dir.glob("*.jsonl"))
+    assert segments
+    for path in segments:
+        lines = [
+            edit(json.loads(line))
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        path.write_text(
+            "".join(f"{line}\n" for line in lines if line is not None),
+            encoding="utf-8",
+        )
+        past = path.stat().st_mtime_ns - 60 * 10**9
+        os.utime(path, ns=(past, past))
+
+
+def _cost_field(entry: dict) -> str:
+    return "optimal_cost" if entry["key"]["kind"] == "opt" else "online_cost"
+
+
+def _with_cost(cost):
+    """A segment edit that keeps each line's id but stores ``cost`` as
+    its cost field."""
+    return lambda e: json.dumps({**e, "value": {_cost_field(e): cost}})
+
+
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -292,9 +324,10 @@ class TestDispatch:
         cold = ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(
             scenario
         )
-        for path in tmp_path.glob("*/*.json"):
-            if json.loads(path.read_text())["key"]["kind"] == "opt":
-                path.unlink()
+        rewrite_segments(
+            tmp_path,
+            lambda e: None if e["key"]["kind"] == "opt" else json.dumps(e),
+        )
         calls = []
         real = runner_mod.optimal_cost
 
@@ -388,11 +421,12 @@ class TestCache:
         )
         assert f"cached in {cache_dir}" in msg
         assert "re-running with the same cache resumes" in msg
-        entries = [
-            json.loads(p.read_text(encoding="utf-8"))
-            for p in cache_dir.glob("*/*.json")
-        ]
-        n_sim = sum(1 for e in entries if e["key"]["kind"] == "sim")
+        n_sim = len({
+            e["id"]
+            for path in cache_dir.glob("*.jsonl")
+            for e in map(json.loads, path.read_text(encoding="utf-8").splitlines())
+            if e["key"]["kind"] == "sim"
+        })
         rerun = ExperimentRunner(workers=2, cache=ResultCache(cache_dir)).run(
             scenario
         )
@@ -438,18 +472,32 @@ class TestCache:
         assert cache.hits > hits_before
 
     @pytest.mark.parametrize(
-        "content", ["[]", '{"key": {}, "value": {}}'], ids=["list", "no-cost"]
+        "edit",
+        [
+            lambda e: "[]",
+            lambda e: json.dumps({**e, "value": {}}),
+            _with_cost(True),
+            _with_cost("1.5"),
+            _with_cost("nan"),
+            _with_cost("-inf"),
+            _with_cost(float("nan")),
+            _with_cost(-1.0),
+            _with_cost(10**400),
+        ],
+        ids=[
+            "list", "no-cost", "true", "string", "nan-string",
+            "inf-string", "nan", "negative", "huge-int",
+        ],
     )
-    def test_malformed_entries_are_misses(self, scenario, tmp_path, content):
-        """An entry of the wrong shape re-runs its cell (simulation and
-        optimum alike) instead of crashing the run, and is overwritten."""
+    def test_malformed_entries_are_misses(self, scenario, tmp_path, edit):
+        """An entry of the wrong shape, or whose cost is not a finite,
+        non-negative number, re-runs its cell (simulation and optimum
+        alike) instead of crashing the run or serving a bad cost, and
+        the re-run's line supersedes it."""
         cold = ExperimentRunner(workers=1).run(scenario)
         cache_dir = tmp_path / "cache"
         ExperimentRunner(workers=1, cache=ResultCache(cache_dir)).run(scenario)
-        entries = list(cache_dir.glob("*/*.json"))
-        assert entries
-        for path in entries:
-            path.write_text(content)
+        rewrite_segments(cache_dir, edit)
         warm = ExperimentRunner(workers=1, cache=ResultCache(cache_dir)).run(
             scenario
         )
@@ -481,17 +529,18 @@ class TestCache:
         assert cache.get(payload) is None
 
     @pytest.mark.parametrize(
-        "content", ["[]", '{"key": {}, "value": {"online_'],
+        "edit",
+        [lambda line: "[]\n", lambda line: line[: len(line) // 2]],
         ids=["list", "truncated"],
     )
-    def test_unreadable_entries_are_not_counted(self, tmp_path, content):
+    def test_unreadable_entries_are_not_counted(self, tmp_path, edit):
         """``contains`` and ``len()`` agree with ``get`` on an entry it
         cannot read, and only ``get`` moves the hit/miss counters."""
-        cache = ResultCache(tmp_path)
         payload = {"kind": "sim", "lam": 10.0}
-        cache.put(payload, {"online_cost": 3.5})
-        (path,) = tmp_path.glob("*/*.json")
-        path.write_text(content)
+        ResultCache(tmp_path).put(payload, {"online_cost": 3.5})
+        (path,) = tmp_path.glob("*.jsonl")
+        path.write_text(edit(path.read_text()))
+        cache = ResultCache(tmp_path)
         assert not cache.contains(payload)
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 0

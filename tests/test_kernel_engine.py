@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    AdaptiveReplication,
     ConventionalReplication,
     CostModel,
     CostResult,
@@ -36,6 +37,7 @@ from repro import (
     get_engine,
     run_slab,
     select_engine,
+    simulate,
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
 from repro.core import engine as engine_module
@@ -164,8 +166,70 @@ def test_row_invariance(case):
         chunked, spans = slab()
     finally:
         engine_module._ROW_CHUNK_ELEMS = bound
-    assert spans == [(-(-len(cells) // chunk_rows),)]
+    # at alpha = 1 one row serves every cell, however small the chunks
+    alpha = cells[0][0]
+    one_row = alpha * model.lam == model.lam
+    assert spans == [(1 if one_row else -(-len(cells) // chunk_rows),)]
     assert _ledgers(multi) == alone == _ledgers(chunked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tie_prone_traces(),
+    st.integers(1, 4),
+    st.sampled_from((0.3, 1.0, 2.5)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("noisy", "adaptive", "conventional")),
+            st.floats(0.0, 1.0),
+            st.integers(0, 4),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_alpha_one_group_replays_one_row(trace, lam_int, rate, specs):
+    """At alpha = 1 both prediction branches keep a copy for lambda, so
+    one replayed row serves the whole group (Algorithm 1, adaptive and
+    conventional cells alike): the shared ledger == each cell's solo
+    ledger == simulate's, and no adaptive monitor runs."""
+    model = CostModel(
+        lam=float(lam_int), n=trace.n, storage_rates=(rate,) * trace.n
+    )
+
+    def policy(kind, accuracy, seed):
+        if kind == "conventional":
+            return ConventionalReplication()
+        pred = NoisyOraclePredictor(trace, accuracy, seed=seed)
+        if kind == "adaptive":
+            return AdaptiveReplication(pred, 1.0, beta=0.5, warmup=2)
+        return LearningAugmentedReplication(pred, 1.0)
+
+    def no_monitor(*args):
+        raise AssertionError("forced_column ran for an alpha = 1 cell")
+
+    rows = []
+    replay = engine_module._kernel_algorithm1
+
+    def counting(chains, rate, lam, alpha, pred, *rest):
+        rows.append(len(pred))
+        return replay(chains, rate, lam, alpha, pred, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module._late(), "forced_column", no_monitor)
+        mp.setattr(engine_module, "_kernel_algorithm1", counting)
+        runs, spans = slab_passes(
+            lambda: engine_module.run_policy_slab(
+                trace, [(model, policy(*spec)) for spec in specs], KERNEL
+            ),
+            tags=("passes",),
+        )
+        assert spans == [(1,)] and rows == [1]
+        solo = [KERNEL.run(trace, model, policy(*spec)) for spec in specs]
+    refs = [simulate(trace, model, policy(*spec)) for spec in specs]
+    assert _ledgers(runs) == _ledgers(solo) == [
+        (r.storage_cost, r.transfer_cost, r.ledger.n_transfers) for r in refs
+    ]
 
 
 def _conventional_factory(trace, lam, alpha, accuracy, seed):
