@@ -7,8 +7,7 @@ deployment shape that makes cross-object slabs pay: objects sharing a
 ``(trace, lambda)`` group evaluate together in one kernel slab — one
 multi-row pass per alpha — instead of one engine call each (Wang cells
 ride the same kernel slab via the cascade factorisation; equal-model
-Wang cells deduplicate through its memoised replay).  Three paths are
-timed:
+Wang cells share one replay).  Three paths are timed:
 
 * **serial** — this bench's per-object loop: one ``run_policy_slab``
   call on ``auto`` and one memoised ``optimal_cost`` per object, the

@@ -24,7 +24,8 @@ untouched, so a slab run on either execution path below is bit-identical
 to the other:
 
 - ``numpy``   — the vectorized passes, one after another in the calling
-  thread.
+  thread.  Every slab too narrow to fan out runs here, down to a lone
+  cell, which the engine runs as a one-cell slab.
 - ``threads`` — the same numpy passes fanned out over a
   ``ThreadPoolExecutor``.  The heavy numpy ops release the GIL, so this
   scales with cores without fork/IPC.  ``ThreadPoolExecutor.map``
@@ -53,8 +54,8 @@ The two paths differ only in speed, so no caller picks one:
 :meth:`AutoBackend.resolve` decides from the thread budget and the slab
 width.  It fans out once the budget allows two or more threads and every
 thread gets at least :data:`THREADS_MIN_CELLS_PER_THREAD` cells — below
-that, executor dispatch eats the win — and runs serially otherwise; a
-threaded slab cuts its passes into row chunks of at most ``ceil(cells /
+that, executor dispatch eats the win — and runs serially otherwise, as
+every lone cell does; a threaded slab cuts its passes into row chunks of at most ``ceil(cells /
 threads)`` rows, so every thread gets a pass.
 The ``threads`` view of ``benchmarks/bench_scaling.py`` times the two
 paths against each other (``benchmarks/BENCH_scaling.json``).
@@ -157,7 +158,7 @@ def merge_interleave(ew, eb):
     # leaves, and a gather at the placements finds cross-stream ties (a
     # placement past the end has every eb below it, so clipping it to
     # the last one cannot fake a tie)
-    lo = np.searchsorted(eb, ew, side="left")
+    lo = eb.searchsorted(ew, side="left")
     if eb.size and (eb[np.minimum(lo, eb.size - 1)] == ew).any():
         return None
     nw = ew.size
@@ -529,9 +530,11 @@ class AutoBackend:
         Only the thread budget and ``n_cells`` decide.  ``m`` is unused;
         it is kept for the benchmark's
         ``get_backend().resolve(*wl.slab_shape())`` call in
-        ``perfbench/run.py``.
+        ``perfbench/run.py``.  The width is tested first: with no
+        budget set, :func:`thread_budget` asks the OS for the core
+        count, which costs more than a narrow slab's whole dispatch.
         """
-        if thread_budget() > 1 and n_cells >= 2 * THREADS_MIN_CELLS_PER_THREAD:
+        if n_cells >= 2 * THREADS_MIN_CELLS_PER_THREAD and thread_budget() > 1:
             return _THREADS
         return _SERIAL
 

@@ -21,10 +21,11 @@ This module splits the two concerns behind one interface:
   Full telemetry, every policy, the only engine whose results carry
   event logs, serve records, copy records, and classifications.
 * :class:`KernelCostEngine`, the cost-only tier — replays the *same
-  decision process* from a precomputed
-  :class:`~repro.predictions.stream.PredictionStream`, with no event
-  log, no per-request dataclasses and no policy callbacks.  It returns
-  a :class:`CostResult` carrying only the cost ledger totals.
+  decision process* from a precomputed prediction matrix
+  (:meth:`~repro.predictions.stream.PredictionStream.batch_for_cells`),
+  with no event log, no per-request dataclasses and no policy
+  callbacks.  It returns a :class:`CostResult` carrying only the cost
+  ledger totals.
 
 Exact equivalence, not approximate
 ----------------------------------
@@ -182,12 +183,13 @@ flattened matrix:
 * the ledgers reduce with ``np.add.accumulate(axis=1)``, sequential
   within each row, and transfers index one shared partial-sum table.
 
-:func:`run_policy_slab` sends every eligible slab of two or more cells
-to the kernel, at any trace length; :func:`_kernel_slab` groups its
-Algorithm-1 cells by ``(lambda, alpha, rate)`` and runs each group as
-one pass, split into row chunks only to bound a pass's memory
-(:data:`_ROW_CHUNK_ELEMS`) and to give every thread of the threaded
-execution path work.  The fig25 grid's 121 cells are 11 groups, one
+:func:`_kernel_slab` is the one way into the kernel's replays:
+:func:`run_policy_slab` sends it every eligible cell of a slab, one or
+many, at any trace length, and :meth:`KernelCostEngine.run` its one
+cell as a one-cell slab.  It groups the Algorithm-1 cells by
+``(lambda, alpha, rate)`` and runs each group as one pass, split into
+row chunks only to bound a pass's memory (:data:`_ROW_CHUNK_ELEMS`) and
+to give every thread of the threaded execution path work.  The fig25 grid's 121 cells are 11 groups, one
 per alpha.  A group whose two durations coincide (``alpha * lambda ==
 lambda``: alpha = 1, as in the conventional baseline) replays one row
 for all its cells: the prediction picks between equal durations, and
@@ -225,8 +227,8 @@ reductions) reuses the machinery above, so kernel Wang is bit-identical
 to the reference simulator's heap replay — the tests pin this across
 every registered scenario, tie-prone hypothesis instances, and both the
 serial and the threaded execution path.  Wang ignores predictions and
-alpha, so a slab's equal-model Wang cells share one memoised replay,
-and ``supports()`` carries **no policy exclusions**: heterogeneous
+alpha, so a slab's equal-model Wang cells share one replay, and
+``supports()`` carries **no policy exclusions**: heterogeneous
 Algorithm-1 + Wang fleets run as single-tier kernel slabs.
 """
 
@@ -243,7 +245,6 @@ import numpy as np
 
 from ..obs import metrics as _obs
 from .backends import (
-    KernelBackend,
     get_backend,
     merge_interleave,
     repeat_add,
@@ -302,9 +303,6 @@ class Engine(abc.ABC):
 
     name: str = "engine"
 
-    #: extra tags for this engine's ``engine.cell`` spans
-    cell_tags: dict = {}
-
     @abc.abstractmethod
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
@@ -333,16 +331,15 @@ class Engine(abc.ABC):
     ):
         """:meth:`run`, wrapped in an ``engine.cell`` telemetry span.
 
-        The disabled path is one flag check and a direct call; dispatch
-        sites (per-cell slab fallback, fleets) call this so per-cell
-        wall time is tagged by engine tier without touching the engine
-        implementations.
+        The disabled path is one flag check and a direct call; the slab
+        dispatcher's per-cell fallback calls this so per-cell wall time
+        is tagged by engine tier without touching the engine
+        implementations.  The kernel records its own ``engine.slab``
+        span instead (:meth:`KernelCostEngine.run_observed`).
         """
         if not _obs.enabled:
             return self.run(trace, model, policy, drain, drain_event_cap)
-        with _obs.span(
-            "engine.cell", tier=self.name, m=len(trace), **self.cell_tags
-        ):
+        with _obs.span("engine.cell", tier=self.name, m=len(trace)):
             out = self.run(trace, model, policy, drain, drain_event_cap)
         _obs.counter("repro_engine_cells_total", tier=self.name).inc()
         return out
@@ -420,21 +417,22 @@ def _durations_coincide(model: CostModel, policy: ReplicationPolicy) -> bool:
     return policy.alpha * model.lam == model.lam
 
 
-def _replay_column(
+def _force_fallbacks(
     trace: Trace,
     model: CostModel,
     policy: ReplicationPolicy,
     within: np.ndarray,
-) -> np.ndarray:
-    """The prediction column whose Algorithm-1 replay is ``policy``'s
-    ledger: ``within`` itself, or ``within | forced`` for the adaptive
-    variant, whose fallback flags ``forced`` come from its monitor
-    machine (see the module DESIGN docstring).  The monitor is skipped
-    where the durations coincide: forcing cannot change the ledger."""
+) -> None:
+    """Turn the prediction row ``within``, in place, into the column
+    whose Algorithm-1 replay is ``policy``'s ledger: unchanged, or
+    ``within | forced`` for the adaptive variant, whose fallback flags
+    ``forced`` come from its monitor machine (see the module DESIGN
+    docstring).  The monitor is skipped where the durations coincide:
+    forcing cannot change the ledger."""
     late = _late()
     if type(policy) is not late.Adaptive or _durations_coincide(model, policy):
-        return within
-    forced = late.forced_column(
+        return
+    within |= late.forced_column(
         np.concatenate(([0.0], trace.times)),
         np.concatenate(([0], trace.servers)),
         within,
@@ -445,7 +443,6 @@ def _replay_column(
         policy.beta,
         policy.warmup,
     )
-    return within | forced
 
 
 def _cost_result(
@@ -465,11 +462,6 @@ def _cost_result(
         n_transfers=n_tx,
         engine=tier,
     )
-
-
-def _wang_rates_ok(model: CostModel) -> bool:
-    rates = model.storage_rates
-    return all(rates[i] <= rates[i + 1] for i in range(len(rates) - 1))
 
 
 #: a slab cell: ``(alpha, accuracy, seed)`` — the grid axes that share
@@ -519,8 +511,7 @@ class _SegmentChains:
     __slots__ = (
         "m", "m1", "n", "t_m", "t_all", "j_all", "order", "same",
         "succ", "prev", "prev_clip", "prev_ok", "lastq", "idx1",
-        "idx_dtype", "_shifts", "_shift_lock", "_csr", "_wangs",
-        "_wang_lock",
+        "idx_dtype", "_shifts", "_shift_lock", "_csr",
     )
 
     def __init__(self, trace: Trace):
@@ -535,13 +526,16 @@ class _SegmentChains:
         # traces beyond 2^31 requests would fall back to 64-bit
         idx = np.int32 if self.m1 < _INT32_MAX - 1 else np.int64
         self.idx_dtype = idx
-        order = np.argsort(self.j_all, kind="stable")
+        order = self.j_all.argsort(kind="stable")
         js = self.j_all[order]
         same = js[1:] == js[:-1]
+        # each request with a local successor, and that successor
+        head = order[:-1][same]
+        tail = order[1:][same]
         succ = np.full(self.m1, self.m1, dtype=idx)
-        succ[order[:-1][same]] = order[1:][same]
+        succ[head] = tail
         prev = np.full(self.m1, -1, dtype=idx)
-        prev[order[1:][same]] = order[:-1][same]
+        prev[tail] = head
         self.order = order
         self.same = same
         self.succ = succ
@@ -551,13 +545,11 @@ class _SegmentChains:
         self.prev_ok = prev[1:] >= 0
         self.prev_clip = np.maximum(prev[1:], 0)
         # the last request at each touched server (no local successor)
-        self.lastq = np.flatnonzero(succ == self.m1).astype(idx)
+        self.lastq = _nonzero(succ == self.m1).astype(idx)
         self.idx1 = np.arange(1, self.m1, dtype=idx)
         self._shifts: dict[float, _Shift] = {}
         self._shift_lock = threading.Lock()
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._wangs: dict[tuple, "_WangReplay"] = {}
-        self._wang_lock = threading.Lock()
 
     def shifted(self, duration: float) -> "_Shift":
         """The cell-invariant arrays for one keep-duration, memoised.
@@ -592,18 +584,6 @@ class _SegmentChains:
             self._csr = csr
         return csr
 
-    def wang(self, lam: float, rates: tuple) -> "_WangReplay":
-        """The Wang-baseline replay bundle for one ``(lam, rates)``,
-        memoised like the shifts: a fleet slab's equal-model Wang cells
-        share one vectorized replay instead of one scalar pass each."""
-        key = (lam, rates)
-        hit = self._wangs.get(key)     # lock-free fast path
-        if hit is None:
-            new = _WangReplay(self, lam, rates)
-            with self._wang_lock:
-                hit = self._wangs.setdefault(key, new)
-        return hit
-
 
 class _Shift:
     """Per-``(trace, duration)`` arrays shared by every cell using the
@@ -619,7 +599,7 @@ class _Shift:
         # reach[q]: last request index with time <= t_q + duration (the
         # strict `when < t` expiry pop, as an index); non-decreasing in
         # q because the expiries are a constant shift of sorted times
-        reach = (np.searchsorted(t_all, exp, side="right") - 1).astype(
+        reach = (t_all.searchsorted(exp, side="right") - 1).astype(
             chains.idx_dtype
         )
         self.reach = reach
@@ -824,7 +804,7 @@ def _kernel_algorithm1(
     lastq = chains.lastq
     pred_last = pred[:, lastq]
     keep = np.where(pred_last, sw.reach[lastq], sb.reach[lastq]) >= m
-    tail_r, tc = np.nonzero(keep)
+    tail_r, tc = keep.nonzero()
     tail_q = lastq[tc]
     e_tail = t_all[tail_q] + np.where(pred_last[tail_r, tc], lam, dur_beyond)
     t_order = np.lexsort((j_all[tail_q], e_tail, tail_r))
@@ -926,7 +906,7 @@ class _WangReplay:
     __slots__ = (
         "chains", "lam", "rates_arr", "periods", "req_renew", "r_cum",
         "cand_e", "cand_srv", "cand_ev", "cand_start", "trig_pos",
-        "tail_when", "tail_srv", "tail_start", "_results", "_lock",
+        "tail_when", "tail_srv", "tail_start",
     )
 
     def __init__(self, chains: _SegmentChains, lam: float, rates: tuple):
@@ -941,7 +921,7 @@ class _WangReplay:
         # the exact IEEE add behind schedule(j, t + periods[j]); the
         # dummy's 0.0 + p_0 is bitwise p_0, matching schedule(0, p_0)
         E = t_all + periods[j_all]
-        reach = np.searchsorted(t_all, E, side="right") - 1
+        reach = t_all.searchsorted(E, side="right") - 1
         renew = succ <= reach
         req_renew = np.zeros(m1, dtype=bool)
         np.logical_and(renew[chains.prev_clip], chains.prev_ok,
@@ -950,7 +930,7 @@ class _WangReplay:
         self.r_cum = np.cumsum(req_renew)
         # mid-trace expiry fires in (E, server) order — the heap's pop
         # order (per-server streams are sorted, ties break by server)
-        ci = np.flatnonzero(~renew & (reach < m))
+        ci = _nonzero(~renew & (reach < m))
         oc = np.lexsort((j_all[ci], E[ci]))
         cand = ci[oc]
         self.cand_e = E[cand]
@@ -968,7 +948,7 @@ class _WangReplay:
             - 1
         )
         assert cnt.size == 0 or cnt.min() >= 0
-        self.trig_pos = np.flatnonzero(cnt == 0)
+        self.trig_pos = _nonzero(cnt == 0)
         # pending expiries that outlive the last request (one per
         # server: non-last segments with reach >= m would be renewals)
         lastq = chains.lastq
@@ -977,21 +957,10 @@ class _WangReplay:
         self.tail_when = E[tl]
         self.tail_srv = j_all[tl].astype(np.int64)
         self.tail_start = t_all[tl]
-        self._results: dict[tuple, tuple[float, float, int]] = {}
-        self._lock = threading.Lock()
 
-    def result(self, drain: bool, cap: int | None) -> tuple[float, float, int]:
-        """Memoised replay: Wang is prediction- and alpha-free, so every
-        same-model cell of a slab shares one replay."""
-        key = (bool(drain), cap)
-        hit = self._results.get(key)
-        if hit is None:
-            new = self._replay(drain, cap)
-            with self._lock:
-                hit = self._results.setdefault(key, new)
-        return hit
-
-    def _replay(self, drain: bool, cap: int | None) -> tuple[float, float, int]:
+    def replay(self, drain: bool, cap: int | None) -> tuple[float, float, int]:
+        """The ``(storage, transfer, n_transfers)`` ledger of the
+        reference simulator's Wang run on the trace behind ``chains``."""
         chains = self.chains
         m, m1, t_m = chains.m, chains.m1, chains.t_m
         t_all, j_all = chains.t_all, chains.j_all
@@ -1103,20 +1072,6 @@ class _WangReplay:
         return storage, transfer, n_tx
 
 
-def _kernel_wang(
-    chains: _SegmentChains,
-    model: CostModel,
-    drain: bool,
-    drain_event_cap: int | None,
-) -> tuple[float, float, int]:
-    """Replay the Wang et al. baseline with array passes plus the
-    sequential episode machine; bit-identical to the ledger of
-    :func:`simulate` on the trace behind ``chains``."""
-    rates = tuple(float(r) for r in model.storage_rates)
-    rep = chains.wang(float(model.lam), rates)
-    return rep.result(drain, drain_event_cap)
-
-
 class KernelCostEngine(Engine):
     """Cost-only segment-scan replay: pure array passes, no per-request
     Python loop.
@@ -1125,34 +1080,55 @@ class KernelCostEngine(Engine):
     variant) rides the segment scan, and Wang's baseline rides the
     candidate-count formulation plus the sequential episode machine
     (see the module DESIGN docstring for the eligibility rules and both
-    bit-identity arguments).  The scalar :meth:`run` interface
-    evaluates one cell as a one-row pass; :func:`run_policy_slab`
-    shares the per-trace chains and per-duration reach arrays across a
-    whole slab, whose passes run serially or across threads as
-    ``core/backends.py`` decides from the thread budget (bit-identical
-    either way).
+    bit-identity arguments).  :meth:`run` evaluates its cell as a
+    one-cell slab (:func:`_kernel_slab`), the one way into the kernel's
+    replays; :func:`run_policy_slab` sends it whole slabs, which share
+    the per-trace chains and per-duration reach arrays and whose passes
+    run serially or across threads as ``core/backends.py`` decides from
+    the thread budget (bit-identical either way).
     """
 
     name = "kernel"
-    # a single cell always runs on the serial path
-    cell_tags = {"backend": KernelBackend.name}
+
+    def _refusal(
+        self, trace: Trace, model: CostModel, policy: ReplicationPolicy
+    ) -> Exception | None:
+        """Why the kernel cannot replay ``policy`` on ``(trace, model)``
+        faithfully, as the error :meth:`run` raises, or None."""
+        late = _late()
+        kind = type(policy)
+        if kind is late.Wang:
+            rates = model.storage_rates
+            if any(rates[i] > rates[i + 1] for i in range(len(rates) - 1)):
+                return PolicyError(
+                    "WangReplication requires servers indexed by ascending "
+                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
+                )
+            return None
+        if kind not in late.algorithm1:
+            return EngineError(
+                f"{type(self).__name__} does not support {kind.__name__}; "
+                "use the reference engine"
+            )
+        if not model.uniform_storage:
+            return PolicyError(
+                "Algorithm 1 assumes uniform storage rates (paper Section 2)"
+            )
+        # a cheap type/provenance check: the stream itself is built once,
+        # in the slab
+        if not late.PredictionStream.supports_predictor(
+            _stream_predictor(policy), trace
+        ):
+            return EngineError(
+                f"{type(self).__name__} cannot stream predictor "
+                f"{policy.predictor.name!r}; use the reference engine"
+            )
+        return None
 
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
-        late = _late()
-        kind = type(policy)
-        if kind is late.Wang:
-            return _wang_rates_ok(model)
-        if kind in late.algorithm1:
-            # cheap type/provenance check; the stream itself is built
-            # once, in run()
-            return model.uniform_storage and (
-                late.PredictionStream.supports_predictor(
-                    _stream_predictor(policy), trace
-                )
-            )
-        return False
+        return self._refusal(trace, model, policy) is None
 
     def run(
         self,
@@ -1164,47 +1140,22 @@ class KernelCostEngine(Engine):
     ) -> CostResult:
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-        late = _late()
-        kind = type(policy)
-        if kind is late.Wang:
-            if not _wang_rates_ok(model):
-                raise PolicyError(
-                    "WangReplication requires servers indexed by ascending "
-                    "storage rate (mu(s_0) <= ... <= mu(s_{n-1}))"
-                )
-            ledger = _kernel_wang(
-                _SegmentChains(trace), model, drain, drain_event_cap
-            )
-        elif kind in late.algorithm1:
-            if not model.uniform_storage:
-                raise PolicyError(
-                    "Algorithm 1 assumes uniform storage rates (paper Section 2)"
-                )
-            stream = late.PredictionStream.for_predictor(
-                _stream_predictor(policy), trace, model.lam
-            )
-            if stream is None:
-                raise EngineError(
-                    f"{type(self).__name__} cannot stream predictor "
-                    f"{policy.predictor.name!r}; use the reference engine"
-                )
-            column = _replay_column(trace, model, policy, stream.within)
-            storage, transfer, n_tx = _kernel_algorithm1(
-                _SegmentChains(trace),
-                model.storage_rates[0],
-                model.lam,
-                policy.alpha,
-                column[None, :],
-                drain,
-                drain_event_cap,
-            )
-            ledger = (float(storage[0]), float(transfer[0]), int(n_tx[0]))
-        else:
-            raise EngineError(
-                f"{type(self).__name__} does not support {kind.__name__}; "
-                "use the reference engine"
-            )
-        return _cost_result(trace, model, policy, ledger, self.name)
+        (out,) = _kernel_slab(trace, [(model, policy)], drain, drain_event_cap)
+        if out is None:
+            raise self._refusal(trace, model, policy)
+        return out
+
+    def run_observed(
+        self,
+        trace: Trace,
+        model: CostModel,
+        policy: ReplicationPolicy,
+        drain: bool = True,
+        drain_event_cap: int | None = None,
+    ) -> CostResult:
+        """:meth:`run`: its one-cell slab already records the cell's
+        ``engine.slab`` span and counts it."""
+        return self.run(trace, model, policy, drain, drain_event_cap)
 
 
 def run_slab(
@@ -1244,16 +1195,17 @@ def run_policy_slab(
     ``(alpha, accuracy, seed)`` grid cells onto it.  Cells may carry
     heterogeneous cost models — distinct per-object lambdas are allowed
     (every model must agree with ``trace.n``).  With ``engine``
-    ``"auto"`` or ``"kernel"`` (or a :class:`KernelCostEngine`) a slab
-    of two or more eligible cells shares one :class:`_SegmentChains`,
-    at any trace length: its
-    per-duration shift columns and per-``(lam, rates)`` Wang cascade
-    replays are memoised on the chains, so cells with different lambdas
-    still share the segment scan and mixed Algorithm-1 + Wang slabs run
-    as one single-tier slab; the Algorithm-1 cells share one cell-major
-    prediction matrix with per-lambda truth and per-seed draw memos
+    ``"auto"`` or ``"kernel"`` (or a :class:`KernelCostEngine`) every
+    eligible cell, one or many, runs in one kernel slab
+    (:func:`_kernel_slab`) at any trace length: the cells share one
+    :class:`_SegmentChains` and its per-duration shift columns, so
+    cells with different lambdas still share the segment scan and mixed
+    Algorithm-1 + Wang slabs run as one single-tier slab; the
+    Algorithm-1 cells share one cell-major prediction matrix with
+    per-lambda truth and per-seed draw memos
     (:meth:`PredictionStream.batch_for_cells`) and replay one pass per
-    ``(lambda, alpha, rate)`` group (:func:`_kernel_slab`).
+    ``(lambda, alpha, rate)`` group, and the Wang cells one replay per
+    ``(lambda, rates)`` model.
 
     Cells the kernel does not take fall back through
     :func:`select_engine` one at a time, so a concrete engine name stays
@@ -1266,42 +1218,17 @@ def run_policy_slab(
     for model, _ in cells:
         if model.n != trace.n:
             raise ValueError(f"model.n={model.n} != trace.n={trace.n}")
-    results: list = [None] * len(cells)
-    slab_engine = engine in ("auto", "kernel") or isinstance(
-        engine, KernelCostEngine
-    )
-    if slab_engine and len(cells) > 1:
-        # slab-eligible cells, split by replay shape: Algorithm-1 cells
-        # share one prediction matrix, Wang cells one replay per model
-        alg1: list[int] = []
-        wangs: list[int] = []
-        for i, (model, policy) in enumerate(cells):
-            if _ENGINES["kernel"].supports(trace, model, policy):
-                if type(policy) is _late().Wang:
-                    wangs.append(i)
-                else:
-                    alg1.append(i)
-        if len(alg1) + len(wangs) > 1:
-            _kernel_slab(trace, cells, alg1, wangs, results)
+    if engine in ("auto", "kernel") or isinstance(engine, KernelCostEngine):
+        results = _kernel_slab(trace, cells, True, None)
+    else:
+        results = [None] * len(cells)
     # per-cell fallback: "auto" keeps auto-selecting; a concrete engine
-    # stays strict and raises on policies it cannot execute, exactly as
-    # the scalar paths do
+    # stays strict and raises on policies it cannot execute
     for i, (model, policy) in enumerate(cells):
         if results[i] is None:
             eng = select_engine(trace, model, policy, engine)
             results[i] = eng.run_observed(trace, model, policy)
     return results
-
-
-def _slab_observed(tier: str, n_cells: int, m: int, run, **tags):
-    """``run()`` under an ``engine.slab`` span tagged by tier, counting
-    the slab's cells (the disabled path is one flag check)."""
-    if not _obs.enabled:
-        return run()
-    with _obs.span("engine.slab", tier=tier, cells=n_cells, m=m, **tags):
-        out = run()
-    _obs.counter("repro_engine_cells_total", tier=tier).inc(n_cells)
-    return out
 
 
 #: the largest Algorithm-1 pass, in prediction-matrix entries (rows x
@@ -1315,93 +1242,115 @@ _ROW_CHUNK_ELEMS = 1 << 16
 def _kernel_slab(
     trace: Trace,
     cells: list,
-    alg1: list[int],
-    wangs: list[int],
-    results: list,
-) -> None:
-    """Replay the ``alg1`` and ``wangs`` cells over one shared segment
-    scan, on the execution path ``auto`` picks for the slab, filling
-    ``results``.
+    drain: bool,
+    drain_event_cap: int | None,
+) -> list:
+    """Replay every cell the kernel takes over one shared segment scan,
+    on the execution path ``auto`` picks for the slab; returns a
+    :class:`CostResult` per cell, or None where the kernel refuses the
+    cell.  The one way into the kernel's replays: a lone cell is a
+    one-cell slab.
 
     The Algorithm-1 cells run one pass per ``(lambda, alpha, rate)``
     group, in row chunks of at most :data:`_ROW_CHUNK_ELEMS` entries
     and at most ``ceil(cells / threads)`` rows, so every thread gets
     work; a group whose durations coincide replays one row for all its
-    cells, and the Wang cells run one memoised replay per model.
+    cells, and the Wang cells, prediction- and alpha-free, run one
+    replay per ``(lambda, rates)`` model.
     """
-    n_cells = len(alg1) + len(wangs)
-    be = get_backend().resolve(n_cells, len(trace))
+    kernel = _ENGINES["kernel"]
+    late = _late()
+    wang = late.Wang
+    groups: dict[tuple, list[int]] = {}
+    n_cells = n_wang = 0
+    for i, (model, policy) in enumerate(cells):
+        if not kernel.supports(trace, model, policy):
+            continue
+        n_cells += 1
+        if type(policy) is wang:
+            key = (model.lam, model.storage_rates)
+            n_wang += 1
+        else:
+            key = (model.lam, policy.alpha, model.storage_rates[0])
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(cells)
+    if not n_cells:
+        return results
+    m = len(trace)
+    be = get_backend().resolve(n_cells, m)
     threads = be.threads(n_cells)
     rows_max = max(
-        1, min(_ROW_CHUNK_ELEMS // (len(trace) + 1), -(-len(alg1) // threads))
+        1, min(_ROW_CHUNK_ELEMS // (m + 1), -(-(n_cells - n_wang) // threads))
     )
-    groups: dict[tuple, list[int]] = {}
-    for i in alg1:
-        model, policy = cells[i]
-        key = (model.lam, policy.alpha, model.storage_rates[0])
-        groups.setdefault(key, []).append(i)
     # prediction rows go group by group, so every pass is a row slice; a
-    # unit is one pass: (first prediction row, cells), or (None, the
-    # cells of one Wang model)
+    # unit is one pass: (first prediction row, or None for a Wang model;
+    # whether one ledger serves all its cells; the cells)
     order: list[int] = []
-    units: list[tuple[int | None, list[int]]] = []
+    units: list[tuple[int | None, bool, list[int]]] = []
     for idx in groups.values():
-        if _durations_coincide(*cells[idx[0]]):
+        model, policy = cells[idx[0]]
+        if type(policy) is wang:
+            units.append((None, True, idx))
+        elif _durations_coincide(model, policy):
             # one row's ledger is every row's: it serves the group
-            units.append((len(order), idx))
+            units.append((len(order), True, idx))
             order.append(idx[0])
-            continue
-        units += [
-            (len(order) + s, idx[s : s + rows_max])
-            for s in range(0, len(idx), rows_max)
-        ]
-        order += idx
-    wang_groups: dict[tuple, list[int]] = {}
-    for i in wangs:
-        model = cells[i][0]
-        wang_groups.setdefault((model.lam, model.storage_rates), []).append(i)
-    units += [(None, idx) for idx in wang_groups.values()]
+        else:
+            for s in range(0, len(idx), rows_max):
+                units.append((len(order) + s, False, idx[s : s + rows_max]))
+            order += idx
 
     def run() -> list:
         # the prediction matrix is slab work too: the span covers it
-        rows = _late().PredictionStream.batch_for_cells(
+        rows = late.PredictionStream.batch_for_cells(
             [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in order],
             trace,
         )
         assert rows is not None  # supports() vetted streamability
         for r, i in enumerate(order):
-            rows[r] = _replay_column(trace, *cells[i], rows[r])
+            _force_fallbacks(trace, *cells[i], rows[r])
         chains = _SegmentChains(trace)
 
-        def one(unit: tuple[int | None, list[int]]) -> list:
-            start, idx = unit
+        def one(unit: tuple[int | None, bool, list[int]]) -> list:
+            start, shared, idx = unit
             model, policy = cells[idx[0]]
             if start is None:
-                # prediction- and alpha-free: one replay serves every
-                # equal-model Wang cell
-                return [_kernel_wang(chains, model, True, None)] * len(idx)
-            shared = _durations_coincide(model, policy)
-            ledger = _kernel_algorithm1(
-                chains,
-                model.storage_rates[0],
-                model.lam,
-                policy.alpha,
-                rows[start : start + (1 if shared else len(idx))],
-                True,
-                None,
-            )
-            out = list(zip(*(a.tolist() for a in ledger)))
+                out = [
+                    _WangReplay(
+                        chains, float(model.lam), model.storage_rates
+                    ).replay(drain, drain_event_cap)
+                ]
+            else:
+                storage, transfer, n_tx = _kernel_algorithm1(
+                    chains,
+                    model.storage_rates[0],
+                    model.lam,
+                    policy.alpha,
+                    rows[start : start + (1 if shared else len(idx))],
+                    drain,
+                    drain_event_cap,
+                )
+                out = list(zip(storage.tolist(), transfer.tolist(), n_tx.tolist()))
             return out * len(idx) if shared else out
 
         # run_units preserves unit order
         return be.run_units(units, one, threads)
 
-    ledgers = _slab_observed(
-        "kernel", n_cells, len(trace), run, backend=be.name, passes=len(units)
-    )
-    for (_, idx), out in zip(units, ledgers):
+    # one engine.slab span per slab, counting its cells (the disabled
+    # path is one flag check)
+    if _obs.enabled:
+        with _obs.span(
+            "engine.slab", tier="kernel", cells=n_cells, m=m,
+            backend=be.name, passes=len(units),
+        ):
+            ledgers = run()
+        _obs.counter("repro_engine_cells_total", tier="kernel").inc(n_cells)
+    else:
+        ledgers = run()
+    for (_, _, idx), out in zip(units, ledgers):
         for i, ledger in zip(idx, out):
             results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
+    return results
 
 
 # ----------------------------------------------------------------------

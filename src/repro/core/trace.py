@@ -367,7 +367,7 @@ class Trace:
         td = np.concatenate(([0.0], self._times))
         # stable sort by server keeps arrival order within each server, so
         # consecutive equal-server positions are local successors
-        order = np.argsort(sd, kind="stable")
+        order = sd.argsort(kind="stable")
         s_sorted = sd[order]
         nxt = np.full(m1, np.inf)
         same = s_sorted[1:] == s_sorted[:-1]

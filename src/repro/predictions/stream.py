@@ -27,14 +27,14 @@ back to the reference engine.
 
 Batched streams
 ---------------
-Kernel slabs consume a *prediction matrix* — one stream per cell —
-and :meth:`PredictionStream.batch_for_cells` is its one builder.  It
-takes ``(predictor, lam)`` cells, computes the ground truth once per
-distinct lambda (the cells of a cross-object fleet slab may carry
-per-object transfer costs) and draws each seed's PCG64 stream once,
-shared across every cell using it, so row ``c`` is bit-identical to the
-scalar stream :meth:`PredictionStream.for_predictor` builds for that
-cell.  The kernel's multi-row passes read its cell-major rows
+Kernel slabs, down to a lone cell, consume a *prediction matrix* — one
+stream per cell — and :meth:`PredictionStream.batch_for_cells` is its
+one builder.  It takes ``(predictor, lam)`` cells, computes the ground
+truth once per distinct lambda (the cells of a cross-object fleet slab
+may carry per-object transfer costs) and draws each seed's PCG64 stream
+once, shared across every cell using it, so row ``c`` is bit-identical
+to the answers of cell ``c``'s predictor, fresh, queried once per
+request in global order.  The kernel's passes read its cell-major rows
 directly; :meth:`PredictionStream.batch_for_predictors` is the
 one-lambda view of the same builder, returning the request-major
 ``(m + 1, n_cells)`` column layout (or the rows, with
@@ -46,16 +46,13 @@ The kernel tier's ``threads`` backend (``core/backends.py``) consumes
 these streams from concurrent pass workers, which is safe by
 construction: the per-lambda truth and per-seed draw memos in the batch
 builder are *function-local* dicts — each call builds its own — and
-every returned stream/matrix is fully written before the caller fans
-passes out, after which the workers only read their own rows.  Scalar
-:class:`PredictionStream` instances additionally freeze their ``within``
-array (``writeable = False``).  Keep it that way: a future cross-call
-memo would need a lock or thread-local storage.
+every returned matrix is fully written before the caller fans passes
+out, after which the workers only read their own rows.  Keep it that
+way: a future cross-call memo would need a lock or thread-local
+storage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,76 +82,16 @@ def truth_within_array(trace: Trace, lam: float) -> np.ndarray:
     return nxt <= times + lam
 
 
-@dataclass(frozen=True)
 class PredictionStream:
-    """One boolean prediction per request index, precomputed.
+    """Prediction matrices for the kernel engine: one boolean row per
+    cell, one entry per request index.
 
-    ``within[i]`` is the prediction consumed right after serving request
-    ``r_i`` (index 0 = dummy request), i.e. the value the incremental
-    predictor would return from ``predict_within(s_i, t_i, lam)``.
+    Entry ``i`` of a row is the prediction consumed right after serving
+    request ``r_i`` (index 0 = dummy request), i.e. the value the cell's
+    incremental predictor would return from ``predict_within(s_i, t_i,
+    lam)``.
     """
 
-    within: np.ndarray
-    name: str = "stream"
-
-    def __post_init__(self) -> None:
-        # own copy: freezing an aliased caller array would make *their*
-        # object read-only
-        arr = np.array(self.within, dtype=bool)
-        arr.flags.writeable = False
-        object.__setattr__(self, "within", arr)
-
-    def __len__(self) -> int:
-        return len(self.within)
-
-    def __getitem__(self, i: int) -> bool:
-        return bool(self.within[i])
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def oracle(cls, trace: Trace, lam: float) -> "PredictionStream":
-        """Perfect predictions (matches :class:`OraclePredictor`)."""
-        return cls(truth_within_array(trace, lam), name="oracle")
-
-    @classmethod
-    def noisy_oracle(
-        cls, trace: Trace, lam: float, accuracy: float, seed: int = 0
-    ) -> "PredictionStream":
-        """Ground truth flipped with probability ``1 - accuracy``.
-
-        Bit-identical to a fresh :class:`NoisyOraclePredictor` queried
-        once per request in global order: the batched ``random(m + 1)``
-        call consumes the PCG64 stream exactly as the incremental
-        per-query ``random()`` calls do.
-        """
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
-        truth = truth_within_array(trace, lam)
-        rng = np.random.default_rng(seed)
-        correct = rng.random(len(truth)) < accuracy
-        return cls(
-            np.where(correct, truth, ~truth),
-            name=f"noisy-oracle(p={accuracy:g})",
-        )
-
-    @classmethod
-    def adversarial(cls, trace: Trace, lam: float) -> "PredictionStream":
-        """Always-wrong predictions (matches :class:`AdversarialPredictor`)."""
-        return cls(~truth_within_array(trace, lam), name="adversarial")
-
-    @classmethod
-    def fixed(cls, trace: Trace, within: bool) -> "PredictionStream":
-        """Constant predictions (matches :class:`FixedPredictor`)."""
-        return cls(
-            np.full(len(trace) + 1, bool(within)),
-            name=f"fixed({'within' if within else 'beyond'})",
-        )
-
-    # ------------------------------------------------------------------
-    # batched constructors (one prediction stream per slab cell)
-    # ------------------------------------------------------------------
     @classmethod
     def batch_for_cells(cls, cells, trace: Trace) -> np.ndarray | None:
         """One contiguous prediction row per ``(predictor, lam)`` cell,
@@ -163,14 +100,15 @@ class PredictionStream:
         Cells sharing a trace may carry *distinct* lambdas (per-object
         transfer costs), so the ground truth is memoised per lambda and
         each seed's PCG64 draw is computed exactly once.  Row ``c`` is
-        bit-identical to ``for_predictor(cells[c][0], trace,
-        cells[c][1]).within``, the scalar stream for that cell.  The
-        layout is cell-major (``(n_cells,
-        m + 1)``), what the kernel engine's per-cell replays consume.
+        bit-identical to what a fresh ``cells[c][0]`` answers when
+        queried once per request at ``cells[c][1]``, in global order,
+        dummy request first.  The layout is cell-major (``(n_cells, m +
+        1)``), what the kernel engine's replays consume.
         """
         cells = list(cells)
-        if not all(cls.supports_predictor(p, trace) for p, _ in cells):
-            return None
+        for p, _ in cells:
+            if not cls.supports_predictor(p, trace):
+                return None
         m1 = len(trace) + 1
         out = np.empty((len(cells), m1), dtype=bool)
         truths: dict[float, np.ndarray] = {}
@@ -211,16 +149,17 @@ class PredictionStream:
             return rows
         return np.ascontiguousarray(rows.T)
 
-    # ------------------------------------------------------------------
     @classmethod
     def supports_predictor(cls, predictor, trace: Trace) -> bool:
-        """Whether :meth:`for_predictor` can stream ``predictor`` faithfully.
+        """Whether :meth:`batch_for_cells` can stream ``predictor`` on
+        ``trace`` faithfully.
 
-        Cheap (no arrays are built) — used by engine ``supports`` checks
-        on every auto-selection.  False for unknown/history-based types,
-        trace-backed predictors built from a *different* trace, and a
-        noisy oracle that has already answered queries (its RNG position
-        is no longer the fresh-seed state).
+        Cheap (no arrays are built) — used by the kernel's eligibility
+        check on every auto-selection and slab cell.  False for
+        unknown/history-based types, trace-backed predictors built from
+        a *different* trace, and a noisy oracle that has already
+        answered queries (its RNG position is no longer the fresh-seed
+        state).
         """
         kind = type(predictor)
         if kind is FixedPredictor:
@@ -233,20 +172,3 @@ class PredictionStream:
                 return False
             return True
         return False
-
-    @classmethod
-    def for_predictor(
-        cls, predictor, trace: Trace, lam: float
-    ) -> "PredictionStream | None":
-        """The stream equivalent to ``predictor`` on ``trace``, or None
-        when the predictor fails :meth:`supports_predictor`."""
-        if not cls.supports_predictor(predictor, trace):
-            return None
-        kind = type(predictor)
-        if kind is FixedPredictor:
-            return cls.fixed(trace, predictor.within)
-        if kind is OraclePredictor:
-            return cls.oracle(trace, lam)
-        if kind is AdversarialPredictor:
-            return cls.adversarial(trace, lam)
-        return cls.noisy_oracle(trace, lam, predictor.accuracy, predictor.seed)

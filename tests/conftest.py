@@ -40,6 +40,19 @@ def fleet_reference(system) -> list[tuple[str, float, float]]:
     return out
 
 
+def incremental_stream(pred, trace, lam) -> np.ndarray:
+    """A fresh incremental predictor's answers, queried once per request
+    in global order, dummy request first: the semantic reference every
+    prediction row must equal."""
+    out = []
+    pred.observe(0, 0.0)
+    out.append(pred.predict_within(0, 0.0, lam))
+    for r in trace:
+        pred.observe(r.server, r.time)
+        out.append(pred.predict_within(r.server, r.time, lam))
+    return np.array(out)
+
+
 @pytest.fixture
 def two_server_model() -> CostModel:
     return CostModel(lam=10.0, n=2)
@@ -153,13 +166,12 @@ def assert_registered_scenarios_match_reference(engine):
     assert covered >= 19
 
 
-@functools.lru_cache(maxsize=None)
 def assert_registered_scenarios_wide():
     """The oracle's wide axis: every leg's two cells cycled to a
     threaded-width slab (so cells with the same alpha share a multi-row
     pass), run under a thread budget of 1 and of 4, matching the cached
     reference results cell by cell; the budget-4 slabs run over
-    threads.  Run once per test session."""
+    threads."""
     legs, covered = registered_scenario_legs()
     backends = set()
     for name, trace, model, factory, cells, refs in legs:

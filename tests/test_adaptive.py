@@ -235,9 +235,9 @@ def _adaptive(trace, spec):
 
 
 def _forced(trace, model, policy):
-    within = PredictionStream.for_predictor(
-        policy.predictor, trace, model.lam
-    ).within
+    (within,) = PredictionStream.batch_for_cells(
+        [(policy.predictor, model.lam)], trace
+    )
     return forced_column(
         np.concatenate(([0.0], trace.times)),
         np.concatenate(([0], trace.servers)),

@@ -483,7 +483,8 @@ def test_multi_object_backend_matches_default():
 
 def test_engine_spans_tagged_with_backend():
     """Kernel spans name the path ``auto`` chose: a narrow slab and a
-    single kernel cell run serially whatever the budget."""
+    single kernel cell, a one-cell slab, run serially whatever the
+    budget."""
     trace = uniform_random_trace(n=4, m=400, horizon=1e6, seed=5)
     model = CostModel(lam=20.0, n=4)
     cells = [(a, 1.0, 0) for a in (0.2, 0.5, 0.8)]
@@ -496,8 +497,12 @@ def test_engine_spans_tagged_with_backend():
         _obs.reset()
         get_engine("kernel").run_observed(trace, model, policy)
         snap = _obs.drain()
-    cell_spans = [s for s in snap["spans"] if s["name"] == "engine.cell"]
-    assert [s["tags"]["backend"] for s in cell_spans] == ["numpy"]
+    spans = [
+        (s["name"], s["tags"]["cells"], s["tags"]["backend"])
+        for s in snap["spans"]
+        if s["name"] in ("engine.slab", "engine.cell")
+    ]
+    assert spans == [("engine.slab", 1, "numpy")]
 
 
 def test_obs_summary_groups_by_backend():

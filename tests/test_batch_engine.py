@@ -8,13 +8,15 @@ eligible policy (Algorithm 1 with streamable predictors, the
 conventional baseline, the adapted algorithm, and Wang et al.) on
 arbitrary instances and arbitrary slabs of ``(alpha, accuracy, seed)``
 cells; batched prediction matrices must consume the PCG64 streams
-exactly as the scalar paths do; and the layers above
+exactly as the incremental predictors do; and the layers above
 (``select_engine``, ``run_slab``, ``sweep_grid``, ``ExperimentRunner``,
 fleets, the CLI) must route every slab onto the kernel, at any trace
 length.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ from repro.predictions import (
 from repro.workloads import diurnal_trace, uniform_random_trace
 
 from conftest import (
-    assert_registered_scenarios_wide,
+    incremental_stream,
     instances,
     slab_passes,
     slabs,
@@ -80,7 +82,7 @@ def assert_slab_matches_reference(trace, model, factory, cells):
         lambda: run_slab(trace, model, cells, factory, engine=KERNEL),
         tags=("tier", "cells", "passes"),
     )
-    if len(cells) > 1:
+    if cells:
         # the whole slab ran as one slab call, rows sharing passes
         assert spans == [("kernel", len(cells), len(groups))]
     assert len(runs) == len(cells)
@@ -324,11 +326,13 @@ class TestBatchedStreams:
         rows = PredictionStream.batch_for_cells([(p, lam) for p in preds], trace)
         assert np.array_equal(rows, matrix.T)
         for c, (acc, seed) in enumerate(zip(accuracies, seeds)):
-            if acc >= 1.0:
-                scalar = PredictionStream.oracle(trace, lam)
-            else:
-                scalar = PredictionStream.noisy_oracle(trace, lam, acc, seed)
-            assert np.array_equal(matrix[:, c], scalar.within), (acc, seed)
+            fresh = (
+                OraclePredictor(trace)
+                if acc >= 1.0
+                else NoisyOraclePredictor(trace, acc, seed=seed)
+            )
+            ref = incremental_stream(fresh, trace, lam)
+            assert np.array_equal(matrix[:, c], ref), (acc, seed)
 
     def test_batch_shares_draws_across_same_seed(self):
         # two cells with the same seed must flip the same queries when
@@ -341,7 +345,7 @@ class TestBatchedStreams:
         lams = (20.0, 40.0)
         rows = PredictionStream.batch_for_cells(list(zip(preds, lams)), trace)
         flips = [
-            rows[c] != PredictionStream.oracle(trace, lam).within
+            rows[c] != incremental_stream(OraclePredictor(trace), trace, lam)
             for c, lam in enumerate(lams)
         ]
         assert np.array_equal(flips[0], flips[1])
@@ -361,10 +365,10 @@ class TestBatchedStreams:
         cells = [(p, lam * (1 + c % 2)) for c, p in enumerate(preds)]
         rows = PredictionStream.batch_for_cells(cells, trace)
         for c, (p, cell_lam) in enumerate(cells):
-            scalar = PredictionStream.for_predictor(p, trace, lam)
-            assert np.array_equal(matrix[:, c], scalar.within), type(p)
-            scalar = PredictionStream.for_predictor(p, trace, cell_lam)
-            assert np.array_equal(rows[c], scalar.within), type(p)
+            ref = incremental_stream(copy.deepcopy(p), trace, lam)
+            assert np.array_equal(matrix[:, c], ref), type(p)
+            ref = incremental_stream(copy.deepcopy(p), trace, cell_lam)
+            assert np.array_equal(rows[c], ref), type(p)
 
     def test_batch_for_predictors_rejects_unstreamable(self):
         trace = uniform_random_trace(n=3, m=30, horizon=150.0, seed=3)
@@ -375,12 +379,11 @@ class TestBatchedStreams:
 
     def test_batch_validates_inputs(self):
         # the builders take predictor objects, whose constructors own
-        # the accuracy check; the scalar noisy stream checks its own
+        # the accuracy check
         trace = uniform_random_trace(n=3, m=10, horizon=50.0, seed=0)
-        with pytest.raises(ValueError, match="accuracy"):
-            NoisyOraclePredictor(trace, -0.1, seed=0)
-        with pytest.raises(ValueError, match="accuracy"):
-            PredictionStream.noisy_oracle(trace, 10.0, -0.1, 0)
+        for accuracy in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="accuracy"):
+                NoisyOraclePredictor(trace, accuracy, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +402,7 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown engine 'batch'"):
             get_engine("batch")
 
-    def test_auto_prefers_batch_for_slabs(self):
+    def test_auto_runs_slabs_as_one_kernel_pass(self):
         """``auto`` runs a short slab on the kernel as one multi-row
         pass, like a single cell."""
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
@@ -416,13 +419,24 @@ class TestSelection:
         runs = run_slab(self.trace, self.model, cells, _learned_factory)
         assert all(hasattr(r, "serves") for r in runs)
 
-    def test_explicit_batch_on_unsupported_policy_raises(self):
+    def test_explicit_kernel_refuses_unstreamable_cell_on_every_entry(self):
+        """An explicit kernel refuses a history-based adaptive cell with
+        one ``EngineError``, whether it comes alone to ``run`` or as a
+        one-cell slab."""
         pol = AdaptiveReplication(
             SlidingWindowPredictor(window=5), 0.5, beta=0.1
         )
         assert not KERNEL.supports(self.trace, self.model, pol)
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="cannot stream"):
             KERNEL.run(self.trace, self.model, pol)
+        with pytest.raises(EngineError, match="cannot stream"):
+            run_slab(
+                self.trace, self.model, [(0.5, 1.0, 0)],
+                lambda trace, lam, alpha, accuracy, seed: AdaptiveReplication(
+                    SlidingWindowPredictor(window=5), alpha, beta=0.1
+                ),
+                engine="kernel",
+            )
 
     def test_supports_slab_rejects_mixed_and_unstreamable(self):
         def mixed_factory(trace, lam, alpha, accuracy, seed):
@@ -549,7 +563,7 @@ class TestConsumers:
         )
         assert via_system.online_total == ref.online_total
 
-    def test_cli_accepts_batch_engine(self, capsys):
+    def test_cli_rejects_batch_engine(self, capsys):
         """argparse rejects ``--engine batch`` (exit 2)."""
         from repro.cli import build_parser
 
@@ -564,12 +578,6 @@ class TestConsumers:
             assert "invalid choice: 'batch'" in capsys.readouterr().err
         args = p.parse_args(["experiments", "run", "smoke", "--engine", "kernel"])
         assert args.engine == "kernel"
-
-
-def test_all_registered_scenarios_batch_equivalent_where_supported():
-    """The registered-scenario oracle's wide axis: every leg as a
-    threaded-width multi-row slab, serial and threaded."""
-    assert_registered_scenarios_wide()
 
 
 # ----------------------------------------------------------------------

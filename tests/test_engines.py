@@ -44,7 +44,11 @@ from repro.predictions import (
 )
 from repro.workloads import uniform_random_trace
 
-from conftest import assert_registered_scenarios_match_reference, instances
+from conftest import (
+    assert_registered_scenarios_match_reference,
+    incremental_stream,
+    instances,
+)
 
 KERNEL = KernelCostEngine()
 REF = ReferenceEngine()
@@ -159,44 +163,49 @@ class TestPredictionStream:
     def test_noisy_stream_bit_identical_to_incremental(self):
         trace = uniform_random_trace(n=4, m=120, horizon=900.0, seed=3)
         lam = 40.0
-        stream = PredictionStream.noisy_oracle(trace, lam, 0.6, seed=11)
-        pred = NoisyOraclePredictor(trace, 0.6, seed=11)
-        # incremental query order: dummy request first, then trace order
-        pred.observe(0, 0.0)
-        assert stream[0] == pred.predict_within(0, 0.0, lam)
-        for i, r in enumerate(trace, start=1):
-            pred.observe(r.server, r.time)
-            assert stream[i] == pred.predict_within(r.server, r.time, lam)
+        (row,) = PredictionStream.batch_for_cells(
+            [(NoisyOraclePredictor(trace, 0.6, seed=11), lam)], trace
+        )
+        ref = incremental_stream(
+            NoisyOraclePredictor(trace, 0.6, seed=11), trace, lam
+        )
+        assert np.array_equal(row, ref)
 
     def test_oracle_and_adversarial_are_complements(self):
         trace = uniform_random_trace(n=3, m=50, horizon=300.0, seed=1)
-        a = PredictionStream.oracle(trace, 25.0).within
-        b = PredictionStream.adversarial(trace, 25.0).within
+        a, b = PredictionStream.batch_for_cells(
+            [(OraclePredictor(trace), 25.0), (AdversarialPredictor(trace), 25.0)],
+            trace,
+        )
         assert np.array_equal(a, ~b)
         assert len(a) == len(trace) + 1
+        assert np.array_equal(
+            a, incremental_stream(OraclePredictor(trace), trace, 25.0)
+        )
 
     def test_for_predictor_rejects_foreign_trace(self):
         tr1 = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
         tr2 = uniform_random_trace(n=3, m=30, horizon=100.0, seed=2)
         pred = OraclePredictor(tr1)
-        assert PredictionStream.for_predictor(pred, tr2, 10.0) is None
-        assert PredictionStream.for_predictor(pred, tr1, 10.0) is not None
+        assert not PredictionStream.supports_predictor(pred, tr2)
+        assert PredictionStream.batch_for_cells([(pred, 10.0)], tr2) is None
+        assert PredictionStream.supports_predictor(pred, tr1)
+        assert PredictionStream.batch_for_cells([(pred, 10.0)], tr1) is not None
 
     def test_for_predictor_rejects_consumed_noisy_rng(self):
         trace = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
         pred = NoisyOraclePredictor(trace, 0.5, seed=0)
-        assert PredictionStream.for_predictor(pred, trace, 10.0) is not None
+        assert PredictionStream.supports_predictor(pred, trace)
+        assert PredictionStream.batch_for_cells([(pred, 10.0)], trace) is not None
         pred.predict_within(0, 1.0, 10.0)  # consume one draw
-        assert PredictionStream.for_predictor(pred, trace, 10.0) is None
+        assert not PredictionStream.supports_predictor(pred, trace)
+        assert PredictionStream.batch_for_cells([(pred, 10.0)], trace) is None
 
     def test_for_predictor_rejects_history_based(self):
         trace = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
-        assert (
-            PredictionStream.for_predictor(
-                SlidingWindowPredictor(window=5), trace, 10.0
-            )
-            is None
-        )
+        pred = SlidingWindowPredictor(window=5)
+        assert not PredictionStream.supports_predictor(pred, trace)
+        assert PredictionStream.batch_for_cells([(pred, 10.0)], trace) is None
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +256,7 @@ class TestSelection:
         pol = AdaptiveReplication(
             SlidingWindowPredictor(window=5), 0.5, beta=0.1
         )
+        assert not KERNEL.supports(self.trace, self.model, pol)
         with pytest.raises(EngineError):
             KERNEL.run(self.trace, self.model, pol)
 

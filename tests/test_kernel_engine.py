@@ -78,7 +78,7 @@ def assert_kernel_matches_reference(trace, model, factory, cells):
         lambda: run_slab(trace, model, cells, factory, engine=KERNEL)
     )
     assert len(runs) == len(cells)
-    if len(cells) > 1:
+    if cells:
         # the whole slab ran as one slab call, not cell by cell
         assert spans == [("kernel", len(cells))]
     for cell, run in zip(cells, runs):
@@ -298,6 +298,10 @@ def _wang_factory(trace, lam, alpha, accuracy, seed):
     return WangReplication()
 
 
+def _learned_factory(trace, lam, alpha, accuracy, seed):
+    return LearningAugmentedReplication(SlidingWindowPredictor(5), alpha)
+
+
 @st.composite
 def wang_instances(draw):
     """Tie-prone traces with ascending (possibly distinct) storage
@@ -429,7 +433,7 @@ class TestSupports:
         pol = LearningAugmentedReplication(OraclePredictor(self.trace), 0.5)
         assert not KERNEL.supports(self.trace, model, pol)
 
-    def test_wang_slab_accepted_by_both_slab_tiers(self):
+    def test_wang_slab_runs_as_one_kernel_slab(self):
         # the helper asserts one 2-cell kernel slab call
         cells = [(0.5, 1.0, 0), (0.5, 1.0, 1)]
         assert_kernel_matches_reference(
@@ -453,16 +457,18 @@ class TestSelection:
         cells = [(0.5, 1.0, s) for s in range(8)]
         return {r.engine for r in run_slab(trace, self.model, cells, factory)}
 
-    def test_auto_prefers_kernel_above_crossovers(self):
-        pol = LearningAugmentedReplication(OraclePredictor(self.big), 0.5)
-        assert select_engine(self.big, self.model, pol) is get_engine("kernel")
-        assert self._slab_tiers(self.big, algorithm1_factory) == {"kernel"}
+    def _assert_auto_picks_kernel(self, trace):
+        """A single cell and a slab both run on the kernel."""
+        pol = LearningAugmentedReplication(OraclePredictor(trace), 0.5)
+        assert select_engine(trace, self.model, pol) is get_engine("kernel")
+        assert self._slab_tiers(trace, algorithm1_factory) == {"kernel"}
 
-    def test_auto_keeps_batch_below_slab_crossover(self):
-        """Short slabs run on the kernel, like single cells."""
-        pol = LearningAugmentedReplication(OraclePredictor(self.small), 0.5)
-        assert select_engine(self.small, self.model, pol) is get_engine("kernel")
-        assert self._slab_tiers(self.small, algorithm1_factory) == {"kernel"}
+    def test_auto_prefers_kernel_above_crossovers(self):
+        self._assert_auto_picks_kernel(self.big)
+
+    def test_auto_picks_kernel_on_short_traces(self):
+        """Short traces run on the kernel too: there is no crossover."""
+        self._assert_auto_picks_kernel(self.small)
 
     def test_wang_rides_kernel_through_select_engine(self):
         """select_engine never falls back for Wang: single cells and
@@ -476,23 +482,25 @@ class TestSelection:
         pol = LearningAugmentedReplication(SlidingWindowPredictor(5), 0.5)
         assert select_engine(self.big, self.model, pol) is get_engine("reference")
 
-    def test_run_slab_auto_dispatches_kernel_on_long_traces(self):
+    def _assert_run_slab_auto_dispatches_kernel(self, trace):
+        """An ``"auto"`` slab runs on the kernel, bit-identical to the
+        reference engine."""
         cells = [(0.2, 0.8, 0), (0.7, 0.4, 1), (1.0, 1.0, 0)]
-        runs = run_slab(self.big, self.model, cells, algorithm1_factory)
+        runs = run_slab(trace, self.model, cells, algorithm1_factory)
         assert all(r.engine == "kernel" for r in runs)
         for cell, run in zip(cells, runs):
             ref = REF.run(
-                self.big, self.model,
-                algorithm1_factory(self.big, self.model.lam, *cell),
+                trace, self.model,
+                algorithm1_factory(trace, self.model.lam, *cell),
             )
             assert run.storage_cost == ref.storage_cost
             assert run.transfer_cost == ref.transfer_cost
 
-    def test_run_slab_auto_keeps_batch_on_short_traces(self):
-        """Short-trace slabs run on the kernel."""
-        cells = [(0.2, 0.8, 0), (0.7, 0.4, 1)]
-        runs = run_slab(self.small, self.model, cells, algorithm1_factory)
-        assert all(r.engine == "kernel" for r in runs)
+    def test_run_slab_auto_dispatches_kernel_on_long_traces(self):
+        self._assert_run_slab_auto_dispatches_kernel(self.big)
+
+    def test_run_slab_auto_dispatches_kernel_on_short_traces(self):
+        self._assert_run_slab_auto_dispatches_kernel(self.small)
 
     def test_run_slab_explicit_kernel(self):
         cells = [(0.2, 0.8, 0), (0.7, 0.4, 1)]
@@ -520,6 +528,77 @@ class TestSelection:
             self.big, self.model, cells, wang_factory, engine="auto"
         )
         assert all(r.engine == "kernel" for r in big_runs)
+
+
+def test_lone_cell_is_one_kernel_slab_on_every_entry():
+    """Every way into the kernel runs a lone cell as a one-cell slab:
+    ``KernelCostEngine.run`` and ``.run_observed``, ``run_policy_slab``
+    and ``run_slab`` each record exactly one ``engine.slab`` span and
+    count the cell once, for an Algorithm-1 cell and a Wang cell alike;
+    a cell the kernel refuses still runs on the reference engine under
+    one ``engine.cell`` span."""
+    from repro.core.engine import run_policy_slab
+    from repro.obs import metrics
+
+    trace = uniform_random_trace(n=4, m=60, horizon=400.0, seed=2)
+    model = CostModel(lam=20.0, n=4)
+    cell = (0.5, 0.7, 3)
+
+    def observed(fn):
+        """``fn()``, its engine spans as ``(name, tier, cells)``, and
+        its ``repro_engine_cells_total`` counts by tier."""
+        with metrics.enabled_scope():
+            metrics.reset()
+            out = fn()
+            snap = metrics.drain()
+        spans = [
+            (s["name"], s["tags"]["tier"], s["tags"].get("cells"))
+            for s in snap["spans"]
+            if s["name"] in ("engine.slab", "engine.cell")
+        ]
+        counted = {
+            c["tags"]["tier"]: c["value"]
+            for c in snap["counters"]
+            if c["name"] == "repro_engine_cells_total"
+        }
+        return out, spans, counted
+
+    def entries(factory):
+        def policy():
+            return factory(trace, model.lam, *cell)
+
+        return policy, {
+            "run": lambda: KERNEL.run(trace, model, policy()),
+            "run_observed": lambda: KERNEL.run_observed(trace, model, policy()),
+            "run_policy_slab": lambda: run_policy_slab(
+                trace, [(model, policy())]
+            )[0],
+            "run_slab": lambda: run_slab(trace, model, [cell], factory)[0],
+        }
+
+    for factory in (algorithm1_factory, _wang_factory):
+        policy, fns = entries(factory)
+        ref = REF.run(trace, model, policy())
+        for entry, fn in fns.items():
+            label = (factory.__name__, entry)
+            run, spans, counted = observed(fn)
+            assert spans == [("engine.slab", "kernel", 1)], label
+            assert counted == {"kernel": 1}, label
+            assert run.engine == "kernel", label
+            assert run.storage_cost == ref.storage_cost, label
+            assert run.transfer_cost == ref.transfer_cost, label
+            assert run.n_transfers == ref.ledger.n_transfers, label
+
+    policy, fns = entries(_learned_factory)
+    ref = REF.run(trace, model, policy())
+    for entry in ("run", "run_observed"):
+        with pytest.raises(EngineError, match="cannot stream"):
+            fns[entry]()
+    for entry in ("run_policy_slab", "run_slab"):
+        run, spans, counted = observed(fns[entry])
+        assert spans == [("engine.cell", "reference", None)], entry
+        assert counted == {"reference": 1}, entry
+        assert run.total_cost == ref.total_cost, entry
 
 
 # ----------------------------------------------------------------------
