@@ -146,7 +146,8 @@ construction, and the two sequences interleave by counting sums rather
 than comparison sorts: a pop's slot is the ``cumsum`` count of serves at
 earlier events plus the pops before it, and the serves fill the slots
 the pops leave.  Every one of these steps is a linear pass except the
-one search that merges the two expiry streams.  The ordered charge
+one search that merges the two expiry streams, and a group of passes
+shares that merge (below).  The ordered charge
 values are then reduced with ``np.add.accumulate`` —
 NumPy's *sequential* accumulation, unlike ``np.add.reduce``'s pairwise
 tree — so the final sum performs the same doubles additions in the
@@ -170,18 +171,35 @@ flattened matrix:
   kept apart by a per-row offset (so is the rare dict-insertion walk);
 * ``np.nonzero`` yields ``(row, request)`` pairs in row-major order, so
   each row's die-outs and serves stay in request order;
-* the drops of every row merge once, as the union of all rows' drops:
-  each row's ``(E, server)`` order is a masked subsequence of it (a
-  one-row pass takes the union as it is), and the die mask, gathered at
-  the flat ``(row, event)`` pop keys, marks the last pop of each
-  die-out event — its special;
+* the drops of every row merge once, as the union of all rows' drops
+  (:func:`_drop_order`): each row's ``(E, server)`` order is a masked
+  subsequence of it (a one-row pass takes the union as it is), and the
+  die mask, gathered at the flat ``(row, event)`` pop keys, marks the
+  last pop of each die-out event — its special;
 * each row holds exactly ``m + 1`` charges: each row's drain and
   finalize charges take its trailing slots, and the pops and serves of
   all rows interleave by counting sums over the flat event keys
   (offset by the earlier rows' trailing charges) straight into the
   other slots;
 * the ledgers reduce with ``np.add.accumulate(axis=1)``, sequential
-  within each row, and transfers index one shared partial-sum table.
+  within each row; a pass returns its transfer counts, and the slab
+  reads every count at one lambda from one partial-sum chain, built
+  once per lambda after its passes.
+
+A group that spans several passes (row chunks, below) merges its drop
+streams once, not once per pass: the order depends on the group, not
+on the pass.  Its union is built over all the group's rows without a
+``(rows x m)`` temporary — ``drop & any(pred)`` for the within branch,
+``drop & ~all(pred)`` for the beyond branch — and merged (or, on a
+cross-branch expiry tie, lexsorted) by the first of its passes to run
+(:class:`_GroupDrops`).  The group keeps only the 32-bit indices and
+pop keys and one branch flag per entry, and releases them after its
+last pass.  Each pass then picks its own rows' drops out of the order
+by mask — one gather of its prediction rows at the order's indices,
+xor the branch flags, and one ``nonzero``, with no search — and
+rebuilds their expiries with the same IEEE add, ``t + duration``.  A
+one-pass group (a lone cell, a small grid) builds the order from its
+own rows in its pass, through the same :func:`_drop_order`.
 
 :func:`_kernel_slab` is the one way into the kernel's replays:
 :func:`run_policy_slab` sends it every eligible cell of a slab, one or
@@ -378,7 +396,7 @@ def _late() -> SimpleNamespace:
     from ..algorithms.learning_augmented import LearningAugmentedReplication
     from ..algorithms.wang import WangReplication
     from ..predictions.oracle import FixedPredictor
-    from ..predictions.stream import PredictionStream
+    from ..predictions.stream import PredictionStream, _prediction_rows
 
     return SimpleNamespace(
         Adaptive=AdaptiveReplication,
@@ -393,6 +411,7 @@ def _late() -> SimpleNamespace:
         forced_column=forced_column,
         FixedPredictor=FixedPredictor,
         PredictionStream=PredictionStream,
+        prediction_rows=_prediction_rows,
     )
 
 
@@ -418,7 +437,7 @@ def _durations_coincide(model: CostModel, policy: ReplicationPolicy) -> bool:
 
 
 def _force_fallbacks(
-    trace: Trace,
+    chains: _SegmentChains,
     model: CostModel,
     policy: ReplicationPolicy,
     within: np.ndarray,
@@ -433,10 +452,10 @@ def _force_fallbacks(
     if type(policy) is not late.Adaptive or _durations_coincide(model, policy):
         return
     within |= late.forced_column(
-        np.concatenate(([0.0], trace.times)),
-        np.concatenate(([0], trace.servers)),
+        chains.t_all,
+        chains.j_all,
         within,
-        trace.n,
+        chains.n,
         model.lam,
         model.storage_rates[0],
         policy.alpha,
@@ -499,7 +518,9 @@ class _SegmentChains:
     Holds the dummy-prefixed time/server columns, the per-server
     neighbour chains (one stable sort), and a memo of ``(t + duration,
     reach)`` arrays per distinct keep-duration, so a slab pays one
-    ``searchsorted`` per duration rather than one per cell.
+    ``searchsorted`` per duration rather than one per cell.  The slab's
+    prediction matrix takes its ground truth from the same chains
+    (:meth:`within`), so a slab sorts its requests by server once.
 
     Thread safety: one instance may be shared by the ``threads``
     execution path's passes.  Every precomputed array is read-only after
@@ -569,6 +590,16 @@ class _SegmentChains:
                 hit = self._shifts.setdefault(duration, new)
         return hit
 
+    def within(self, lam: float) -> np.ndarray:
+        """The ground-truth prediction column at ``lam``: whether each
+        request's next local request arrives within ``lam``.  It is
+        ``succ <= reach`` of the ``lam`` shift, whose reach comes from
+        the same IEEE add ``t + lam`` as
+        :func:`~repro.predictions.stream.truth_within_array`: a
+        successor is within the reach iff its time is at most ``t +
+        lam``, and a request with none is beyond."""
+        return self.succ <= self.shifted(lam).reach
+
     def server_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(offsets, requests)`` CSR of request indices grouped by
         server (ascending within each group) — the Wang machine's
@@ -613,6 +644,53 @@ class _Shift:
         self.local_alive = alive[chains.prev_clip]
 
 
+def _drop_order(
+    chains: _SegmentChains,
+    pred: np.ndarray,
+    sw: _Shift,
+    sb: _Shift,
+    dur_within: float,
+    dur_beyond: float,
+    held: bool = False,
+) -> tuple:
+    """The expiry heap's ``(E, server)`` pop order over the union of the
+    segments the rows of ``pred`` keep live until they expire mid-trace
+    (``sw is not sb``): ``(indices, beyond flags, pop keys, expiries)``.
+    A segment with reach ``q`` pops before request ``q + 1``, and its
+    pop key is ``q``.
+
+    Each prediction branch's expiries are a constant shift of the
+    strictly increasing request times, so either branch's segments are
+    already sorted: the union merges with one search
+    (:func:`~repro.core.backends.merge_interleave`), and each row's
+    drops are a masked subsequence of it.  The server tie-break can
+    only matter *across* branches, so a cross-branch expiry tie falls
+    back to a lexsort.  A ``held`` order, one that the passes of a
+    group share, keeps only its 32-bit indices and keys and the flags:
+    each pass rebuilds its own drops' expiries (expiries None).
+    """
+    t_all = chains.t_all
+    if pred.shape[0] == 1:
+        some = every = pred[0]
+    else:
+        some, every = pred.any(axis=0), pred.all(axis=0)
+    uw = _nonzero(sw.drop & some)
+    ub = _nonzero(np.greater(sb.drop, every))    # sb's, where not all rows
+    # the same scalar IEEE add as schedule(j, t + duration)
+    ew = t_all[uw] + dur_within
+    eb = t_all[ub] + dur_beyond
+    order = merge_interleave(ew, eb)
+    k = np.concatenate((uw, ub))
+    if order is None:
+        order = np.lexsort((chains.j_all[k], np.concatenate((ew, eb))))
+    k = k[order]
+    beyond = order >= uw.size
+    key = np.concatenate((sw.reach[uw], sb.reach[ub]))[order]
+    if held:
+        return k.astype(chains.idx_dtype), beyond, key, None
+    return k, beyond, key, np.concatenate((ew, eb))[order]
+
+
 def _drops_by_expiry(
     chains: _SegmentChains,
     pred: np.ndarray,
@@ -620,6 +698,7 @@ def _drops_by_expiry(
     sb: _Shift,
     dur_within: float,
     dur_beyond: float,
+    held: tuple | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(pop keys, indices, expiries)`` of the segments each row of
     ``pred`` keeps live until they expire mid-trace: row by row, each
@@ -627,14 +706,14 @@ def _drops_by_expiry(
     segment of row ``r`` with reach ``q`` pops before request ``q + 1``,
     and its key is that event's flat key ``r * m + q``.
 
-    Each prediction branch's expiries are a constant shift of the
-    strictly increasing request times, so either branch's segments are
-    already sorted: the union of every row's drops merges once
-    (:func:`~repro.core.backends.merge_interleave`, one search), and
-    each row's drops are a masked subsequence of the merged union — a
-    one-row pass's drops are the union itself.  The server tie-break
-    can only matter *across* branches, so a cross-branch expiry tie in
-    the union falls back to a lexsort.
+    The order comes from :func:`_drop_order`: ``held``, the one a
+    group of several passes builds once over all its rows, or else
+    built here over this pass's rows — a one-row pass's drops are that
+    union itself.  Otherwise each row picks its drops out of the order
+    by mask: one gather of the prediction rows at the order's indices
+    (a within-branch drop is a row's where it predicts within, a
+    beyond-branch drop where it does not) and one ``nonzero``, with no
+    search.
     """
     t_all, m = chains.t_all, chains.m
     n_rows = pred.shape[0]
@@ -642,37 +721,39 @@ def _drops_by_expiry(
         # alpha = 1: both branches share every expiry, and every row
         # drops the same segments, in request order
         k = _nonzero(sw.drop)
-        key = sw.reach[k]
+        key = sw.reach[k].astype(np.intp)
         if n_rows > 1:
             key = (np.arange(n_rows)[:, None] * m + key).reshape(-1)
             k = np.tile(k, n_rows)
         return key, k, t_all[k] + dur_within
-    within = pred & sw.drop
-    beyond = np.greater(sb.drop, pred)           # sb's, where not pred
-    uw = _nonzero(within.any(axis=0))
-    ub = _nonzero(beyond.any(axis=0))
-    # the same scalar IEEE add as schedule(j, t + duration)
-    ew = t_all[uw] + dur_within
-    eb = t_all[ub] + dur_beyond
-    order = merge_interleave(ew, eb)
-    k = np.concatenate((uw, ub))
-    exp = np.concatenate((ew, eb))
-    if order is None:
-        order = np.lexsort((chains.j_all[k], exp))
-    key = np.concatenate((sw.reach[uw], sb.reach[ub]))
-    if n_rows > 1:
-        # each row's drops, as (row, position in the union's order)
-        sel = np.concatenate((within, beyond), axis=1).take(
-            np.concatenate((uw, ub + chains.m1))[order], axis=1
+    if held is None:
+        k, beyond, key, exp = _drop_order(
+            chains, pred, sw, sb, dur_within, dur_beyond
         )
-        g = _nonzero(sel)
+        if n_rows == 1:
+            return key.astype(np.intp), k, exp
+    else:
+        k, beyond, key, exp = held
+    sel = pred.take(k, axis=1)
+    sel ^= beyond
+    g = _nonzero(sel)
+    if n_rows > 1:
+        # each row's drops, as (row, position in the order)
         rows = np.arange(n_rows).repeat(sel.sum(axis=1))
-        g -= rows * order.size
-        order = order[g]
-        rows *= m                     # row r's events start at r * m
-        rows += key[order]
-        return rows, k[order], exp[order]
-    return key[order], k[order], exp[order]
+        g -= rows * k.size
+    # (the gathers below index with native ints: fancy indexing with
+    # 32-bit indices takes a slower path)
+    k = k[g].astype(np.intp)
+    if exp is None:
+        durations = np.array((dur_within, dur_beyond))
+        exp = t_all[k] + durations[beyond[g].view(np.uint8)]
+    else:
+        exp = exp[g]
+    if n_rows == 1:
+        return key[g].astype(np.intp), k, exp
+    rows *= m                         # row r's events start at r * m
+    rows += key[g]
+    return rows, k, exp
 
 
 def _tenure_starts(chains: _SegmentChains, miss_full: np.ndarray) -> np.ndarray:
@@ -708,15 +789,18 @@ def _kernel_algorithm1(
     pred: np.ndarray,
     drain: bool,
     drain_event_cap: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    drops: tuple | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Replay Algorithm 1 with pure array passes (no per-request loop),
     once per row of the ``(rows, m + 1)`` prediction matrix ``pred``.
 
-    Returns ``(storage, transfer, n_transfers)`` arrays whose entry
-    ``r`` is bit-identical to the ledger of :func:`simulate` running
-    Algorithm 1 with ``alpha`` under the prediction stream ``pred[r]``
-    on the trace behind ``chains``.  See the module DESIGN docstring
-    for the derivation and for the row axis.
+    Returns ``(storage, n_transfers)`` arrays whose entry ``r`` is
+    bit-identical to the ledger of :func:`simulate` running Algorithm 1
+    with ``alpha`` under the prediction stream ``pred[r]`` on the trace
+    behind ``chains``; the transfer cost of ``n`` transfers is entry
+    ``n`` of :func:`_transfer_chain`.  ``drops`` is the held
+    :func:`_drop_order` of a group whose passes share it, or None.  See
+    the module DESIGN docstring for the derivation and for the row axis.
     """
     m, m1 = chains.m, chains.m1
     t_all, j_all = chains.t_all, chains.j_all
@@ -760,7 +844,9 @@ def _kernel_algorithm1(
     # expiring segments: every segment still live when it expires
     # mid-trace, row by row in the heap's (E, server) pop order, keyed
     # by the event it pops at
-    pop_key, do, e_do = _drops_by_expiry(chains, pred, sw, sb, lam, dur_beyond)
+    pop_key, do, e_do = _drops_by_expiry(
+        chains, pred, sw, sb, lam, dur_beyond, drops
+    )
 
     # special copies: at die-out i the last segment to expire — the
     # last of those popping at event i, the segment of request i-1
@@ -777,6 +863,11 @@ def _kernel_algorithm1(
     del is_spec
     e_do[spec_at] = t_all[die_i]
     spec_renew = j_all[die_i] == j_all[do[spec_at]]
+    # the drops' charges (the scalar (end - start) * rate, as below),
+    # taken here so that their indices die early
+    e_do -= t_all[do]
+    e_do *= rate
+    del do
 
     # renewal iff the previous local segment survives to the request
     # (the shifts' predecessor-alive columns, selected by the
@@ -838,16 +929,16 @@ def _kernel_algorithm1(
     # earlier pops and the earlier rows' trailing charges (counting
     # sums over the flat event keys, earlier rows first); the serves
     # fill the slots left, in request order.
-    n_pop, n_srv = do.size, sp1.size
+    n_pop, n_srv = e_do.size, sp1.size
     assert n_pop + n_srv + tail_q.size == n_rows * m1
     cnt = np.int32 if n_rows * m1 < _INT32_MAX else np.int64
     before = np.zeros(n_rows * m + 1, dtype=cnt)
     L.ravel().cumsum(dtype=cnt, out=before[1:])
     del L
     before[:-1].reshape(n_rows, m)[:] += (tail_end - n_tail)[:, None]
-    pos_pop = before[pop_key]
-    del before
-    pos_pop += np.arange(n_pop, dtype=cnt)
+    pos_pop = before[pop_key].astype(np.intp)
+    del before, pop_key
+    pos_pop += np.arange(n_pop)
     pos_tail = (tail_r + 1) * m1 - tail_end[tail_r] + np.arange(tail_r.size)
     free = np.ones(n_rows * m1, dtype=bool)
     free[pos_pop] = False
@@ -860,12 +951,10 @@ def _kernel_algorithm1(
     # precede t_m, drain/finalize end at t_m) and start a request time
     vals = np.empty((n_rows, m1))
     flat = vals.reshape(-1)
-    e_do -= t_all[do]
-    e_do *= rate
     flat[pos_pop] = e_do
     del pos_pop, e_do
     srv_end = t_all[sp1]
-    srv_end -= t_all[chains.prev[sp1]]
+    srv_end -= t_all[chains.prev[sp1].astype(np.intp)]
     srv_end *= rate
     flat[pos_srv] = srv_end
     del pos_srv, srv_end
@@ -875,13 +964,17 @@ def _kernel_algorithm1(
     # sequential accumulation per row == the scalar's ordered
     # `storage += charge`
     np.add.accumulate(vals, axis=1, out=vals)
+    # (a copy: a view of the last column would keep all of vals alive)
+    return vals[:, -1].copy(), n_tx
 
-    # repeated `transfer += lam`: every row reads the same sequential
-    # left-to-right chain of partial sums at its own transfer count
-    max_tx = int(n_tx.max())
-    partial = np.zeros(max_tx + 1)
-    np.add.accumulate(np.full(max_tx, lam), out=partial[1:])
-    return vals[:, -1], partial[n_tx], n_tx
+
+def _transfer_chain(lam: float, n: int) -> np.ndarray:
+    """Partial sums of ``n`` repeated ``transfer += lam`` steps, one
+    sequential left-to-right chain: entry ``i`` is the ledger's transfer
+    cost after ``i`` transfers, bit for bit, for any ``n >= i``."""
+    partial = np.zeros(n + 1)
+    np.add.accumulate(np.full(n, lam), out=partial[1:])
+    return partial
 
 
 class _WangReplay:
@@ -1231,6 +1324,48 @@ def run_policy_slab(
     return results
 
 
+class _GroupDrops:
+    """The drop order a group's passes share: the held
+    :func:`_drop_order` over the union of every row of a ``(lambda,
+    alpha, rate)`` group that spans several passes.  The first of its
+    passes to run builds it; each pass then only picks its own rows'
+    drops out of it; the last pass releases it.  On the threaded path
+    the lock makes the group's passes build it once between them."""
+
+    __slots__ = ("start", "n_rows", "passes", "order", "lock")
+
+    def __init__(self, start: int, n_rows: int, passes: int):
+        self.start = start            # the group's first prediction row
+        self.n_rows = n_rows
+        self.passes = passes          # passes yet to finish
+        self.order: tuple | None = None
+        self.lock = threading.Lock()
+
+    def take(
+        self, chains: _SegmentChains, rows: np.ndarray, lam: float,
+        alpha: float,
+    ) -> tuple:
+        with self.lock:
+            if self.order is None:
+                dur_beyond = alpha * lam
+                self.order = _drop_order(
+                    chains,
+                    rows[self.start : self.start + self.n_rows],
+                    chains.shifted(lam),
+                    chains.shifted(dur_beyond),
+                    lam,
+                    dur_beyond,
+                    held=True,
+                )
+            return self.order
+
+    def done(self) -> None:
+        with self.lock:
+            self.passes -= 1
+            if not self.passes:
+                self.order = None
+
+
 #: the largest Algorithm-1 pass, in prediction-matrix entries (rows x
 #: (m + 1)); a group beyond it splits into row chunks, and traces longer
 #: than it run one row per pass.  ``benchmarks/BENCH_scaling.json``'s
@@ -1284,57 +1419,93 @@ def _kernel_slab(
     )
     # prediction rows go group by group, so every pass is a row slice; a
     # unit is one pass: (first prediction row, or None for a Wang model;
-    # whether one ledger serves all its cells; the cells)
+    # whether one ledger serves all its cells; the cells; the drop order
+    # its group's passes share, if there are several)
     order: list[int] = []
-    units: list[tuple[int | None, bool, list[int]]] = []
+    units: list[tuple[int | None, bool, list[int], _GroupDrops | None]] = []
     for idx in groups.values():
         model, policy = cells[idx[0]]
         if type(policy) is wang:
-            units.append((None, True, idx))
+            units.append((None, True, idx, None))
         elif _durations_coincide(model, policy):
             # one row's ledger is every row's: it serves the group
-            units.append((len(order), True, idx))
+            units.append((len(order), True, idx, None))
             order.append(idx[0])
         else:
+            passes = -(-len(idx) // rows_max)
+            hold = None
+            if passes > 1:
+                hold = _GroupDrops(len(order), len(idx), passes)
             for s in range(0, len(idx), rows_max):
-                units.append((len(order) + s, False, idx[s : s + rows_max]))
+                units.append(
+                    (len(order) + s, False, idx[s : s + rows_max], hold)
+                )
             order += idx
 
     def run() -> list:
-        # the prediction matrix is slab work too: the span covers it
-        rows = late.PredictionStream.batch_for_cells(
+        # the chains and the prediction matrix are slab work too: the
+        # span covers them.  The matrix takes its ground truth from the
+        # chains' shifts, which the replays use anyway.
+        chains = _SegmentChains(trace)
+        rows = late.prediction_rows(
             [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in order],
             trace,
+            chains.within,
         )
         assert rows is not None  # supports() vetted streamability
         for r, i in enumerate(order):
-            _force_fallbacks(trace, *cells[i], rows[r])
-        chains = _SegmentChains(trace)
+            _force_fallbacks(chains, *cells[i], rows[r])
 
-        def one(unit: tuple[int | None, bool, list[int]]) -> list:
-            start, shared, idx = unit
+        def one(unit: tuple) -> list | tuple:
+            start, shared, idx, hold = unit
             model, policy = cells[idx[0]]
             if start is None:
-                out = [
+                return [
                     _WangReplay(
                         chains, float(model.lam), model.storage_rates
                     ).replay(drain, drain_event_cap)
-                ]
-            else:
-                storage, transfer, n_tx = _kernel_algorithm1(
-                    chains,
-                    model.storage_rates[0],
-                    model.lam,
-                    policy.alpha,
-                    rows[start : start + (1 if shared else len(idx))],
-                    drain,
-                    drain_event_cap,
-                )
-                out = list(zip(storage.tolist(), transfer.tolist(), n_tx.tolist()))
-            return out * len(idx) if shared else out
+                ] * len(idx)
+            drops = None
+            if hold:
+                drops = hold.take(chains, rows, model.lam, policy.alpha)
+            storage, n_tx = _kernel_algorithm1(
+                chains,
+                model.storage_rates[0],
+                model.lam,
+                policy.alpha,
+                rows[start : start + (1 if shared else len(idx))],
+                drain,
+                drain_event_cap,
+                drops,
+            )
+            if hold:
+                hold.done()
+            return model.lam, storage, n_tx
 
         # run_units preserves unit order
-        return be.run_units(units, one, threads)
+        outs = be.run_units(units, one, threads)
+        # repeated `transfer += lam`: every pass at one lambda reads the
+        # same sequential chain of partial sums, built once, at its own
+        # transfer counts
+        top: dict[float, int] = {}
+        for (start, *_), out in zip(units, outs):
+            if start is not None:
+                lam, _, n_tx = out
+                top[lam] = max(top.get(lam, 0), int(n_tx.max()))
+        partial = {lam: _transfer_chain(lam, n) for lam, n in top.items()}
+        ledgers = []
+        for (start, shared, idx, _), out in zip(units, outs):
+            if start is not None:
+                lam, storage, n_tx = out
+                out = list(zip(
+                    storage.tolist(),
+                    partial[lam][n_tx].tolist(),
+                    n_tx.tolist(),
+                ))
+                if shared:
+                    out *= len(idx)
+            ledgers.append(out)
+        return ledgers
 
     # one engine.slab span per slab, counting its cells (the disabled
     # path is one flag check)
@@ -1347,7 +1518,7 @@ def _kernel_slab(
         _obs.counter("repro_engine_cells_total", tier="kernel").inc(n_cells)
     else:
         ledgers = run()
-    for (_, _, idx), out in zip(units, ledgers):
+    for (_, _, idx, _), out in zip(units, ledgers):
         for i, ledger in zip(idx, out):
             results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
     return results

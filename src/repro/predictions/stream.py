@@ -28,17 +28,23 @@ back to the reference engine.
 Batched streams
 ---------------
 Kernel slabs, down to a lone cell, consume a *prediction matrix* — one
-stream per cell — and :meth:`PredictionStream.batch_for_cells` is its
-one builder.  It takes ``(predictor, lam)`` cells, computes the ground
-truth once per distinct lambda (the cells of a cross-object fleet slab
-may carry per-object transfer costs) and draws each seed's PCG64 stream
-once, shared across every cell using it, so row ``c`` is bit-identical
-to the answers of cell ``c``'s predictor, fresh, queried once per
-request in global order.  The kernel's passes read its cell-major rows
-directly; :meth:`PredictionStream.batch_for_predictors` is the
-one-lambda view of the same builder, returning the request-major
-``(m + 1, n_cells)`` column layout (or the rows, with
-``cell_major=True``).
+stream per cell — and one builder makes it.  It takes ``(predictor,
+lam)`` cells, computes the ground truth once per distinct lambda (the
+cells of a cross-object fleet slab may carry per-object transfer
+costs) and draws each seed's PCG64 stream once, shared across every
+cell using it, so row ``c`` is bit-identical to the answers of cell
+``c``'s predictor, fresh, queried once per request in global order.  A
+noisy row is written in place: ``draw < accuracy`` into the row, then
+``row == truth`` (a correct draw keeps the truth, a wrong one flips
+it).  :meth:`PredictionStream.batch_for_cells` takes the ground truth
+from :func:`truth_within_array`; a kernel slab builds the same matrix
+with the truth of its segment chains (``succ <= reach`` of the lambda
+shift, which its replays build anyway), equal entry for entry, so the
+slab sorts its requests by server once, not twice.  The kernel's
+passes read the cell-major rows directly;
+:meth:`PredictionStream.batch_for_predictors` is the one-lambda view of
+the builder, returning the request-major ``(m + 1, n_cells)`` column
+layout (or the rows, with ``cell_major=True``).
 
 Thread safety
 -------------
@@ -53,6 +59,8 @@ storage.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,6 +90,42 @@ def truth_within_array(trace: Trace, lam: float) -> np.ndarray:
     return nxt <= times + lam
 
 
+def _prediction_rows(cells, trace: Trace, truth) -> np.ndarray | None:
+    """:meth:`PredictionStream.batch_for_cells`, with the ground-truth
+    column at each distinct lambda taken from ``truth(lam)``: the
+    kernel passes its segment chains' column, equal to
+    :func:`truth_within_array` entry for entry."""
+    cells = list(cells)
+    for p, _ in cells:
+        if not PredictionStream.supports_predictor(p, trace):
+            return None
+    m1 = len(trace) + 1
+    out = np.empty((len(cells), m1), dtype=bool)
+    truths: dict[float, np.ndarray] = {}
+    draws: dict[int, np.ndarray] = {}
+    for c, (p, lam) in enumerate(cells):
+        kind = type(p)
+        row = out[c]
+        if kind is FixedPredictor:
+            row[:] = bool(p.within)
+            continue
+        t = truths.get(lam)
+        if t is None:
+            t = truths[lam] = truth(lam)
+        if kind is OraclePredictor:
+            row[:] = t
+        elif kind is AdversarialPredictor:
+            np.logical_not(t, out=row)
+        else:  # NoisyOraclePredictor (supports_predictor vetted types)
+            if p.seed not in draws:
+                draws[p.seed] = np.random.default_rng(p.seed).random(m1)
+            # a correct draw keeps the truth, a wrong one flips it:
+            # (draw < accuracy) == truth, written straight into the row
+            np.less(draws[p.seed], p.accuracy, out=row)
+            np.equal(row, t, out=row)
+    return out
+
+
 class PredictionStream:
     """Prediction matrices for the kernel engine: one boolean row per
     cell, one entry per request index.
@@ -105,32 +149,9 @@ class PredictionStream:
         dummy request first.  The layout is cell-major (``(n_cells, m +
         1)``), what the kernel engine's replays consume.
         """
-        cells = list(cells)
-        for p, _ in cells:
-            if not cls.supports_predictor(p, trace):
-                return None
-        m1 = len(trace) + 1
-        out = np.empty((len(cells), m1), dtype=bool)
-        truths: dict[float, np.ndarray] = {}
-        draws: dict[int, np.ndarray] = {}
-        for c, (p, lam) in enumerate(cells):
-            kind = type(p)
-            if kind is FixedPredictor:
-                out[c] = bool(p.within)
-                continue
-            truth = truths.get(lam)
-            if truth is None:
-                truth = truths[lam] = truth_within_array(trace, lam)
-            if kind is OraclePredictor:
-                out[c] = truth
-            elif kind is AdversarialPredictor:
-                out[c] = ~truth
-            else:  # NoisyOraclePredictor (supports_predictor vetted types)
-                if p.seed not in draws:
-                    draws[p.seed] = np.random.default_rng(p.seed).random(m1)
-                correct = draws[p.seed] < p.accuracy
-                out[c] = np.where(correct, truth, ~truth)
-        return out
+        return _prediction_rows(
+            cells, trace, functools.partial(truth_within_array, trace)
+        )
 
     @classmethod
     def batch_for_predictors(

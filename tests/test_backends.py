@@ -46,6 +46,7 @@ from repro.core.backends import (
 from repro.core.engine import (
     _kernel_algorithm1,
     _SegmentChains,
+    _transfer_chain,
     run_policy_slab,
 )
 from repro.experiments import ExperimentRunner
@@ -366,9 +367,10 @@ def test_shared_chains_16_thread_stress_digest_identical():
     def replay_all(chains):
         ledgers = []
         for a in alphas:
-            storage, transfer, n_tx = _kernel_algorithm1(
+            storage, n_tx = _kernel_algorithm1(
                 chains, rate, lam, a, rows, True, None
             )
+            transfer = _transfer_chain(lam, int(n_tx.max()))[n_tx]
             ledgers += zip(storage.tolist(), transfer.tolist(), n_tx.tolist())
         return ledgers
 

@@ -47,6 +47,7 @@ from repro.core.engine import (
     _kernel_algorithm1,
     _SegmentChains,
     _tenure_starts,
+    _transfer_chain,
 )
 from repro.experiments import ExperimentRunner, ResultCache, get_scenario, scenario_names
 from repro.predictions import (
@@ -268,9 +269,10 @@ def test_multi_row_drain_configurations(inst, alpha, drain, cap):
     rows = PredictionStream.batch_for_cells(
         [(policy(*spec).predictor, model.lam) for spec in specs], trace
     )
-    storage, transfer, n_tx = _kernel_algorithm1(
+    storage, n_tx = _kernel_algorithm1(
         _SegmentChains(trace), 1.0, model.lam, alpha, rows, drain, cap
     )
+    transfer = _transfer_chain(model.lam, int(n_tx.max()))[n_tx]
     for r, spec in enumerate(specs):
         ref = REF.run(trace, model, policy(*spec), drain, cap)
         assert storage[r] == ref.storage_cost, spec

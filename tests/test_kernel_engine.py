@@ -18,9 +18,12 @@ its kept loop reference here too.
 
 from __future__ import annotations
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -41,6 +44,7 @@ from repro import (
 )
 from repro.analysis.sweep import algorithm1_factory, sweep_grid
 from repro.core import engine as engine_module
+from repro.core.backends import set_thread_budget
 from repro.core.engine import ENGINE_NAMES
 from repro.offline.brute_force import (
     _brute_force_reference,
@@ -53,6 +57,7 @@ from repro.predictions import (
     OraclePredictor,
     PredictionStream,
     SlidingWindowPredictor,
+    truth_within_array,
 )
 from repro.workloads import (
     ibm_like_arrivals,
@@ -61,6 +66,7 @@ from repro.workloads import (
 )
 
 from conftest import (
+    MIN_THREADED_CELLS,
     assert_registered_scenarios_match_reference,
     instances,
     slab_passes,
@@ -140,37 +146,145 @@ def _ledgers(results):
     return [(r.storage_cost, r.transfer_cost, r.n_transfers) for r in results]
 
 
+def _watched_slab(trace, model, cells, budget):
+    """Run grid ``cells`` as one kernel slab under a thread budget,
+    watching its drop orders.  Returns the ledgers, the slab span's
+    ``(passes, backend)`` tags and, per ``merge_interleave`` call, whether
+    it found a cross-branch tie (the lexsort fallback).  No group's held
+    order may outlive the slab, and on the serial path none outlives its
+    group: at most one is alive when a pass starts."""
+    merges, held = [], []
+    merge = engine_module.merge_interleave
+    build = engine_module._drop_order
+    replay = engine_module._kernel_algorithm1
+
+    def counting_merge(ew, eb):
+        order = merge(ew, eb)
+        merges.append(order is None)
+        return order
+
+    def watched_build(*args, **kwargs):
+        order = build(*args, **kwargs)
+        if kwargs.get("held"):
+            held.append(weakref.ref(order[0]))
+        return order
+
+    def watched_replay(*args):
+        if budget == 1:
+            assert sum(ref() is not None for ref in held) <= 1
+        return replay(*args)
+
+    prev = set_thread_budget(budget)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_module, "merge_interleave", counting_merge)
+            mp.setattr(engine_module, "_drop_order", watched_build)
+            mp.setattr(engine_module, "_kernel_algorithm1", watched_replay)
+            runs, spans = slab_passes(
+                lambda: run_slab(
+                    trace, model, cells, algorithm1_factory, KERNEL
+                ),
+                tags=("passes", "backend"),
+            )
+    finally:
+        set_thread_budget(prev)
+    assert all(ref() is None for ref in held)
+    return _ledgers(runs), spans, merges
+
+
 @settings(max_examples=60, deadline=None)
 @given(row_invariance_cases())
 def test_row_invariance(case):
     """A cell's ledger does not depend on the pass it rides in: alone (a
     one-row pass), in one multi-row pass with the other cells of its
-    alpha, and in passes of ``chunk_rows`` rows, it is the same."""
+    alpha, and in passes of ``chunk_rows`` rows, serially and over
+    threads, it is the same.  The group merges its drop streams once,
+    however many passes it spans (none at alpha = 1)."""
     trace, model, cells, chunk_rows = case
     alone = _ledgers(
         KERNEL.run(trace, model, algorithm1_factory(trace, model.lam, *cell))
         for cell in cells
     )
-
-    def slab():
-        return slab_passes(
-            lambda: run_slab(trace, model, cells, algorithm1_factory, KERNEL),
-            tags=("passes",),
-        )
-
-    multi, spans = slab()
-    assert spans == [(1,)]
-    bound = engine_module._ROW_CHUNK_ELEMS
-    engine_module._ROW_CHUNK_ELEMS = chunk_rows * (len(trace) + 1)
-    try:
-        chunked, spans = slab()
-    finally:
-        engine_module._ROW_CHUNK_ELEMS = bound
     # at alpha = 1 one row serves every cell, however small the chunks
     alpha = cells[0][0]
     one_row = alpha * model.lam == model.lam
-    assert spans == [(1 if one_row else -(-len(cells) // chunk_rows),)]
-    assert _ledgers(multi) == alone == _ledgers(chunked)
+    merges_per_group = 0 if one_row else 1
+
+    multi, spans, merges = _watched_slab(trace, model, cells, 1)
+    assert spans == [(1, "numpy")]
+    assert len(merges) == merges_per_group
+    wide = list(itertools.islice(itertools.cycle(cells), MIN_THREADED_CELLS))
+    bound = engine_module._ROW_CHUNK_ELEMS
+    engine_module._ROW_CHUNK_ELEMS = chunk_rows * (len(trace) + 1)
+    try:
+        chunked, spans, merges = _watched_slab(trace, model, cells, 1)
+        threaded, wide_spans, wide_merges = _watched_slab(
+            trace, model, wide, 4
+        )
+    finally:
+        engine_module._ROW_CHUNK_ELEMS = bound
+    assert spans == [(1 if one_row else -(-len(cells) // chunk_rows), "numpy")]
+    assert wide_spans == [
+        (1 if one_row else -(-len(wide) // chunk_rows), "threads")
+    ]
+    assert len(merges) == len(wide_merges) == merges_per_group
+    assert multi == alone == chunked
+    assert threaded == [alone[i % len(cells)] for i in range(len(wide))]
+
+
+def test_group_order_lexsort_fallback():
+    """Two groups spanning three passes each, the first with a
+    cross-branch expiry tie in its drop union: each group merges once,
+    the first falls back to the lexsort, and every pass still picks its
+    rows' drops in the heap's order, serially and over threads."""
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.integers(1, 3, 40)).astype(float)
+    servers = rng.integers(0, 3, 40)
+    trace = Trace(3, list(zip(times.tolist(), servers.tolist())))
+    model = CostModel(lam=2.0, n=3)
+    half = MIN_THREADED_CELLS // 2
+    cells = [
+        (alpha, 0.5, seed) for alpha in (0.5, 0.0) for seed in range(half)
+    ]
+    refs = [
+        simulate(trace, model, algorithm1_factory(trace, model.lam, *cell))
+        for cell in cells
+    ]
+    bound = engine_module._ROW_CHUNK_ELEMS
+    engine_module._ROW_CHUNK_ELEMS = 3 * (len(trace) + 1)
+    try:
+        for budget, backend in ((1, "numpy"), (4, "threads")):
+            ledgers, spans, merges = _watched_slab(trace, model, cells, budget)
+            assert spans == [(2 * -(-half // 3), backend)]
+            assert len(merges) == 2 and merges[0]
+            assert ledgers == [
+                (r.storage_cost, r.transfer_cost, r.ledger.n_transfers)
+                for r in refs
+            ]
+    finally:
+        engine_module._ROW_CHUNK_ELEMS = bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_prone_traces(),
+    st.lists(
+        st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(Trace(2, [(1.0, 0), (2.0, 1), (3.0, 0), (6.0, 0)]), [2.0, 3.0])
+def test_chains_truth_column(trace, lams):
+    """The kernel's ground truth at lambda, ``succ <= reach`` of the
+    lambda shift, equals :func:`truth_within_array` entry for entry,
+    also where ``t_q + lambda`` lands exactly on a later local request
+    (integer times; the example's request at t = 1 sees its successor
+    at exactly 1 + 2, and the one at t = 3 at exactly 3 + 3)."""
+    chains = engine_module._SegmentChains(trace)
+    for lam in lams:
+        truth = truth_within_array(trace, lam)
+        assert np.array_equal(chains.within(lam), truth)
 
 
 @settings(max_examples=40, deadline=None)
