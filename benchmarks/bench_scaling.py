@@ -24,7 +24,13 @@ one view of the adapted algorithm (Figures 29-32):
 * ``adaptive`` — the 9-cell coarse fig29 grid (alpha and accuracy at
   0, 0.5 and 1; the scenario's own policy factory and lambda) at
   :data:`REFERENCE_MAX_M` requests, on the reference simulator and the
-  kernel;
+  kernel; and (``figures``) the full 121-cell grids of fig29-fig32,
+  one kernel slab each, on the scenario's own trace at the paper's
+  m = 11,688 (its first ``--adaptive-m`` requests): kernel ms per cell,
+  and the requests the scalar monitor machine processes per figure
+  (its rows that trip, up to their first release, and whole for the
+  rows that trip again), against the ``monitor_cells x m`` it would
+  process on every adaptive row;
 
 one view of the Wang et al. baseline:
 
@@ -57,6 +63,7 @@ Standalone use (the CI smoke step runs this via ``repro bench``)::
 
     python benchmarks/bench_scaling.py [--out benchmarks/BENCH_scaling.json]
                                        [--sizes 128,512,2000,20000,200000]
+                                       [--adaptive-m 11688]
                                        [--gate 2.0] [--strict]
 
 The gate requires one slab call to beat one kernel call per cell, per
@@ -115,6 +122,13 @@ WANG_LAMBDA = 100.0
 WANG_CELL = (0.5, 0.7, 3)
 WANG_REPEATS = 20
 
+#: the adaptive view's full figures, at the paper's trace size; the
+#: reference simulator re-runs their first ADAPTIVE_CHECKED cells (the
+#: distrust corner alpha = 0, whose monitor trips)
+ADAPTIVE_FIGURES = ("fig29", "fig30", "fig31", "fig32")
+PAPER_M = 11_688
+ADAPTIVE_CHECKED = 2
+
 #: the threads view: the smallest trace size it runs at, and the width
 #: of its mixed-policy fleet slab
 THREADS_MIN_M = 20_000
@@ -128,7 +142,7 @@ MIN_SPEEDUP = 2.0
 GATE_METRIC = "slab_vs_cells_wide"
 
 #: quick profile appended by `repro bench --quick` (the CI smoke step)
-QUICK_ARGS = ["--sizes", "128,512,2000,20000,50000"]
+QUICK_ARGS = ["--sizes", "128,512,2000,20000,50000", "--adaptive-m", "2000"]
 
 
 def _cells(seeds=(SMOKE_SEED,)):
@@ -313,6 +327,67 @@ def _wang_view(repeats=WANG_REPEATS) -> dict:
     }
 
 
+def _adaptive_figures_view(m=PAPER_M, repeats=REPEATS) -> dict:
+    """fig29-fig32's full grids, one kernel slab each, on the first
+    ``m`` requests of each scenario's trace; the scalar machine's calls
+    are counted through the kernel's late-bound name for it.  Costs of
+    the first :data:`ADAPTIVE_CHECKED` cells are asserted equal to the
+    reference simulator's."""
+    import repro.core.engine as engine
+    from repro import Trace
+    from repro.core.costs import CostModel
+    from repro.core.engine import run_slab
+    from repro.experiments import get_scenario
+
+    late = engine._late()
+    machine = late.forced_column
+    calls = []
+
+    def counting(*args):
+        out = machine(*args)
+        calls.append((args[-1], out.size - 1))   # (until_release, requests)
+        return out
+
+    rows = []
+    late.forced_column = counting
+    try:
+        for name in ADAPTIVE_FIGURES:
+            sc = get_scenario(name)
+            lam, seed = sc.lambdas[0], sc.seeds[0]
+            full = sc.build_trace(lam=lam, alpha=0.0, accuracy=0.0, seed=seed)
+            trace = full
+            if m < len(full):
+                trace = Trace.from_arrays(full.times[:m], full.servers[:m], n=full.n)
+            model = CostModel(lam=lam, n=trace.n)
+            cells = [(a, acc, seed) for a in sc.alphas for acc in sc.accuracies]
+            monitored = sum(
+                sc.policy_factory(trace, lam, *cell).alpha * lam != lam
+                for cell in cells
+            )
+            calls.clear()
+            row, costs = _timed_row(
+                "kernel", trace, cells, repeats,
+                lambda: run_slab(trace, model, cells, sc.policy_factory, "kernel"),
+            )
+            for cell, got in zip(cells[:ADAPTIVE_CHECKED], costs):
+                ref = run_slab(trace, model, [cell], sc.policy_factory, "reference")[0]
+                assert got == (ref.storage_cost, ref.transfer_cost), (
+                    f"cost mismatch: {name} cell {cell} kernel vs reference"
+                )
+            rows.append({
+                **row,
+                "figure": name,
+                "monitor_cells": monitored,
+                "tripped_cells": sum(u for u, _ in calls) // repeats,
+                "tripped_again_cells": sum(not u for u, _ in calls) // repeats,
+                "machine_requests": sum(n for _, n in calls) // repeats,
+                "machine_requests_every_row": monitored * len(trace),
+            })
+    finally:
+        late.forced_column = machine
+    return {"m": min(m, PAPER_M), "repeats": repeats, "rows": rows}
+
+
 def _thread_counts() -> list[int]:
     """Thread budgets the threads view runs beyond serial: 2 and the
     box's core count, but never more threads than there are cores.  On
@@ -393,7 +468,9 @@ def _threads_view(sizes, repeats) -> dict:
     }
 
 
-def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
+def run_scaling_sweep(
+    sizes=DEFAULT_SIZES, repeats=REPEATS, adaptive_m=PAPER_M
+) -> dict:
     """Sweep trace size x slab shape; returns the report dict."""
     from repro.core.backends import set_thread_budget
     from repro.core.costs import CostModel
@@ -426,6 +503,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
             repeats,
             fig29.policy_factory,
         )
+        figures = _adaptive_figures_view(adaptive_m, repeats)
         wang = _wang_view()
         threads = _threads_view(sizes, repeats)
     finally:
@@ -461,6 +539,7 @@ def run_scaling_sweep(sizes=DEFAULT_SIZES, repeats=REPEATS) -> dict:
                       "m": REFERENCE_MAX_M, "seed": SMOKE_SEED},
             "lam": fig29.lambdas[0],
             "rows": adaptive,
+            "figures": figures,
         },
         "wang": wang,
         "threads": threads,
@@ -478,12 +557,13 @@ def format_rows(report: dict) -> str:
         ("wide", report["wide_slab"]["rows"]),
         ("chunk", report["row_chunk"]["rows"]),
         ("adapt", report["adaptive"]["rows"]),
+        ("figs", report["adaptive"]["figures"]["rows"]),
         ("wang", report["wang"]["rows"]),
         ("thread", report["threads"]["rows"]),
     )
     for view, rows in views:
         for r in rows:
-            label = r.get("policy", r["engine"])
+            label = r.get("policy", r.get("figure", r["engine"]))
             if "row_chunk_elems" in r:
                 label = f"2^{r['row_chunk_elems'].bit_length() - 1}"
             if "threads" in r:
@@ -505,7 +585,7 @@ def test_engine_tier_scaling(benchmark):
     from repro.core.engine import run_slab
     from repro.workloads import ibm_like_trace
 
-    report = run_scaling_sweep(sizes=(2_000, 20_000), repeats=1)
+    report = run_scaling_sweep(sizes=(2_000, 20_000), repeats=1, adaptive_m=2_000)
     emit("Engine scaling (size x slab shape, per-cell)", format_rows(report))
     assert report["slab_vs_cells_wide"] >= 1.0
 
@@ -569,7 +649,9 @@ def main(argv=None) -> int:
         tuple(int(s) for s in raw.split(",")) if raw is not None
         else DEFAULT_SIZES
     )
-    report = run_scaling_sweep(sizes=sizes)
+    raw = flag_value(args, "--adaptive-m")
+    adaptive_m = int(raw) if raw is not None else PAPER_M
+    report = run_scaling_sweep(sizes=sizes, adaptive_m=adaptive_m)
     write_report(report, out)
     print(format_rows(report))
     speedup = report["slab_vs_cells_wide"]
@@ -581,6 +663,16 @@ def main(argv=None) -> int:
         f"{key}: {r:.2f}x"
         for key, r in report["threads"]["threads_vs_serial"].items()
     ) or f"none on {report['cpu_count']} core(s)"
+    figures = report["adaptive"]["figures"]
+    machine = ", ".join(
+        f"{r['figure']}: {r['per_cell_ms']:.2f} ms per cell, "
+        f"{r['machine_requests']:,} of {r['machine_requests_every_row']:,}"
+        for r in figures["rows"]
+    )
+    print(
+        f"adaptive figures at m={figures['m']} (kernel per cell, machine "
+        f"requests of every-row): {machine}"
+    )
     print(
         f"wide m={WIDE_M} slab: one slab call {speedup:.2f}x over per-cell "
         f"kernel calls; adaptive fig29 grid at m={REFERENCE_MAX_M}: kernel "

@@ -62,12 +62,24 @@ A policy qualifies only if its decisions are a pure function of
   Algorithm 1's.  So an adaptive cell *is* Algorithm 1 under the
   effective prediction column ``within | forced``, and its ledger is
   an Algorithm-1 replay of that column, bit-identical by the argument
-  below.  ``forced`` comes from one sequential machine over the trace
-  and prediction columns
-  (:func:`repro.algorithms.adaptive.forced_column`): per-server expiry
-  state yields each request's Section 4.1 type, ``l_i`` and ``t'_i``,
-  and the monitor repeats ``_note_request``'s float operations in its
-  order, so every trip decision equals the reference policy's.
+  below.  The replay finds ``forced`` itself, optimistically.  Its
+  pass already builds what the monitor reads — die-outs, renewals
+  (Type 3), each die-out's special copy (Type 4 when local, else Type
+  2 with ``t'_i`` its expiry) and each predecessor's duration
+  (``l_i``) — so it evaluates the monitor over its own replay, with
+  ``_note_request``'s float operations in its order
+  (:class:`repro.algorithms.adaptive._ArrayMonitor`).  The trip
+  decision at request ``i`` depends on the column before ``i`` only,
+  so a replay of the raw predictions that never trips is the
+  policy's, and one that first trips at ``i`` is the policy's up to
+  ``i``.  Only rows that trip reach the sequential machine
+  (:func:`repro.algorithms.adaptive.forced_column`), which stops at
+  their first release ``r``: a second round of passes replays
+  ``within | forced[:r + 1]`` under the same check, and a row that
+  trips again after ``r`` gets the machine's whole column and a third,
+  final replay.  A rerun row builds its own drop order, never its
+  group's held one (below): its "within" set has grown where the
+  monitor forced it, so the group's union may lack its drops.
 
 Everything else falls back to the reference engine:
 
@@ -254,6 +266,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -391,7 +404,11 @@ def _late() -> SimpleNamespace:
     """The policy and prediction names the kernel dispatches on, from
     packages that import this one: imported on first use and cached,
     because slab dispatch consults them once per cell."""
-    from ..algorithms.adaptive import AdaptiveReplication, forced_column
+    from ..algorithms.adaptive import (
+        AdaptiveReplication,
+        _ArrayMonitor,
+        forced_column,
+    )
     from ..algorithms.conventional import ConventionalReplication
     from ..algorithms.learning_augmented import LearningAugmentedReplication
     from ..algorithms.wang import WangReplication
@@ -409,6 +426,7 @@ def _late() -> SimpleNamespace:
             AdaptiveReplication,
         ),
         forced_column=forced_column,
+        ArrayMonitor=_ArrayMonitor,
         FixedPredictor=FixedPredictor,
         PredictionStream=PredictionStream,
         prediction_rows=_prediction_rows,
@@ -434,34 +452,6 @@ def _durations_coincide(model: CostModel, policy: ReplicationPolicy) -> bool:
     prediction column then picks nothing, and every row of its pass
     replays the same ledger."""
     return policy.alpha * model.lam == model.lam
-
-
-def _force_fallbacks(
-    chains: _SegmentChains,
-    model: CostModel,
-    policy: ReplicationPolicy,
-    within: np.ndarray,
-) -> None:
-    """Turn the prediction row ``within``, in place, into the column
-    whose Algorithm-1 replay is ``policy``'s ledger: unchanged, or
-    ``within | forced`` for the adaptive variant, whose fallback flags
-    ``forced`` come from its monitor machine (see the module DESIGN
-    docstring).  The monitor is skipped where the durations coincide:
-    forcing cannot change the ledger."""
-    late = _late()
-    if type(policy) is not late.Adaptive or _durations_coincide(model, policy):
-        return
-    within |= late.forced_column(
-        chains.t_all,
-        chains.j_all,
-        within,
-        chains.n,
-        model.lam,
-        model.storage_rates[0],
-        policy.alpha,
-        policy.beta,
-        policy.warmup,
-    )
 
 
 def _cost_result(
@@ -524,15 +514,15 @@ class _SegmentChains:
 
     Thread safety: one instance may be shared by the ``threads``
     execution path's passes.  Every precomputed array is read-only after
-    ``__init__``; the duration memo is guarded by a lock (reads stay
-    lock-free — CPython dict gets are atomic — and a duplicate
-    ``_Shift`` built in a race is simply discarded by ``setdefault``).
+    ``__init__``; the duration and monitor memos are guarded by a lock
+    (reads stay lock-free — CPython dict gets are atomic — and a
+    duplicate built in a race is simply discarded by ``setdefault``).
     """
 
     __slots__ = (
         "m", "m1", "n", "t_m", "t_all", "j_all", "order", "same",
         "succ", "prev", "prev_clip", "prev_ok", "lastq", "idx1",
-        "idx_dtype", "_shifts", "_shift_lock", "_csr",
+        "idx_dtype", "_shifts", "_monitors", "_shift_lock", "_csr",
     )
 
     def __init__(self, trace: Trace):
@@ -569,6 +559,7 @@ class _SegmentChains:
         self.lastq = _nonzero(succ == self.m1).astype(idx)
         self.idx1 = np.arange(1, self.m1, dtype=idx)
         self._shifts: dict[float, _Shift] = {}
+        self._monitors: dict[tuple[float, float], object] = {}
         self._shift_lock = threading.Lock()
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -588,6 +579,22 @@ class _SegmentChains:
             new = _Shift(self, duration)   # built outside the lock
             with self._shift_lock:
                 hit = self._shifts.setdefault(duration, new)
+        return hit
+
+    def monitor(self, lam: float, mu: float):
+        """The adaptive monitor's trip-independent columns at ``lam``
+        and the uniform storage rate ``mu``
+        (:class:`~repro.algorithms.adaptive._ArrayMonitor`), memoised
+        like :meth:`shifted`: every adaptive pass at one ``(lam, mu)``
+        shares them."""
+        key = (lam, mu)
+        hit = self._monitors.get(key)
+        if hit is None:
+            new = _late().ArrayMonitor(
+                self.t_all, self.prev_ok, self.prev_clip, lam, mu
+            )
+            with self._shift_lock:
+                hit = self._monitors.setdefault(key, new)
         return hit
 
     def within(self, lam: float) -> np.ndarray:
@@ -790,15 +797,20 @@ def _kernel_algorithm1(
     drain: bool,
     drain_event_cap: int | None,
     drops: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    monitor: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Replay Algorithm 1 with pure array passes (no per-request loop),
     once per row of the ``(rows, m + 1)`` prediction matrix ``pred``.
 
-    Returns ``(storage, n_transfers)`` arrays whose entry ``r`` is
-    bit-identical to the ledger of :func:`simulate` running Algorithm 1
-    with ``alpha`` under the prediction stream ``pred[r]`` on the trace
-    behind ``chains``; the transfer cost of ``n`` transfers is entry
-    ``n`` of :func:`_transfer_chain`.  ``drops`` is the held
+    Returns ``(storage, n_transfers, trips)``: arrays whose entry ``r``
+    is bit-identical to the ledger of :func:`simulate` running Algorithm
+    1 with ``alpha`` under the prediction stream ``pred[r]`` on the
+    trace behind ``chains`` (the transfer cost of ``n`` transfers is
+    entry ``n`` of :func:`_transfer_chain`), and the trip columns of the
+    ``(row, policy)`` pairs of adaptive rows listed in ``monitor``: the
+    fallback flags each policy's monitor raises over its row's replay,
+    laid out like :func:`~repro.algorithms.adaptive.forced_column`
+    (None without a monitor).  ``drops`` is the held
     :func:`_drop_order` of a group whose passes share it, or None.  See
     the module DESIGN docstring for the derivation and for the row axis.
     """
@@ -861,8 +873,11 @@ def _kernel_algorithm1(
     is_spec[:-1] &= pop_key[1:] != pop_key[:-1]
     spec_at = _nonzero(is_spec)
     del is_spec
-    e_do[spec_at] = t_all[die_i]
     spec_renew = j_all[die_i] == j_all[do[spec_at]]
+    if monitor:
+        # a Type 2 request's t' is its special copy's expiry
+        t_special = e_do[spec_at]
+    e_do[spec_at] = t_all[die_i]
     # the drops' charges (the scalar (end - start) * rate, as below),
     # taken here so that their indices die early
     e_do -= t_all[do]
@@ -873,11 +888,30 @@ def _kernel_algorithm1(
     # (the shifts' predecessor-alive columns, selected by the
     # *predecessor's* prediction) or the special copy is local
     pred_prev = pred.take(chains.prev_clip, axis=1)
+    if monitor:
+        mon_rows = [r for r, _ in monitor]
+        within_prev = pred_prev[mon_rows]    # each l_i, before the &= below
     L = np.greater(sb.local_alive, pred_prev)      # sb's, where not pred
     pred_prev &= sw.local_alive
     L |= pred_prev
     del pred_prev
     L &= chains.prev_ok
+    trips = None
+    if monitor:
+        # the monitor's view of the replay: each request's Section 4.1
+        # type (Type 3 = L, the die-outs' specials split Types 2 and 4),
+        # l_i and t'
+        slot = np.full(n_rows, -1)
+        slot[mon_rows] = np.arange(len(mon_rows))
+        die_row = slot[die_key // m]
+        kept = die_row >= 0
+        trips = chains.monitor(lam, rate).trips(
+            alpha,
+            [policy for _, policy in monitor],
+            within_prev,
+            L[mon_rows],
+            (die_row[kept], die_i[kept], spec_renew[kept], t_special[kept]),
+        )
     n_renew = L.sum(axis=1)
     n_renew += np.bincount(die_key[spec_renew] // m, minlength=n_rows)
     n_tx = m - n_renew
@@ -965,7 +999,7 @@ def _kernel_algorithm1(
     # `storage += charge`
     np.add.accumulate(vals, axis=1, out=vals)
     # (a copy: a view of the last column would keep all of vals alive)
-    return vals[:, -1].copy(), n_tx
+    return vals[:, -1].copy(), n_tx, trips
 
 
 def _transfer_chain(lam: float, n: int) -> np.ndarray:
@@ -1332,25 +1366,21 @@ class _GroupDrops:
     drops out of it; the last pass releases it.  On the threaded path
     the lock makes the group's passes build it once between them."""
 
-    __slots__ = ("start", "n_rows", "passes", "order", "lock")
+    __slots__ = ("rows", "passes", "order", "lock")
 
-    def __init__(self, start: int, n_rows: int, passes: int):
-        self.start = start            # the group's first prediction row
-        self.n_rows = n_rows
+    def __init__(self, rows: np.ndarray, passes: int):
+        self.rows = rows              # the group's prediction rows
         self.passes = passes          # passes yet to finish
         self.order: tuple | None = None
         self.lock = threading.Lock()
 
-    def take(
-        self, chains: _SegmentChains, rows: np.ndarray, lam: float,
-        alpha: float,
-    ) -> tuple:
+    def take(self, chains: _SegmentChains, lam: float, alpha: float) -> tuple:
         with self.lock:
             if self.order is None:
                 dur_beyond = alpha * lam
                 self.order = _drop_order(
                     chains,
-                    rows[self.start : self.start + self.n_rows],
+                    self.rows,
                     chains.shifted(lam),
                     chains.shifted(dur_beyond),
                     lam,
@@ -1391,12 +1421,17 @@ def _kernel_slab(
     and at most ``ceil(cells / threads)`` rows, so every thread gets
     work; a group whose durations coincide replays one row for all its
     cells, and the Wang cells, prediction- and alpha-free, run one
-    replay per ``(lambda, rates)`` model.
+    replay per ``(lambda, rates)`` model.  An adaptive row replays its
+    raw predictions first, and its pass checks the monitor: a row that
+    never trips is final, and only trip episodes reach the scalar
+    machine, in up to two later rounds of passes (see the module DESIGN
+    docstring).
     """
     kernel = _ENGINES["kernel"]
     late = _late()
     wang = late.Wang
     groups: dict[tuple, list[int]] = {}
+    groups_of: dict[int, tuple] = {}
     n_cells = n_wang = 0
     for i, (model, policy) in enumerate(cells):
         if not kernel.supports(trace, model, policy):
@@ -1408,6 +1443,7 @@ def _kernel_slab(
         else:
             key = (model.lam, policy.alpha, model.storage_rates[0])
         groups.setdefault(key, []).append(i)
+        groups_of[i] = key
     results: list = [None] * len(cells)
     if not n_cells:
         return results
@@ -1417,110 +1453,203 @@ def _kernel_slab(
     rows_max = max(
         1, min(_ROW_CHUNK_ELEMS // (m + 1), -(-(n_cells - n_wang) // threads))
     )
-    # prediction rows go group by group, so every pass is a row slice; a
-    # unit is one pass: (first prediction row, or None for a Wang model;
-    # whether one ledger serves all its cells; the cells; the drop order
-    # its group's passes share, if there are several)
-    order: list[int] = []
-    units: list[tuple[int | None, bool, list[int], _GroupDrops | None]] = []
-    for idx in groups.values():
-        model, policy = cells[idx[0]]
-        if type(policy) is wang:
-            units.append((None, True, idx, None))
-        elif _durations_coincide(model, policy):
-            # one row's ledger is every row's: it serves the group
-            units.append((len(order), True, idx, None))
-            order.append(idx[0])
-        else:
-            passes = -(-len(idx) // rows_max)
-            hold = None
-            if passes > 1:
-                hold = _GroupDrops(len(order), len(idx), passes)
-            for s in range(0, len(idx), rows_max):
-                units.append(
-                    (len(order) + s, False, idx[s : s + rows_max], hold)
-                )
-            order += idx
 
-    def run() -> list:
+    def passes(block, idx, check, share_drops) -> list[tuple]:
+        """A group's passes, one per row chunk of its prediction rows
+        ``block`` (one row per cell of ``idx``).  A pass is a unit
+        ``(rows, cells, check, held drop order)``; ``check[r]`` is None
+        for a row whose monitor the pass skips, else the request after
+        which a trip sends the row to the next round.  With
+        ``share_drops`` a group of several passes builds its drop order
+        once for all of them."""
+        n = -(-len(idx) // rows_max)
+        hold = _GroupDrops(block, n) if share_drops and n > 1 else None
+        return [
+            (block[s : s + rows_max], idx[s : s + rows_max],
+             check[s : s + rows_max], hold)
+            for s in range(0, len(idx), rows_max)
+        ]
+
+    def run() -> tuple[dict, int]:
         # the chains and the prediction matrix are slab work too: the
         # span covers them.  The matrix takes its ground truth from the
         # chains' shifts, which the replays use anyway.
         chains = _SegmentChains(trace)
+        # prediction rows go group by group, so every pass is a row slice
+        order: list[int] = []
+        layout = []
+        for idx in groups.values():
+            model, policy = cells[idx[0]]
+            if type(policy) is wang:
+                layout.append((idx, None, False))
+                continue
+            # one row's ledger is every row's where the durations coincide
+            shared = _durations_coincide(model, policy)
+            layout.append((idx, len(order), shared))
+            order += idx[:1] if shared else idx
         rows = late.prediction_rows(
             [(_stream_predictor(cells[i][1]), cells[i][0].lam) for i in order],
             trace,
             chains.within,
         )
         assert rows is not None  # supports() vetted streamability
-        for r, i in enumerate(order):
-            _force_fallbacks(chains, *cells[i], rows[r])
-
-        def one(unit: tuple) -> list | tuple:
-            start, shared, idx, hold = unit
-            model, policy = cells[idx[0]]
+        units: list[tuple] = []
+        for idx, start, shared in layout:
             if start is None:
-                return [
-                    _WangReplay(
-                        chains, float(model.lam), model.storage_rates
-                    ).replay(drain, drain_event_cap)
-                ] * len(idx)
+                units.append((None, idx, None, None))
+            elif shared:
+                # forcing cannot change this ledger: no monitor runs
+                units.append((rows[start : start + 1], idx, [None], None))
+            else:
+                check = [
+                    0 if type(cells[i][1]) is late.Adaptive else None
+                    for i in idx
+                ]
+                units += passes(
+                    rows[start : start + len(idx)], idx, check, True
+                )
+
+        def one(unit: tuple) -> tuple:
+            """A unit's ledger, and its rows whose monitor tripped."""
+            block, idx, check, hold = unit
+            model, policy = cells[idx[0]]
+            if block is None:
+                ledger = _WangReplay(
+                    chains, float(model.lam), model.storage_rates
+                ).replay(drain, drain_event_cap)
+                return ledger, []
+            monitor = [
+                (r, cells[i][1])
+                for r, (i, after) in enumerate(zip(idx, check))
+                if after is not None
+            ]
             drops = None
             if hold:
-                drops = hold.take(chains, rows, model.lam, policy.alpha)
-            storage, n_tx = _kernel_algorithm1(
+                drops = hold.take(chains, model.lam, policy.alpha)
+            storage, n_tx, trips = _kernel_algorithm1(
                 chains,
                 model.storage_rates[0],
                 model.lam,
                 policy.alpha,
-                rows[start : start + (1 if shared else len(idx))],
+                block,
                 drain,
                 drain_event_cap,
                 drops,
+                monitor or None,
             )
             if hold:
                 hold.done()
-            return model.lam, storage, n_tx
+            tripped = []
+            if trips is not None:
+                tripped = [
+                    r for (r, _), row in zip(monitor, trips)
+                    if row[check[r] + 1 :].any()
+                ]
+            return (model.lam, storage, n_tx), tripped
 
-        # run_units preserves unit order
-        outs = be.run_units(units, one, threads)
+        ledgers: dict[int, tuple] = {}    # complete ledgers, by cell
+        replays: list[tuple] = []      # (cells, (lam, storage, n_tx))
+        n_passes = 0
+
+        def round_of(units: list) -> list[tuple[int, np.ndarray]]:
+            """Run ``units`` as one round of passes; returns the ``(cell,
+            replayed column)`` of every row whose monitor tripped."""
+            nonlocal n_passes
+            n_passes += len(units)
+            tripped = []
+            # run_units preserves unit order
+            outs = be.run_units(units, one, threads)
+            for (block, idx, _, _), (ledger, rows_tripped) in zip(units, outs):
+                if block is None:
+                    ledgers.update(dict.fromkeys(idx, ledger))
+                    continue
+                replays.append((idx, ledger))
+                tripped += [(idx[r], block[r]) for r in rows_tripped]
+            return tripped
+
+        def rerun(jobs: list[tuple[int, np.ndarray, int | None]]) -> set:
+            """Replay ``(cell, column, check)`` jobs as one round, the
+            consecutive jobs of one group sharing passes; returns the
+            cells that tripped.  A rerun row's column has grown where
+            the monitor forced it, so its pass builds its own drop
+            order and never takes its group's held one."""
+            block = np.array([col for _, col, _ in jobs])
+            units, lo = [], 0
+            for _, same in itertools.groupby(jobs, lambda job: groups_of[job[0]]):
+                hi = lo + sum(1 for _ in same)
+                units += passes(
+                    block[lo:hi],
+                    [i for i, _, _ in jobs[lo:hi]],
+                    [after for _, _, after in jobs[lo:hi]],
+                    False,
+                )
+                lo = hi
+            return {i for i, _ in round_of(units)}
+
+        def machine(i: int, within: np.ndarray, until_release: bool):
+            model, policy = cells[i]
+            return late.forced_column(
+                chains.t_all,
+                chains.j_all,
+                within,
+                chains.n,
+                model.lam,
+                model.storage_rates[0],
+                policy.alpha,
+                policy.beta,
+                policy.warmup,
+                until_release,
+            )
+
+        # round 1 replays the raw predictions, and a row whose monitor
+        # never trips is the policy's.  A tripped row's column is exact
+        # up to its first release r, from the machine: round 2 replays
+        # it and checks for trips after r, and a row that trips again
+        # gets the machine's whole column in round 3
+        tripped = round_of(units)
+        if tripped:
+            jobs = []
+            for i, within in tripped:
+                forced = machine(i, within, True)
+                col = within.copy()
+                col[: forced.size] |= forced
+                jobs.append((i, col, forced.size - 1))
+            again = rerun(jobs)
+            if again:
+                rerun([
+                    (i, within | machine(i, within, False), None)
+                    for i, within in tripped
+                    if i in again
+                ])
         # repeated `transfer += lam`: every pass at one lambda reads the
         # same sequential chain of partial sums, built once, at its own
         # transfer counts
         top: dict[float, int] = {}
-        for (start, *_), out in zip(units, outs):
-            if start is not None:
-                lam, _, n_tx = out
-                top[lam] = max(top.get(lam, 0), int(n_tx.max()))
+        for _, (lam, _, n_tx) in replays:
+            top[lam] = max(top.get(lam, 0), int(n_tx.max()))
         partial = {lam: _transfer_chain(lam, n) for lam, n in top.items()}
-        ledgers = []
-        for (start, shared, idx, _), out in zip(units, outs):
-            if start is not None:
-                lam, storage, n_tx = out
-                out = list(zip(
-                    storage.tolist(),
-                    partial[lam][n_tx].tolist(),
-                    n_tx.tolist(),
-                ))
-                if shared:
-                    out *= len(idx)
-            ledgers.append(out)
-        return ledgers
+        # a later round's replay of a cell supersedes its earlier ones
+        for idx, (lam, storage, n_tx) in replays:
+            out = list(zip(
+                storage.tolist(), partial[lam][n_tx].tolist(), n_tx.tolist()
+            ))
+            if len(out) < len(idx):
+                out *= len(idx)      # one row serves the whole group
+            ledgers.update(zip(idx, out))
+        return ledgers, n_passes
 
-    # one engine.slab span per slab, counting its cells (the disabled
-    # path is one flag check)
+    # one engine.slab span per slab, counting its cells and passes (the
+    # disabled path is one flag check)
     if _obs.enabled:
         with _obs.span(
-            "engine.slab", tier="kernel", cells=n_cells, m=m,
-            backend=be.name, passes=len(units),
-        ):
-            ledgers = run()
+            "engine.slab", tier="kernel", cells=n_cells, m=m, backend=be.name,
+        ) as span:
+            ledgers, span.tags["passes"] = run()
         _obs.counter("repro_engine_cells_total", tier="kernel").inc(n_cells)
     else:
-        ledgers = run()
-    for (_, _, idx, _), out in zip(units, ledgers):
-        for i, ledger in zip(idx, out):
-            results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
+        ledgers, _ = run()
+    for i, ledger in ledgers.items():
+        results[i] = _cost_result(trace, *cells[i], ledger, "kernel")
     return results
 
 

@@ -82,12 +82,17 @@ def truth_within_array(trace: Trace, lam: float) -> np.ndarray:
     ``r_i`` (``i = 0`` is the dummy request at server 0, time 0): does
     the next request at the same server arrive within ``lam``?  Matches
     :func:`repro.predictions.oracle.ground_truth_within` query by query,
-    including the "no further request means beyond" convention.
+    including the "no further request means beyond" convention, at
+    every ``lam`` up to ``inf``.
     """
-    nxt = trace.next_local_time()  # float64 column, no conversion
+    nxt = trace.next_local_time()  # float64 column, inf where none
     times = np.concatenate(([0.0], trace.times))
     # identical scalar comparison to the bisect path: times[i] <= time + lam
-    return nxt <= times + lam
+    within = nxt <= times + lam
+    # a missing next request (inf) is beyond even where time + lam is
+    # inf; at a finite lam it already compares False
+    within &= nxt < np.inf
+    return within
 
 
 def _prediction_rows(cells, trace: Trace, truth) -> np.ndarray | None:

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import strategies as st
 
 from repro import (
+    AdaptiveReplication,
     CostModel,
     CostResult,
     KernelCostEngine,
+    PredictionStream,
     ReferenceEngine,
     Trace,
     WangReplication,
@@ -20,6 +22,7 @@ from repro import (
     run_slab,
     simulate,
 )
+from repro.algorithms.adaptive import forced_column
 from repro.core.backends import THREADS_MIN_CELLS_PER_THREAD, set_thread_budget
 from repro.workloads import uniform_random_trace
 
@@ -51,6 +54,55 @@ def incremental_stream(pred, trace, lam) -> np.ndarray:
         pred.observe(r.server, r.time)
         out.append(pred.predict_within(r.server, r.time, lam))
     return np.array(out)
+
+
+def adaptive_forced(trace, model, policy, until_release=False) -> np.ndarray:
+    """:func:`forced_column` over an adaptive policy's own prediction
+    row: the reference trip column of its cell (the prefix up to the
+    first release with ``until_release``)."""
+    (within,) = PredictionStream.batch_for_cells(
+        [(policy.predictor, model.lam)], trace
+    )
+    return forced_column(
+        np.concatenate(([0.0], trace.times)),
+        np.concatenate(([0], trace.servers)),
+        within,
+        trace.n,
+        model.lam,
+        model.storage_rates[0],
+        policy.alpha,
+        policy.beta,
+        policy.warmup,
+        until_release,
+    )
+
+
+def trip_rounds(trace, model, policy) -> int:
+    """The rounds of kernel passes a cell's row rides in: 1 unless it
+    is an adaptive row whose monitor trips, 2 when it trips and its
+    first release is for good, 3 when it trips again after that."""
+    if type(policy) is not AdaptiveReplication:
+        return 1
+    if policy.alpha * model.lam == model.lam:
+        return 1                     # the durations coincide: no monitor
+    forced = adaptive_forced(trace, model, policy)
+    if not forced.any():
+        return 1
+    release = adaptive_forced(trace, model, policy, True).size
+    return 3 if forced[release:].any() else 2
+
+
+def rerun_passes(trace, model, policies) -> int:
+    """The passes a kernel slab of ``policies`` adds to its first round
+    for adaptive rows whose monitor trips: one per alpha in each later
+    round its rows reach (for slabs whose rounds fit one pass per
+    alpha)."""
+    reached = {
+        (policy.alpha, r)
+        for policy in policies
+        for r in range(2, trip_rounds(trace, model, policy) + 1)
+    }
+    return len(reached)
 
 
 @pytest.fixture

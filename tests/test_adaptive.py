@@ -23,13 +23,20 @@ from repro import (
     optimal_cost,
     simulate,
 )
-from repro.algorithms.adaptive import forced_column
+import repro.core.engine as engine_module
+from repro.core.backends import set_thread_budget
 from repro.core.engine import run_policy_slab
 from repro.experiments import get_scenario
 from repro.offline import opt_lower_bound
 from repro.workloads import robustness_tight_trace, uniform_random_trace
 
-from conftest import instances, slab_passes, tie_prone_traces
+from conftest import (
+    adaptive_forced,
+    instances,
+    slab_passes,
+    tie_prone_traces,
+    trip_rounds,
+)
 
 
 class TestParameters:
@@ -234,23 +241,6 @@ def _adaptive(trace, spec):
     return AdaptiveReplication(pred, alpha, beta=beta, warmup=warmup)
 
 
-def _forced(trace, model, policy):
-    (within,) = PredictionStream.batch_for_cells(
-        [(policy.predictor, model.lam)], trace
-    )
-    return forced_column(
-        np.concatenate(([0.0], trace.times)),
-        np.concatenate(([0], trace.servers)),
-        within,
-        trace.n,
-        model.lam,
-        model.storage_rates[0],
-        policy.alpha,
-        policy.beta,
-        policy.warmup,
-    )
-
-
 def _assert_same_ledger(run, ref, label):
     assert run.storage_cost == ref.storage_cost, label
     assert run.transfer_cost == ref.transfer_cost, label
@@ -272,7 +262,7 @@ class TestCostOnlyTiers:
             pol = _adaptive(trace, spec)
             refs.append(simulate(trace, model, pol))
             # the machine's column is the reference policy's trip record
-            forced = _forced(trace, model, _adaptive(trace, spec))
+            forced = adaptive_forced(trace, model, _adaptive(trace, spec))
             assert not forced[0]
             assert forced[1:].tolist() == [f for _, _, f in pol.monitor_history]
         ref = simulate(
@@ -302,7 +292,7 @@ class TestCostOnlyTiers:
         model = CostModel(lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n)
         pol = _adaptive(trace, spec)
         ref = simulate(trace, model, pol)
-        forced = _forced(trace, model, _adaptive(trace, spec))
+        forced = adaptive_forced(trace, model, _adaptive(trace, spec))
         assert forced[1:].tolist() == [f for _, _, f in pol.monitor_history]
         run = KernelCostEngine().run(trace, model, _adaptive(trace, spec))
         _assert_same_ledger(run, ref, f"kernel at rate {rate}")
@@ -324,7 +314,7 @@ class TestCostOnlyTiers:
         ref = simulate(trace, model, pol)
         assert ref.serves[1].local and ref.serves[1].source_special
         assert [r for _, r, _ in pol.monitor_history] == [5.0, 3.0]
-        assert _forced(trace, model, make()).tolist() == [False] * 3
+        assert adaptive_forced(trace, model, make()).tolist() == [False] * 3
 
     def test_paper_scale_fallback_cell(self):
         # fig29 at alpha = 0 (run as 0.1) and accuracy 0: the monitor
@@ -340,7 +330,183 @@ class TestCostOnlyTiers:
         pol = make()
         ref = simulate(trace, model, pol)
         flags = [f for _, _, f in pol.monitor_history]
-        forced = _forced(trace, model, make())
+        forced = adaptive_forced(trace, model, make())
         assert forced[1:].tolist() == flags
         assert np.count_nonzero(forced[1:] != forced[:-1]) > 100
         _assert_same_ledger(KernelCostEngine().run(trace, model, make()), ref, "kernel")
+
+
+# ----------------------------------------------------------------------
+# the kernel pass's own monitor, and the rounds of passes it decides
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def long_instances(draw):
+    """150-request random traces: long enough that a monitor reading
+    one ``l_i`` wrong trips somewhere else."""
+    trace = uniform_random_trace(
+        3, 150, horizon=300.0, seed=draw(st.integers(0, 2**16))
+    )
+    return trace, CostModel(lam=draw(st.sampled_from((2.0, 5.0))), n=3)
+
+
+@st.composite
+def monitor_specs(draw):
+    """``(beta, warmup, predictor kind, accuracy, seed)``, with the
+    monitor's edges beta = 0 and warm-up 0 drawn often."""
+    return (
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+        draw(st.one_of(st.just(0), st.integers(0, 5))),
+        draw(st.sampled_from(("oracle", "noisy", "adversarial", "fixed"))),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, 4)),
+    )
+
+
+def _first_trip(column):
+    hits = np.flatnonzero(column)
+    return int(hits[0]) if hits.size else None
+
+
+class TestInPassMonitor:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(adaptive_instances(), long_instances()),
+        st.sampled_from((0.5, 1.0, 3.0)),
+        st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.05, 1.0)),
+        st.lists(monitor_specs(), min_size=1, max_size=4),
+    )
+    def test_trip_column_is_a_fixed_point(self, inst, rate, alpha, specs):
+        """A pass replaying ``pred | f``, with ``f`` the machine's trip
+        column, finds the trip column ``f`` again; a pass replaying the
+        raw ``pred`` first trips where ``f`` does (nowhere, if ``f``
+        never trips).  The rows share one pass behind an unmonitored
+        Algorithm-1 row, so each monitor reads its own row."""
+        trace, model = inst
+        model = CostModel(
+            lam=model.lam, n=trace.n, storage_rates=(rate,) * trace.n
+        )
+        policies = [_adaptive(trace, (alpha, *spec)) for spec in specs]
+        forced = np.array([adaptive_forced(trace, model, p) for p in policies])
+        raw = PredictionStream.batch_for_cells(
+            [(p.predictor, model.lam) for p in policies], trace
+        )
+        chains = engine_module._SegmentChains(trace)
+
+        def trips(rows):
+            pred = np.vstack((raw[:1], rows))
+            monitor = [(r + 1, p) for r, p in enumerate(policies)]
+            *_, out = engine_module._kernel_algorithm1(
+                chains, rate, model.lam, alpha, pred, True, None, None, monitor
+            )
+            return out
+
+        assert np.array_equal(trips(raw | forced), forced)
+        for f, h in zip(forced, trips(raw)):
+            assert _first_trip(h) == _first_trip(f)
+
+    def test_machine_runs_only_across_trip_episodes(self):
+        """On the coarse fig29 grid the scalar machine processes no
+        request for a cell that never trips, stops at the first release
+        of a cell that trips once, and runs the whole trace only for a
+        cell that trips again; one slab of the nine cells does the same
+        work and gets the same ledgers."""
+        scenario = get_scenario("fig29")
+        lam, seed = scenario.lambdas[0], scenario.seeds[0]
+        trace = scenario.build_trace(lam=lam, alpha=0.0, accuracy=0.0, seed=seed)
+        model = CostModel(lam=lam, n=trace.n)
+        coarse = [(a, acc) for a in (0.0, 0.5, 1.0) for acc in (0.0, 0.5, 1.0)]
+
+        def make(alpha, acc):
+            return scenario.policy_factory(trace, lam, alpha, acc, seed)
+
+        late = engine_module._late()
+        machine = late.forced_column
+        processed = []
+
+        def counting(*args):
+            out = machine(*args)
+            processed.append(out.size - 1)     # requests it went through
+            return out
+
+        rounds, solo, work = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(late, "forced_column", counting)
+            for alpha, acc in coarse:
+                rounds.append(trip_rounds(trace, model, make(alpha, acc)))
+                release = adaptive_forced(trace, model, make(alpha, acc), True).size - 1
+                processed.clear()
+                solo.append(KernelCostEngine().run(trace, model, make(alpha, acc)))
+                want = [[], [release], [release, len(trace)]][rounds[-1] - 1]
+                assert processed == want, (alpha, acc)
+                work.append(want)
+            processed.clear()
+            slab = run_policy_slab(
+                trace, [(model, make(a, acc)) for a, acc in coarse], "kernel"
+            )
+        # four monitor cells never trip (the alpha = 1 cells run no
+        # monitor), and alpha = 0 trips again and again at accuracy 0 and
+        # once at accuracy 0.5, where the machine stops within the
+        # trace's first 1%
+        assert rounds == [3, 2, 1, 1, 1, 1, 1, 1, 1]
+        assert work[1][0] < len(trace) // 100
+        assert sorted(processed) == sorted(sum(work, []))
+        assert [r.total_cost for r in slab] == [r.total_cost for r in solo]
+        ref = simulate(trace, model, make(*coarse[1]))
+        _assert_same_ledger(solo[1], ref, "kernel")
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_rerun_rows_match_reference(self, budget):
+        """A 16-cell slab whose adaptive rows take every path (never
+        trip, trip once, trip again), serial and threaded, equals
+        ``simulate`` cell by cell.  Its alpha = 0.2 group spans several
+        passes and so holds one drop order; its rows predict "beyond"
+        everywhere, so that order has none of the within-branch drops
+        its forced rows need (local gaps beyond lambda after a forced
+        request): a rerun row must build its own order.  (An
+        adversarial row would hide the fault: it predicts "within"
+        wherever a within-branch copy drops.)"""
+        trace = uniform_random_trace(3, 150, horizon=300.0, seed=1)
+        model = CostModel(lam=5.0, n=trace.n)
+
+        def cells():
+            beyond = [
+                AdaptiveReplication(FixedPredictor(False), 0.2, beta, warmup)
+                for beta in (0.0, 0.5, 1.0, 2.0, 3.0)
+                for warmup in (0, 3)
+            ]
+            mixed = [
+                AdaptiveReplication(OraclePredictor(trace), 0.5, 0.5, warmup=0),
+                AdaptiveReplication(OraclePredictor(trace), 0.5, 2.0, warmup=3),
+                AdaptiveReplication(
+                    NoisyOraclePredictor(trace, 0.8, seed=2), 0.5, 0.5, warmup=3
+                ),
+                AdaptiveReplication(FixedPredictor(True), 0.5, 0.0, warmup=0),
+                LearningAugmentedReplication(
+                    NoisyOraclePredictor(trace, 0.3, seed=1), 0.5
+                ),
+                AdaptiveReplication(FixedPredictor(False), 1.0, 0.0, warmup=0),
+            ]
+            return [(model, p) for p in beyond + mixed]
+
+        rounds = sorted({trip_rounds(trace, model, p) for _, p in cells()})
+        assert rounds == [1, 2, 3]
+        refs = [simulate(trace, model, p) for _, p in cells()]
+        prev = set_thread_budget(budget)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                if budget == 1:
+                    # four rows a pass: the serial slab's groups span passes too
+                    mp.setattr(
+                        engine_module, "_ROW_CHUNK_ELEMS", 4 * (len(trace) + 1)
+                    )
+                runs, spans = slab_passes(
+                    lambda: run_policy_slab(trace, cells(), "kernel"),
+                    tags=("cells", "backend"),
+                )
+        finally:
+            set_thread_budget(prev)
+        assert spans == [(16, "numpy" if budget == 1 else "threads")]
+        for k, (run, ref) in enumerate(zip(runs, refs)):
+            _assert_same_ledger(run, ref, f"cell {k}")

@@ -367,7 +367,7 @@ def test_shared_chains_16_thread_stress_digest_identical():
     def replay_all(chains):
         ledgers = []
         for a in alphas:
-            storage, n_tx = _kernel_algorithm1(
+            storage, n_tx, _ = _kernel_algorithm1(
                 chains, rate, lam, a, rows, True, None
             )
             transfer = _transfer_chain(lam, int(n_tx.max()))[n_tx]

@@ -62,6 +62,7 @@ from repro.workloads import diurnal_trace, uniform_random_trace
 from conftest import (
     incremental_stream,
     instances,
+    rerun_passes,
     slab_passes,
     slabs,
     tie_prone_traces,
@@ -74,18 +75,20 @@ REF = ReferenceEngine()
 
 def assert_slab_matches_reference(trace, model, factory, cells):
     """One kernel slab, one pass per ``(lambda, alpha)`` group (one
-    replay for Wang cells) == per-cell reference runs."""
+    replay for Wang cells) plus the rerun passes of adaptive rows that
+    trip == per-cell reference runs."""
     policies = [factory(trace, model.lam, *cell) for cell in cells]
     groups = {
         "wang" if type(p) is WangReplication else p.alpha for p in policies
     }
+    passes = len(groups) + rerun_passes(trace, model, policies)
     runs, spans = slab_passes(
         lambda: run_slab(trace, model, cells, factory, engine=KERNEL),
         tags=("tier", "cells", "passes"),
     )
     if cells:
         # the whole slab ran as one slab call, rows sharing passes
-        assert spans == [("kernel", len(cells), len(groups))]
+        assert spans == [("kernel", len(cells), passes)]
     assert len(runs) == len(cells)
     for cell, run in zip(cells, runs):
         assert isinstance(run, CostResult)
@@ -165,8 +168,9 @@ def test_tie_prone_multi_row_slab(trace, lam_int, cells):
              min_size=2, max_size=5),
 )
 def test_adaptive_multi_row_slab(inst, beta, kinds):
-    """Adapted-algorithm cells replay their monitor-forced columns as
-    rows of one pass."""
+    """Adapted-algorithm cells replay as rows of one pass, and the rows
+    whose monitor trips replay their monitor-forced columns as rows of
+    one pass per round."""
     trace, model = inst
 
     def factory(tr, lam, alpha, accuracy, seed):
@@ -269,7 +273,7 @@ def test_multi_row_drain_configurations(inst, alpha, drain, cap):
     rows = PredictionStream.batch_for_cells(
         [(policy(*spec).predictor, model.lam) for spec in specs], trace
     )
-    storage, n_tx = _kernel_algorithm1(
+    storage, n_tx, _ = _kernel_algorithm1(
         _SegmentChains(trace), 1.0, model.lam, alpha, rows, drain, cap
     )
     transfer = _transfer_chain(model.lam, int(n_tx.max()))[n_tx]

@@ -11,9 +11,11 @@ skipped by ``auto`` selection for) everything else.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -42,12 +44,15 @@ from repro.predictions import (
     OraclePredictor,
     SlidingWindowPredictor,
 )
+from repro.predictions.oracle import ground_truth_within
 from repro.workloads import uniform_random_trace
 
 from conftest import (
     assert_registered_scenarios_match_reference,
     incremental_stream,
     instances,
+    tie_prone_traces,
+    traces,
 )
 
 KERNEL = KernelCostEngine()
@@ -183,7 +188,28 @@ class TestPredictionStream:
             a, incremental_stream(OraclePredictor(trace), trace, 25.0)
         )
 
-    def test_for_predictor_rejects_foreign_trace(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(tie_prone_traces(), traces(max_m=30)),
+        st.sampled_from((1.0, 2.0, 3.0, math.inf)),
+    )
+    @example(Trace(2, [(1.0, 0), (2.0, 1), (3.0, 0)]), math.inf)
+    def test_oracle_rows_match_ground_truth_at_every_lambda(self, trace, lam):
+        """Oracle rows equal ``ground_truth_within`` query by query,
+        also at lambda = inf, where a request with no later local
+        request reads beyond (the example's truth is [T, T, F, F]), and
+        adversarial rows are their complement."""
+        truth = [ground_truth_within(trace, 0, 0.0, lam)] + [
+            ground_truth_within(trace, r.server, r.time, lam) for r in trace
+        ]
+        oracle, adversarial = PredictionStream.batch_for_cells(
+            [(OraclePredictor(trace), lam), (AdversarialPredictor(trace), lam)],
+            trace,
+        )
+        assert oracle.tolist() == truth
+        assert np.array_equal(adversarial, ~oracle)
+
+    def test_foreign_trace_unsupported_and_batch_is_none(self):
         tr1 = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
         tr2 = uniform_random_trace(n=3, m=30, horizon=100.0, seed=2)
         pred = OraclePredictor(tr1)
@@ -192,7 +218,7 @@ class TestPredictionStream:
         assert PredictionStream.supports_predictor(pred, tr1)
         assert PredictionStream.batch_for_cells([(pred, 10.0)], tr1) is not None
 
-    def test_for_predictor_rejects_consumed_noisy_rng(self):
+    def test_consumed_noisy_rng_unsupported_and_batch_is_none(self):
         trace = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
         pred = NoisyOraclePredictor(trace, 0.5, seed=0)
         assert PredictionStream.supports_predictor(pred, trace)
@@ -201,7 +227,7 @@ class TestPredictionStream:
         assert not PredictionStream.supports_predictor(pred, trace)
         assert PredictionStream.batch_for_cells([(pred, 10.0)], trace) is None
 
-    def test_for_predictor_rejects_history_based(self):
+    def test_history_based_unsupported_and_batch_is_none(self):
         trace = uniform_random_trace(n=3, m=30, horizon=100.0, seed=1)
         pred = SlidingWindowPredictor(window=5)
         assert not PredictionStream.supports_predictor(pred, trace)
